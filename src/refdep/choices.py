@@ -107,8 +107,9 @@ class FiniteProperty:
 
     ``evaluator(dataset, family)`` returns every violation witnessable
     inside ``family`` (a collection of observed menus); an empty list
-    means the restricted data passes.  Evaluators must be monotone under
-    restriction: shrinking the family can only remove witnesses.
+    means the restricted data passes.  Evaluators must be local: the
+    witnesses inside ``family`` are exactly the witnesses over all
+    observed menus whose menus all lie in ``family``, in the same order.
     """
 
     name: str
@@ -306,6 +307,97 @@ def _fmt(ids) -> str:
 
 
 WARP = FiniteProperty("WARP", warp_over)
+
+
+# -- invariance under a transformation of the domain ------------------------
+
+
+def family_masks(dataset: ChoiceDataset, family):
+    """The family's menus in canonical order, with per-alternative
+    bitmasks (bit i = menu i) of the menus containing it and of the menus
+    choosing it."""
+    menus = sorted_menus(frozenset(m) for m in family)
+    contain, chosen = {}, {}
+    for pos, menu in enumerate(menus):
+        bit = 1 << pos
+        picked = dataset.choice(menu)
+        for alt in menu:
+            contain[alt] = contain.get(alt, 0) | bit
+            if alt in picked:
+                chosen[alt] = chosen.get(alt, 0) | bit
+    return menus, contain, chosen
+
+
+def invariance_over(dataset: ChoiceDataset, family, kind, correspondences) -> list:
+    """Violations of choice invariance under a transformation of the domain.
+
+    Each correspondence ``(x, y, x2, y2, narrative)`` maps the pair x, y
+    to its image x2, y2.  A witness is a menu of ``family`` choosing x
+    alongside y, together with one choosing y2 while x2 is present and
+    unchosen.
+    """
+    menus, contain, chosen = family_masks(dataset, family)
+    witnesses = []
+    for x, y, x2, y2, narrative in correspondences:
+        mask_a = chosen.get(x, 0) & contain.get(y, 0)
+        mask_b = chosen.get(y2, 0) & contain.get(x2, 0) & ~chosen.get(x2, 0)
+        if not (mask_a and mask_b):
+            continue
+        for i, menu_a in enumerate(menus):
+            if mask_a >> i & 1:
+                for j, menu_b in enumerate(menus):
+                    if mask_b >> j & 1:
+                        witnesses.append(ViolationWitness(kind, (menu_a, menu_b), narrative))
+    return sort_witnesses(witnesses)
+
+
+def shift_correspondences(dataset: ChoiceDataset, fixed, moved, allowed, label):
+    """Correspondences of a common shift of the payload coordinate
+    ``moved`` with ``fixed`` held: x, y map to x2, y2 when both move by
+    the same shift d with ``allowed(d)``.  Cached per dataset under
+    ``label``, which names one transformation."""
+    key = ("shift", label)
+    out = dataset._cache.get(key)
+    if out is not None:
+        return out
+    ids = sorted(dataset.universe)
+    coords = {alt: (getattr(dataset.payload(alt), fixed),
+                    getattr(dataset.payload(alt), moved)) for alt in ids}
+    by_fixed = {}
+    for alt in ids:
+        by_fixed.setdefault(coords[alt][0], []).append(alt)
+    out = []
+    for x in ids:
+        fx, mx = coords[x]
+        for x2 in by_fixed[fx]:
+            shift = coords[x2][1] - mx
+            if not allowed(shift):
+                continue
+            for y in ids:
+                if y == x:
+                    continue
+                fy, my = coords[y]
+                for y2 in by_fixed[fy]:
+                    if coords[y2][1] - my == shift:
+                        # str(Fraction) is serialize.format_rational's form;
+                        # serialize imports this module, so it is not used here
+                        out.append((x, y, x2, y2, (
+                            f"{x} chosen alongside {y}, but after a common {label} "
+                            f"of {Fraction(shift)} the shifted {y2} is chosen "
+                            f"while {x2} is not")))
+    dataset._cache[key] = out
+    return out
+
+
+def mismatches(dataset: ChoiceDataset, choose) -> list:
+    """(menu, predicted, observed) for every observed menu where the
+    model's ``choose(menu)`` disagrees with the data."""
+    out = []
+    for menu in dataset.menus():
+        predicted = choose(menu)
+        if predicted != dataset.observations[menu]:
+            out.append((menu, predicted, dataset.observations[menu]))
+    return out
 
 
 def restrict(dataset: ChoiceDataset, family) -> ChoiceDataset:

@@ -247,9 +247,6 @@ def build_parser():
                     "dependent choice datasets")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output (the stable contract)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized batteries (reserved; the "
-                             "built-in commands are deterministic)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate a dataset file")

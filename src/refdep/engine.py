@@ -87,22 +87,24 @@ class ReferenceOrder:
         return list(self.ranking)
 
 
+def _candidate_witnesses(dataset: ChoiceDataset, prop: FiniteProperty, psi: PsiMap,
+                         pool) -> list:
+    """(x, witnesses) for each admissible member x of ``pool`` in id
+    order: T's violations on the observed menus inside ``pool`` that
+    contain x."""
+    inside = dataset.observed_subsets(pool)
+    return [(x, prop.check(dataset, [m for m in inside if x in m]))
+            for x in sorted(psi.of(dataset, pool))]
+
+
 def candidate_set(dataset: ChoiceDataset, prop: FiniteProperty, psi: PsiMap,
                   pool) -> frozenset:
-    """Candidate references of an arbitrary alternative set ``pool``.
-
-    A member x qualifies when the data restricted to observed menus
-    inside ``pool`` that contain x satisfies T.
-    """
-    pool = frozenset(pool)
-    inside = [m for m in dataset.observed_subsets(pool)]
-    admissible = psi.of(dataset, pool)
-    out = []
-    for x in sorted(admissible):
-        family = [m for m in inside if x in m]
-        if not prop.check(dataset, family):
-            out.append(x)
-    return frozenset(out)
+    """Candidate references of an arbitrary alternative set ``pool``: the
+    admissible members x for which the data restricted to observed menus
+    inside ``pool`` that contain x satisfies T."""
+    return frozenset(x for x, witnesses in
+                     _candidate_witnesses(dataset, prop, psi, frozenset(pool))
+                     if not witnesses)
 
 
 def candidate_references(dataset: ChoiceDataset, prop: FiniteProperty,
@@ -140,20 +142,10 @@ def check_reference_dependence(dataset: ChoiceDataset, prop: FiniteProperty,
     check_psi_hereditary(dataset, psi)
     failures = []
     for menu in dataset.menus():
-        inside = dataset.observed_subsets(menu)
-        admissible = sorted(psi.of(dataset, menu))
-        broken = []
-        ok = 0
-        for x in admissible:
-            family = [m for m in inside if x in m]
-            witnesses = prop.check(dataset, family)
-            if witnesses:
-                broken.append((x, tuple(witnesses)))
-            else:
-                ok += 1
-        bad = (ok == 0) if not universal else bool(broken)
-        if bad:
-            failures.append(ReferenceDependenceFailure(menu, tuple(broken)))
+        results = _candidate_witnesses(dataset, prop, psi, menu)
+        broken = tuple((x, tuple(witnesses)) for x, witnesses in results if witnesses)
+        if (bool(broken) if universal else len(broken) == len(results)):
+            failures.append(ReferenceDependenceFailure(menu, broken))
     return sorted(failures, key=lambda f: menu_key(f.menu))
 
 

@@ -20,6 +20,7 @@ from .choices import (
     GENERIC,
     Menu,
     WARP,
+    mismatches,
 )
 from .engine import (
     IDENTITY_PSI,
@@ -95,12 +96,7 @@ def simulate_ordu(params: OrduParams, menus) -> ChoiceDataset:
 
 def verify_ordu(params: OrduParams, dataset: ChoiceDataset) -> list:
     """Menus where the parameterization disagrees with the data."""
-    mismatches = []
-    for menu in dataset.menus():
-        predicted = evaluate_ordu(params, menu)
-        if predicted != dataset.observations[menu]:
-            mismatches.append((menu, predicted, dataset.observations[menu]))
-    return mismatches
+    return mismatches(dataset, lambda menu: evaluate_ordu(params, menu))
 
 
 def maximal_menus(dataset: ChoiceDataset):

@@ -25,7 +25,9 @@ from .choices import (
     ViolationWitness,
     WARP,
     conjoin,
+    invariance_over,
     menu_key,
+    mismatches,
     sort_witnesses,
     sorted_menus,
     warp_over,
@@ -238,19 +240,20 @@ def _diff_table(dataset: ChoiceDataset):
     return table
 
 
-def _mixture_quadruples(dataset: ChoiceDataset):
-    """All (p, q, p', q', alpha) with p' = p^a s and q' = q^a s exactly,
-    a in (0,1), for some lottery s on the grid."""
-    quads = dataset._cache.get("mixture-quadruples")
-    if quads is not None:
-        return quads
+def _mixture_correspondences(dataset: ChoiceDataset):
+    """Independence's correspondences, both clauses, for every
+    (p, q, p', q', alpha) with p' = p^a s and q' = q^a s exactly, a in
+    (0,1), for some lottery s on the grid."""
+    corr = dataset._cache.get("mixture-correspondences")
+    if corr is not None:
+        return corr
     vectors = _vectors(dataset)
     diffs = _diff_table(dataset)
     groups = {}
     for pair, (vec, key) in diffs.items():
         if key is not None:
             groups.setdefault(key, []).append(pair)
-    quads = []
+    corr = []
     for pairs in groups.values():
         for p, q in pairs:
             base = diffs[(p, q)][0]
@@ -262,59 +265,19 @@ def _mixture_quadruples(dataset: ChoiceDataset):
                 mixer = tuple((x2 - alpha * x) / (1 - alpha)
                               for x2, x in zip(vectors[p2], vectors[p]))
                 if all(x >= 0 for x in mixer):
-                    quads.append((p, q, p2, q2, alpha))
-    quads.sort()
-    dataset._cache["mixture-quadruples"] = quads
-    return quads
-
-
-def _family_masks(dataset: ChoiceDataset, family):
-    menus = sorted_menus(frozenset(m) for m in family)
-    contain = {}
-    chosen = {}
-    for pos, menu in enumerate(menus):
-        bit = 1 << pos
-        picked = dataset.choice(menu)
-        for alt in menu:
-            contain[alt] = contain.get(alt, 0) | bit
-            if alt in picked:
-                chosen[alt] = chosen.get(alt, 0) | bit
-    return menus, contain, chosen
+                    a = format_rational(alpha)
+                    corr.append((p, q, p2, q2, f"clause 1: {p} chosen over {q} "
+                                 f"but the {a}-mixture {p2} loses to {q2}"))
+                    corr.append((p2, q2, p, q, f"clause 2: {p2} chosen over {q2} "
+                                 f"but the {a}-mixture {p} loses to {q}"))
+    dataset._cache["mixture-correspondences"] = corr
+    return corr
 
 
 def independence_over(dataset: ChoiceDataset, family) -> list:
-    """Violations of the common-mixture condition inside ``family``.
-
-    Both clauses are tested on every exact mixture quadruple
-    (p, q, p^a s, q^a s) recoverable from the universe.
-    """
-    menus, contain, chosen = _family_masks(dataset, family)
-    witnesses = []
-
-    def clause(tag, top, other, mixed_top, mixed_other, alpha):
-        mask_a = chosen.get(top, 0) & contain.get(other, 0)
-        mask_b = (chosen.get(mixed_other, 0) & contain.get(mixed_top, 0)
-                  & ~chosen.get(mixed_top, 0))
-        if mask_a and mask_b:
-            for i, menu_a in enumerate(menus):
-                if not mask_a >> i & 1:
-                    continue
-                for j, menu_b in enumerate(menus):
-                    if not mask_b >> j & 1:
-                        continue
-                    witnesses.append(ViolationWitness(
-                        kind="Independence",
-                        menus=(menu_a, menu_b),
-                        narrative=(
-                            f"{tag}: {top} chosen over {other} but the "
-                            f"{format_rational(alpha)}-mixture {mixed_top} loses "
-                            f"to {mixed_other}"),
-                    ))
-
-    for p, q, p2, q2, alpha in _mixture_quadruples(dataset):
-        clause("clause 1", p, q, p2, q2, alpha)
-        clause("clause 2", p2, q2, p, q, alpha)
-    return sort_witnesses(witnesses)
+    """Violations of the common-mixture condition inside ``family``."""
+    return invariance_over(dataset, family, "Independence",
+                           _mixture_correspondences(dataset))
 
 
 INDEPENDENCE = FiniteProperty("Independence", independence_over)
@@ -524,12 +487,7 @@ def simulate_areu(params: AreuParams, menus) -> ChoiceDataset:
 
 
 def verify_areu(params: AreuParams, dataset: ChoiceDataset) -> list:
-    mismatches = []
-    for menu in dataset.menus():
-        predicted = evaluate_areu(params, menu)
-        if predicted != dataset.observations[menu]:
-            mismatches.append((menu, predicted, dataset.observations[menu]))
-    return mismatches
+    return mismatches(dataset, lambda menu: evaluate_areu(params, menu))
 
 
 # -- AREU fitting ----------------------------------------------------------
@@ -644,79 +602,65 @@ def _reference_assignments(dataset: ChoiceDataset, forced):
     yield from rec(0, {}, set(forced))
 
 
-def _class_constraints(problem, dataset, menu, ref, var):
-    """EU-rationalization constraints of one menu under reference ``ref``."""
+def _uvar(label, i, n):
+    """LP variable of utility ``label`` at prize ``i`` of ``n``; None at
+    the endpoints, which are normalized to 0 and 1."""
+    return None if i == 0 or i == n - 1 else f"u[{label}][{i}]"
+
+
+def _eu_row(label, weights, n):
+    """sum of w * u[label][i] over (i, w) in ``weights``, as LP
+    coefficients plus the constant the normalized endpoints contribute."""
+    coeffs, const = {}, _ZERO
+    for i, w in weights:
+        name = _uvar(label, i, n)
+        if name is None:
+            if i == n - 1:
+                const += w
+        elif w != 0:
+            coeffs[name] = w
+    return coeffs, const
+
+
+def _class_constraints(problem, dataset, menu, label):
+    """EU-rationalization constraints of one menu under utility ``label``."""
     vectors = _vectors(dataset)
     picked = sorted(dataset.observations[menu])
     others = sorted(set(menu) - set(picked))
     head = picked[0]
+    n = len(vectors[head])
 
-    def coeffs(a, b):
-        diff = {}
-        const = _ZERO
-        va, vb = vectors[a], vectors[b]
-        for i in range(len(va)):
-            c = va[i] - vb[i]
-            if c == 0:
-                continue
-            name = var(ref, i)
-            if name is None:  # normalized endpoint
-                const += c * (_ONE if i == len(va) - 1 else _ZERO)
-            else:
-                diff[name] = diff.get(name, _ZERO) + c
-        return diff, const
-
-    for other in picked[1:]:
-        diff, const = coeffs(head, other)
-        problem.add(diff, "=", -const)
-    for other in others:
-        diff, const = coeffs(head, other)
-        problem.add(diff, ">", -const)
+    for relation, rest in (("=", picked[1:]), (">", others)):
+        for other in rest:
+            diff, const = _eu_row(
+                label, enumerate(a - b for a, b in zip(vectors[head], vectors[other])), n)
+            problem.add(diff, relation, -const)
 
 
-def _solve_classes(dataset, classes, chain, couple_exact):
-    """One joint feasibility problem for the reference classes.
-
-    ``classes`` maps ref -> menus, ``chain`` is the refs ordered safest
-    first.  With ``couple_exact`` (3-prize grids) the concavity ordering
-    is enforced inside the LP; otherwise the caller post-checks.
-    """
-    prizes = prize_grid(dataset)
-    n = len(prizes)
-
-    def var(ref, i):
-        if i == 0 or i == n - 1:
-            return None
-        return f"u[{ref}][{i}]"
-
+def _utility_problem(dataset, groups):
+    """The utility LP of ``groups``, (label, menus) pairs: per label a
+    normalized, strictly increasing utility and the EU-rationalization
+    rows of its menus."""
+    n = len(prize_grid(dataset))
     problem = LinearFeasibilityProblem()
-    for ref in chain:
+    for label, menus in groups:
         last = None
         for i in range(1, n - 1):
-            name = var(ref, i)
-            if last is None:
-                problem.add({name: 1}, ">", 0)
-            else:
-                problem.add({name: 1, last: -1}, ">", 0)
+            name = _uvar(label, i, n)
+            problem.add({name: 1, last: -1} if last else {name: 1}, ">", 0)
             last = name
         if last is not None:
             problem.add({last: 1}, "<", 1)
-        for menu in classes[ref]:
-            _class_constraints(problem, dataset, menu, ref, var)
-    if couple_exact and n == 3:
-        for hi, lo in zip(chain, chain[1:]):
-            problem.add({var(hi, 1): 1, var(lo, 1): -1}, ">=", 0)
-    result = solve_linear_feasibility(problem)
-    if not result:
-        return None
-    out = {}
-    for ref in chain:
-        u = [_ZERO]
-        for i in range(1, n - 1):
-            u.append(result.assignment[var(ref, i)])
-        u.append(_ONE)
-        out[ref] = tuple(u)
-    return out
+        for menu in menus:
+            _class_constraints(problem, dataset, menu, label)
+    return problem
+
+
+def _utilities(result, labels, n):
+    """Each label's solved utility vector, endpoints included."""
+    return {label: (_ZERO, *(result.assignment[_uvar(label, i, n)]
+                             for i in range(1, n - 1)), _ONE)
+            for label in labels}
 
 
 def _rho_monotone(prizes, chain, utilities) -> bool:
@@ -728,63 +672,37 @@ def _rho_monotone(prizes, chain, utilities) -> bool:
 def _solve_shared(dataset, classes):
     """Try one utility for every class; sound for any prize count and
     exactly covers classical expected-utility data."""
+    menus = [menu for class_menus in classes.values() for menu in class_menus]
+    result = solve_linear_feasibility(_utility_problem(dataset, [("shared", menus)]))
+    if not result:
+        return None
+    u = _utilities(result, ["shared"], len(prize_grid(dataset)))["shared"]
+    return {ref: u for ref in classes}
+
+
+def _solve_chain(dataset, classes, chain):
+    """One utility per reference class (``classes`` maps ref -> menus),
+    weakly more concave up ``chain``, the refs ordered safest first.
+
+    On 3-prize grids the concavity ordering is one LP row per adjacent
+    pair.  On 4+ prize grids: relax, post-check, then pin the gap ratios
+    between adjacent classes to a refined rational grid."""
     prizes = prize_grid(dataset)
     n = len(prizes)
-
-    def var(_ref, i):
-        if i == 0 or i == n - 1:
-            return None
-        return f"u[shared][{i}]"
-
-    problem = LinearFeasibilityProblem()
-    last = None
-    for i in range(1, n - 1):
-        name = var(None, i)
-        problem.add({name: 1, last: -1} if last else {name: 1}, ">", 0)
-        last = name
-    if last is not None:
-        problem.add({last: 1}, "<", 1)
-    for ref, menus in classes.items():
-        for menu in menus:
-            _class_constraints(problem, dataset, menu, ref, var)
+    groups = [(ref, classes[ref]) for ref in chain]
+    problem = _utility_problem(dataset, groups)
+    if n == 3:
+        for hi, lo in zip(chain, chain[1:]):
+            problem.add({_uvar(hi, 1, n): 1, _uvar(lo, 1, n): -1}, ">=", 0)
     result = solve_linear_feasibility(problem)
     if not result:
         return None
-    u = [_ZERO]
-    for i in range(1, n - 1):
-        u.append(result.assignment[var(None, i)])
-    u.append(_ONE)
-    return {ref: tuple(u) for ref in classes}
-
-
-def _solve_with_grid(dataset, classes, chain):
-    """Concavity coupling on 4+ prize grids: relax, post-check, then pin
-    the gap ratios between adjacent classes to a refined rational grid."""
-    prizes = prize_grid(dataset)
-    n = len(prizes)
-    solution = _solve_classes(dataset, classes, chain, couple_exact=False)
-    if solution is None:
-        return None
+    solution = _utilities(result, chain, n)
     if _rho_monotone(prizes, chain, solution):
         return solution
+    rhos = [rho_vector(prizes, solution[r]) for r in chain]
     for denom in (64, 512):
-        problem = LinearFeasibilityProblem()
-
-        def var(ref, i):
-            if i == 0 or i == n - 1:
-                return None
-            return f"u[{ref}][{i}]"
-
-        for ref in chain:
-            last = None
-            for i in range(1, n - 1):
-                name = var(ref, i)
-                problem.add({name: 1, last: -1} if last else {name: 1}, ">", 0)
-                last = name
-            problem.add({last: 1}, "<", 1)
-            for menu in classes[ref]:
-                _class_constraints(problem, dataset, menu, ref, var)
-        rhos = [rho_vector(prizes, solution[r]) for r in chain]
+        problem = _utility_problem(dataset, groups)
         for k in range(len(chain) - 1):
             hi, lo = chain[k], chain[k + 1]
             for i in range(1, n - 1):
@@ -792,24 +710,12 @@ def _solve_with_grid(dataset, classes, chain):
                 tau = Fraction(round(mid * denom), denom)
                 # rho_i >= tau  <=>  u_i - u_{i-1} >= tau (u_{i+1} - u_{i-1})
                 for ref, relation in ((hi, ">="), (lo, "<=")):
-                    coeffs = {}
-                    const = _ZERO
-                    for j, weight in ((i, _ONE), (i - 1, tau - 1), (i + 1, -tau)):
-                        name = var(ref, j)
-                        if name is None:
-                            const += weight * (_ONE if j == n - 1 else _ZERO)
-                        else:
-                            coeffs[name] = coeffs.get(name, _ZERO) + weight
+                    coeffs, const = _eu_row(
+                        ref, ((i, _ONE), (i - 1, tau - 1), (i + 1, -tau)), n)
                     problem.add(coeffs, relation, -const)
         result = solve_linear_feasibility(problem)
         if result:
-            out = {}
-            for ref in chain:
-                u = [_ZERO]
-                for i in range(1, n - 1):
-                    u.append(result.assignment[var(ref, i)])
-                u.append(_ONE)
-                out[ref] = tuple(u)
+            out = _utilities(result, chain, n)
             if _rho_monotone(prizes, chain, out):
                 return out
     return None
@@ -852,13 +758,8 @@ def fit_areu(dataset: ChoiceDataset) -> AreuParams:
         ref_pairs = {(a, b) for a, b in order_pairs if a in arising and b in arising}
         shared = _solve_shared(dataset, classes)
         for chain in _linear_extensions(arising, ref_pairs):
-            if shared is not None:
-                solution = shared
-            elif len(prizes) == 3:
-                solution = _solve_classes(dataset, classes, list(chain),
-                                          couple_exact=True)
-            else:
-                solution = _solve_with_grid(dataset, classes, list(chain))
+            solution = (shared if shared is not None
+                        else _solve_chain(dataset, classes, list(chain)))
             if solution is None:
                 continue
             full_edges = edges | {(chain[i], chain[i + 1])

@@ -146,10 +146,9 @@ def load_fixture(name: str) -> ChoiceDataset:
 # -- two-stage shortlisting -------------------------------------------------
 
 
-def _pair_states(members):
-    """Assignments of each unordered pair to one of: no edge, x beats y,
-    y beats x.  Yields sets of directed (winner, loser) edges."""
-    pairs = list(combinations(members, 2))
+def _pair_states(pairs):
+    """Assignments of each unordered pair (x, y) to one of: no edge,
+    x beats y, y beats x.  Yields sets of directed (winner, loser) edges."""
     for states in product(range(3), repeat=len(pairs)):
         edges = set()
         for (x, y), state in zip(pairs, states):
@@ -158,11 +157,6 @@ def _pair_states(members):
             elif state == 2:
                 edges.add((y, x))
         yield frozenset(edges)
-
-
-def _shortlist(menu, first):
-    return frozenset(x for x in menu
-                     if not any((y, x) in first for y in menu))
 
 
 def _maximal(menu, strict):
@@ -187,11 +181,11 @@ def rsm_rationalizable(dataset: ChoiceDataset):
     menus = [(menu, next(iter(choice)))
              for menu, choice in sorted(dataset.observations.items(),
                                         key=lambda kv: sorted(kv[0]))]
-    for first in _pair_states(members):
+    for first in _pair_states(list(combinations(members, 2))):
         shortlists = []
         ok = True
         for menu, chosen in menus:
-            short = _shortlist(menu, first)
+            short = _maximal(menu, first)
             if chosen not in short:
                 ok = False
                 break
@@ -214,23 +208,12 @@ def rsm_rationalizable(dataset: ChoiceDataset):
             continue
         free = [p for p in combinations(members, 2) if p not in forced]
         base = frozenset(forced.values())
-        for extra in _pair_states_over(free):
+        for extra in _pair_states(free):
             second = base | extra
             if all(_maximal(short, second) == frozenset((chosen,))
                    for short, chosen in shortlists):
                 return first, second
     return None
-
-
-def _pair_states_over(pairs):
-    for states in product(range(3), repeat=len(pairs)):
-        edges = set()
-        for (x, y), state in zip(pairs, states):
-            if state == 1:
-                edges.add((x, y))
-            elif state == 2:
-                edges.add((y, x))
-        yield frozenset(edges)
 
 
 def rsm_forward(members, first, second):
@@ -240,7 +223,7 @@ def rsm_forward(members, first, second):
     for size in range(1, len(members) + 1):
         for menu in combinations(sorted(members), size):
             menu = frozenset(menu)
-            out = _maximal(_shortlist(menu, first), second)
+            out = _maximal(_maximal(menu, first), second)
             if len(out) != 1:
                 return None
             table[menu] = out
@@ -275,7 +258,7 @@ def pe_rationalizable(dataset: ChoiceDataset):
         raise UniverseTooLarge("equilibrium search supports at most 5 alternatives")
     observations = sorted(dataset.observations.items(),
                           key=lambda kv: sorted(kv[0]))
-    for strict in _pair_states(members):
+    for strict in _pair_states(list(combinations(members, 2))):
         if not _strict_acyclic(members, strict):
             continue
         if all(_maximal(menu, strict) == choice for menu, choice in observations):

@@ -19,8 +19,10 @@ from .choices import (
     ViolationWitness,
     WARP,
     conjoin,
+    invariance_over,
+    mismatches,
+    shift_correspondences,
     sort_witnesses,
-    sorted_menus,
     warp_over,
 )
 from .engine import PsiMap, check_reference_dependence
@@ -56,54 +58,9 @@ MOST_BALANCED_PSI = PsiMap("most-balanced", most_balanced)
 
 def quasilinearity_over(dataset: ChoiceDataset, family) -> list:
     """Violations of invariance under a common own-payment shift."""
-    menus = sorted_menus(frozenset(m) for m in family)
-    contain, chosen = {}, {}
-    for pos, menu in enumerate(menus):
-        bit = 1 << pos
-        picked = dataset.choice(menu)
-        for alt in menu:
-            contain[alt] = contain.get(alt, 0) | bit
-            if alt in picked:
-                chosen[alt] = chosen.get(alt, 0) | bit
-    ids = sorted(dataset.universe)
-    by_other = {}
-    for alt in ids:
-        pay = _split(dataset, alt)
-        by_other.setdefault(pay.other, []).append((pay.own, alt))
-    witnesses = []
-    for i1 in ids:
-        p1 = _split(dataset, i1)
-        for j1 in ids:
-            if j1 == i1:
-                continue
-            q1 = _split(dataset, j1)
-            for own2, j2 in by_other[q1.other]:
-                shift = own2 - q1.own
-                if shift == 0:
-                    continue
-                for own3, i2 in by_other[p1.other]:
-                    if own3 - p1.own != shift:
-                        continue
-                    mask_a = chosen.get(i1, 0) & contain.get(j1, 0)
-                    mask_b = (chosen.get(j2, 0) & contain.get(i2, 0)
-                              & ~chosen.get(i2, 0))
-                    if not (mask_a and mask_b):
-                        continue
-                    for a_pos, menu_a in enumerate(menus):
-                        if not mask_a >> a_pos & 1:
-                            continue
-                        for b_pos, menu_b in enumerate(menus):
-                            if not mask_b >> b_pos & 1:
-                                continue
-                            witnesses.append(ViolationWitness(
-                                kind="Quasi-linearity",
-                                menus=(menu_a, menu_b),
-                                narrative=(
-                                    f"{i1} chosen alongside {j1}, but after a common "
-                                    f"own-payment shift of {format_rational(shift)} "
-                                    f"the shifted {j2} is chosen while {i2} is not"),
-                            ))
-    return sort_witnesses(set(witnesses))
+    shifts = shift_correspondences(dataset, "other", "own", lambda d: d != 0,
+                                   "own-payment shift")
+    return invariance_over(dataset, family, "Quasi-linearity", shifts)
 
 
 QUASILINEARITY = FiniteProperty("Quasi-linearity", quasilinearity_over)
@@ -241,13 +198,8 @@ def simulate_fspu(params: FspuParams, alternatives, menus) -> ChoiceDataset:
 
 
 def verify_fspu(params: FspuParams, dataset: ChoiceDataset) -> list:
-    mismatches = []
-    for menu in dataset.menus():
-        predicted = evaluate_fspu(
-            params, {alt: _split(dataset, alt) for alt in menu})
-        if predicted != dataset.observations[menu]:
-            mismatches.append((menu, predicted, dataset.observations[menu]))
-    return mismatches
+    return mismatches(dataset, lambda menu: evaluate_fspu(
+        params, {alt: _split(dataset, alt) for alt in menu}))
 
 
 def fit_fspu(dataset: ChoiceDataset) -> FspuParams:

@@ -13,29 +13,31 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .choices import (
     ChoiceDataset,
     DATED_PAYMENT,
     FiniteProperty,
-    Menu,
     PaymentPayload,
     ViolationWitness,
     WARP,
     conjoin,
+    invariance_over,
+    mismatches,
+    shift_correspondences,
     sort_witnesses,
-    sorted_menus,
     warp_over,
 )
 from .engine import PsiMap
 from .exceptions import (
     AxiomFails,
     InfeasibleFit,
+    NotSubsetClosed,
     UnknownAlternative,
     ValidationError,
 )
 from .feasibility import LinearFeasibilityProblem, solve_linear_feasibility
+from .ordu import check_subset_closed
 from .serialize import format_rational, parse_rational
 
 _ZERO = Fraction(0)
@@ -57,54 +59,8 @@ EARLIEST_PSI = PsiMap("earliest-payments", earliest_payments)
 
 def stationarity_over(dataset: ChoiceDataset, family) -> list:
     """Violations of choice invariance under a common positive delay."""
-    menus = sorted_menus(frozenset(m) for m in family)
-    contain, chosen = {}, {}
-    for pos, menu in enumerate(menus):
-        bit = 1 << pos
-        picked = dataset.choice(menu)
-        for alt in menu:
-            contain[alt] = contain.get(alt, 0) | bit
-            if alt in picked:
-                chosen[alt] = chosen.get(alt, 0) | bit
-    ids = sorted(dataset.universe)
-    by_amount = {}
-    for alt in ids:
-        pay = _payment(dataset, alt)
-        by_amount.setdefault(pay.amount, []).append((pay.time, alt))
-    witnesses = []
-    for i1 in ids:
-        p1 = _payment(dataset, i1)
-        for j1 in ids:
-            if j1 == i1:
-                continue
-            q1 = _payment(dataset, j1)
-            for t2, i2 in by_amount[p1.amount]:
-                shift = t2 - p1.time
-                if shift <= 0:
-                    continue
-                for t3, j2 in by_amount[q1.amount]:
-                    if t3 - q1.time != shift:
-                        continue
-                    mask_a = chosen.get(i1, 0) & contain.get(j1, 0)
-                    mask_b = (chosen.get(j2, 0) & contain.get(i2, 0)
-                              & ~chosen.get(i2, 0))
-                    if not (mask_a and mask_b):
-                        continue
-                    for a_pos, menu_a in enumerate(menus):
-                        if not mask_a >> a_pos & 1:
-                            continue
-                        for b_pos, menu_b in enumerate(menus):
-                            if not mask_b >> b_pos & 1:
-                                continue
-                            witnesses.append(ViolationWitness(
-                                kind="Stationarity",
-                                menus=(menu_a, menu_b),
-                                narrative=(
-                                    f"{i1} chosen alongside {j1}, but after a common "
-                                    f"delay of {format_rational(shift)} the shifted "
-                                    f"{j2} is chosen while {i2} is not"),
-                            ))
-    return sort_witnesses(set(witnesses))
+    delays = shift_correspondences(dataset, "amount", "time", lambda d: d > 0, "delay")
+    return invariance_over(dataset, family, "Stationarity", delays)
 
 
 STATIONARITY = FiniteProperty("Stationarity", stationarity_over)
@@ -131,17 +87,6 @@ class EquivalenceReport:
     subset_form: tuple
 
 
-def _subset_closed(dataset: ChoiceDataset) -> bool:
-    observed = set(dataset.observations)
-    for menu in observed:
-        members = sorted(menu)
-        for size in range(2, len(members)):
-            for sub in combinations(members, size):
-                if frozenset(sub) not in observed:
-                    return False
-    return True
-
-
 def pairwise_anchored_equivalence(dataset: ChoiceDataset) -> EquivalenceReport:
     """Compare the pairwise axiom with the anchored subset-family form.
 
@@ -149,7 +94,9 @@ def pairwise_anchored_equivalence(dataset: ChoiceDataset) -> EquivalenceReport:
     provably coincide when unions of observed menus are observed too
     (power-set designs).  Non-subset-closed data reports not_applicable.
     """
-    if not _subset_closed(dataset):
+    try:
+        check_subset_closed(dataset)
+    except NotSubsetClosed:
         return EquivalenceReport("not_applicable", (), ())
     pairwise = check_time_reference_dependence(dataset)
     subset_form = []
@@ -345,13 +292,8 @@ def simulate_pbdu(params: PbduParams, alternatives, menus) -> ChoiceDataset:
 
 
 def verify_pbdu(params: PbduParams, dataset: ChoiceDataset) -> list:
-    mismatches = []
-    for menu in dataset.menus():
-        predicted = evaluate_pbdu(
-            params, {alt: _payment(dataset, alt) for alt in menu})
-        if predicted != dataset.observations[menu]:
-            mismatches.append((menu, predicted, dataset.observations[menu]))
-    return mismatches
+    return mismatches(dataset, lambda menu: evaluate_pbdu(
+        params, {alt: _payment(dataset, alt) for alt in menu}))
 
 
 def standing_assumption(dataset: ChoiceDataset):

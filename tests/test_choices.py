@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from refdep.choices import (
     Alternative,
+    ChoiceDataset,
     GENERIC,
     LOTTERY,
     validate_dataset,
@@ -15,9 +18,21 @@ from refdep.exceptions import (
     MixedPayloadKinds,
     UnobservedMenu,
 )
+from refdep.ordu import simulate_ordu
+from refdep.risk import betweenness_over, independence_over, simulate_areu, transitivity_over
 from refdep.rivals import load_fixture
+from refdep.social import quasilinearity_over, simulate_fspu
+from refdep.timepref import simulate_pbdu, stationarity_over
 
-from helpers import all_menus, generic_dataset, lot
+from helpers import (
+    all_menus,
+    areu_instance,
+    fspu_instance,
+    generic_dataset,
+    lot,
+    pbdu_instance,
+    random_ordu_params,
+)
 
 
 def test_compliance_table_is_valid_with_eleven_menus():
@@ -105,29 +120,59 @@ def test_restrict_identity_and_empty():
     assert ds.restrict([]).observations == {}
 
 
-@st.composite
-def random_generic_dataset(draw):
-    size = draw(st.integers(min_value=2, max_value=6))
-    ids = [chr(ord("a") + i) for i in range(size)]
-    menus = all_menus(ids, 2, min(size, 4))
-    observed = draw(st.lists(st.sampled_from(menus), min_size=1,
-                             max_size=min(len(menus), 10), unique=True))
-    rows = []
-    for menu in observed:
-        members = sorted(menu)
-        mask = draw(st.integers(min_value=1, max_value=2 ** len(members) - 1))
-        choice = {m for i, m in enumerate(members) if mask >> i & 1}
-        rows.append((menu, choice))
-    return generic_dataset(rows)
+def _perturbed(rng, dataset):
+    """Re-draw about a fifth of the observed choices at random."""
+    observations = {}
+    for menu, choice in dataset.observations.items():
+        if rng.random() < 0.2:
+            members = sorted(menu)
+            choice = frozenset(rng.sample(members, rng.randint(1, len(members))))
+        observations[menu] = choice
+    return ChoiceDataset(dataset.kind, dataset.alternatives, observations, floor=dataset.floor)
 
 
-@settings(max_examples=120, deadline=None)
-@given(random_generic_dataset(), st.data())
-def test_warp_is_monotone_under_family_restriction(ds, data):
+def _ordu_data(rng):
+    params = random_ordu_params(rng)
+    return simulate_ordu(params, all_menus(params.order.ranking))
+
+
+def _areu_data(rng):
+    params, menus = areu_instance(rng, rng.random() < 0.5)
+    return simulate_areu(params, menus)
+
+
+def _pbdu_data(rng):
+    params, payments, menus = pbdu_instance(rng, rng.random() < 0.5)
+    return simulate_pbdu(params, [Alternative(k, v) for k, v in payments.items()], menus)
+
+
+def _fspu_data(rng):
+    params, splits, menus, _ = fspu_instance(rng, rng.random() < 0.5)
+    return simulate_fspu(params, [Alternative(k, v) for k, v in splits.items()], menus)
+
+
+LOCAL_PROPERTIES = {
+    "WARP": (warp_over, _ordu_data),
+    "Independence": (independence_over, _areu_data),
+    "Stationarity": (stationarity_over, _pbdu_data),
+    "Quasi-linearity": (quasilinearity_over, _fspu_data),
+    "Betweenness": (betweenness_over, _areu_data),
+    "Transitivity": (transitivity_over, _areu_data),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOCAL_PROPERTIES))
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_property_is_local_under_family_restriction(name, seed):
+    prop, make = LOCAL_PROPERTIES[name]
+    rng = random.Random(seed)
+    ds = _perturbed(rng, make(rng))
     menus = ds.menus()
-    sub = data.draw(st.lists(st.sampled_from(menus), unique=True))
-    if warp_over(ds, menus) == []:
-        assert warp_over(ds, sub) == []
+    everywhere = prop(ds, menus)
+    for keep in (0.2, 0.5, 0.8):
+        family = [m for m in menus if rng.random() < keep]
+        assert prop(ds, family) == [w for w in everywhere if set(w.menus) <= set(family)]
 
 
 def test_witness_ordering_is_deterministic():

@@ -5,6 +5,7 @@ import pytest
 
 from refdep.choices import warp_over
 from refdep.engine import ReferenceOrder
+from refdep import risk
 from refdep.exceptions import AxiomFails, InfeasibleFit, NotIncreasing
 from refdep.risk import (
     AreuParams,
@@ -388,6 +389,41 @@ def test_fit_two_classes_on_four_prizes():
     from refdep.risk import rho_vector
     assert all(a >= b for a, b in zip(rho_vector(prizes, u_top),
                                       rho_vector(prizes, u_low)))
+
+
+def test_fit_pins_gap_ratios_when_the_relaxed_four_prize_fit_is_not_ordered(monkeypatch):
+    # two rho-ordered utilities over all menus of size 2-3; the relaxed
+    # per-class LP solves but orders concavity wrongly, so the fit reaches
+    # the LP whose gap ratios are pinned to a rational grid
+    prizes = (F(0), F(1), F(2), F(3))
+    vectors = {"l0": vec4(0, F(1, 2), F(1, 2), 0), "l1": vec4(F(1, 4), 0, F(1, 4), F(1, 2)),
+               "l2": vec4(0, 1, 0, 0), "l3": vec4(0, F(2, 3), F(1, 3), 0),
+               "l4": vec4(F(1, 3), 0, F(2, 3), 0)}
+    u_hi, u_lo = vec4(0, F(3, 8), F(3, 4), 1), vec4(0, F(1, 24), F(1, 4), 1)
+    truth = AreuParams.build(prizes, vectors, ReferenceOrder(("l0", "l1", "l2", "l3", "l4")),
+                             {"l0": u_hi, "l1": u_hi, "l2": u_hi, "l3": u_lo, "l4": u_lo})
+    ds = simulate_areu(truth, all_menus(vectors, 2, 3))
+    post_checks = []
+    rho_monotone = risk._rho_monotone
+    monkeypatch.setattr(risk, "_rho_monotone",
+                        lambda *args: post_checks.append(rho_monotone(*args)) or post_checks[-1])
+    params = fit_areu(ds)
+    assert post_checks == [False, True]
+    assert verify_areu(params, ds) == []
+    rhos = [rho_vector(prizes, params.utility(x)) for x in params.order.ranking]
+    assert all(a >= b for hi, lo in zip(rhos, rhos[1:]) for a, b in zip(hi, lo))
+    assert params.to_json() == {
+        "prizes": ["0", "1", "2", "3"],
+        "lotteries": {"l0": ["0", "1/2", "1/2", "0"], "l1": ["1/4", "0", "1/4", "1/2"],
+                      "l2": ["0", "1", "0", "0"], "l3": ["0", "2/3", "1/3", "0"],
+                      "l4": ["1/3", "0", "2/3", "0"]},
+        "order": ["l0", "l2", "l3", "l1", "l4"],
+        "utilities": {"l0": ["0", "33/97", "66/97", "1"],
+                      "l1": ["0", "190/4659", "6080/51249", "1"],
+                      "l2": ["0", "19/83", "38/83", "1"],
+                      "l3": ["0", "209/1553", "608/1553", "1"],
+                      "l4": ["0", "190/4659", "6080/51249", "1"]},
+    }
 
 
 def vec4(w, a, b, c):
