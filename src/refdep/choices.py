@@ -110,6 +110,10 @@ class FiniteProperty:
     means the restricted data passes.  Evaluators must be local: the
     witnesses inside ``family`` are exactly the witnesses over all
     observed menus whose menus all lie in ``family``, in the same order.
+    The reference engine relies on this: it evaluates each property
+    once per dataset, over all observed menus, and answers every
+    sub-family question by filtering those witnesses, so a
+    user-supplied property that is not local gets wrong verdicts.
     """
 
     name: str
@@ -172,32 +176,23 @@ class ChoiceDataset:
 
     # -- derived structure (cached per dataset) ------------------------
 
+    def cached(self, key, compute):
+        """``compute()``, evaluated once per dataset and ``key``."""
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
+
     def observed_subsets(self, menu: Menu):
         """All observed menus contained in ``menu`` (including itself)."""
-        table = self._cache.get("subsets")
-        if table is None:
-            table = {}
-            ordered = self.menus()
-            for big in ordered:
-                table[big] = [small for small in ordered if small <= big]
-            self._cache["subsets"] = table
-        if Menu(menu) in table:
-            return table[Menu(menu)]
         target = Menu(menu)
         return [m for m in self.menus() if m <= target]
 
     def nested_pairs(self):
         """All observed (small, big) pairs with small a strict subset of big."""
-        pairs = self._cache.get("nested")
-        if pairs is None:
-            pairs = []
-            ordered = self.menus()
-            for big in ordered:
-                for small in self.observed_subsets(big):
-                    if small != big:
-                        pairs.append((small, big))
-            self._cache["nested"] = pairs
-        return pairs
+        def pairs():
+            menus = self.menus()
+            return [(small, big) for big in menus for small in menus if small < big]
+        return self.cached("nested", pairs)
 
     def restrict(self, family) -> "ChoiceDataset":
         """Keep only the observations in ``family``; universe unchanged."""
@@ -356,37 +351,35 @@ def shift_correspondences(dataset: ChoiceDataset, fixed, moved, allowed, label):
     ``moved`` with ``fixed`` held: x, y map to x2, y2 when both move by
     the same shift d with ``allowed(d)``.  Cached per dataset under
     ``label``, which names one transformation."""
-    key = ("shift", label)
-    out = dataset._cache.get(key)
-    if out is not None:
-        return out
-    ids = sorted(dataset.universe)
-    coords = {alt: (getattr(dataset.payload(alt), fixed),
-                    getattr(dataset.payload(alt), moved)) for alt in ids}
-    by_fixed = {}
-    for alt in ids:
-        by_fixed.setdefault(coords[alt][0], []).append(alt)
-    out = []
-    for x in ids:
-        fx, mx = coords[x]
-        for x2 in by_fixed[fx]:
-            shift = coords[x2][1] - mx
-            if not allowed(shift):
-                continue
-            for y in ids:
-                if y == x:
+    def correspondences():
+        ids = sorted(dataset.universe)
+        coords = {alt: (getattr(dataset.payload(alt), fixed),
+                        getattr(dataset.payload(alt), moved)) for alt in ids}
+        by_fixed = {}
+        for alt in ids:
+            by_fixed.setdefault(coords[alt][0], []).append(alt)
+        out = []
+        for x in ids:
+            fx, mx = coords[x]
+            for x2 in by_fixed[fx]:
+                shift = coords[x2][1] - mx
+                if not allowed(shift):
                     continue
-                fy, my = coords[y]
-                for y2 in by_fixed[fy]:
-                    if coords[y2][1] - my == shift:
-                        # str(Fraction) is serialize.format_rational's form;
-                        # serialize imports this module, so it is not used here
-                        out.append((x, y, x2, y2, (
-                            f"{x} chosen alongside {y}, but after a common {label} "
-                            f"of {Fraction(shift)} the shifted {y2} is chosen "
-                            f"while {x2} is not")))
-    dataset._cache[key] = out
-    return out
+                for y in ids:
+                    if y == x:
+                        continue
+                    fy, my = coords[y]
+                    for y2 in by_fixed[fy]:
+                        if coords[y2][1] - my == shift:
+                            # str(Fraction) is serialize.format_rational's form;
+                            # serialize imports this module, so it is not used here
+                            out.append((x, y, x2, y2, (
+                                f"{x} chosen alongside {y}, but after a common {label} "
+                                f"of {Fraction(shift)} the shifted {y2} is chosen "
+                                f"while {x2} is not")))
+        return out
+
+    return dataset.cached(("shift", label), correspondences)
 
 
 def mismatches(dataset: ChoiceDataset, choose) -> list:

@@ -54,10 +54,20 @@ def _verdict(witnesses):
             "witnesses": [_witness_doc(w) for w in witnesses]}
 
 
-def _load(path_or_uri):
+_MODEL_KINDS = {"areu": LOTTERY, "pbdu": DATED_PAYMENT, "fspu": INCOME_SPLIT}
+
+
+def _load(path_or_uri, model=None):
+    """The dataset at a path or fixtures:// URI.  With ``model``, a
+    dataset of another kind than the model reads is a ValidationError."""
     if path_or_uri.startswith("fixtures://"):
-        return rivals.load_fixture(path_or_uri[len("fixtures://"):])
-    return load_dataset(path_or_uri)
+        ds = rivals.load_fixture(path_or_uri[len("fixtures://"):])
+    else:
+        ds = load_dataset(path_or_uri)
+    want = _MODEL_KINDS.get(model)
+    if want is not None and ds.kind != want:
+        raise ValidationError(f"--model {model} needs a {want} dataset, got {ds.kind}")
+    return ds
 
 
 _BATTERIES = {
@@ -126,7 +136,7 @@ def cmd_validate(args):
 
 
 def cmd_check(args):
-    ds = _load(args.dataset)
+    ds = _load(args.dataset, args.model)
     results = {name: _verdict(ws) for name, ws in _BATTERIES[args.model](ds).items()}
     ok = all(r["pass"] for r in results.values())
     doc = {"model": args.model, "pass": ok, "results": results,
@@ -184,7 +194,7 @@ def cmd_simulate(args):
 
 def cmd_verify(args):
     params = _load_params(args.model, args.params)
-    ds = _load(args.dataset)
+    ds = _load(args.dataset, args.model)
     verifier = {"ordu": verify_ordu, "areu": verify_areu,
                 "pbdu": verify_pbdu, "fspu": verify_fspu}[args.model]
     mismatches = verifier(params, ds)
@@ -221,6 +231,7 @@ def cmd_fixtures(args):
     name = args.name
     if name is None:
         raise ValidationError("fixtures run needs a fixture name")
+    rivals.load_fixture(name)  # UnknownFixture for a name with no table
     report = rivals.separation_suite()[name]
     doc = {"fixture": name, **{k: v for k, v in report.items()}}
     return _emit(doc, args, 0 if report["matches"] else 1)

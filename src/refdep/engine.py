@@ -45,18 +45,32 @@ class PsiMap:
 IDENTITY_PSI = PsiMap("identity", lambda dataset, menu: frozenset(menu))
 
 
-def check_psi_hereditary(dataset: ChoiceDataset, psi: PsiMap) -> None:
-    """Raise NonHereditaryPsi if heredity fails on an observed nested pair."""
-    key = ("psi-hereditary", psi.name)
-    if dataset._cache.get(key):
-        return
-    for small, big in dataset.nested_pairs():
-        stuck = (psi.of(dataset, big) & small) - psi.of(dataset, small)
-        if stuck:
-            raise NonHereditaryPsi(
-                f"{psi.name}: {sorted(stuck)} admissible in {sorted(big)} "
-                f"but not in sub-menu {sorted(small)}")
-    dataset._cache[key] = True
+def psi_table(dataset: ChoiceDataset, psi: PsiMap) -> dict:
+    """Psi of every observed menu, cached per dataset and map.  Raises
+    NonHereditaryPsi if heredity fails on an observed nested pair."""
+    def table():
+        out = {menu: psi.of(dataset, menu) for menu in dataset.menus()}
+        for small, big in dataset.nested_pairs():
+            stuck = (out[big] & small) - out[small]
+            if stuck:
+                raise NonHereditaryPsi(
+                    f"{psi.name}: {sorted(stuck)} admissible in {sorted(big)} "
+                    f"but not in sub-menu {sorted(small)}")
+        return out
+    return dataset.cached(("psi", psi), table)
+
+
+def witness_index(dataset: ChoiceDataset, prop: FiniteProperty) -> list:
+    """T's witnesses over all observed menus, each paired with the union
+    and the intersection of its menus, cached per dataset and property.
+
+    Since T is local, its witnesses on any family of observed menus are
+    the entries whose menus all lie in the family, in the same order.
+    """
+    def index():
+        return [(w, frozenset().union(*w.menus), frozenset.intersection(*w.menus))
+                for w in prop.check(dataset, dataset.menus())]
+    return dataset.cached(("witnesses", prop), index)
 
 
 @dataclass(frozen=True)
@@ -69,19 +83,12 @@ class ReferenceOrder:
         if len(set(self.ranking)) != len(self.ranking):
             raise ValueError("ranking has duplicates")
 
-    def position(self, alt_id) -> int:
-        return self.ranking.index(alt_id)
-
     def rank_map(self) -> dict:
         return {alt_id: i for i, alt_id in enumerate(self.ranking)}
 
     def argmax(self, menu) -> str:
         ranks = self.rank_map()
         return min(menu, key=lambda alt_id: ranks[alt_id])
-
-    def above(self, x, y) -> bool:
-        ranks = self.rank_map()
-        return ranks[x] <= ranks[y]
 
     def to_json(self):
         return list(self.ranking)
@@ -92,9 +99,11 @@ def _candidate_witnesses(dataset: ChoiceDataset, prop: FiniteProperty, psi: PsiM
     """(x, witnesses) for each admissible member x of ``pool`` in id
     order: T's violations on the observed menus inside ``pool`` that
     contain x."""
-    inside = dataset.observed_subsets(pool)
-    return [(x, prop.check(dataset, [m for m in inside if x in m]))
-            for x in sorted(psi.of(dataset, pool))]
+    table = psi_table(dataset, psi)
+    admissible = table[pool] if pool in table else psi.of(dataset, pool)
+    inside = [(w, meet) for w, union, meet in witness_index(dataset, prop)
+              if union <= pool]
+    return [(x, [w for w, meet in inside if x in meet]) for x in sorted(admissible)]
 
 
 def candidate_set(dataset: ChoiceDataset, prop: FiniteProperty, psi: PsiMap,
@@ -110,7 +119,6 @@ def candidate_set(dataset: ChoiceDataset, prop: FiniteProperty, psi: PsiMap,
 def candidate_references(dataset: ChoiceDataset, prop: FiniteProperty,
                          psi: PsiMap) -> dict:
     """Per observed menu, the candidate-reference set (a CandidateMap)."""
-    check_psi_hereditary(dataset, psi)
     return {menu: candidate_set(dataset, prop, psi, menu)
             for menu in dataset.menus()}
 
@@ -139,7 +147,6 @@ def check_reference_dependence(dataset: ChoiceDataset, prop: FiniteProperty,
     domain's stronger quantifier); failures then list only the broken
     candidates.
     """
-    check_psi_hereditary(dataset, psi)
     failures = []
     for menu in dataset.menus():
         results = _candidate_witnesses(dataset, prop, psi, menu)
@@ -165,6 +172,7 @@ def synthesize_reference_order(dataset: ChoiceDataset, prop: FiniteProperty,
         raise AxiomFails(f"reference dependence ({prop.name} / {psi.name})", failures)
     images = dict(candidate_references(dataset, prop, psi))
     universe = sorted(dataset.universe)
+    menus = dataset.menus()
     beats = {}
 
     def deletable(z, supersets):
@@ -172,7 +180,7 @@ def synthesize_reference_order(dataset: ChoiceDataset, prop: FiniteProperty,
 
     for x, y in combinations(universe, 2):
         pair = frozenset((x, y))
-        supersets = [menu for menu in dataset.menus() if pair <= menu]
+        supersets = [menu for menu in menus if pair <= menu]
         dx = deletable(x, supersets)
         dy = deletable(y, supersets)
         if dx and dy:
@@ -209,13 +217,14 @@ def synthesize_reference_order(dataset: ChoiceDataset, prop: FiniteProperty,
         if len(image) != 1 or order.argmax(menu) not in image:
             raise SynthesisFailed(
                 f"image of {sorted(menu)} did not collapse to its order maximum")
-    for x in universe:
-        family = [m for m in dataset.menus() if order.argmax(m) == x]
-        witnesses = prop.check(dataset, family)
-        if witnesses:
-            raise SynthesisFailed(
-                f"reference class of {x!r} violates {prop.name} across "
-                "non-nested observed menus; data too sparse to certify")
+    # a witness lies inside x's reference class iff x tops its union and
+    # belongs to all of its menus
+    broken = sorted({order.argmax(union) for _, union, meet in witness_index(dataset, prop)
+                     if order.argmax(union) in meet})
+    if broken:
+        raise SynthesisFailed(
+            f"reference class of {broken[0]!r} violates {prop.name} across "
+            "non-nested observed menus; data too sparse to certify")
     return order
 
 

@@ -36,6 +36,7 @@ from .engine import (
     PsiMap,
     ReferenceOrder,
     check_reference_dependence,
+    psi_table,
 )
 from .exceptions import (
     AxiomFails,
@@ -58,16 +59,14 @@ _ONE = Fraction(1)
 
 
 def prize_grid(dataset: ChoiceDataset):
-    grid = dataset._cache.get("prizes")
-    if grid is None:
+    def grid():
         prizes = set()
         for alt in dataset.alternatives.values():
             prizes.update(alt.payload.support())
-        grid = tuple(sorted(prizes))
-        if len(grid) < 2:
+        if len(prizes) < 2:
             raise PrizeSetMismatch("a lottery dataset needs at least two prizes")
-        dataset._cache["prizes"] = grid
-    return grid
+        return tuple(sorted(prizes))
+    return dataset.cached("prizes", grid)
 
 
 def lottery_vector(payload: LotteryPayload, prizes) -> tuple:
@@ -78,13 +77,11 @@ def lottery_vector(payload: LotteryPayload, prizes) -> tuple:
 
 
 def _vectors(dataset: ChoiceDataset) -> dict:
-    table = dataset._cache.get("vectors")
-    if table is None:
+    def table():
         prizes = prize_grid(dataset)
-        table = {alt_id: lottery_vector(alt.payload, prizes)
-                 for alt_id, alt in dataset.alternatives.items()}
-        dataset._cache["vectors"] = table
-    return table
+        return {alt_id: lottery_vector(alt.payload, prizes)
+                for alt_id, alt in dataset.alternatives.items()}
+    return dataset.cached("vectors", table)
 
 
 def _check_same_grid(prizes, *vectors):
@@ -188,18 +185,21 @@ def riskier_than(prizes, p, q) -> bool:
     return mps(prizes, p, q) or extreme_spread(prizes, p, q)
 
 
+def _spreads(dataset: ChoiceDataset) -> frozenset:
+    """The dataset's (p, q) lottery pairs with p riskier than q."""
+    def pairs():
+        prizes = prize_grid(dataset)
+        vectors = _vectors(dataset)
+        return frozenset((p, q) for p in vectors for q in vectors
+                         if p != q and riskier_than(prizes, vectors[p], vectors[q]))
+    return dataset.cached("spreads", pairs)
+
+
 def least_risky(dataset: ChoiceDataset, menu) -> frozenset:
     """The admissible references: members no other member spreads over."""
-    prizes = prize_grid(dataset)
-    vectors = _vectors(dataset)
+    spreads = _spreads(dataset)
     menu = sorted(menu)
-    dominated = set()
-    for p in menu:
-        for q in menu:
-            if p != q and riskier_than(prizes, vectors[p], vectors[q]):
-                dominated.add(p)
-                break
-    kept = frozenset(x for x in menu if x not in dominated)
+    kept = frozenset(p for p in menu if not any((p, q) in spreads for q in menu))
     if not kept:
         raise EmptyPsi(f"all members of {menu} are spreads of one another")
     return kept
@@ -225,53 +225,51 @@ def _diff_key(vec):
 
 
 def _diff_table(dataset: ChoiceDataset):
-    table = dataset._cache.get("diffs")
-    if table is None:
+    def table():
         vectors = _vectors(dataset)
         ids = sorted(vectors)
-        table = {}
+        out = {}
         for a in ids:
             for b in ids:
                 if a == b:
                     continue
                 vec = tuple(x - y for x, y in zip(vectors[a], vectors[b]))
-                table[(a, b)] = (vec, _diff_key(vec))
-        dataset._cache["diffs"] = table
-    return table
+                out[(a, b)] = (vec, _diff_key(vec))
+        return out
+    return dataset.cached("diffs", table)
 
 
 def _mixture_correspondences(dataset: ChoiceDataset):
     """Independence's correspondences, both clauses, for every
     (p, q, p', q', alpha) with p' = p^a s and q' = q^a s exactly, a in
     (0,1), for some lottery s on the grid."""
-    corr = dataset._cache.get("mixture-correspondences")
-    if corr is not None:
+    def correspondences():
+        vectors = _vectors(dataset)
+        diffs = _diff_table(dataset)
+        groups = {}
+        for pair, (vec, key) in diffs.items():
+            if key is not None:
+                groups.setdefault(key, []).append(pair)
+        corr = []
+        for pairs in groups.values():
+            for p, q in pairs:
+                base = diffs[(p, q)][0]
+                pivot = next(i for i, x in enumerate(base) if x != 0)
+                for p2, q2 in pairs:
+                    alpha = diffs[(p2, q2)][0][pivot] / base[pivot]
+                    if not 0 < alpha < 1:
+                        continue
+                    mixer = tuple((x2 - alpha * x) / (1 - alpha)
+                                  for x2, x in zip(vectors[p2], vectors[p]))
+                    if all(x >= 0 for x in mixer):
+                        a = format_rational(alpha)
+                        corr.append((p, q, p2, q2, f"clause 1: {p} chosen over {q} "
+                                     f"but the {a}-mixture {p2} loses to {q2}"))
+                        corr.append((p2, q2, p, q, f"clause 2: {p2} chosen over {q2} "
+                                     f"but the {a}-mixture {p} loses to {q}"))
         return corr
-    vectors = _vectors(dataset)
-    diffs = _diff_table(dataset)
-    groups = {}
-    for pair, (vec, key) in diffs.items():
-        if key is not None:
-            groups.setdefault(key, []).append(pair)
-    corr = []
-    for pairs in groups.values():
-        for p, q in pairs:
-            base = diffs[(p, q)][0]
-            pivot = next(i for i, x in enumerate(base) if x != 0)
-            for p2, q2 in pairs:
-                alpha = diffs[(p2, q2)][0][pivot] / base[pivot]
-                if not 0 < alpha < 1:
-                    continue
-                mixer = tuple((x2 - alpha * x) / (1 - alpha)
-                              for x2, x in zip(vectors[p2], vectors[p]))
-                if all(x >= 0 for x in mixer):
-                    a = format_rational(alpha)
-                    corr.append((p, q, p2, q2, f"clause 1: {p} chosen over {q} "
-                                 f"but the {a}-mixture {p2} loses to {q2}"))
-                    corr.append((p2, q2, p, q, f"clause 2: {p2} chosen over {q2} "
-                                 f"but the {a}-mixture {p} loses to {q}"))
-    dataset._cache["mixture-correspondences"] = corr
-    return corr
+
+    return dataset.cached("mixture-correspondences", correspondences)
 
 
 def independence_over(dataset: ChoiceDataset, family) -> list:
@@ -497,16 +495,9 @@ def _forced_edges(dataset: ChoiceDataset) -> set:
     """(above, below) pairs forced on any admissible reference order."""
     prizes = prize_grid(dataset)
     vectors = _vectors(dataset)
-    edges = set()
-    ids = sorted(vectors)
-    for p in ids:
-        for q in ids:
-            if p == q:
-                continue
-            if riskier_than(prizes, vectors[p], vectors[q]) or \
-                    worst_dilution(prizes, vectors[p], vectors[q]):
-                edges.add((q, p))
-    return edges
+    spreads = _spreads(dataset)
+    return {(q, p) for p in vectors for q in vectors if p != q
+            and ((p, q) in spreads or worst_dilution(prizes, vectors[p], vectors[q]))}
 
 
 def _has_cycle(nodes, edges) -> bool:
@@ -572,8 +563,8 @@ def _reference_assignments(dataset: ChoiceDataset, forced):
     order-consistency; yields {menu: reference} maps."""
     menus = sorted(dataset.menus(), key=lambda m: (-len(m), menu_key(m)))
     vectors = _vectors(dataset)
-    candidates = {m: sorted(least_risky(dataset, m), key=lambda i: vectors[i])
-                  for m in menus}
+    admissible = psi_table(dataset, LEAST_RISKY_PSI)
+    candidates = {m: sorted(admissible[m], key=lambda i: vectors[i]) for m in menus}
     nodes = sorted(dataset.universe)
 
     def rec(pos, assigned, edges):

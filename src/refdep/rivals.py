@@ -34,10 +34,6 @@ def _table(kind, rows):
     )
 
 
-def _rows(spec):
-    return [(tuple(menu), tuple(choice)) for menu, choice in spec]
-
-
 @dataclass(frozen=True)
 class Fixture:
     name: str
@@ -216,20 +212,6 @@ def rsm_rationalizable(dataset: ChoiceDataset):
     return None
 
 
-def rsm_forward(members, first, second):
-    """The full choice function induced by a relation pair, or None when
-    some menu's output is not a singleton."""
-    table = {}
-    for size in range(1, len(members) + 1):
-        for menu in combinations(sorted(members), size):
-            menu = frozenset(menu)
-            out = _maximal(_maximal(menu, first), second)
-            if len(out) != 1:
-                return None
-            table[menu] = out
-    return table
-
-
 # -- personal equilibrium ---------------------------------------------------
 
 
@@ -264,20 +246,6 @@ def pe_rationalizable(dataset: ChoiceDataset):
         if all(_maximal(menu, strict) == choice for menu, choice in observations):
             return strict
     return None
-
-
-def pe_forward(members, strict):
-    """Full maximal-set correspondence of a complete relation, or None
-    when some menu comes out empty."""
-    table = {}
-    for size in range(1, len(members) + 1):
-        for menu in combinations(sorted(members), size):
-            menu = frozenset(menu)
-            out = _maximal(menu, strict)
-            if not out:
-                return None
-            table[menu] = out
-    return table
 
 
 # -- the separation matrix --------------------------------------------------

@@ -28,6 +28,8 @@ from .exceptions import ValidationError
 def parse_rational(text) -> Fraction:
     if isinstance(text, Fraction):
         return text
+    if isinstance(text, bool):
+        raise ValidationError(f"refusing boolean {text!r} as a rational")
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, float):
@@ -86,12 +88,29 @@ def _payload_to_json(payload):
     raise ValidationError(f"unknown payload {payload!r}")
 
 
+def _alternatives_from_json(kind, raw):
+    alts = []
+    for a in raw:
+        if not isinstance(a["id"], str):
+            raise ValidationError(f"alternative id {a['id']!r} is not a string")
+        alts.append(Alternative(a["id"], _payload_from_json(kind, a.get("payload"))))
+    return alts
+
+
+def _ids_from_json(raw, what):
+    """A menu or choice: an array of alternative ids, not a bare string."""
+    if isinstance(raw, str) or not all(isinstance(x, str) for x in raw):
+        raise ValidationError(f"{what} {raw!r} is not an array of alternative ids")
+    return raw
+
+
 def dataset_from_dict(doc) -> ChoiceDataset:
     try:
         kind = doc["kind"]
-        alts = [Alternative(a["id"], _payload_from_json(kind, a.get("payload")))
-                for a in doc["alternatives"]]
-        observations = [(obs["menu"], obs["choice"]) for obs in doc["observations"]]
+        alts = _alternatives_from_json(kind, doc["alternatives"])
+        observations = [(_ids_from_json(obs["menu"], "menu"),
+                          _ids_from_json(obs["choice"], "choice"))
+                         for obs in doc["observations"]]
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValidationError(f"malformed dataset document: {exc}") from exc
     floor = parse_rational(doc["floor"]) if "floor" in doc else None
@@ -131,9 +150,8 @@ def menus_from_dict(doc):
     """A menus file is a dataset document with "menus" instead of observations."""
     try:
         kind = doc["kind"]
-        alts = [Alternative(a["id"], _payload_from_json(kind, a.get("payload")))
-                for a in doc["alternatives"]]
-        menus = [frozenset(m) for m in doc["menus"]]
+        alts = _alternatives_from_json(kind, doc["alternatives"])
+        menus = [frozenset(_ids_from_json(m, "menu")) for m in doc["menus"]]
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValidationError(f"malformed menus document: {exc}") from exc
     ids = {a.id for a in alts}

@@ -28,7 +28,7 @@ from .choices import (
     sort_witnesses,
     warp_over,
 )
-from .engine import PsiMap
+from .engine import PsiMap, psi_table, witness_index
 from .exceptions import (
     AxiomFails,
     InfeasibleFit,
@@ -70,14 +70,10 @@ TIME_PROPERTY = conjoin(WARP, STATIONARITY)
 def check_time_reference_dependence(dataset: ChoiceDataset) -> list:
     """WARP and Stationarity over every observed menu pair sharing an
     earliest payment (including each menu with itself)."""
-    menus = dataset.menus()
-    earliest = {m: earliest_payments(dataset, m) for m in menus}
-    witnesses = []
-    for i, menu_a in enumerate(menus):
-        for menu_b in menus[i:]:
-            if earliest[menu_a] & earliest[menu_b]:
-                witnesses.extend(TIME_PROPERTY.check(dataset, {menu_a, menu_b}))
-    return sort_witnesses(set(witnesses))
+    earliest = psi_table(dataset, EARLIEST_PSI)
+    return sort_witnesses({w for w, _, _ in witness_index(dataset, TIME_PROPERTY)
+                           if len(set(w.menus)) <= 2
+                           and frozenset.intersection(*(earliest[m] for m in w.menus))})
 
 
 @dataclass(frozen=True)
@@ -99,13 +95,12 @@ def pairwise_anchored_equivalence(dataset: ChoiceDataset) -> EquivalenceReport:
     except NotSubsetClosed:
         return EquivalenceReport("not_applicable", (), ())
     pairwise = check_time_reference_dependence(dataset)
-    subset_form = []
-    for menu in dataset.menus():
-        inside = dataset.observed_subsets(menu)
-        for anchor in sorted(earliest_payments(dataset, menu)):
-            family = [m for m in inside if anchor in m]
-            subset_form.extend(TIME_PROPERTY.check(dataset, family))
-    subset_form = sort_witnesses(set(subset_form))
+    # a witness of the family of (menu, anchor) lies inside the menu and
+    # keeps the anchor, an earliest payment of the menu, in all its menus
+    earliest = psi_table(dataset, EARLIEST_PSI)
+    subset_form = sort_witnesses({
+        w for w, union, meet in witness_index(dataset, TIME_PROPERTY)
+        if any(union <= menu and anchors & meet for menu, anchors in earliest.items())})
     status = "agree" if bool(pairwise) == bool(subset_form) else "disagree"
     return EquivalenceReport(status, tuple(pairwise), tuple(subset_form))
 

@@ -10,6 +10,7 @@ from itertools import combinations, permutations, product
 
 from refdep.choices import (
     Alternative,
+    ChoiceDataset,
     DATED_PAYMENT,
     GENERIC,
     INCOME_SPLIT,
@@ -17,12 +18,14 @@ from refdep.choices import (
     LotteryPayload,
     PaymentPayload,
     SplitPayload,
+    sort_witnesses,
     validate_dataset,
 )
 from refdep.engine import ReferenceOrder
-from refdep.risk import AreuParams
-from refdep.social import FspuParams, gini
-from refdep.timepref import PbduParams
+from refdep.ordu import simulate_ordu
+from refdep.risk import AreuParams, simulate_areu
+from refdep.social import FspuParams, gini, simulate_fspu
+from refdep.timepref import TIME_PROPERTY, PbduParams, earliest_payments, simulate_pbdu
 
 
 # -- dataset builders --------------------------------------------------------
@@ -203,24 +206,41 @@ def rsm_bruteforce(dataset):
     return False
 
 
+def _undominated(menu, strict):
+    return frozenset(x for x in menu if not any((y, x) in strict for y in menu))
+
+
+def rsm_forward(members, first, second):
+    """The full choice function of a (first-stage, second-stage) relation
+    pair, replayed forward; None when some menu's output is not a singleton."""
+    table = {}
+    for menu in all_menus(members, min_size=1):
+        out = _undominated(_undominated(menu, first), second)
+        if len(out) != 1:
+            return None
+        table[menu] = out
+    return table
+
+
+def pe_forward(members, strict):
+    """The full maximal-set correspondence of a complete relation, or None
+    when some menu comes out empty."""
+    table = {}
+    for menu in all_menus(members, min_size=1):
+        out = _undominated(menu, strict)
+        if not out:
+            return None
+        table[menu] = out
+    return table
+
+
 def pe_bruteforce(dataset):
     """Forward replay of every complete relation over the universe."""
     members = sorted(dataset.universe)
-    full = all_menus(members, min_size=1)
     for strict in directed_pair_relations(members):
-        tables = {}
-        ok = True
-        for menu in full:
-            winners = frozenset(x for x in menu
-                                if not any((y, x) in strict for y in menu))
-            if not winners:
-                ok = False
-                break
-            tables[menu] = winners
-        if not ok:
-            continue
-        if all(tables[menu] == choice
-               for menu, choice in dataset.observations.items()):
+        table = pe_forward(members, strict)
+        if table is not None and all(table[menu] == choice
+                                     for menu, choice in dataset.observations.items()):
             return True
     return False
 
@@ -407,3 +427,86 @@ def fspu_instance(rng, distinct):
     params = FspuParams(tuple(sorted(tables.items())))
     menus = all_menus(splits, 2, 3)
     return params, splits, menus, floor
+
+
+# -- perturbed model-generated data --------------------------------------------
+
+
+def perturbed(rng, dataset):
+    """Re-draw about a fifth of the observed choices at random."""
+    observations = {}
+    for menu, choice in dataset.observations.items():
+        if rng.random() < 0.2:
+            members = sorted(menu)
+            choice = frozenset(rng.sample(members, rng.randint(1, len(members))))
+        observations[menu] = choice
+    return ChoiceDataset(dataset.kind, dataset.alternatives, observations, floor=dataset.floor)
+
+
+def ordu_data(rng):
+    params = random_ordu_params(rng)
+    return simulate_ordu(params, all_menus(params.order.ranking))
+
+
+def areu_data(rng):
+    params, menus = areu_instance(rng, rng.random() < 0.5)
+    return simulate_areu(params, menus)
+
+
+def pbdu_data(rng):
+    params, payments, menus = pbdu_instance(rng, rng.random() < 0.5)
+    return simulate_pbdu(params, [Alternative(k, v) for k, v in payments.items()], menus)
+
+
+def fspu_data(rng):
+    params, splits, menus, _ = fspu_instance(rng, rng.random() < 0.5)
+    return simulate_fspu(params, [Alternative(k, v) for k, v in splits.items()], menus)
+
+
+# -- the reference axioms by their sub-family definitions ------------------------
+#
+# Each runs the property on every sub-family the definition names, with no
+# shared witness list, so the engine's filters can be checked against them.
+
+
+def candidate_witnesses_by_families(dataset, prop, psi, pool):
+    """(x, T's witnesses on the observed menus inside ``pool`` that
+    contain x) for each admissible member x of ``pool``."""
+    pool = frozenset(pool)
+    inside = [m for m in dataset.menus() if m <= pool]
+    return [(x, prop.check(dataset, [m for m in inside if x in m]))
+            for x in sorted(psi.of(dataset, pool))]
+
+
+def reference_dependence_by_families(dataset, prop, psi, universal=False):
+    """(menu, ((x, witnesses), ...)) per failing menu, broken candidates only."""
+    failures = []
+    for menu in dataset.menus():
+        results = candidate_witnesses_by_families(dataset, prop, psi, menu)
+        broken = tuple((x, tuple(ws)) for x, ws in results if ws)
+        if bool(broken) if universal else len(broken) == len(results):
+            failures.append((menu, broken))
+    return failures
+
+
+def time_reference_dependence_by_pairs(dataset):
+    """WARP and Stationarity on each menu pair sharing an earliest payment."""
+    menus = dataset.menus()
+    earliest = {m: earliest_payments(dataset, m) for m in menus}
+    witnesses = set()
+    for i, menu_a in enumerate(menus):
+        for menu_b in menus[i:]:
+            if earliest[menu_a] & earliest[menu_b]:
+                witnesses.update(TIME_PROPERTY.check(dataset, {menu_a, menu_b}))
+    return sort_witnesses(witnesses)
+
+
+def anchored_subset_form_by_families(dataset):
+    """WARP and Stationarity on each (menu, earliest anchor) family: the
+    observed sub-menus of the menu that keep the anchor."""
+    witnesses = set()
+    for menu in dataset.menus():
+        inside = [m for m in dataset.menus() if m <= menu]
+        for anchor in sorted(earliest_payments(dataset, menu)):
+            witnesses.update(TIME_PROPERTY.check(dataset, [m for m in inside if anchor in m]))
+    return sort_witnesses(witnesses)

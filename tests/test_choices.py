@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from refdep.choices import (
     Alternative,
-    ChoiceDataset,
     GENERIC,
     LOTTERY,
     validate_dataset,
@@ -18,20 +17,19 @@ from refdep.exceptions import (
     MixedPayloadKinds,
     UnobservedMenu,
 )
-from refdep.ordu import simulate_ordu
-from refdep.risk import betweenness_over, independence_over, simulate_areu, transitivity_over
+from refdep.risk import betweenness_over, independence_over, transitivity_over
 from refdep.rivals import load_fixture
-from refdep.social import quasilinearity_over, simulate_fspu
-from refdep.timepref import simulate_pbdu, stationarity_over
+from refdep.social import quasilinearity_over
+from refdep.timepref import stationarity_over
 
 from helpers import (
-    all_menus,
-    areu_instance,
-    fspu_instance,
+    areu_data,
+    fspu_data,
     generic_dataset,
     lot,
-    pbdu_instance,
-    random_ordu_params,
+    ordu_data,
+    pbdu_data,
+    perturbed,
 )
 
 
@@ -120,44 +118,13 @@ def test_restrict_identity_and_empty():
     assert ds.restrict([]).observations == {}
 
 
-def _perturbed(rng, dataset):
-    """Re-draw about a fifth of the observed choices at random."""
-    observations = {}
-    for menu, choice in dataset.observations.items():
-        if rng.random() < 0.2:
-            members = sorted(menu)
-            choice = frozenset(rng.sample(members, rng.randint(1, len(members))))
-        observations[menu] = choice
-    return ChoiceDataset(dataset.kind, dataset.alternatives, observations, floor=dataset.floor)
-
-
-def _ordu_data(rng):
-    params = random_ordu_params(rng)
-    return simulate_ordu(params, all_menus(params.order.ranking))
-
-
-def _areu_data(rng):
-    params, menus = areu_instance(rng, rng.random() < 0.5)
-    return simulate_areu(params, menus)
-
-
-def _pbdu_data(rng):
-    params, payments, menus = pbdu_instance(rng, rng.random() < 0.5)
-    return simulate_pbdu(params, [Alternative(k, v) for k, v in payments.items()], menus)
-
-
-def _fspu_data(rng):
-    params, splits, menus, _ = fspu_instance(rng, rng.random() < 0.5)
-    return simulate_fspu(params, [Alternative(k, v) for k, v in splits.items()], menus)
-
-
 LOCAL_PROPERTIES = {
-    "WARP": (warp_over, _ordu_data),
-    "Independence": (independence_over, _areu_data),
-    "Stationarity": (stationarity_over, _pbdu_data),
-    "Quasi-linearity": (quasilinearity_over, _fspu_data),
-    "Betweenness": (betweenness_over, _areu_data),
-    "Transitivity": (transitivity_over, _areu_data),
+    "WARP": (warp_over, ordu_data),
+    "Independence": (independence_over, areu_data),
+    "Stationarity": (stationarity_over, pbdu_data),
+    "Quasi-linearity": (quasilinearity_over, fspu_data),
+    "Betweenness": (betweenness_over, areu_data),
+    "Transitivity": (transitivity_over, areu_data),
 }
 
 
@@ -167,7 +134,7 @@ LOCAL_PROPERTIES = {
 def test_property_is_local_under_family_restriction(name, seed):
     prop, make = LOCAL_PROPERTIES[name]
     rng = random.Random(seed)
-    ds = _perturbed(rng, make(rng))
+    ds = perturbed(rng, make(rng))
     menus = ds.menus()
     everywhere = prop(ds, menus)
     for keep in (0.2, 0.5, 0.8):

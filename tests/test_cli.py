@@ -2,12 +2,16 @@ import io
 import json
 import sys
 
+import random
 from fractions import Fraction as F
 
-from refdep.cli import main
-from refdep.serialize import dataset_from_dict, dataset_to_dict, dump_dataset
+import pytest
 
-from helpers import allais_dataset
+from refdep.cli import main
+from refdep.exceptions import ValidationError
+from refdep.serialize import dataset_from_dict, dataset_to_dict, dump_dataset, parse_rational, to_json
+
+from helpers import allais_dataset, pbdu_instance
 
 
 def run(argv):
@@ -156,6 +160,49 @@ def test_fixtures_list_and_run():
     assert code == 0 and "compliance_2_1" in doc["fixtures"]
     code, doc = run_json(["fixtures", "run", "binary_cycle"])
     assert code == 0 and doc["matches"] is True
+
+
+def test_fixtures_run_unknown_name_exits_2_with_json():
+    code, doc = run_json(["fixtures", "run", "nope"])
+    assert code == 2
+    assert doc["error"] == "UnknownFixture" and "nope" in doc["detail"]
+
+
+def test_model_of_another_dataset_kind_exits_2_with_json(tmp_path):
+    code, doc = run_json(["check", "--model", "pbdu", "fixtures://compliance_2_1"])
+    assert code == 2 and doc["error"] == "validation"
+    params_path = tmp_path / "pbdu.json"
+    params_path.write_text(to_json(pbdu_instance(random.Random(0), False)[0].to_json()))
+    code, doc = run_json(["verify", "--model", "pbdu", str(params_path),
+                          "fixtures://compliance_2_1"])
+    assert code == 2 and doc["error"] == "validation"
+
+
+def _generic_doc(ids, menu, choice):
+    return {"kind": "generic", "alternatives": [{"id": x} for x in ids],
+            "observations": [{"menu": menu, "choice": choice}]}
+
+
+def test_non_string_alternative_ids_are_rejected():
+    with pytest.raises(ValidationError):
+        dataset_from_dict(_generic_doc([1, 2], [1, 2], [1]))
+
+
+def test_bare_string_menus_and_choices_are_rejected():
+    with pytest.raises(ValidationError):
+        dataset_from_dict(_generic_doc("ab", "ab", ["a"]))
+    with pytest.raises(ValidationError):
+        dataset_from_dict(_generic_doc("ab", ["a", "b"], "a"))
+    assert len(dataset_from_dict(_generic_doc("ab", ["a", "b"], ["a"])).observations) == 1
+
+
+def test_json_booleans_are_not_rationals():
+    with pytest.raises(ValidationError):
+        parse_rational(True)
+    doc = {"kind": "dated_payment", "alternatives": [
+        {"id": "now", "payload": {"amount": True, "time": "0"}}], "observations": []}
+    with pytest.raises(ValidationError):
+        dataset_from_dict(doc)
 
 
 def test_byte_identical_reruns():

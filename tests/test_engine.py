@@ -9,27 +9,43 @@ from refdep.engine import (
     PsiMap,
     ReferenceOrder,
     candidate_references,
+    candidate_set,
     check_reference_dependence,
     psi_consistency_check,
     synthesize_reference_order,
 )
 from refdep.exceptions import NonHereditaryPsi
 from refdep.ordu import build_ordu, simulate_ordu
-from refdep.risk import LEAST_RISKY_PSI
+from refdep.risk import LEAST_RISKY_PSI, RISK_PROPERTY
 from refdep.rivals import load_fixture
-from refdep.timepref import EARLIEST_PSI
+from refdep.social import MOST_BALANCED_PSI, SOCIAL_PROPERTY
+from refdep.timepref import (
+    EARLIEST_PSI,
+    TIME_PROPERTY,
+    check_time_reference_dependence,
+    pairwise_anchored_equivalence,
+)
 
 from helpers import (
     all_menus,
+    anchored_subset_form_by_families,
+    areu_data,
+    candidate_witnesses_by_families,
     exhaustive_single_valued_datasets,
+    fspu_data,
     generic_dataset,
     lot,
     lottery_dataset,
     ordu_bruteforce,
+    ordu_data,
     pay,
     payment_dataset,
+    pbdu_data,
+    perturbed,
     random_ordu_params,
     rationalizable_by_weak_order,
+    reference_dependence_by_families,
+    time_reference_dependence_by_pairs,
 )
 
 
@@ -223,3 +239,49 @@ def test_synthesis_with_the_risk_property_is_psi_consistent():
         for x in order.ranking:
             family = [m for m in ds.menus() if order.argmax(m) == x]
             assert RISK_PROPERTY.check(ds, family) == []
+
+
+ENGINE_DOMAINS = {
+    "generic": (ordu_data, WARP, IDENTITY_PSI),
+    "lottery": (areu_data, RISK_PROPERTY, LEAST_RISKY_PSI),
+    "dated_payment": (pbdu_data, TIME_PROPERTY, EARLIEST_PSI),
+    "income_split": (fspu_data, SOCIAL_PROPERTY, MOST_BALANCED_PSI),
+}
+
+
+def _candidates_by_families(ds, prop, psi, pool):
+    return frozenset(x for x, witnesses in
+                     candidate_witnesses_by_families(ds, prop, psi, pool) if not witnesses)
+
+
+@pytest.mark.parametrize("domain", sorted(ENGINE_DOMAINS))
+def test_engine_agrees_with_evaluating_every_sub_family(domain):
+    make, prop, psi = ENGINE_DOMAINS[domain]
+    rng = random.Random(43)
+    applicable = 0
+    for _ in range(5):
+        full = perturbed(rng, make(rng))
+        thinned = full.restrict([m for m in full.menus() if rng.random() < 0.7])
+        for ds in (full, thinned):
+            for universal in (False, True):
+                failures = check_reference_dependence(ds, prop, psi, universal=universal)
+                assert [(f.menu, f.per_candidate) for f in failures] == \
+                    reference_dependence_by_families(ds, prop, psi, universal)
+            assert candidate_references(ds, prop, psi) == {
+                m: _candidates_by_families(ds, prop, psi, m) for m in ds.menus()}
+            universe = sorted(ds.universe)
+            for _ in range(4):
+                pool = frozenset(rng.sample(universe, rng.randint(2, len(universe))))
+                if pool not in ds.observations:
+                    assert candidate_set(ds, prop, psi, pool) == \
+                        _candidates_by_families(ds, prop, psi, pool)
+            if domain != "dated_payment":
+                continue
+            pairwise = tuple(time_reference_dependence_by_pairs(ds))
+            assert tuple(check_time_reference_dependence(ds)) == pairwise
+            report = pairwise_anchored_equivalence(ds)
+            if report.status != "not_applicable":
+                applicable += 1
+                assert report.pairwise == pairwise
+                assert report.subset_form == tuple(anchored_subset_form_by_families(ds))
+    assert applicable or domain != "dated_payment"

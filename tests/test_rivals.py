@@ -4,9 +4,7 @@ from refdep.exceptions import MultiValuedChoice, UniverseTooLarge, UnknownFixtur
 from refdep.rivals import (
     fixture_names,
     load_fixture,
-    pe_forward,
     pe_rationalizable,
-    rsm_forward,
     rsm_rationalizable,
     separation_suite,
 )
@@ -16,7 +14,9 @@ from helpers import (
     exhaustive_single_valued_datasets,
     generic_dataset,
     pe_bruteforce,
+    pe_forward,
     rsm_bruteforce,
+    rsm_forward,
 )
 
 
