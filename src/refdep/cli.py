@@ -64,10 +64,14 @@ def _load(path_or_uri, model=None):
         ds = rivals.load_fixture(path_or_uri[len("fixtures://"):])
     else:
         ds = load_dataset(path_or_uri)
-    want = _MODEL_KINDS.get(model)
-    if want is not None and ds.kind != want:
-        raise ValidationError(f"--model {model} needs a {want} dataset, got {ds.kind}")
+    _check_kind(model, ds.kind, "dataset")
     return ds
+
+
+def _check_kind(model, kind, what):
+    want = _MODEL_KINDS.get(model)
+    if want is not None and kind != want:
+        raise ValidationError(f"--model {model} needs a {want} {what}, got {kind}")
 
 
 _BATTERIES = {
@@ -169,13 +173,17 @@ def cmd_fit(args):
 def _load_params(model, path):
     with open(path) as fh:
         doc = json.load(fh)
-    return _FITTERS[model][1].from_json(doc)
+    try:
+        return _FITTERS[model][1].from_json(doc)
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise ValidationError(f"malformed {model} params document: {exc}") from exc
 
 
 def cmd_simulate(args):
     params = _load_params(args.model, args.params)
     with open(args.menus) as fh:
         kind, alternatives, menus, floor = menus_from_dict(json.load(fh))
+    _check_kind(args.model, kind, "menus file")
     if args.model == "ordu":
         ds = simulate_ordu(params, menus)
     elif args.model == "areu":

@@ -388,15 +388,14 @@ class AreuParams:
     utilities: tuple  # tuple[(id, utility vector), ...]
 
     @staticmethod
-    def build(prizes, lotteries, order, utilities, validate=True) -> "AreuParams":
+    def build(prizes, lotteries, order, utilities) -> "AreuParams":
         prizes = tuple(Fraction(x) for x in prizes)
         lot = tuple(sorted((i, tuple(Fraction(x) for x in v))
                            for i, v in dict(lotteries).items()))
         uts = tuple(sorted((i, tuple(Fraction(x) for x in v))
                            for i, v in dict(utilities).items()))
         params = AreuParams(prizes, lot, order, uts)
-        if validate:
-            params.validate()
+        params.validate()
         return params
 
     def vector(self, alt_id):
@@ -423,6 +422,7 @@ class AreuParams:
                 raise ValidationError("bad probability vector")
         rhos = {}
         for i, u in self.utilities:
+            _check_same_grid(self.prizes, u)
             if u[0] != 0 or u[-1] != 1:
                 raise ValidationError("utilities must be normalized to [0, 1]")
             rhos[i] = rho_vector(self.prizes, u)
@@ -500,97 +500,60 @@ def _forced_edges(dataset: ChoiceDataset) -> set:
             and ((p, q) in spreads or worst_dilution(prizes, vectors[p], vectors[q]))}
 
 
-def _has_cycle(nodes, edges) -> bool:
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in nodes}
-    adjacency = {n: [] for n in nodes}
+def _close(order, edges):
+    """``order`` (node -> the nodes below it, transitively closed) with
+    the (above, below) ``edges`` added and closed again; None when an
+    edge closes a cycle."""
+    below = dict(order)
     for a, b in edges:
-        adjacency[a].append(b)
-
-    def visit(n):
-        color[n] = GREY
-        for m in adjacency[n]:
-            if color[m] == GREY:
-                return True
-            if color[m] == WHITE and visit(m):
-                return True
-        color[n] = BLACK
-        return False
-
-    return any(color[n] == WHITE and visit(n) for n in nodes)
+        if a in below[b]:
+            return None
+        lower = below[b] | {b}
+        for x, under in below.items():
+            if x == a or a in under:
+                below[x] = under | lower
+    return below
 
 
-def _linear_extensions(items, edges):
-    """All total orders of ``items`` respecting (above, below) edges,
-    most-constrained deterministic order."""
-    items = sorted(items)
-    below = {i: {b for a, b in edges if a == i and b in items} for i in items}
-
-    def rec(remaining, acc):
+def _chains(items, order):
+    """The linear extensions of the closed ``order`` on ``items``, in id
+    order; the first puts the smallest id first wherever it can."""
+    def rec(remaining):
         if not remaining:
-            yield tuple(acc)
+            yield ()
             return
-        for candidate in remaining:
-            # next iff no other remaining element must sit above it
-            if any(candidate in below.get(other, ()) for other in remaining
-                   if other != candidate):
-                continue
-            yield from rec([x for x in remaining if x != candidate],
-                           acc + [candidate])
+        for top in remaining:
+            if not any(top in order[other] for other in remaining):
+                for rest in rec([x for x in remaining if x != top]):
+                    yield (top, *rest)
 
-    yield from rec(items, [])
+    yield from rec(sorted(items))
 
 
-def _transitive_pairs(nodes, edges):
-    reach = {n: set() for n in nodes}
-    adjacency = {n: set() for n in nodes}
-    for a, b in edges:
-        if a in adjacency:
-            adjacency[a].add(b)
-    for n in nodes:
-        stack = list(adjacency[n])
-        while stack:
-            m = stack.pop()
-            if m in reach[n]:
-                continue
-            reach[n].add(m)
-            stack.extend(adjacency.get(m, ()))
-    return {(a, b) for a in nodes for b in reach[a] if b in nodes}
-
-
-def _reference_assignments(dataset: ChoiceDataset, forced):
-    """DFS over per-menu admissible reference choices, pruned for
-    order-consistency; yields {menu: reference} maps."""
+def _reference_assignments(dataset: ChoiceDataset, order):
+    """DFS over per-menu admissible reference choices, largest menus
+    first; yields ({menu: reference}, order) pairs, the closed ``order``
+    extended by each reference above the rest of its menu."""
     menus = sorted(dataset.menus(), key=lambda m: (-len(m), menu_key(m)))
     vectors = _vectors(dataset)
     admissible = psi_table(dataset, LEAST_RISKY_PSI)
     candidates = {m: sorted(admissible[m], key=lambda i: vectors[i]) for m in menus}
-    nodes = sorted(dataset.universe)
 
-    def rec(pos, assigned, edges):
+    def rec(pos, assigned, order):
         if pos == len(menus):
-            yield dict(assigned)
+            yield dict(assigned), order
             return
         menu = menus[pos]
         for ref in candidates[menu]:
-            ok = True
-            for other, other_ref in assigned.items():
-                if menu < other and other_ref in menu and other_ref != ref:
-                    ok = False  # the bigger menu's reference survives inside
-                    break
-                if other < menu and ref in other and assigned[other] != ref:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            new_edges = edges | {(ref, y) for y in menu if y != ref}
-            if _has_cycle(nodes, new_edges):
-                continue
-            assigned[menu] = ref
-            yield from rec(pos + 1, assigned, new_edges)
-            del assigned[menu]
+            # a bigger menu's reference is already above the rest of that
+            # menu, so where it lies in this one any other choice is a cycle
+            extended = _close(order, ((ref, y) for y in menu if y != ref))
+            if extended is not None:
+                assigned[menu] = ref
+                yield from rec(pos + 1, assigned, extended)
+                del assigned[menu]
 
-    yield from rec(0, {}, set(forced))
+    yield from rec(0, {}, order)
 
 
 def _uvar(label, i, n):
@@ -660,17 +623,6 @@ def _rho_monotone(prizes, chain, utilities) -> bool:
                for i in range(len(rhos) - 1))
 
 
-def _solve_shared(dataset, classes):
-    """Try one utility for every class; sound for any prize count and
-    exactly covers classical expected-utility data."""
-    menus = [menu for class_menus in classes.values() for menu in class_menus]
-    result = solve_linear_feasibility(_utility_problem(dataset, [("shared", menus)]))
-    if not result:
-        return None
-    u = _utilities(result, ["shared"], len(prize_grid(dataset)))["shared"]
-    return {ref: u for ref in classes}
-
-
 def _solve_chain(dataset, classes, chain):
     """One utility per reference class (``classes`` maps ref -> menus),
     weakly more concave up ``chain``, the refs ordered safest first.
@@ -731,57 +683,38 @@ def fit_areu(dataset: ChoiceDataset) -> AreuParams:
             raise AxiomFails(name, witnesses)
     prizes = prize_grid(dataset)
     vectors = _vectors(dataset)
-    forced = _forced_edges(dataset)
     nodes = sorted(dataset.universe)
-    if _has_cycle(nodes, forced):
+    forced = _close({x: frozenset() for x in nodes}, _forced_edges(dataset))
+    if forced is None:
         raise EmptyPsi("forced risk-consistency constraints are cyclic")
 
-    for assignment in _reference_assignments(dataset, forced):
+    shared = None
+    for count, (assignment, order) in enumerate(_reference_assignments(dataset, forced)):
         classes = {}
         for menu, ref in assignment.items():
             classes.setdefault(ref, []).append(menu)
         for menus in classes.values():
             menus.sort(key=menu_key)
-        arising = sorted(classes)
-        edges = set(forced) | {(ref, y) for menu, ref in assignment.items()
-                               for y in menu if y != ref}
-        order_pairs = _transitive_pairs(nodes, edges)
-        ref_pairs = {(a, b) for a, b in order_pairs if a in arising and b in arising}
-        shared = _solve_shared(dataset, classes)
-        for chain in _linear_extensions(arising, ref_pairs):
-            solution = (shared if shared is not None
-                        else _solve_chain(dataset, classes, list(chain)))
+        if count == 0:
+            # one utility for every class has the same rows under every
+            # assignment; solved once, in the first assignment's row order
+            menus = [menu for class_menus in classes.values() for menu in class_menus]
+            result = solve_linear_feasibility(_utility_problem(dataset, [("shared", menus)]))
+            shared = _utilities(result, ["shared"], len(prizes))["shared"] if result else None
+        for chain in _chains(classes, order):
+            solution = ({ref: shared for ref in chain} if shared is not None
+                        else _solve_chain(dataset, classes, chain))
             if solution is None:
                 continue
-            full_edges = edges | {(chain[i], chain[i + 1])
-                                  for i in range(len(chain) - 1)}
-            ranking = _topological_order(nodes, full_edges)
-            utilities = {}
-            chain_positions = [ranking.index(r) for r in chain]
-            for pos, alt in enumerate(ranking):
-                later = [r for r, cpos in zip(chain, chain_positions) if cpos >= pos]
-                anchor = later[0] if later else chain[-1]
+            ranking = next(_chains(nodes, _close(order, zip(chain, chain[1:]))))
+            # each lottery takes the utility of the first reference at or
+            # below it, the lowest reference's below the chain
+            utilities, anchor = {}, chain[-1]
+            for alt in reversed(ranking):
+                anchor = alt if alt in solution else anchor
                 utilities[alt] = solution[anchor]
-            order = ReferenceOrder(tuple(ranking))
-            params = AreuParams.build(prizes, vectors, order, utilities)
-            return params
+            return AreuParams.build(prizes, vectors, ReferenceOrder(ranking), utilities)
     raise InfeasibleFit("no reference assignment and utility system certifies the data")
-
-
-def _topological_order(nodes, edges):
-    pending = {n: set() for n in nodes}
-    for a, b in edges:
-        pending[b].add(a)
-    out = []
-    remaining = set(nodes)
-    while remaining:
-        ready = sorted(n for n in remaining if not (pending[n] & remaining))
-        if not ready:
-            raise EmptyPsi("cyclic order constraints")
-        head = ready[0]
-        out.append(head)
-        remaining.discard(head)
-    return out
 
 
 # -- betweenness and transitivity over doubleton families ------------------

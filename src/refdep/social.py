@@ -48,9 +48,9 @@ def _split(dataset: ChoiceDataset, alt_id) -> SplitPayload:
 
 
 def most_balanced(dataset: ChoiceDataset, menu) -> frozenset:
-    menu = sorted(menu)
-    best = min(gini(_split(dataset, x)) for x in menu)
-    return frozenset(x for x in menu if gini(_split(dataset, x)) == best)
+    ginis = {x: gini(_split(dataset, x)) for x in menu}
+    best = min(ginis.values())
+    return frozenset(x for x, g in ginis.items() if g == best)
 
 
 MOST_BALANCED_PSI = PsiMap("most-balanced", most_balanced)

@@ -11,7 +11,7 @@ from refdep.cli import main
 from refdep.exceptions import ValidationError
 from refdep.serialize import dataset_from_dict, dataset_to_dict, dump_dataset, parse_rational, to_json
 
-from helpers import allais_dataset, pbdu_instance
+from helpers import allais_dataset, pbdu_instance, random_ordu_params
 
 
 def run(argv):
@@ -175,6 +175,27 @@ def test_model_of_another_dataset_kind_exits_2_with_json(tmp_path):
     params_path.write_text(to_json(pbdu_instance(random.Random(0), False)[0].to_json()))
     code, doc = run_json(["verify", "--model", "pbdu", str(params_path),
                           "fixtures://compliance_2_1"])
+    assert code == 2 and doc["error"] == "validation"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--model", "pbdu", "ordu.json", "fixtures://compliance_2_1"],
+    ["simulate", "--model", "fspu", "pbdu.json", "menus.json"],
+    ["simulate", "--model", "pbdu", "pbdu.json", "menus.json"],
+    ["verify", "--model", "ordu", "twice.json", "fixtures://compliance_2_1"],
+], ids=["ordu-params-as-pbdu", "pbdu-params-as-fspu", "generic-menus-for-pbdu",
+        "ordu-order-with-a-repeat"])
+def test_params_and_menus_of_another_model_exit_2_with_json(tmp_path, argv):
+    ordu = random_ordu_params(random.Random(0)).to_json()
+    docs = {"ordu.json": to_json(ordu),
+            "twice.json": to_json({**ordu, "order": ["a", "a"]}),
+            "pbdu.json": to_json(pbdu_instance(random.Random(0), False)[0].to_json()),
+            "menus.json": to_json({"kind": "generic", "alternatives": [{"id": "a"}, {"id": "b"}],
+                                   "menus": [["a", "b"]]})}
+    for name, text in docs.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / x) if x in docs else x for x in argv]
+    code, doc = run_json(argv)
     assert code == 2 and doc["error"] == "validation"
 
 

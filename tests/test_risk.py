@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 
 from refdep.choices import warp_over
 from refdep.engine import ReferenceOrder
 from refdep import risk
-from refdep.exceptions import AxiomFails, InfeasibleFit, NotIncreasing
+from refdep.exceptions import AxiomFails, InfeasibleFit, NotIncreasing, PrizeSetMismatch
 from refdep.risk import (
     AreuParams,
     Concavity,
@@ -321,6 +322,11 @@ def test_rho_dominance_matches_interpolation_oracle():
 # -- fitting -----------------------------------------------------------------
 
 
+def test_build_rejects_a_utility_off_the_prize_grid():
+    with pytest.raises(PrizeSetMismatch):
+        AreuParams.build(PRIZES, {"p": vec(0, 1, 0)}, ReferenceOrder(("p",)), {"p": ()})
+
+
 def test_fit_allais_pins_the_footnote_values():
     ds = allais_dataset()
     params = fit_areu(ds)
@@ -424,6 +430,49 @@ def test_fit_pins_gap_ratios_when_the_relaxed_four_prize_fit_is_not_ordered(monk
                       "l3": ["0", "209/1553", "608/1553", "1"],
                       "l4": ["0", "190/4659", "6080/51249", "1"]},
     }
+
+
+def _respects(ranking, relation):
+    return all(ranking.index(a) < ranking.index(b) for a, b in relation)
+
+
+def test_close_and_chains_match_brute_force_over_permutations():
+    rng = random.Random(3)
+    for _ in range(200):
+        items = [f"x{i}" for i in range(rng.randint(1, 5))]
+        relation = [tuple(rng.sample(items, 2)) for _ in range(rng.randint(0, 5))
+                    if len(items) > 1]
+        respecting = [p for p in permutations(items) if _respects(p, relation)]
+        order = risk._close({x: frozenset() for x in items}, relation)
+        assert (order is None) == (not respecting)
+        if order is None:
+            continue
+        assert list(risk._chains(items, order)) == respecting
+        subset = rng.sample(items, rng.randint(1, len(items)))
+        restricted = sorted({tuple(x for x in p if x in subset) for p in respecting})
+        assert list(risk._chains(subset, order)) == restricted
+
+
+def test_fit_solves_the_one_utility_lp_once(monkeypatch):
+    params = random_rho_monotone_areu(random.Random(11), n_lotteries=4)
+    ds = simulate_areu(params, all_menus([i for i, _ in params.lotteries], 2, 3))
+    tried, shared = [], []
+    assignments, utility_problem = risk._reference_assignments, risk._utility_problem
+
+    def counted_assignments(*args):
+        for item in assignments(*args):
+            tried.append(item)
+            yield item
+
+    def counted_problem(dataset, groups):
+        shared.extend(label for label, _ in groups if label == "shared")
+        return utility_problem(dataset, groups)
+
+    monkeypatch.setattr(risk, "_reference_assignments", counted_assignments)
+    monkeypatch.setattr(risk, "_utility_problem", counted_problem)
+    fitted = fit_areu(ds)
+    assert len(tried) >= 2 and len(shared) <= 1
+    assert verify_areu(fitted, ds) == []
 
 
 def vec4(w, a, b, c):
