@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 = pass/success, 1 = axiom or verification failure (the
-witnesses are printed), 2 = usage or validation error.  With --json the
+witnesses are printed), 2 = usage or validation error, or an internal
+error (a defect, reported as ``{"error": "internal"}``).  With --json the
 output is a single JSON document on every path; identical inputs give
 byte-identical output.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import rivals, risk, social, timepref
 from .choices import DATED_PAYMENT, INCOME_SPLIT, LOTTERY, WARP, warp_over
@@ -333,6 +335,14 @@ def main(argv=None) -> int:
             sys.stdout.write(to_json(doc))
         else:
             sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except Exception as exc:  # a defect: keep the exit-code and JSON contract
+        traceback.print_exc()
+        detail = f"{type(exc).__name__}: {exc}"
+        if args.json:
+            sys.stdout.write(to_json({"error": "internal", "detail": detail}))
+        else:
+            sys.stderr.write(f"error: internal: {detail}\n")
         return 2
 
 

@@ -576,19 +576,25 @@ def _eu_row(label, weights, n):
     return coeffs, const
 
 
-def _class_constraints(problem, dataset, menu, label):
-    """EU-rationalization constraints of one menu under utility ``label``."""
+def _menu_rows(dataset, menu):
+    """One menu's EU-rationalization rows as (relation, head - other)
+    pairs: the first picked lottery ties each other picked one and
+    strictly beats each unpicked one."""
     vectors = _vectors(dataset)
     picked = sorted(dataset.observations[menu])
     others = sorted(set(menu) - set(picked))
-    head = picked[0]
-    n = len(vectors[head])
-
+    head = vectors[picked[0]]
     for relation, rest in (("=", picked[1:]), (">", others)):
         for other in rest:
-            diff, const = _eu_row(
-                label, enumerate(a - b for a, b in zip(vectors[head], vectors[other])), n)
-            problem.add(diff, relation, -const)
+            yield relation, tuple(a - b for a, b in zip(head, vectors[other]))
+
+
+def _class_constraints(problem, dataset, menu, label):
+    """EU-rationalization constraints of one menu under utility ``label``."""
+    n = len(prize_grid(dataset))
+    for relation, diff in _menu_rows(dataset, menu):
+        coeffs, const = _eu_row(label, enumerate(diff), n)
+        problem.add(coeffs, relation, -const)
 
 
 def _utility_problem(dataset, groups):
@@ -623,15 +629,110 @@ def _rho_monotone(prizes, chain, utilities) -> bool:
                for i in range(len(rhos) - 1))
 
 
+# -- 3-prize grids: u(1) intervals -------------------------------------------
+#
+# With u(0) = 0 and u(2) = 1 fixed, a utility is its one value u(1), which
+# is also its rho.  Every row of ``_menu_rows`` is then
+# a*u(1) + c (= or >) 0, a bound on u(1) or, with a = 0, a constant test,
+# so the utilities that rationalize a set of menus form an interval.  An
+# interval is a (lower, upper) pair of (value, open) bounds, or None when
+# empty; strict increase keeps it inside the open (0, 1).
+
+_UNIT = ((_ZERO, True), (_ONE, True))
+
+
+def _tighter_upper(u, v):
+    """The smaller upper bound; at equal values the open one."""
+    return min(u, v, key=lambda bound: (bound[0], not bound[1]))
+
+
+def _meet(lower, upper):
+    """The interval between two bounds, or None when they leave no value.
+    At equal values the larger lower bound is the open one, so ``max``
+    picks the tighter of two lower bounds."""
+    (lo, lo_open), (hi, hi_open) = lower, upper
+    if lo < hi or (lo == hi and not lo_open and not hi_open):
+        return lower, upper
+    return None
+
+
+def _interval(rows):
+    """The u(1) interval of (a, c, relation) rows a*u(1) + c (relation) 0,
+    relation "=" or ">", inside the open (0, 1)."""
+    lower, upper = _UNIT
+    for a, c, relation in rows:
+        if a == 0:
+            if not (c > 0 if relation == ">" else c == 0):
+                return None
+            continue
+        root = -c / a
+        if relation == "=":
+            lower = max(lower, (root, False))
+            upper = _tighter_upper(upper, (root, False))
+        elif a > 0:
+            lower = max(lower, (root, True))
+        else:
+            upper = _tighter_upper(upper, (root, True))
+    return _meet(lower, upper)
+
+
+def _rho_interval(dataset, menus):
+    """The u(1) interval of one utility over ``menus`` (3-prize grids)."""
+    table = dataset.cached("rho-intervals", lambda: {
+        menu: _interval((diff[1], diff[2], relation)
+                        for relation, diff in _menu_rows(dataset, menu))
+        for menu in dataset.menus()})
+    lower, upper = _UNIT
+    for menu in menus:
+        interval = table[menu]
+        if interval is None:
+            return None
+        lower, upper = max(lower, interval[0]), _tighter_upper(upper, interval[1])
+    return _meet(lower, upper)
+
+
+def _sweep(intervals):
+    """Whether one value per interval exists, non-increasing down the list
+    (safest class first): from the bottom, carry the lower bound up."""
+    carried = _UNIT[0]
+    for interval in reversed(intervals):
+        if interval is None:
+            return False
+        carried = max(carried, interval[0])
+        if _meet(carried, interval[1]) is None:
+            return False
+    return True
+
+
+def _order_admits(intervals, order):
+    """Whether some chain of the closed ``order`` over the classes of
+    ``intervals`` (ref -> interval) passes ``_sweep``: exactly when each
+    class's lower bound, raised by those of the classes below it, still
+    fits under its upper bound.  (Sorting the classes by raised lower
+    bound, ties by the order, gives a chain that passes.)"""
+    if None in intervals.values():
+        return False
+    for ref, (lower, upper) in intervals.items():
+        raised = max([lower] + [intervals[x][0] for x in order[ref] if x in intervals])
+        if _meet(raised, upper) is None:
+            return False
+    return True
+
+
 def _solve_chain(dataset, classes, chain):
     """One utility per reference class (``classes`` maps ref -> menus),
     weakly more concave up ``chain``, the refs ordered safest first.
 
-    On 3-prize grids the concavity ordering is one LP row per adjacent
-    pair.  On 4+ prize grids: relax, post-check, then pin the gap ratios
-    between adjacent classes to a refined rational grid."""
+    On 3-prize grids ``_sweep`` decides the chain exactly and the LP, with
+    one concavity row per adjacent pair, runs only for a chain that
+    passes, to return the certificate; None is then a proof that the
+    chain has no utilities.  On 4+ prize grids: relax, post-check, then
+    pin the gap ratios between adjacent classes to a refined rational
+    grid, so None there means only "no certificate found"."""
     prizes = prize_grid(dataset)
     n = len(prizes)
+    if n == 3 and not _sweep([_rho_interval(dataset, classes[ref]) for ref in chain]):
+        return None
     groups = [(ref, classes[ref]) for ref in chain]
     problem = _utility_problem(dataset, groups)
     if n == 3:
@@ -669,9 +770,12 @@ def fit_areu(dataset: ChoiceDataset) -> AreuParams:
 
     Raises AxiomFails when the axiom battery already rejects the data and
     InfeasibleFit when no (reference assignment, order, utilities) triple
-    certifies it.  On 4+ prize grids the cross-class concavity coupling
-    uses a refined rational grid, so InfeasibleFit there means "no
-    certificate found", not a proof of non-representability.
+    certifies it.  On 3-prize grids every assignment and chain is decided
+    exactly by u(1) intervals, with one LP for the certificate, so
+    InfeasibleFit is a proof that no such triple exists.  On 4+ prize
+    grids the cross-class concavity coupling uses a refined rational
+    grid, so InfeasibleFit there means "no certificate found", not a
+    proof of non-representability.
     """
     if dataset.kind != LOTTERY:
         raise ValidationError("fit_areu needs a lottery dataset")
@@ -688,6 +792,7 @@ def fit_areu(dataset: ChoiceDataset) -> AreuParams:
     if forced is None:
         raise EmptyPsi("forced risk-consistency constraints are cyclic")
 
+    three = len(prizes) == 3
     shared = None
     for count, (assignment, order) in enumerate(_reference_assignments(dataset, forced)):
         classes = {}
@@ -699,8 +804,12 @@ def fit_areu(dataset: ChoiceDataset) -> AreuParams:
             # one utility for every class has the same rows under every
             # assignment; solved once, in the first assignment's row order
             menus = [menu for class_menus in classes.values() for menu in class_menus]
-            result = solve_linear_feasibility(_utility_problem(dataset, [("shared", menus)]))
-            shared = _utilities(result, ["shared"], len(prizes))["shared"] if result else None
+            if not three or _rho_interval(dataset, menus) is not None:
+                result = solve_linear_feasibility(_utility_problem(dataset, [("shared", menus)]))
+                shared = _utilities(result, ["shared"], len(prizes))["shared"] if result else None
+        if three and not _order_admits(
+                {ref: _rho_interval(dataset, menus) for ref, menus in classes.items()}, order):
+            continue
         for chain in _chains(classes, order):
             solution = ({ref: shared for ref in chain} if shared is not None
                         else _solve_chain(dataset, classes, chain))

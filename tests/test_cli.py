@@ -1,17 +1,34 @@
+import contextlib
+import copy
 import io
 import json
 import sys
+import tempfile
+from pathlib import Path
 
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from refdep.choices import Alternative
+from refdep import cli
 from refdep.cli import main
 from refdep.exceptions import ValidationError
+from refdep.ordu import simulate_ordu
+from refdep.risk import fit_areu
 from refdep.serialize import dataset_from_dict, dataset_to_dict, dump_dataset, parse_rational, to_json
+from refdep.social import simulate_fspu
+from refdep.timepref import simulate_pbdu
 
-from helpers import allais_dataset, pbdu_instance, random_ordu_params
+from helpers import (
+    all_menus,
+    allais_dataset,
+    fspu_instance,
+    pbdu_instance,
+    random_ordu_params,
+)
 
 
 def run(argv):
@@ -265,3 +282,106 @@ def test_export_triangle_writes_csv(tmp_path):
 def test_text_mode_renders_without_error():
     code, out = run(["check", "--model", "ordu", "fixtures://compliance_2_1"])
     assert code == 0 and "pass" in out
+
+
+def test_an_unexpected_exception_exits_2_with_an_internal_error(monkeypatch, capsys):
+    def broken(args):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(cli, "cmd_report", broken)
+    code, doc = run_json(["report", "fixtures://compliance_2_1"])
+    assert code == 2 and doc == {"error": "internal", "detail": "ZeroDivisionError: boom"}
+    assert "Traceback" in capsys.readouterr().err
+    assert run(["report", "fixtures://compliance_2_1"]) == (2, "")
+    assert capsys.readouterr().err.endswith("error: internal: ZeroDivisionError: boom\n")
+
+
+def _documents():
+    """Per model, a small valid (dataset, menus file, params) triple."""
+    rng = random.Random(0)
+    ordu = random_ordu_params(rng, ids=("a", "b", "c"))
+    pbdu, payments, pbdu_menus = pbdu_instance(rng, True)
+    fspu, splits, fspu_menus, _ = fspu_instance(rng, True)
+    areu_data = allais_dataset()
+    sources = {
+        "ordu": (simulate_ordu(ordu, all_menus(ordu.order.ranking)), ordu),
+        "areu": (areu_data, fit_areu(areu_data)),
+        "pbdu": (simulate_pbdu(pbdu, [Alternative(k, v) for k, v in payments.items()],
+                               pbdu_menus[:6]), pbdu),
+        "fspu": (simulate_fspu(fspu, [Alternative(k, v) for k, v in splits.items()],
+                               fspu_menus[:6]), fspu),
+    }
+    docs = {}
+    for model, (ds, params) in sources.items():
+        data = dataset_to_dict(ds)
+        menus = {k: v for k, v in data.items() if k != "observations"}
+        menus["menus"] = [obs["menu"] for obs in data["observations"]]
+        docs[model] = {"data": data, "menus": menus, "params": params.to_json()}
+    return docs
+
+
+DOCUMENTS = _documents()
+_LEAVES = (st.none() | st.booleans() | st.integers(-2, 3)
+           | st.floats(-2, 2, allow_nan=False, width=16)
+           | st.sampled_from(["", "0", "1", "1/2", "-1", "0/0", "0.5", "a", "p1", "lottery",
+                              "generic", "dated_payment", "income_split"]))
+_VALUES = st.recursive(_LEAVES, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+    st.sampled_from(["id", "menu", "choice", "probs", "0", "1", "a"]), inner, max_size=2),
+    max_leaves=4)
+
+
+def _locations(doc, path=()):
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _locations(value, path + (key,))
+
+
+@st.composite
+def _mutated(draw, doc):
+    """``doc`` with one or two values replaced or deleted."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_locations(doc))))
+        if not path:
+            doc = draw(_VALUES)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            parent[path[-1]] = draw(_VALUES)
+        else:
+            del parent[path[-1]]
+    return doc
+
+
+def _commands(model, files):
+    data, menus, params, out = (files[k] for k in ("data", "menus", "params", "out"))
+    return [["validate", data], ["check", "--model", model, data],
+            ["fit", "--model", model, data], ["fit", "--model", model, "--out", out, data],
+            ["simulate", "--model", model, params, menus],
+            ["verify", "--model", model, params, data], ["report", data],
+            ["fixtures", "list"], ["fixtures", "run", "binary_cycle"],
+            ["export-triangle", "--resolution", "2", "--out", out, params]]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_inputs_keep_the_exit_code_and_json_contract(data):
+    model = data.draw(st.sampled_from(sorted(DOCUMENTS)))
+    docs = dict(DOCUMENTS[model])
+    target = data.draw(st.sampled_from(sorted(docs)))
+    docs[target] = data.draw(_mutated(docs[target]))
+    as_json = data.draw(st.booleans())
+    with tempfile.TemporaryDirectory() as work:
+        files = {name: str(Path(work) / f"{name}.json") for name in (*docs, "out")}
+        for name, doc in docs.items():
+            Path(files[name]).write_text(json.dumps(doc))
+        for argv in _commands(model, files):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["--json"] * as_json + argv)
+            assert code in (0, 1, 2), argv
+            if as_json:
+                json.loads(out.getvalue())

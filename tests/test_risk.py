@@ -8,6 +8,7 @@ from refdep.choices import warp_over
 from refdep.engine import ReferenceOrder
 from refdep import risk
 from refdep.exceptions import AxiomFails, InfeasibleFit, NotIncreasing, PrizeSetMismatch
+from refdep.feasibility import LinearFeasibilityProblem, solve_linear_feasibility
 from refdep.risk import (
     AreuParams,
     Concavity,
@@ -472,6 +473,123 @@ def test_fit_solves_the_one_utility_lp_once(monkeypatch):
     monkeypatch.setattr(risk, "_utility_problem", counted_problem)
     fitted = fit_areu(ds)
     assert len(tried) >= 2 and len(shared) <= 1
+    assert verify_areu(fitted, ds) == []
+
+
+def _random_rows(rng, count):
+    """``count`` classes of random (a, c, relation) rows on a 3-prize grid.
+    The coefficients are few, so a = 0, ties and bounds that meet at one
+    point with open and closed ends are common."""
+    values = [F(x, d) for x in range(-2, 3) for d in (1, 2)]
+    return [[(rng.choice(values), rng.choice(values), rng.choice(("=", ">", ">")))
+             for _ in range(rng.randint(0, 3))] for _ in range(count)]
+
+
+def _chain_lp(classes):
+    """The LP of a chain of classes of (a, c, relation) rows, safest first."""
+    problem = LinearFeasibilityProblem()
+    for k, rows in enumerate(classes):
+        u = f"u{k}"
+        problem.add({u: 1}, ">", 0)
+        problem.add({u: 1}, "<", 1)
+        for a, c, relation in rows:
+            problem.add({u: a}, relation, -c)
+        if k:
+            problem.add({f"u{k - 1}": 1, u: -1}, ">=", 0)
+    return solve_linear_feasibility(problem)
+
+
+# u = 1/2 as a row, and u > 1/2, u < 1/2 as open bounds that meet it
+HALF, ABOVE_HALF, BELOW_HALF = (2, -1, "="), (2, -1, ">"), (-2, 1, ">")
+
+
+@pytest.mark.parametrize("classes, feasible", [
+    ([[HALF], [HALF]], True),
+    ([[HALF], [ABOVE_HALF]], False),
+    ([[BELOW_HALF], [HALF]], False),
+    ([[ABOVE_HALF], [BELOW_HALF]], True),
+    ([[HALF, ABOVE_HALF]], False),
+    ([[HALF, (0, 0, "=")]], True),
+    ([[(0, 0, ">")]], False),
+    ([[(1, -1, ">")]], False),
+    ([[(0, 1, ">"), BELOW_HALF]], True),
+])
+def test_sweep_at_bounds_that_meet_at_one_point(classes, feasible):
+    intervals = [risk._interval(rows) for rows in classes]
+    assert risk._sweep(intervals) == feasible == bool(_chain_lp(classes))
+
+
+def test_sweep_agrees_with_the_lp_on_random_three_prize_chains():
+    rng = random.Random(5)
+    verdicts = []
+    for _ in range(400):
+        classes = _random_rows(rng, rng.randint(1, 4))
+        verdict = risk._sweep([risk._interval(rows) for rows in classes])
+        assert verdict == bool(_chain_lp(classes))
+        verdicts.append(verdict)
+    assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
+
+
+def test_menu_intervals_agree_with_the_utility_lp():
+    rng = random.Random(12)
+    points = [(F(0), F(1), F(0)), (F(1, 2), F(0), F(1, 2)), (F(1, 4), F(1, 2), F(1, 4)),
+              (F(0), F(1, 2), F(1, 2)), (F(1, 2), F(1, 2), F(0)), (F(1, 4), F(0), F(3, 4))]
+    verdicts = []
+    for _ in range(60):
+        vectors = dict(zip("abcde", rng.sample(points, 5)))
+        lots = {k: lot(zip((0, 1, 2), v)) for k, v in vectors.items()}
+        menus = rng.sample(all_menus(vectors, 2, 3), 4)
+        ds = lottery_dataset(lots, [(m, rng.sample(sorted(m), rng.randint(1, 2)))
+                                    for m in menus])
+        classes = {"hi": menus[:2], "lo": menus[2:]}
+        verdict = risk._sweep([risk._rho_interval(ds, classes[r]) for r in ("hi", "lo")])
+        problem = risk._utility_problem(ds, classes.items())
+        problem.add({"u[hi][1]": 1, "u[lo][1]": -1}, ">=", 0)
+        assert verdict == bool(solve_linear_feasibility(problem))
+        verdicts.append(verdict)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_order_admits_exactly_when_some_chain_passes_the_sweep():
+    rng = random.Random(9)
+    verdicts = []
+    for _ in range(300):
+        items = [f"x{i}" for i in range(rng.randint(1, 5))]
+        relation = [tuple(rng.sample(items, 2)) for _ in range(rng.randint(0, 4))
+                    if len(items) > 1]
+        order = risk._close({x: frozenset() for x in items}, relation)
+        if order is None:
+            continue
+        refs = rng.sample(items, rng.randint(1, len(items)))
+        intervals = {ref: risk._interval(rows)
+                     for ref, rows in zip(refs, _random_rows(rng, len(refs)))}
+        some = any(risk._sweep([intervals[r] for r in chain])
+                   for chain in risk._chains(refs, order))
+        assert risk._order_admits(intervals, order) == some
+        verdicts.append(some)
+    assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
+
+
+def test_reference_dependent_three_prize_fit_solves_one_lp(monkeypatch):
+    # no one utility fits, and nine assignments are tried; the intervals
+    # rule out every other assignment and chain, so the only LP is the
+    # certificate's
+    params = random_rho_monotone_areu(random.Random(64), n_lotteries=5)
+    ds = simulate_areu(params, all_menus([i for i, _ in params.lotteries], 2, 3))
+    assert risk._rho_interval(ds, ds.menus()) is None
+    tried, solves = [], []
+    assignments, solve = risk._reference_assignments, risk.solve_linear_feasibility
+
+    def counted_assignments(*args):
+        for item in assignments(*args):
+            tried.append(item)
+            yield item
+
+    monkeypatch.setattr(risk, "_reference_assignments", counted_assignments)
+    monkeypatch.setattr(risk, "solve_linear_feasibility",
+                        lambda problem: solves.append(problem) or solve(problem))
+    fitted = fit_areu(ds)
+    assert len(tried) >= 2 and len(solves) == 1
     assert verify_areu(fitted, ds) == []
 
 
