@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 = pass/success, 1 = axiom or verification failure (the
-witnesses are printed), 2 = usage or validation error, or an internal
+witnesses are printed), 2 = usage error (``{"error": "usage"}``, with
+the usage text on standard error), validation error, or an internal
 error (a defect, reported as ``{"error": "internal"}``).  With --json the
 output is a single JSON document on every path; identical inputs give
 byte-identical output.
@@ -261,8 +262,22 @@ def cmd_export_triangle(args):
     return 0
 
 
+class _UsageError(Exception):
+    def __init__(self, parser, message):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _Parser(argparse.ArgumentParser):
+    """Hands usage errors to ``main`` instead of exiting, so that under
+    --json they too end in a JSON document.  Subparsers share the class."""
+
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="refdep",
         description="Axiom tests, fitting, and simulation for reference-"
                     "dependent choice datasets")
@@ -318,8 +333,18 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError as exc:  # argparse's own report, plus JSON under --json
+        exc.parser.print_usage(sys.stderr)
+        if "--json" in argv:
+            sys.stdout.write(to_json({"error": "usage",
+                                      "detail": f"{exc.parser.prog}: {exc}"}))
+        else:
+            sys.stderr.write(f"{exc.parser.prog}: error: {exc}\n")
+        return 2
     try:
         return args.func(args)
     except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:

@@ -3,14 +3,19 @@
 Every fitter in this package reduces to one question: does a finite
 system of weak/strict linear inequalities with rational coefficients
 have a solution?  Floating-point LP cannot certify strict inequalities,
-so this module implements a small two-phase simplex on ``Fraction``
-arithmetic.  Strict relations are handled with a shared gap variable g:
-each ``lhs > rhs`` becomes ``lhs >= rhs + g``, g is capped at 1 and then
-maximized; the system is feasible exactly when the optimum is positive.
+so this module implements a small two-phase dictionary simplex with
+Bland's rule in exact arithmetic.  The tableau is fraction-free: every
+entry is a Python ``int`` over one common denominator, updated by
+Bareiss's exact-division step, and only the returned vertex is turned
+back into ``Fraction`` values.  Strict relations are handled with a
+shared gap variable g: each ``lhs > rhs`` becomes ``lhs >= rhs + g``, g
+is capped at 1 and then maximized; the system is feasible exactly when
+the optimum is positive.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -158,117 +163,119 @@ def solve_linear_feasibility(problem: LinearFeasibilityProblem):
 def _simplex_maximize(rows, objective):
     """Maximize ``objective . x`` s.t. ``rows`` (Ax <= b), x >= 0.
 
-    Dictionary simplex with Bland's rule.  Returns (values, optimum) or
-    None when infeasible.  Raises on an unbounded objective (callers cap
+    Dictionary simplex with Bland's rule on a fraction-free integer
+    tableau (Edmonds; Bareiss).  The rows and b are scaled once by the
+    lcm of their denominators and the objective by its own; every entry
+    is then a Python ``int`` over one common denominator ``d``, which is
+    the determinant of the current basis, so each ``//`` below is exact.
+    Positive scaling of the rows and of the objective keeps the signs
+    and ratio orders that Bland's rule reads (the phase-1 variable's
+    column of -1 in the scaled rows only rescales that variable), so the
+    pivots and the vertex are those of the same simplex on ``Fraction``
+    entries.
+
+    Each row holds the nonbasic coefficients followed by b:
+    ``basic[i] = (row[-1] - sum_j row[j] * nonbasic_j) / d``.  The
+    objective is kept in the same form, ``z = (z[-1] - sum_j z[j] *
+    nonbasic_j) / (d * obj_scale)``.  Returns (values, optimum) or None
+    when infeasible.  Raises on an unbounded objective (callers cap
     their objectives, so this indicates a bug).
     """
     n = len(objective)
     m = len(rows)
-    # Dictionary: basic[i] = b[i] - sum_j a[i][j] * nonbasic_j
-    a = [list(vec) for vec, _ in rows]
-    b = [bound for _, bound in rows]
-    c = list(objective)
-    v = _ZERO
+    row_scale = math.lcm(*{x.denominator for vec, bound in rows for x in (*vec, bound)})
+    t = [[x.numerator * (row_scale // x.denominator) for x in (*vec, bound)]
+         for vec, bound in rows]
+    obj_scale = math.lcm(*{x.denominator for x in objective})
+    weight = [x.numerator * (obj_scale // x.denominator) for x in objective]
+    z = [-w for w in weight] + [0]
+    d = 1
     nonbasic = list(range(n))
     basic = list(range(n, n + m))
 
     def pivot(li, ei):
-        # basic[li] leaves, nonbasic[ei] enters
-        piv = a[li][ei]
-        b[li] = b[li] / piv
-        row = a[li]
-        for j in range(n):
-            row[j] = row[j] / piv
-        row[ei] = _ONE / piv
+        # basic[li] leaves, nonbasic[ei] enters; row li keeps its numerators
+        nonlocal d, z
+        prow = t[li]
+        p = prow[ei]
+
+        def eliminate(row):
+            f = row[ei]
+            if f:
+                row = [(x * p - f * y) // d for x, y in zip(row, prow)]
+            elif p != d:
+                row = [x * p // d for x in row]
+            row[ei] = -f
+            return row
+
         for i in range(m):
-            if i == li:
-                continue
-            factor = a[i][ei]
-            if factor == 0:
-                continue
-            b[i] -= factor * b[li]
-            arow = a[i]
-            for j in range(n):
-                if j == ei:
-                    arow[j] = -factor * row[j]
-                else:
-                    arow[j] -= factor * row[j]
-        nonlocal v
-        factor = c[ei]
-        if factor != 0:
-            v += factor * b[li]
-            for j in range(n):
-                if j == ei:
-                    c[j] = -factor * row[j]
-                else:
-                    c[j] -= factor * row[j]
+            if i != li:
+                t[i] = eliminate(t[i])
+        z = eliminate(z)
+        prow[ei] = d
+        d = p
+        if d < 0:
+            for i in range(m):
+                t[i] = [-x for x in t[i]]
+            z = [-x for x in z]
+            d = -d
         basic[li], nonbasic[ei] = nonbasic[ei], basic[li]
 
     def run():
-        nonlocal v
         while True:
-            ei = None
-            for j in sorted(range(n), key=lambda j: nonbasic[j]):
-                if c[j] > 0:
-                    ei = j
-                    break
-            if ei is None:
+            entering = [j for j in range(n) if z[j] < 0]
+            if not entering:
                 return
+            ei = min(entering, key=nonbasic.__getitem__)
             li = None
-            best = None
-            for i in range(m):
-                if a[i][ei] > 0:
-                    ratio = b[i] / a[i][ei]
-                    if best is None or ratio < best or (
-                            ratio == best and basic[i] < basic[li]):
-                        best = ratio
+            for i, row in enumerate(t):
+                a = row[ei]
+                if a > 0:
+                    if li is None:
+                        li = i
+                        continue
+                    lhs, rhs = row[-1] * t[li][ei], t[li][-1] * a
+                    if lhs < rhs or (lhs == rhs and basic[i] < basic[li]):
                         li = i
             if li is None:
                 raise RefdepError("unbounded objective in simplex")
             pivot(li, ei)
 
-    if any(bound < 0 for bound in b):
+    if any(row[-1] < 0 for row in t):
         # Phase 1 with an auxiliary variable (id beyond slacks).
         aux = n + m
-        n_aux = n + 1
-        for row in a:
-            row.append(Fraction(-1))
-        c_save = c
-        c = [_ZERO] * n + [Fraction(-1)]
+        for row in t:
+            row.insert(n, -1)
+        z = [0] * n + [1, 0]  # maximize -x0
         nonbasic.append(aux)
-        n, n_real = n_aux, n
-        li = min(range(m), key=lambda i: (b[i], basic[i]))
-        pivot(li, nonbasic.index(aux))
+        n, n_real = n + 1, n
+        li = min(range(m), key=lambda i: (t[i][-1], basic[i]))
+        pivot(li, n - 1)
         run()
-        if v != 0:
+        if z[-1] != 0:
             return None
         if aux in basic:
             li = basic.index(aux)
             # Degenerate: pivot x0 out on any eligible column.
-            ei = next(j for j in range(n) if a[li][j] != 0)
+            ei = next(j for j in range(n) if t[li][j] != 0)
             pivot(li, ei)
         drop = nonbasic.index(aux)
-        for row in a:
+        for row in t:
             del row[drop]
         del nonbasic[drop]
         n = n_real
         # Restore the real objective in terms of the current nonbasics.
-        v = _ZERO
-        coef = {j: c_save[j] for j in range(len(c_save))}
-        c = [_ZERO] * n
-        for pos, var in enumerate(nonbasic):
-            if var < len(c_save):
-                c[pos] += coef.get(var, _ZERO)
+        z = [0] * (n + 1)
         for i, var in enumerate(basic):
-            if var < len(c_save) and coef.get(var, _ZERO) != 0:
-                factor = coef[var]
-                v += factor * b[i]
-                for j in range(n):
-                    c[j] -= factor * a[i][j]
+            if var < n_real and weight[var]:
+                z = [x + weight[var] * y for x, y in zip(z, t[i])]
+        for pos, var in enumerate(nonbasic):
+            if var < n_real:
+                z[pos] -= weight[var] * d
     run()
 
     values = [_ZERO] * len(objective)
     for i, var in enumerate(basic):
         if var < len(objective):
-            values[var] = b[i]
-    return values, v
+            values[var] = Fraction(t[i][-1], d)
+    return values, Fraction(z[-1], d * obj_scale)

@@ -35,8 +35,9 @@ from .exceptions import (
     UnionUnobserved,
     UnknownAlternative,
     UnobservedMenu,
+    ValidationError,
 )
-from .serialize import format_rational, parse_rational
+from .serialize import format_rational, ids_from_json, parse_rational
 
 
 @dataclass(frozen=True)
@@ -68,9 +69,12 @@ class OrduParams:
 
     @staticmethod
     def from_json(doc) -> "OrduParams":
-        order = ReferenceOrder(tuple(doc["order"]))
+        order = ReferenceOrder(tuple(ids_from_json(doc["order"], "order")))
         utilities = {ref: {alt: parse_rational(v) for alt, v in table.items()}
                      for ref, table in doc["utilities"].items()}
+        keys = [*utilities, *(alt for table in utilities.values() for alt in table)]
+        if not all(isinstance(key, str) for key in keys):
+            raise ValidationError("utility keys must be alternative ids")
         return OrduParams.build(order, utilities)
 
 

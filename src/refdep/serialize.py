@@ -97,8 +97,8 @@ def _alternatives_from_json(kind, raw):
     return alts
 
 
-def _ids_from_json(raw, what):
-    """A menu or choice: an array of alternative ids, not a bare string."""
+def ids_from_json(raw, what):
+    """A menu, choice or order: an array of alternative ids, not a bare string."""
     if isinstance(raw, str) or not all(isinstance(x, str) for x in raw):
         raise ValidationError(f"{what} {raw!r} is not an array of alternative ids")
     return raw
@@ -108,8 +108,8 @@ def dataset_from_dict(doc) -> ChoiceDataset:
     try:
         kind = doc["kind"]
         alts = _alternatives_from_json(kind, doc["alternatives"])
-        observations = [(_ids_from_json(obs["menu"], "menu"),
-                          _ids_from_json(obs["choice"], "choice"))
+        observations = [(ids_from_json(obs["menu"], "menu"),
+                          ids_from_json(obs["choice"], "choice"))
                          for obs in doc["observations"]]
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValidationError(f"malformed dataset document: {exc}") from exc
@@ -151,7 +151,7 @@ def menus_from_dict(doc):
     try:
         kind = doc["kind"]
         alts = _alternatives_from_json(kind, doc["alternatives"])
-        menus = [frozenset(_ids_from_json(m, "menu")) for m in doc["menus"]]
+        menus = [frozenset(ids_from_json(m, "menu")) for m in doc["menus"]]
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValidationError(f"malformed menus document: {exc}") from exc
     ids = {a.id for a in alts}

@@ -219,6 +219,8 @@ class PbduParams:
         values = [v for _, v in self.log_utility]
         if any(values[i] >= values[i + 1] for i in range(len(values) - 1)):
             raise ValidationError("log-utility must be strictly increasing")
+        if not self.log_discount:
+            raise ValidationError("log-discount table must not be empty")
         times = [t for t, _ in self.log_discount]
         if times != sorted(times) or len(set(times)) != len(times):
             raise ValidationError("time grid must be strictly sorted")

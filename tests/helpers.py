@@ -22,6 +22,7 @@ from refdep.choices import (
     validate_dataset,
 )
 from refdep.engine import ReferenceOrder
+from refdep.exceptions import RefdepError
 from refdep.ordu import simulate_ordu
 from refdep.risk import AreuParams, simulate_areu
 from refdep.social import FspuParams, gini, simulate_fspu
@@ -510,3 +511,124 @@ def anchored_subset_form_by_families(dataset):
         for anchor in sorted(earliest_payments(dataset, menu)):
             witnesses.update(TIME_PROPERTY.check(dataset, [m for m in inside if anchor in m]))
     return sort_witnesses(witnesses)
+
+
+# -- exact simplex oracle ----------------------------------------------------
+
+
+def fraction_simplex_maximize(rows, objective):
+    """Maximize ``objective . x`` s.t. ``rows`` (Ax <= b), x >= 0, by the
+    dictionary simplex with Bland's rule on ``Fraction`` entries: the
+    reference for ``feasibility._simplex_maximize``, which must take the
+    same pivots and return the same (values, optimum), None when
+    infeasible, or raise the same error on an unbounded objective."""
+    n = len(objective)
+    m = len(rows)
+    # Dictionary: basic[i] = b[i] - sum_j a[i][j] * nonbasic_j
+    a = [list(vec) for vec, _ in rows]
+    b = [bound for _, bound in rows]
+    c = list(objective)
+    v = F(0)
+    nonbasic = list(range(n))
+    basic = list(range(n, n + m))
+
+    def pivot(li, ei):
+        # basic[li] leaves, nonbasic[ei] enters
+        piv = a[li][ei]
+        b[li] = b[li] / piv
+        row = a[li]
+        for j in range(n):
+            row[j] = row[j] / piv
+        row[ei] = F(1) / piv
+        for i in range(m):
+            if i == li:
+                continue
+            factor = a[i][ei]
+            if factor == 0:
+                continue
+            b[i] -= factor * b[li]
+            arow = a[i]
+            for j in range(n):
+                if j == ei:
+                    arow[j] = -factor * row[j]
+                else:
+                    arow[j] -= factor * row[j]
+        nonlocal v
+        factor = c[ei]
+        if factor != 0:
+            v += factor * b[li]
+            for j in range(n):
+                if j == ei:
+                    c[j] = -factor * row[j]
+                else:
+                    c[j] -= factor * row[j]
+        basic[li], nonbasic[ei] = nonbasic[ei], basic[li]
+
+    def run():
+        nonlocal v
+        while True:
+            ei = None
+            for j in sorted(range(n), key=lambda j: nonbasic[j]):
+                if c[j] > 0:
+                    ei = j
+                    break
+            if ei is None:
+                return
+            li = None
+            best = None
+            for i in range(m):
+                if a[i][ei] > 0:
+                    ratio = b[i] / a[i][ei]
+                    if best is None or ratio < best or (
+                            ratio == best and basic[i] < basic[li]):
+                        best = ratio
+                        li = i
+            if li is None:
+                raise RefdepError("unbounded objective in simplex")
+            pivot(li, ei)
+
+    if any(bound < 0 for bound in b):
+        # Phase 1 with an auxiliary variable (id beyond slacks).
+        aux = n + m
+        n_aux = n + 1
+        for row in a:
+            row.append(F(-1))
+        c_save = c
+        c = [F(0)] * n + [F(-1)]
+        nonbasic.append(aux)
+        n, n_real = n_aux, n
+        li = min(range(m), key=lambda i: (b[i], basic[i]))
+        pivot(li, nonbasic.index(aux))
+        run()
+        if v != 0:
+            return None
+        if aux in basic:
+            li = basic.index(aux)
+            # Degenerate: pivot x0 out on any eligible column.
+            ei = next(j for j in range(n) if a[li][j] != 0)
+            pivot(li, ei)
+        drop = nonbasic.index(aux)
+        for row in a:
+            del row[drop]
+        del nonbasic[drop]
+        n = n_real
+        # Restore the real objective in terms of the current nonbasics.
+        v = F(0)
+        coef = {j: c_save[j] for j in range(len(c_save))}
+        c = [F(0)] * n
+        for pos, var in enumerate(nonbasic):
+            if var < len(c_save):
+                c[pos] += coef.get(var, F(0))
+        for i, var in enumerate(basic):
+            if var < len(c_save) and coef.get(var, F(0)) != 0:
+                factor = coef[var]
+                v += factor * b[i]
+                for j in range(n):
+                    c[j] -= factor * a[i][j]
+    run()
+
+    values = [F(0)] * len(objective)
+    for i, var in enumerate(basic):
+        if var < len(objective):
+            values[var] = b[i]
+    return values, v

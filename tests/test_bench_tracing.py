@@ -42,6 +42,7 @@ def test_install_wraps_the_layers_and_remove_restores_every_original():
     changed = {key for key, value in before.items() if during[key] is not value}
     assert {("refdep.cli", "main"), ("refdep.risk", "solve_linear_feasibility"),
             ("refdep.cli", "simulate_areu"), ("refdep.cli", "verify_pbdu"),
-            ("_FITTERS", "areu"), ("PsiMap", "of")} <= changed
+            ("_FITTERS", "areu"), ("PsiMap", "of"),
+            ("refdep.feasibility", "_simplex_maximize")} <= changed
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())

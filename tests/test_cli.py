@@ -216,6 +216,43 @@ def test_params_and_menus_of_another_model_exit_2_with_json(tmp_path, argv):
     assert code == 2 and doc["error"] == "validation"
 
 
+@pytest.mark.parametrize("model, edit", [
+    ("pbdu", lambda doc: {**doc, "log_discount": {}}),
+    ("ordu", lambda doc: {**doc, "order": [*doc["order"][:-1], None]}),
+    ("ordu", lambda doc: {**doc, "order": [True, *doc["order"][1:]]}),
+], ids=["empty-pbdu-discount-table", "null-in-ordu-order", "boolean-in-ordu-order"])
+def test_malformed_params_exit_2_with_a_validation_error(tmp_path, model, edit):
+    docs = DOCUMENTS[model]
+    paths = {name: tmp_path / f"{name}.json" for name in ("params", "menus", "data")}
+    for name, doc in (("params", edit(docs["params"])), ("menus", docs["menus"]),
+                      ("data", docs["data"])):
+        paths[name].write_text(json.dumps(doc))
+    params, menus, data = (str(paths[name]) for name in ("params", "menus", "data"))
+    for argv in (["simulate", "--model", model, params, menus],
+                 ["verify", "--model", model, params, data]):
+        code, doc = run_json(argv)
+        assert code == 2 and doc["error"] == "validation", (argv, doc)
+
+
+def test_usage_errors_under_json_print_a_json_error(capsys):
+    assert main(["--json", "fit", "--model", "nope", "x.json"]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"error": "usage", "detail": (
+        "refdep fit: argument --model: invalid choice: 'nope' "
+        "(choose from 'areu', 'fspu', 'ordu', 'pbdu')")}
+    assert err.startswith("usage: refdep fit ") and "error" not in err
+    assert main(["fit", "--model", "nope", "x.json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: refdep fit ")
+    assert err.endswith("refdep fit: error: argument --model: invalid choice: 'nope' "
+                        "(choose from 'areu', 'fspu', 'ordu', 'pbdu')\n")
+    assert main(["--json"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "usage"
+    with pytest.raises(SystemExit) as exc:
+        main(["--json", "--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: refdep ")
+
+
 def _generic_doc(ids, menu, choice):
     return {"kind": "generic", "alternatives": [{"id": x} for x in ids],
             "observations": [{"menu": menu, "choice": choice}]}

@@ -1,13 +1,19 @@
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
+from refdep.exceptions import RefdepError
 from refdep.feasibility import (
     Feasible,
     Infeasible,
     LinearFeasibilityProblem,
+    _simplex_maximize,
     solve_linear_feasibility,
 )
+
+from helpers import fraction_simplex_maximize
 
 
 def solve(rows):
@@ -129,3 +135,63 @@ def test_any_returned_assignment_satisfies_every_constraint(rows):
     if result:
         for con in problem.constraints:
             assert con.holds(result.assignment)
+
+
+# -- the integer tableau against the Fraction simplex --------------------
+
+_ENTRIES = (0, 0, 0, 0, 1, -1, 2, -3, F(1, 2), F(-2, 3), F(5, 4), F(-7, 6))
+
+
+def _random_system(rng):
+    """Random ``(rows, objective)`` for ``_simplex_maximize``: negative
+    bounds (phase 1), zero columns, equality pairs, duplicated and scaled
+    rows with zero bounds (degenerate ties), and objectives with or
+    without a cap."""
+    n = rng.randint(1, 5)
+    zero_columns = {j for j in range(n) if rng.random() < 0.2}
+
+    def entry(j):
+        return F(0) if j in zero_columns else F(rng.choice(_ENTRIES))
+
+    rows = []
+    for _ in range(rng.randint(0, 6)):
+        vec = [entry(j) for j in range(n)]
+        bound = F(rng.randint(-2, 6), rng.choice((1, 2, 3)))
+        rows.append((vec, bound))
+        shape = rng.random()
+        if shape < 0.15:
+            rows.append(([-x for x in vec], -bound))
+        elif shape < 0.3:
+            k = F(rng.choice((1, 2, F(1, 3))))
+            rows.append(([k * x for x in vec], k * bound))
+        elif shape < 0.4:
+            rows.append((vec, F(0)))
+    rng.shuffle(rows)
+    if rng.random() < 0.5:
+        j = rng.randrange(n)
+        cap = [F(0)] * n
+        cap[j] = F(1)
+        rows.append((cap, F(rng.choice((1, 2, F(1, 2))))))
+    objective = [F(rng.choice((0, 0, 1, -1, F(1, 2), 3))) for _ in range(n)]
+    return rows, objective
+
+
+def _outcome(solve, rows, objective):
+    try:
+        return solve(rows, objective)
+    except RefdepError as exc:
+        return str(exc)
+
+
+def test_integer_tableau_matches_the_fraction_simplex_on_random_systems():
+    rng = random.Random(20261018)
+    kinds = Counter()
+    for _ in range(3000):
+        rows, objective = _random_system(rng)
+        expected = _outcome(fraction_simplex_maximize, rows, objective)
+        assert _outcome(_simplex_maximize, rows, objective) == expected, (rows, objective)
+        phase_one = any(bound < 0 for _, bound in rows)
+        kinds["unbounded" if isinstance(expected, str) else
+              "infeasible" if expected is None else
+              "phase 1" if phase_one else "feasible"] += 1
+    assert min(kinds[k] for k in ("unbounded", "infeasible", "phase 1", "feasible")) >= 100, kinds

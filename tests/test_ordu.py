@@ -4,7 +4,7 @@ import pytest
 
 from refdep.choices import warp_over
 from refdep.engine import ReferenceOrder
-from refdep.exceptions import AxiomFails, NotSubsetClosed, UnionUnobserved
+from refdep.exceptions import AxiomFails, NotSubsetClosed, UnionUnobserved, ValidationError
 from refdep.ordu import (
     OrduParams,
     _weak_orders,
@@ -171,3 +171,14 @@ def test_union_anchor_requires_an_observed_union():
             load_fixture("binary_cycle"), [frozenset("ab"), frozenset("bc")])
     assert union_anchor_condition(
         ds, [frozenset("ab"), frozenset("cd")]) in (True, False)
+
+
+def test_from_json_rejects_ids_that_are_not_strings():
+    doc = random_ordu_params(random.Random(0), ids=("a", "b", "c")).to_json()
+    assert OrduParams.from_json(doc).to_json() == doc
+    table = doc["utilities"]["a"]
+    for bad in ({**doc, "order": ["a", "b", None]}, {**doc, "order": "abc"},
+                {**doc, "utilities": {**doc["utilities"], 1: table}},
+                {**doc, "utilities": {**doc["utilities"], "a": {**table, True: "0"}}}):
+        with pytest.raises(ValidationError):
+            OrduParams.from_json(bad)
