@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .exceptions import (
+    AxiomFails,
     ChoiceOutsideMenu,
     DuplicateMenu,
     EmptyChoice,
@@ -302,6 +303,23 @@ def _fmt(ids) -> str:
 
 
 WARP = FiniteProperty("WARP", warp_over)
+
+
+def linkage_report(dataset: ChoiceDataset, **structural) -> dict:
+    """Global WARP and each named structural property over all observed
+    menus (witness lists)."""
+    family = dataset.menus()
+    return {"warp": WARP.check(dataset, family),
+            **{key: prop.check(dataset, family) for key, prop in structural.items()}}
+
+
+def raise_first_failure(battery) -> None:
+    """Raise AxiomFails for the first entry of a model's ``battery``,
+    (check key, axiom name, witnesses) triples, that has witnesses.  The
+    whole battery is evaluated first, as ``check`` evaluates it."""
+    for _, axiom, witnesses in list(battery):
+        if witnesses:
+            raise AxiomFails(axiom, witnesses)
 
 
 # -- invariance under a transformation of the domain ------------------------

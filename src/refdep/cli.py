@@ -15,9 +15,11 @@ import json
 import sys
 import traceback
 
-from . import rivals, risk, social, timepref
-from .choices import DATED_PAYMENT, INCOME_SPLIT, LOTTERY, WARP, warp_over
-from .engine import IDENTITY_PSI, ReferenceDependenceFailure, check_reference_dependence
+from . import ordu, rivals, risk, social, timepref
+from .choices import DATED_PAYMENT, INCOME_SPLIT, LOTTERY, linkage_report
+from .choices import warp_over  # noqa: F401  bench/tracing.py wraps it here
+from .engine import ReferenceDependenceFailure
+from .engine import check_reference_dependence  # noqa: F401  bench/tracing.py wraps it here
 from .exceptions import AxiomFails, InfeasibleFit, RefdepError, ValidationError
 from .ordu import OrduParams, build_ordu, simulate_ordu, verify_ordu
 from .risk import AreuParams, fit_areu, simulate_areu, verify_areu
@@ -77,28 +79,12 @@ def _check_kind(model, kind, what):
         raise ValidationError(f"--model {model} needs a {want} {what}, got {kind}")
 
 
-_BATTERIES = {
-    "ordu": lambda ds: {
-        "reference_dependence": check_reference_dependence(ds, WARP, IDENTITY_PSI),
-    },
-    "areu": lambda ds: {
-        "fosd": risk.check_fosd_dominance(ds),
-        "risk_reference_dependence": risk.check_risk_reference_dependence(ds),
-        "avoidable_risk": risk.check_avoidable_risk(ds),
-    },
-    "pbdu": lambda ds: {
-        "outcome_monotonicity_impatience":
-            timepref.check_outcome_monotonicity_impatience(ds),
-        "time_reference_dependence": timepref.check_time_reference_dependence(ds),
-        "present_bias": timepref.check_present_bias(ds),
-    },
-    "fspu": lambda ds: {
-        "social_monotonicity": social.check_social_monotonicity(ds),
-        "equality_reference_dependence":
-            social.check_equality_reference_dependence(ds),
-        "fairness": social.check_fairness(ds),
-    },
-}
+_BATTERIES = {"ordu": ordu.battery, "areu": risk.battery,
+              "pbdu": timepref.battery, "fspu": social.battery}
+
+_LINKAGE_REPORTS = {LOTTERY: risk.linkage_report_risk,
+                    DATED_PAYMENT: timepref.linkage_report_time,
+                    INCOME_SPLIT: social.linkage_report_social}
 
 _FITTERS = {
     "ordu": (build_ordu, OrduParams),
@@ -144,7 +130,7 @@ def cmd_validate(args):
 
 def cmd_check(args):
     ds = _load(args.dataset, args.model)
-    results = {name: _verdict(ws) for name, ws in _BATTERIES[args.model](ds).items()}
+    results = {key: _verdict(ws) for key, _, ws in _BATTERIES[args.model](ds)}
     ok = all(r["pass"] for r in results.values())
     doc = {"model": args.model, "pass": ok, "results": results,
            "note": PARTIAL_DATA_NOTE}
@@ -221,14 +207,7 @@ def cmd_verify(args):
 
 def cmd_report(args):
     ds = _load(args.dataset)
-    if ds.kind == LOTTERY:
-        linkage = risk.linkage_report_risk(ds)
-    elif ds.kind == DATED_PAYMENT:
-        linkage = timepref.linkage_report_time(ds)
-    elif ds.kind == INCOME_SPLIT:
-        linkage = social.linkage_report_social(ds)
-    else:
-        linkage = {"warp": warp_over(ds, ds.menus())}
+    linkage = _LINKAGE_REPORTS.get(ds.kind, linkage_report)(ds)
     results = {name: _verdict(ws) for name, ws in linkage.items()}
     ok = all(r["pass"] for r in results.values())
     doc = {"kind": ds.kind, "pass": ok, "linkage": results,
@@ -258,6 +237,8 @@ def cmd_export_triangle(args):
         with open(args.out, "w") as fh:
             fh.write(text)
         return _emit({"export": "ok", "rows": len(rows), "path": args.out}, args, 0)
+    if args.json:
+        return _emit({"export": "ok", "rows": len(rows), "csv": text}, args, 0)
     sys.stdout.write(text)
     return 0
 
@@ -348,27 +329,22 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
-        doc = {"error": "validation", "detail": str(exc)}
-        if args.json:
-            sys.stdout.write(to_json(doc))
-        else:
-            sys.stderr.write(f"error: {exc}\n")
-        return 2
+        return _fail(args, "validation", str(exc))
     except RefdepError as exc:
-        doc = {"error": type(exc).__name__, "detail": str(exc)}
-        if args.json:
-            sys.stdout.write(to_json(doc))
-        else:
-            sys.stderr.write(f"error: {exc}\n")
-        return 2
+        return _fail(args, type(exc).__name__, str(exc))
     except Exception as exc:  # a defect: keep the exit-code and JSON contract
         traceback.print_exc()
-        detail = f"{type(exc).__name__}: {exc}"
-        if args.json:
-            sys.stdout.write(to_json({"error": "internal", "detail": detail}))
-        else:
-            sys.stderr.write(f"error: internal: {detail}\n")
-        return 2
+        return _fail(args, "internal", f"{type(exc).__name__}: {exc}", "internal: ")
+
+
+def _fail(args, error, detail, prefix=""):
+    """Exit 2 with ``{"error": error, "detail": detail}`` under --json,
+    else with ``error: <prefix><detail>`` on standard error."""
+    if args.json:
+        sys.stdout.write(to_json({"error": error, "detail": detail}))
+    else:
+        sys.stderr.write(f"error: {prefix}{detail}\n")
+    return 2
 
 
 if __name__ == "__main__":

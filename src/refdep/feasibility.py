@@ -16,6 +16,7 @@ the optimum is positive.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -25,7 +26,15 @@ from .exceptions import RefdepError
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-RELATIONS = ("<=", "<", ">=", ">", "=")
+# relation -> (comparison, signs of its ``<=`` rows, takes the gap column):
+# ``lhs R rhs`` becomes ``sign * lhs (+ g) <= sign * rhs`` for each sign
+RELATIONS = {
+    "<=": (operator.le, (1,), False),
+    "<": (operator.lt, (1,), True),
+    ">=": (operator.ge, (-1,), False),
+    ">": (operator.gt, (-1,), True),
+    "=": (operator.eq, (1, -1), False),
+}
 
 
 @dataclass(frozen=True)
@@ -38,15 +47,7 @@ class Constraint:
 
     def holds(self, assignment: Mapping) -> bool:
         lhs = sum((c * assignment[v] for v, c in self.coeffs), _ZERO)
-        if self.relation == "<=":
-            return lhs <= self.rhs
-        if self.relation == "<":
-            return lhs < self.rhs
-        if self.relation == ">=":
-            return lhs >= self.rhs
-        if self.relation == ">":
-            return lhs > self.rhs
-        return lhs == self.rhs
+        return RELATIONS[self.relation][0](lhs, self.rhs)
 
 
 def constraint(coeffs: Mapping, relation: str, rhs) -> Constraint:
@@ -94,51 +95,28 @@ def solve_linear_feasibility(problem: LinearFeasibilityProblem):
     inequality holds with room to spare.
     """
     names = problem.variables()
-    strict = any(c.relation in ("<", ">") for c in problem.constraints)
-    # Free variable v is split as v = pos_v - neg_v with pos, neg >= 0.
-    index = {}
-    for name in names:
-        index[("+", name)] = len(index)
-        index[("-", name)] = len(index)
-    gap = None
-    if strict:
-        gap = len(index)
-        index[("g", None)] = gap
-    nvars = len(index)
+    strict = any(RELATIONS[c.relation][2] for c in problem.constraints)
+    # Free variable i is split as x[2i] - x[2i+1] with both parts >= 0.
+    column = {name: 2 * i for i, name in enumerate(names)}
+    gap = 2 * len(names)
+    nvars = gap + 1 if strict else gap
 
     rows = []  # (coeff vector, bound) meaning  coeffs . x <= bound
-
-    def emit_le(vec, bound):
-        rows.append((vec, bound))
-
-    def vector(con: Constraint):
+    for con in problem.constraints:
+        _, signs, gapped = RELATIONS[con.relation]
         vec = [_ZERO] * nvars
         for v, c in con.coeffs:
-            vec[index[("+", v)]] += c
-            vec[index[("-", v)]] -= c
-        return vec
-
-    for con in problem.constraints:
-        vec = vector(con)
-        if con.relation == "<=":
-            emit_le(vec, con.rhs)
-        elif con.relation == ">=":
-            emit_le([-c for c in vec], -con.rhs)
-        elif con.relation == "=":
-            emit_le(list(vec), con.rhs)
-            emit_le([-c for c in vec], -con.rhs)
-        elif con.relation == "<":
-            vec = list(vec)
-            vec[gap] += _ONE
-            emit_le(vec, con.rhs)
-        else:  # ">"
-            vec = [-c for c in vec]
-            vec[gap] += _ONE
-            emit_le(vec, -con.rhs)
+            vec[column[v]] = c
+            vec[column[v] + 1] = -c
+        for sign in signs:
+            row = vec if sign == 1 else [-c for c in vec]
+            if gapped:
+                row[gap] = _ONE
+            rows.append((row, con.rhs if sign == 1 else -con.rhs))
     if strict:
         cap = [_ZERO] * nvars
         cap[gap] = _ONE
-        emit_le(cap, _ONE)
+        rows.append((cap, _ONE))
 
     objective = [_ZERO] * nvars
     if strict:
@@ -150,9 +128,7 @@ def solve_linear_feasibility(problem: LinearFeasibilityProblem):
     values, objective_value = solution
     if strict and objective_value <= 0:
         return Infeasible("strict inequalities only satisfiable with zero gap")
-    assignment = {}
-    for name in names:
-        assignment[name] = values[index[("+", name)]] - values[index[("-", name)]]
+    assignment = {name: values[i] - values[i + 1] for name, i in column.items()}
     result = Feasible(assignment)
     for con in problem.constraints:  # exactness is cheap to guarantee
         if not con.holds(assignment):

@@ -21,6 +21,7 @@ from .choices import (
     Menu,
     WARP,
     mismatches,
+    raise_first_failure,
 )
 from .engine import (
     IDENTITY_PSI,
@@ -180,6 +181,12 @@ def _rank_prediction_set(dataset: ChoiceDataset, x, pset) -> dict:
     return levels
 
 
+def battery(dataset: ChoiceDataset):
+    """The ORDU axiom as (check key, axiom name, witnesses)."""
+    yield ("reference_dependence", "reference dependence (WARP / identity)",
+           check_reference_dependence(dataset, WARP, IDENTITY_PSI))
+
+
 def build_ordu(dataset: ChoiceDataset) -> OrduParams:
     """Fit an exact ordered-reference representation, or raise.
 
@@ -188,9 +195,7 @@ def build_ordu(dataset: ChoiceDataset) -> OrduParams:
     cannot be represented.
     """
     check_subset_closed(dataset)
-    failures = check_reference_dependence(dataset, WARP, IDENTITY_PSI)
-    if failures:
-        raise AxiomFails("reference dependence (WARP / identity)", failures)
+    raise_first_failure(battery(dataset))
     order = _layered_reference_order(dataset)
     utilities = {}
     for x in order.ranking:
@@ -206,39 +211,23 @@ def build_ordu(dataset: ChoiceDataset) -> OrduParams:
 # -- the necessary condition separating ORDU from rival models -----------
 
 
-def _weak_orders(members):
-    """All ordered set partitions of ``members`` (top class first)."""
-    members = list(members)
-    if not members:
-        yield ()
-        return
-    first, rest = members[0], members[1:]
-    for suffix in _weak_orders(rest):
-        # insert `first` into an existing class or as a new class anywhere
-        for i in range(len(suffix)):
-            yield suffix[:i] + (suffix[i] | {first},) + suffix[i + 1:]
-        for i in range(len(suffix) + 1):
-            yield suffix[:i] + (frozenset((first,)),) + suffix[i:]
-
-
 def _rationalized_by_single_ranking(dataset: ChoiceDataset, family) -> bool:
+    """Richter's (1966) congruence: with x revealed weakly above y when x
+    is chosen from a menu holding y, and that relation transitively
+    closed, no menu may leave unchosen a member revealed weakly above one
+    of its chosen members.  It holds exactly when one weak order picks
+    every menu's choice as its best members."""
     family = [frozenset(m) for m in family]
-    members = sorted(set().union(*family))
-    for order in _weak_orders(members):
-        level = {}
-        for depth, cls in enumerate(order):
-            for alt in cls:
-                level[alt] = depth  # smaller is better
-        ok = True
-        for menu in family:
-            best = min(level[alt] for alt in menu)
-            predicted = frozenset(alt for alt in menu if level[alt] == best)
-            if predicted != dataset.observations[menu]:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    above = {}  # alt -> the alternatives revealed weakly above it
+    for menu in family:
+        for y in menu:
+            above.setdefault(y, set()).update(dataset.observations[menu])
+    for k in above:  # Warshall: close through k
+        for x in above:
+            if k in above[x]:
+                above[x] |= above[k]
+    return not any(above[y] & (menu - dataset.observations[menu])
+                   for menu in family for y in dataset.observations[menu])
 
 
 def union_anchor_condition(dataset: ChoiceDataset, parts) -> bool:

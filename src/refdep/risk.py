@@ -26,11 +26,13 @@ from .choices import (
     WARP,
     conjoin,
     invariance_over,
+    linkage_report,
     menu_key,
     mismatches,
+    raise_first_failure,
     sort_witnesses,
     sorted_menus,
-    warp_over,
+    warp_over,  # noqa: F401  bench/tracing.py wraps it here
 )
 from .engine import (
     PsiMap,
@@ -39,7 +41,6 @@ from .engine import (
     psi_table,
 )
 from .exceptions import (
-    AxiomFails,
     EmptyPsi,
     InfeasibleFit,
     NotATriangle,
@@ -338,6 +339,14 @@ def check_avoidable_risk(dataset: ChoiceDataset) -> list:
                                     f"{safe2}) wins strictly after expansion"),
                             ))
     return sort_witnesses(witnesses)
+
+
+def battery(dataset: ChoiceDataset):
+    """The AREU axioms as (check key, axiom name, witnesses), in fit order."""
+    yield "fosd", "FOSD", check_fosd_dominance(dataset)
+    yield ("risk_reference_dependence", "risk reference dependence",
+           check_risk_reference_dependence(dataset))
+    yield "avoidable_risk", "avoidable risk", check_avoidable_risk(dataset)
 
 
 # -- concavity comparison --------------------------------------------------
@@ -779,12 +788,7 @@ def fit_areu(dataset: ChoiceDataset) -> AreuParams:
     """
     if dataset.kind != LOTTERY:
         raise ValidationError("fit_areu needs a lottery dataset")
-    for name, witnesses in (
-            ("FOSD", check_fosd_dominance(dataset)),
-            ("risk reference dependence", check_risk_reference_dependence(dataset)),
-            ("avoidable risk", check_avoidable_risk(dataset))):
-        if witnesses:
-            raise AxiomFails(name, witnesses)
+    raise_first_failure(battery(dataset))
     prizes = prize_grid(dataset)
     vectors = _vectors(dataset)
     nodes = sorted(dataset.universe)
@@ -817,11 +821,13 @@ def fit_areu(dataset: ChoiceDataset) -> AreuParams:
                 continue
             ranking = next(_chains(nodes, _close(order, zip(chain, chain[1:]))))
             # each lottery takes the utility of the first reference at or
-            # below it, the lowest reference's below the chain
-            utilities, anchor = {}, chain[-1]
+            # below it, the lowest reference's below the chain, and with no
+            # menus (no chain) the one-utility solution
+            utilities = {}
+            utility = solution[chain[-1]] if chain else shared
             for alt in reversed(ranking):
-                anchor = alt if alt in solution else anchor
-                utilities[alt] = solution[anchor]
+                utility = solution.get(alt, utility)
+                utilities[alt] = utility
             return AreuParams.build(prizes, vectors, ReferenceOrder(ranking), utilities)
     raise InfeasibleFit("no reference assignment and utility system certifies the data")
 
@@ -1019,8 +1025,4 @@ def triangle_rows(params: AreuParams, prizes, resolution) -> list:
 
 def linkage_report_risk(dataset: ChoiceDataset) -> dict:
     """Global WARP and global Independence verdicts (witness lists)."""
-    family = dataset.menus()
-    return {
-        "warp": warp_over(dataset, family),
-        "independence": independence_over(dataset, family),
-    }
+    return linkage_report(dataset, independence=INDEPENDENCE)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .choices import Alternative, ChoiceDataset, GENERIC, validate_dataset
-from .engine import IDENTITY_PSI, check_reference_dependence
 from .exceptions import (
     AxiomFails,
     MultiValuedChoice,
@@ -21,7 +20,6 @@ from .exceptions import (
     UniverseTooLarge,
     UnknownFixture,
 )
-from .choices import WARP
 from .ordu import build_ordu, union_anchor_condition, verify_ordu
 
 
@@ -252,8 +250,6 @@ def pe_rationalizable(dataset: ChoiceDataset):
 
 
 def ordu_admissible(dataset: ChoiceDataset) -> bool:
-    if check_reference_dependence(dataset, WARP, IDENTITY_PSI):
-        return False
     try:
         params = build_ordu(dataset)
     except (AxiomFails, NotSubsetClosed):

@@ -20,14 +20,15 @@ from .choices import (
     WARP,
     conjoin,
     invariance_over,
+    linkage_report,
     mismatches,
+    raise_first_failure,
     shift_correspondences,
     sort_witnesses,
-    warp_over,
+    warp_over,  # noqa: F401  bench/tracing.py wraps it here
 )
 from .engine import PsiMap, check_reference_dependence
 from .exceptions import (
-    AxiomFails,
     InfeasibleFit,
     UnknownAlternative,
     ValidationError,
@@ -43,12 +44,8 @@ def gini(split: SplitPayload) -> Fraction:
     return abs(split.own - split.other) / (2 * (split.own + split.other))
 
 
-def _split(dataset: ChoiceDataset, alt_id) -> SplitPayload:
-    return dataset.alternatives[alt_id].payload
-
-
 def most_balanced(dataset: ChoiceDataset, menu) -> frozenset:
-    ginis = {x: gini(_split(dataset, x)) for x in menu}
+    ginis = {x: gini(dataset.payload(x)) for x in menu}
     best = min(ginis.values())
     return frozenset(x for x, g in ginis.items() if g == best)
 
@@ -82,9 +79,9 @@ def check_fairness(dataset: ChoiceDataset) -> list:
         c_small = dataset.observations[small]
         c_big = dataset.observations[big]
         for generous in sorted(c_small):
-            g = _split(dataset, generous)
+            g = dataset.payload(generous)
             for stingy in sorted(small):
-                s = _split(dataset, stingy)
+                s = dataset.payload(stingy)
                 if s.other >= g.other or stingy in c_small:
                     continue
                 if stingy in c_big:
@@ -105,7 +102,7 @@ def check_social_monotonicity(dataset: ChoiceDataset) -> list:
         if len(menu) != 2:
             continue
         x, y = sorted(menu)
-        px, py = _split(dataset, x), _split(dataset, y)
+        px, py = dataset.payload(x), dataset.payload(y)
         winner = None
         if px.own >= py.own and px.other >= py.other and (px != py):
             winner = x
@@ -116,6 +113,14 @@ def check_social_monotonicity(dataset: ChoiceDataset) -> list:
                 kind="SocialMonotonicity", menus=(menu,),
                 narrative=f"{winner} dominates and must be the unique choice"))
     return witnesses
+
+
+def battery(dataset: ChoiceDataset):
+    """The FSPU axioms as (check key, axiom name, witnesses), in fit order."""
+    yield "social_monotonicity", "social monotonicity", check_social_monotonicity(dataset)
+    yield "fairness", "fairness", check_fairness(dataset)
+    yield ("equality_reference_dependence", "equality reference dependence",
+           check_equality_reference_dependence(dataset))
 
 
 # -- parameters --------------------------------------------------------------
@@ -199,7 +204,7 @@ def simulate_fspu(params: FspuParams, alternatives, menus) -> ChoiceDataset:
 
 def verify_fspu(params: FspuParams, dataset: ChoiceDataset) -> list:
     return mismatches(dataset, lambda menu: evaluate_fspu(
-        params, {alt: _split(dataset, alt) for alt in menu}))
+        params, {alt: dataset.payload(alt) for alt in menu}))
 
 
 def fit_fspu(dataset: ChoiceDataset) -> FspuParams:
@@ -209,20 +214,13 @@ def fit_fspu(dataset: ChoiceDataset) -> FspuParams:
     falls."""
     if dataset.kind != INCOME_SPLIT:
         raise ValidationError("fit_fspu needs an income-split dataset")
-    for name, witnesses in (
-            ("social monotonicity", check_social_monotonicity(dataset)),
-            ("fairness", check_fairness(dataset)),
-            ("equality reference dependence",
-             check_equality_reference_dependence(dataset))):
-        if witnesses:
-            raise AxiomFails(name, witnesses)
-    refs = sorted({min(gini(_split(dataset, alt)) for alt in menu)
+    raise_first_failure(battery(dataset))
+    refs = sorted({min(gini(dataset.payload(alt)) for alt in menu)
                    for menu in dataset.menus()})
-    incomes = sorted({_split(dataset, alt).other for alt in dataset.universe})
+    incomes = sorted({dataset.payload(alt).other for alt in dataset.universe})
 
     def build(var):
         problem = LinearFeasibilityProblem()
-        seen = sorted({var(r, y) for r in refs for y in incomes})
         for r in refs:
             for lo, hi in zip(incomes, incomes[1:]):
                 problem.add({var(r, hi): 1, var(r, lo): -1}, ">", 0)
@@ -236,14 +234,14 @@ def fit_fspu(dataset: ChoiceDataset) -> FspuParams:
                 if coeffs:
                     problem.add(coeffs, ">=", 0)
         for menu in dataset.menus():
-            ref = min(gini(_split(dataset, alt)) for alt in menu)
+            ref = min(gini(dataset.payload(alt)) for alt in menu)
             picked = sorted(dataset.observations[menu])
             head = picked[0]
-            hs = _split(dataset, head)
+            hs = dataset.payload(head)
             for other in sorted(menu):
                 if other == head:
                     continue
-                os_ = _split(dataset, other)
+                os_ = dataset.payload(other)
                 coeffs = {}
                 if hs.other != os_.other:
                     coeffs[var(ref, hs.other)] = Fraction(1)
@@ -271,8 +269,4 @@ def fit_fspu(dataset: ChoiceDataset) -> FspuParams:
 
 
 def linkage_report_social(dataset: ChoiceDataset) -> dict:
-    family = dataset.menus()
-    return {
-        "warp": warp_over(dataset, family),
-        "quasilinearity": quasilinearity_over(dataset, family),
-    }
+    return linkage_report(dataset, quasilinearity=QUASILINEARITY)

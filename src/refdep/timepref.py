@@ -23,14 +23,15 @@ from .choices import (
     WARP,
     conjoin,
     invariance_over,
+    linkage_report,
     mismatches,
+    raise_first_failure,
     shift_correspondences,
     sort_witnesses,
-    warp_over,
+    warp_over,  # noqa: F401  bench/tracing.py wraps it here
 )
 from .engine import PsiMap, psi_table, witness_index
 from .exceptions import (
-    AxiomFails,
     InfeasibleFit,
     NotSubsetClosed,
     UnknownAlternative,
@@ -43,15 +44,11 @@ from .serialize import format_rational, parse_rational
 _ZERO = Fraction(0)
 
 
-def _payment(dataset: ChoiceDataset, alt_id) -> PaymentPayload:
-    return dataset.alternatives[alt_id].payload
-
-
 def earliest_payments(dataset: ChoiceDataset, menu) -> frozenset:
     """Members arriving at the menu's minimal time."""
     menu = sorted(menu)
-    soonest = min(_payment(dataset, x).time for x in menu)
-    return frozenset(x for x in menu if _payment(dataset, x).time == soonest)
+    soonest = min(dataset.payload(x).time for x in menu)
+    return frozenset(x for x in menu if dataset.payload(x).time == soonest)
 
 
 EARLIEST_PSI = PsiMap("earliest-payments", earliest_payments)
@@ -112,7 +109,7 @@ def check_outcome_monotonicity_impatience(dataset: ChoiceDataset) -> list:
         if len(menu) != 2:
             continue
         x, y = sorted(menu)
-        px, py = _payment(dataset, x), _payment(dataset, y)
+        px, py = dataset.payload(x), dataset.payload(y)
         expected = None
         if px.time == py.time and px.amount != py.amount:
             expected = x if px.amount > py.amount else y
@@ -132,7 +129,7 @@ def check_present_bias(dataset: ChoiceDataset) -> list:
     indifference-propagation clause."""
     witnesses = []
     menus = dataset.menus()
-    pays = {alt: _payment(dataset, alt) for alt in dataset.universe}
+    pays = {alt: dataset.payload(alt) for alt in dataset.universe}
 
     def timeline(menu):
         members = sorted(menu, key=lambda alt: (pays[alt].time, pays[alt].amount))
@@ -199,6 +196,15 @@ def check_present_bias(dataset: ChoiceDataset) -> list:
                                "middle option through the time rescaling"),
                 ))
     return sort_witnesses(set(witnesses))
+
+
+def battery(dataset: ChoiceDataset):
+    """The PBDU axioms as (check key, axiom name, witnesses), in fit order."""
+    yield ("outcome_monotonicity_impatience", "outcome monotonicity / impatience",
+           check_outcome_monotonicity_impatience(dataset))
+    yield ("time_reference_dependence", "time reference dependence",
+           check_time_reference_dependence(dataset))
+    yield "present_bias", "present bias", check_present_bias(dataset)
 
 
 # -- parameters -------------------------------------------------------------
@@ -290,20 +296,20 @@ def simulate_pbdu(params: PbduParams, alternatives, menus) -> ChoiceDataset:
 
 def verify_pbdu(params: PbduParams, dataset: ChoiceDataset) -> list:
     return mismatches(dataset, lambda menu: evaluate_pbdu(
-        params, {alt: _payment(dataset, alt) for alt in menu}))
+        params, {alt: dataset.payload(alt) for alt in menu}))
 
 
 def standing_assumption(dataset: ChoiceDataset):
     """True/False for the best-late-vs-worst-now doubleton when observed,
     None when that menu never appears."""
-    amounts = [_payment(dataset, alt).amount for alt in dataset.universe]
-    times = [_payment(dataset, alt).time for alt in dataset.universe]
+    amounts = [dataset.payload(alt).amount for alt in dataset.universe]
+    times = [dataset.payload(alt).time for alt in dataset.universe]
     lo_now = [alt for alt in dataset.universe
-              if _payment(dataset, alt).amount == min(amounts)
-              and _payment(dataset, alt).time == min(times)]
+              if dataset.payload(alt).amount == min(amounts)
+              and dataset.payload(alt).time == min(times)]
     hi_late = [alt for alt in dataset.universe
-               if _payment(dataset, alt).amount == max(amounts)
-               and _payment(dataset, alt).time == max(times)]
+               if dataset.payload(alt).amount == max(amounts)
+               and dataset.payload(alt).time == max(times)]
     for a in lo_now:
         for b in hi_late:
             menu = frozenset((a, b))
@@ -322,15 +328,9 @@ def fit_pbdu(dataset: ChoiceDataset) -> PbduParams:
     """
     if dataset.kind != DATED_PAYMENT:
         raise ValidationError("fit_pbdu needs a dated-payment dataset")
-    for name, witnesses in (
-            ("outcome monotonicity / impatience",
-             check_outcome_monotonicity_impatience(dataset)),
-            ("time reference dependence", check_time_reference_dependence(dataset)),
-            ("present bias", check_present_bias(dataset))):
-        if witnesses:
-            raise AxiomFails(name, witnesses)
-    amounts = sorted({_payment(dataset, alt).amount for alt in dataset.universe})
-    refs = sorted({min(_payment(dataset, alt).time for alt in menu)
+    raise_first_failure(battery(dataset))
+    amounts = sorted({dataset.payload(alt).amount for alt in dataset.universe})
+    refs = sorted({min(dataset.payload(alt).time for alt in menu)
                    for menu in dataset.menus()})
     lvar = {a: f"L[{format_rational(a)}]" for a in amounts}
 
@@ -346,14 +346,14 @@ def fit_pbdu(dataset: ChoiceDataset) -> PbduParams:
             if lo != hi:
                 problem.add({hi: 1, lo: -1}, ">=", 0)
         for menu in dataset.menus():
-            ref = min(_payment(dataset, alt).time for alt in menu)
+            ref = min(dataset.payload(alt).time for alt in menu)
             picked = sorted(dataset.observations[menu])
             head = picked[0]
-            hp = _payment(dataset, head)
+            hp = dataset.payload(head)
             for other in sorted(menu):
                 if other == head:
                     continue
-                op = _payment(dataset, other)
+                op = dataset.payload(other)
                 coeffs = {}
                 coeffs[lvar[hp.amount]] = coeffs.get(lvar[hp.amount], _ZERO) + 1
                 coeffs[lvar[op.amount]] = coeffs.get(lvar[op.amount], _ZERO) - 1
@@ -416,8 +416,4 @@ def single_switching_check(params: PbduParams, earlier: PaymentPayload,
 
 
 def linkage_report_time(dataset: ChoiceDataset) -> dict:
-    family = dataset.menus()
-    return {
-        "warp": warp_over(dataset, family),
-        "stationarity": stationarity_over(dataset, family),
-    }
+    return linkage_report(dataset, stationarity=STATIONARITY)

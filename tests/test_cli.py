@@ -316,6 +316,28 @@ def test_export_triangle_writes_csv(tmp_path):
     assert len(lines) == 16
 
 
+def test_export_triangle_under_json_prints_the_csv_inside_json(tmp_path):
+    from test_risk import fan_out_params
+    params = fan_out_params((F(0), F(1), F(3)), 2)
+    params_path = tmp_path / "areu.json"
+    params_path.write_text(to_json(params.to_json()))
+    code, doc = run_json(["export-triangle", "--resolution", "2", str(params_path)])
+    assert code == 0 and doc["export"] == "ok" and doc["rows"] == 6
+    code, text = run(["export-triangle", "--resolution", "2", str(params_path)])
+    assert code == 0 and doc["csv"] == text
+    assert text.splitlines()[0] == "p_b,p_w,reference_id,utility_level"
+
+
+def test_areu_fit_without_observations_certifies_the_empty_dataset(tmp_path):
+    doc = {**dataset_to_dict(allais_dataset()), "observations": []}
+    data, params = tmp_path / "data.json", tmp_path / "params.json"
+    data.write_text(json.dumps(doc))
+    code, out = run_json(["fit", "--model", "areu", "--out", str(params), str(data)])
+    assert code == 0 and out["fit"] == "ok"
+    code, out = run_json(["verify", "--model", "areu", str(params), str(data)])
+    assert code == 0 and out["pass"] is True
+
+
 def test_text_mode_renders_without_error():
     code, out = run(["check", "--model", "ordu", "fixtures://compliance_2_1"])
     assert code == 0 and "pass" in out
@@ -393,6 +415,18 @@ def _mutated(draw, doc):
     return doc
 
 
+def _assert_contract(argv):
+    """Exit code 0, 1 or 2; with --json one JSON document; never an
+    internal error, which the CLI reports only for a defect."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if argv[0] == "--json":
+        assert json.loads(out.getvalue()).get("error") != "internal", (argv, out.getvalue())
+    assert "error: internal" not in err.getvalue(), (argv, err.getvalue())
+
+
 def _commands(model, files):
     data, menus, params, out = (files[k] for k in ("data", "menus", "params", "out"))
     return [["validate", data], ["check", "--model", model, data],
@@ -416,9 +450,16 @@ def test_mutated_inputs_keep_the_exit_code_and_json_contract(data):
         for name, doc in docs.items():
             Path(files[name]).write_text(json.dumps(doc))
         for argv in _commands(model, files):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(["--json"] * as_json + argv)
-            assert code in (0, 1, 2), argv
-            if as_json:
-                json.loads(out.getvalue())
+            _assert_contract(["--json"] * as_json + argv)
+
+
+@pytest.mark.parametrize("model", sorted(DOCUMENTS))
+def test_every_command_keeps_the_contract_on_a_dataset_without_observations(model):
+    docs = {**DOCUMENTS[model], "data": {**DOCUMENTS[model]["data"], "observations": []}}
+    with tempfile.TemporaryDirectory() as work:
+        files = {name: str(Path(work) / f"{name}.json") for name in (*docs, "out")}
+        for name, doc in docs.items():
+            Path(files[name]).write_text(json.dumps(doc))
+        for argv in _commands(model, files):
+            for prefix in ([], ["--json"]):
+                _assert_contract(prefix + argv)

@@ -2,8 +2,10 @@ import random
 from collections import Counter
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from refdep import feasibility
 from refdep.exceptions import RefdepError
 from refdep.feasibility import (
     Feasible,
@@ -50,6 +52,29 @@ def test_negative_region_needs_phase_one():
     result = solve([({"x": 1}, "<=", -3), ({"x": 1}, ">=", -10)])
     assert isinstance(result, Feasible)
     assert -10 <= result.assignment["x"] <= -3
+
+
+LE, GE = (2, -2, -1, 1), (-2, 2, 1, -1)  # 2x - y over columns x+, x-, y+, y-
+CAP = ((0, 0, 0, 0, 1), 1)                 # the gap column, capped at 1
+
+
+@pytest.mark.parametrize("relation, rows, objective", [
+    ("<=", [(LE, 3)], (0, 0, 0, 0)),
+    (">=", [(GE, -3)], (0, 0, 0, 0)),
+    ("=", [(LE, 3), (GE, -3)], (0, 0, 0, 0)),
+    ("<", [((*LE, 1), 3), CAP], (0, 0, 0, 0, 1)),
+    (">", [((*GE, 1), -3), CAP], (0, 0, 0, 0, 1)),
+])
+def test_each_relation_hands_the_simplex_its_le_rows(monkeypatch, relation, rows, objective):
+    seen = []
+
+    def record(rows, objective):
+        seen.append(([(tuple(vec), bound) for vec, bound in rows], tuple(objective)))
+        return _simplex_maximize(rows, objective)
+
+    monkeypatch.setattr(feasibility, "_simplex_maximize", record)
+    assert solve([({"x": 2, "y": -1}, relation, 3)])
+    assert seen == [(rows, objective)]
 
 
 def test_determinism():

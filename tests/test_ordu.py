@@ -7,7 +7,7 @@ from refdep.engine import ReferenceOrder
 from refdep.exceptions import AxiomFails, NotSubsetClosed, UnionUnobserved, ValidationError
 from refdep.ordu import (
     OrduParams,
-    _weak_orders,
+    _rationalized_by_single_ranking,
     build_ordu,
     check_subset_closed,
     evaluate_ordu,
@@ -18,7 +18,13 @@ from refdep.ordu import (
 )
 from refdep.rivals import load_fixture
 
-from helpers import all_menus, generic_dataset, random_ordu_params
+from helpers import (
+    all_menus,
+    generic_dataset,
+    random_ordu_params,
+    rationalizable_by_weak_order,
+    weak_orders,
+)
 
 
 def test_build_on_compliance_round_trips():
@@ -137,8 +143,39 @@ def test_warp_violations_point_at_a_removed_reference():
 
 
 def test_weak_order_counts():
-    assert len(list(_weak_orders(["a", "b", "c"]))) == 13
-    assert len(list(_weak_orders(["a", "b", "c", "d"]))) == 75
+    assert len(list(weak_orders(["a", "b", "c"]))) == 13
+    assert len(list(weak_orders(["a", "b", "c", "d"]))) == 75
+
+
+def _random_family(rng):
+    """Up to six distinct menus on up to five alternatives; half the
+    families take their choices from one random weak order."""
+    ids = "abcde"[:rng.randint(1, 5)]
+    rank = {x: rng.randint(0, 2) for x in ids}
+    menus = {frozenset(rng.sample(ids, rng.randint(1, len(ids))))
+             for _ in range(rng.randint(1, 6))}
+    rows = []
+    for menu in sorted(menus, key=sorted):
+        if rng.random() < 0.5:
+            best = max(rank[x] for x in menu)
+            choice = [x for x in menu if rank[x] == best]
+        else:
+            choice = rng.sample(sorted(menu), rng.randint(1, len(menu)))
+        rows.append((menu, choice))
+    return generic_dataset(rows)
+
+
+def test_congruence_agrees_with_the_weak_order_oracle():
+    rng = random.Random(8)
+    verdicts = []
+    for _ in range(2500):
+        ds = _random_family(rng)
+        family = list(ds.observations)
+        verdict = _rationalized_by_single_ranking(ds, family)
+        assert verdict == rationalizable_by_weak_order(ds, family), sorted(
+            (sorted(m), sorted(c)) for m, c in ds.observations.items())
+        verdicts.append(verdict)
+    assert min(verdicts.count(True), verdicts.count(False)) > 500
 
 
 def test_union_anchor_fails_on_the_decoy_fixture():
