@@ -1,4 +1,4 @@
-"""Choice datasets, WARP machinery, and the finite-property framework.
+"""Choice datasets, the choice rule, WARP machinery, and the finite-property framework.
 
 A dataset is a finite choice correspondence: a map from observed menus
 (nonempty sets of alternative ids) to nonempty chosen subsets.  All
@@ -316,10 +316,40 @@ def linkage_report(dataset: ChoiceDataset, **structural) -> dict:
 def raise_first_failure(battery) -> None:
     """Raise AxiomFails for the first entry of a model's ``battery``,
     (check key, axiom name, witnesses) triples, that has witnesses.  The
-    whole battery is evaluated first, as ``check`` evaluates it."""
-    for _, axiom, witnesses in list(battery):
+    battery is a generator, so the axioms after the first failure are
+    never evaluated."""
+    for _, axiom, witnesses in battery:
         if witnesses:
             raise AxiomFails(axiom, witnesses)
+
+
+# -- the choice rule: a menu's reference fixes a score, choice maximizes it ----
+
+
+def maximizers(menu, score) -> frozenset:
+    """The members of ``menu`` with the highest ``score``, scored in the
+    menu's iteration order (so the first failing lookup raises)."""
+    scores = {alt: score(alt) for alt in menu}
+    best = max(scores.values())
+    return frozenset(alt for alt, value in scores.items() if value == best)
+
+
+def simulate(kind, alternatives, menus, choose, floor=None) -> ChoiceDataset:
+    """The dataset over ``alternatives`` that chooses ``choose(menu)`` from
+    each of ``menus``."""
+    return ChoiceDataset(kind, {alt.id: alt for alt in alternatives},
+                         {menu: choose(menu) for menu in map(Menu, menus)}, floor=floor)
+
+
+def revealed_rows(dataset: ChoiceDataset, menu):
+    """The menu's revealed-preference rows as (relation, head, other): the
+    first chosen member ties ("=") each other chosen member, then strictly
+    beats (">") each unchosen one, both in id order."""
+    picked = sorted(dataset.observations[menu])
+    unpicked = sorted(menu - dataset.observations[menu])
+    for relation, rest in (("=", picked[1:]), (">", unpicked)):
+        for other in rest:
+            yield relation, picked[0], other
 
 
 # -- invariance under a transformation of the domain ------------------------

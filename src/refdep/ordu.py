@@ -20,8 +20,10 @@ from .choices import (
     GENERIC,
     Menu,
     WARP,
+    maximizers,
     mismatches,
     raise_first_failure,
+    simulate,
 )
 from .engine import (
     IDENTITY_PSI,
@@ -87,16 +89,14 @@ def evaluate_ordu(params: OrduParams, menu) -> Menu:
         raise UnknownAlternative(f"{sorted(menu - known)} not covered by the order")
     table = params.utility(params.order.argmax(menu))
     try:
-        best = max(table[alt] for alt in menu)
-        return frozenset(alt for alt in menu if table[alt] == best)
+        return maximizers(menu, table.__getitem__)
     except KeyError as exc:
         raise UnknownAlternative(str(exc)) from exc
 
 
 def simulate_ordu(params: OrduParams, menus) -> ChoiceDataset:
-    alternatives = [Alternative(alt_id) for alt_id in sorted(params.order.ranking)]
-    observations = {frozenset(m): evaluate_ordu(params, m) for m in menus}
-    return ChoiceDataset(GENERIC, {a.id: a for a in alternatives}, observations)
+    return simulate(GENERIC, [Alternative(alt_id) for alt_id in sorted(params.order.ranking)],
+                    menus, lambda menu: evaluate_ordu(params, menu))
 
 
 def verify_ordu(params: OrduParams, dataset: ChoiceDataset) -> list:

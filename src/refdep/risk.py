@@ -27,9 +27,12 @@ from .choices import (
     conjoin,
     invariance_over,
     linkage_report,
+    maximizers,
     menu_key,
     mismatches,
     raise_first_failure,
+    revealed_rows,
+    simulate,
     sort_witnesses,
     sorted_menus,
     warp_over,  # noqa: F401  bench/tracing.py wraps it here
@@ -476,21 +479,15 @@ def evaluate_areu(params: AreuParams, menu) -> Menu:
     known = set(params.order.ranking)
     if not menu <= known:
         raise UnknownLottery(f"{sorted(menu - known)} not covered by the order")
-    ref = params.order.argmax(menu)
-    u = params.utility(ref)
-    scores = {alt: expected_utility(params.vector(alt), u) for alt in menu}
-    best = max(scores.values())
-    return frozenset(alt for alt, s in scores.items() if s == best)
+    u = params.utility(params.order.argmax(menu))
+    return maximizers(menu, lambda alt: expected_utility(params.vector(alt), u))
 
 
 def simulate_areu(params: AreuParams, menus) -> ChoiceDataset:
-    prizes = params.prizes
-    alts = {}
-    for alt_id, vec in params.lotteries:
-        probs = tuple((x, p) for x, p in zip(prizes, vec) if p != 0)
-        alts[alt_id] = Alternative(alt_id, LotteryPayload(probs))
-    observations = {frozenset(m): evaluate_areu(params, m) for m in menus}
-    return ChoiceDataset(LOTTERY, alts, observations)
+    alternatives = [Alternative(alt_id, LotteryPayload(tuple(
+        (x, p) for x, p in zip(params.prizes, vec) if p != 0)))
+        for alt_id, vec in params.lotteries]
+    return simulate(LOTTERY, alternatives, menus, lambda menu: evaluate_areu(params, menu))
 
 
 def verify_areu(params: AreuParams, dataset: ChoiceDataset) -> list:
@@ -587,23 +584,10 @@ def _eu_row(label, weights, n):
 
 def _menu_rows(dataset, menu):
     """One menu's EU-rationalization rows as (relation, head - other)
-    pairs: the first picked lottery ties each other picked one and
-    strictly beats each unpicked one."""
+    pairs over its ``revealed_rows``."""
     vectors = _vectors(dataset)
-    picked = sorted(dataset.observations[menu])
-    others = sorted(set(menu) - set(picked))
-    head = vectors[picked[0]]
-    for relation, rest in (("=", picked[1:]), (">", others)):
-        for other in rest:
-            yield relation, tuple(a - b for a, b in zip(head, vectors[other]))
-
-
-def _class_constraints(problem, dataset, menu, label):
-    """EU-rationalization constraints of one menu under utility ``label``."""
-    n = len(prize_grid(dataset))
-    for relation, diff in _menu_rows(dataset, menu):
-        coeffs, const = _eu_row(label, enumerate(diff), n)
-        problem.add(coeffs, relation, -const)
+    for relation, head, other in revealed_rows(dataset, menu):
+        yield relation, tuple(a - b for a, b in zip(vectors[head], vectors[other]))
 
 
 def _utility_problem(dataset, groups):
@@ -621,7 +605,9 @@ def _utility_problem(dataset, groups):
         if last is not None:
             problem.add({last: 1}, "<", 1)
         for menu in menus:
-            _class_constraints(problem, dataset, menu, label)
+            for relation, diff in _menu_rows(dataset, menu):
+                coeffs, const = _eu_row(label, enumerate(diff), n)
+                problem.add(coeffs, relation, -const)
     return problem
 
 

@@ -21,9 +21,12 @@ from .choices import (
     conjoin,
     invariance_over,
     linkage_report,
+    maximizers,
     mismatches,
     raise_first_failure,
+    revealed_rows,
     shift_correspondences,
+    simulate,
     sort_witnesses,
     warp_over,  # noqa: F401  bench/tracing.py wraps it here
 )
@@ -36,8 +39,6 @@ from .exceptions import (
 from .feasibility import LinearFeasibilityProblem, solve_linear_feasibility
 from .serialize import format_rational, parse_rational
 
-_ZERO = Fraction(0)
-
 
 def gini(split: SplitPayload) -> Fraction:
     """Two-income Gini: |own - other| / (2 (own + other)), in [0, 1/2)."""
@@ -45,9 +46,7 @@ def gini(split: SplitPayload) -> Fraction:
 
 
 def most_balanced(dataset: ChoiceDataset, menu) -> frozenset:
-    ginis = {x: gini(dataset.payload(x)) for x in menu}
-    best = min(ginis.values())
-    return frozenset(x for x, g in ginis.items() if g == best)
+    return maximizers(menu, lambda x: -gini(dataset.payload(x)))
 
 
 MOST_BALANCED_PSI = PsiMap("most-balanced", most_balanced)
@@ -186,20 +185,15 @@ class FspuParams:
 def evaluate_fspu(params: FspuParams, splits: dict) -> frozenset:
     """``splits`` maps ids to SplitPayload; returns the chosen ids."""
     ref = min(gini(s) for s in splits.values())
-    scores = {alt: s.own + params.value(ref, s.other) for alt, s in splits.items()}
-    best = max(scores.values())
-    return frozenset(alt for alt, v in scores.items() if v == best)
+    return maximizers(splits, lambda alt: splits[alt].own
+                      + params.value(ref, splits[alt].other))
 
 
 def simulate_fspu(params: FspuParams, alternatives, menus) -> ChoiceDataset:
     alts = {a.id: a for a in alternatives}
-    floor = min(min(a.payload.own, a.payload.other) for a in alternatives)
-    observations = {}
-    for menu in menus:
-        menu = frozenset(menu)
-        observations[menu] = evaluate_fspu(
-            params, {alt: alts[alt].payload for alt in menu})
-    return ChoiceDataset(INCOME_SPLIT, alts, observations, floor=floor)
+    return simulate(INCOME_SPLIT, alts.values(), menus, lambda menu: evaluate_fspu(
+        params, {alt: alts[alt].payload for alt in menu}),
+        floor=min(min(a.payload.own, a.payload.other) for a in alts.values()))
 
 
 def verify_fspu(params: FspuParams, dataset: ChoiceDataset) -> list:
@@ -215,8 +209,13 @@ def fit_fspu(dataset: ChoiceDataset) -> FspuParams:
     if dataset.kind != INCOME_SPLIT:
         raise ValidationError("fit_fspu needs an income-split dataset")
     raise_first_failure(battery(dataset))
-    refs = sorted({min(gini(dataset.payload(alt)) for alt in menu)
-                   for menu in dataset.menus()})
+
+    def reference(menu):
+        return min(gini(dataset.payload(alt)) for alt in menu)
+
+    # no observations: the universe's most balanced Gini; no alternatives: no table
+    references = {menu: reference(menu) for menu in dataset.menus()}
+    refs = sorted(set(references.values()) or {reference(m) for m in [dataset.universe] if m})
     incomes = sorted({dataset.payload(alt).other for alt in dataset.universe})
 
     def build(var):
@@ -230,42 +229,26 @@ def fit_fspu(dataset: ChoiceDataset) -> FspuParams:
                 for name, weight in ((var(r_lo, hi), 1), (var(r_lo, lo), -1),
                                      (var(r_hi, hi), -1), (var(r_hi, lo), 1)):
                     coeffs[name] = coeffs.get(name, 0) + weight
-                coeffs = {k: v for k, v in coeffs.items() if v != 0}
-                if coeffs:
+                if any(coeffs.values()):  # a shared table cancels every term
                     problem.add(coeffs, ">=", 0)
-        for menu in dataset.menus():
-            ref = min(gini(dataset.payload(alt)) for alt in menu)
-            picked = sorted(dataset.observations[menu])
-            head = picked[0]
-            hs = dataset.payload(head)
-            for other in sorted(menu):
-                if other == head:
-                    continue
-                os_ = dataset.payload(other)
-                coeffs = {}
-                if hs.other != os_.other:
-                    coeffs[var(ref, hs.other)] = Fraction(1)
-                    coeffs[var(ref, os_.other)] = Fraction(-1)
-                relation = "=" if other in dataset.observations[menu] else ">"
+        for menu, ref in references.items():
+            for relation, head, other in revealed_rows(dataset, menu):
+                hs, os_ = dataset.payload(head), dataset.payload(other)
+                coeffs = {var(ref, hs.other): 1}
+                coeffs[var(ref, os_.other)] = coeffs.get(var(ref, os_.other), 0) - 1
                 problem.add(coeffs, relation, os_.own - hs.own)
         return problem
 
-    # a single sharing table first: quasi-linear data stays quasi-linear
-    shared = lambda r, y: f"v[shared][{format_rational(y)}]"
-    result = solve_linear_feasibility(build(shared))
-    if result:
-        tables = tuple(
-            (r, tuple((y, result.assignment[shared(r, y)]) for y in incomes))
-            for r in refs)
-        return FspuParams(tables)
-    per_ref = lambda r, y: f"v[{format_rational(r)}][{format_rational(y)}]"
-    result = solve_linear_feasibility(build(per_ref))
-    if not result:
-        raise InfeasibleFit("no sharing-utility family fits the data")
-    tables = tuple(
-        (r, tuple((y, result.assignment[per_ref(r, y)]) for y in incomes))
-        for r in refs)
-    return FspuParams(tables)
+    # a single sharing table first: quasi-linear data stays quasi-linear;
+    # a lone other-income is in no row, and any value serves it
+    for var in (lambda r, y: f"v[shared][{format_rational(y)}]",
+                lambda r, y: f"v[{format_rational(r)}][{format_rational(y)}]"):
+        result = solve_linear_feasibility(build(var))
+        if result:
+            return FspuParams(tuple(
+                (r, tuple((y, result.assignment.get(var(r, y), 0)) for y in incomes))
+                for r in refs))
+    raise InfeasibleFit("no sharing-utility family fits the data")
 
 
 def linkage_report_social(dataset: ChoiceDataset) -> dict:

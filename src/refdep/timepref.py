@@ -24,9 +24,12 @@ from .choices import (
     conjoin,
     invariance_over,
     linkage_report,
+    maximizers,
     mismatches,
     raise_first_failure,
+    revealed_rows,
     shift_correspondences,
+    simulate,
     sort_witnesses,
     warp_over,  # noqa: F401  bench/tracing.py wraps it here
 )
@@ -41,14 +44,10 @@ from .feasibility import LinearFeasibilityProblem, solve_linear_feasibility
 from .ordu import check_subset_closed
 from .serialize import format_rational, parse_rational
 
-_ZERO = Fraction(0)
-
 
 def earliest_payments(dataset: ChoiceDataset, menu) -> frozenset:
     """Members arriving at the menu's minimal time."""
-    menu = sorted(menu)
-    soonest = min(dataset.payload(x).time for x in menu)
-    return frozenset(x for x in menu if dataset.payload(x).time == soonest)
+    return maximizers(sorted(menu), lambda x: -dataset.payload(x).time)
 
 
 EARLIEST_PSI = PsiMap("earliest-payments", earliest_payments)
@@ -276,22 +275,15 @@ class PbduParams:
 
 def evaluate_pbdu(params: PbduParams, payments: dict) -> frozenset:
     """``payments`` maps ids to PaymentPayload; returns the chosen ids."""
-    ref = min(p.time for p in payments.values())
-    d = params.discount_log(ref)
-    scores = {alt: params.utility_log(p.amount) + p.time * d
-              for alt, p in payments.items()}
-    best = max(scores.values())
-    return frozenset(alt for alt, s in scores.items() if s == best)
+    d = params.discount_log(min(p.time for p in payments.values()))
+    return maximizers(payments, lambda alt: params.utility_log(payments[alt].amount)
+                      + payments[alt].time * d)
 
 
 def simulate_pbdu(params: PbduParams, alternatives, menus) -> ChoiceDataset:
     alts = {a.id: a for a in alternatives}
-    observations = {}
-    for menu in menus:
-        menu = frozenset(menu)
-        observations[menu] = evaluate_pbdu(
-            params, {alt: alts[alt].payload for alt in menu})
-    return ChoiceDataset(DATED_PAYMENT, alts, observations)
+    return simulate(DATED_PAYMENT, alts.values(), menus, lambda menu: evaluate_pbdu(
+        params, {alt: alts[alt].payload for alt in menu}))
 
 
 def verify_pbdu(params: PbduParams, dataset: ChoiceDataset) -> list:
@@ -330,52 +322,41 @@ def fit_pbdu(dataset: ChoiceDataset) -> PbduParams:
         raise ValidationError("fit_pbdu needs a dated-payment dataset")
     raise_first_failure(battery(dataset))
     amounts = sorted({dataset.payload(alt).amount for alt in dataset.universe})
-    refs = sorted({min(dataset.payload(alt).time for alt in menu)
-                   for menu in dataset.menus()})
+
+    def reference(menu):
+        return min(dataset.payload(alt).time for alt in menu)
+
+    # no observations: the universe's earliest time; no alternatives: no table
+    references = {menu: reference(menu) for menu in dataset.menus()}
+    refs = sorted(set(references.values()) or {reference(m) for m in [dataset.universe] if m})
     lvar = {a: f"L[{format_rational(a)}]" for a in amounts}
 
     def build(dvar):
         problem = LinearFeasibilityProblem()
         for lo, hi in zip(amounts, amounts[1:]):
             problem.add({lvar[hi]: 1, lvar[lo]: -1}, ">", 0)
-        seen = sorted({dvar(r) for r in refs})
-        for name in seen:
+        for name in sorted({dvar(r) for r in refs}):
             problem.add({name: 1}, "<", 0)
         ordered = [dvar(r) for r in refs]
         for lo, hi in zip(ordered, ordered[1:]):
             if lo != hi:
                 problem.add({hi: 1, lo: -1}, ">=", 0)
-        for menu in dataset.menus():
-            ref = min(dataset.payload(alt).time for alt in menu)
-            picked = sorted(dataset.observations[menu])
-            head = picked[0]
-            hp = dataset.payload(head)
-            for other in sorted(menu):
-                if other == head:
-                    continue
-                op = dataset.payload(other)
-                coeffs = {}
-                coeffs[lvar[hp.amount]] = coeffs.get(lvar[hp.amount], _ZERO) + 1
-                coeffs[lvar[op.amount]] = coeffs.get(lvar[op.amount], _ZERO) - 1
-                coeffs[dvar(ref)] = coeffs.get(dvar(ref), _ZERO) + hp.time - op.time
-                coeffs = {k: v for k, v in coeffs.items() if v != 0}
-                relation = "=" if other in dataset.observations[menu] else ">"
+        for menu, ref in references.items():
+            for relation, head, other in revealed_rows(dataset, menu):
+                hp, op = dataset.payload(head), dataset.payload(other)
+                coeffs = {lvar[hp.amount]: 1, dvar(ref): hp.time - op.time}
+                coeffs[lvar[op.amount]] = coeffs.get(lvar[op.amount], 0) - 1
                 problem.add(coeffs, relation, 0)
         return problem
 
-    # a single discount first: classical data stays classical
-    result = solve_linear_feasibility(build(lambda r: "D[shared]"))
-    if not result:
-        result = solve_linear_feasibility(
-            build(lambda r: f"D[{format_rational(r)}]"))
-        if not result:
-            raise InfeasibleFit("no log-utility / log-discount system fits the data")
-        discount = tuple((r, result.assignment[f"D[{format_rational(r)}]"])
-                         for r in refs)
-    else:
-        discount = tuple((r, result.assignment["D[shared]"]) for r in refs)
-    log_utility = tuple((a, result.assignment[lvar[a]]) for a in amounts)
-    return PbduParams(log_utility, discount)
+    # a single discount first: classical data stays classical; a lone
+    # amount is in no row, and any log-utility serves it
+    for dvar in (lambda r: "D[shared]", lambda r: f"D[{format_rational(r)}]"):
+        result = solve_linear_feasibility(build(dvar))
+        if result:
+            return PbduParams(tuple((a, result.assignment.get(lvar[a], 0)) for a in amounts),
+                              tuple((r, result.assignment[dvar(r)]) for r in refs))
+    raise InfeasibleFit("no log-utility / log-discount system fits the data")
 
 
 def single_switching_check(params: PbduParams, earlier: PaymentPayload,

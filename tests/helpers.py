@@ -464,6 +464,95 @@ def fspu_data(rng):
     return simulate_fspu(params, [Alternative(k, v) for k, v in splits.items()], menus)
 
 
+# -- tie-rich model-generated data ----------------------------------------------
+#
+# Parameters on small integer (or quarter) grids make exact ties common, so
+# these datasets carry menus with several chosen members beside unchosen ones.
+
+
+def has_tied_menu(dataset):
+    """Some menu has two or more chosen members and an unchosen one."""
+    return any(1 < len(choice) < len(menu) for menu, choice in dataset.observations.items())
+
+
+def tie_rich(rng, draw):
+    """The first dataset ``draw(rng)`` simulates that has a tied menu."""
+    while True:
+        dataset = draw(rng)
+        if has_tied_menu(dataset):
+            return dataset
+
+
+def _increasing_ints(rng, count, start=0, step=3):
+    values = [F(start)]
+    while len(values) < count:
+        values.append(values[-1] + rng.randint(1, step))
+    return values
+
+
+def integer_pbdu_data(rng):
+    """Five dated payments scored by integer log-utilities and log-discounts."""
+    amounts = sorted(rng.sample(range(1, 10), 3))
+    times = range(4)
+    log_utility = dict(zip(amounts, _increasing_ints(rng, 3, rng.randint(0, 2))))
+    discounts = sorted(-F(rng.randint(1, 3)) for _ in times)
+    params = PbduParams(tuple((F(a), v) for a, v in log_utility.items()),
+                        tuple((F(t), d) for t, d in zip(times, discounts)))
+    cells = rng.sample([(a, t) for a in amounts for t in times], 5)
+    payments = [Alternative(f"p{i}", pay(a, t)) for i, (a, t) in enumerate(cells)]
+    return simulate_pbdu(params, payments, all_menus([p.id for p in payments], 2, 4))
+
+
+def integer_fspu_data(rng):
+    """Five income splits scored by own income plus integer sharing
+    utilities whose increments grow by 0 or 1 per more balanced reference."""
+    cells = rng.sample([(x, y) for x in range(1, 9) for y in range(1, 6)], 5)
+    splits = [Alternative(f"s{i}", split(x, y)) for i, (x, y) in enumerate(cells)]
+    incomes = sorted({F(y) for _, y in cells})
+    refs = sorted({gini(s.payload) for s in splits}, reverse=True)
+    steps = [F(rng.randint(1, 3)) for _ in incomes[1:]]
+    tables = {}
+    for r in refs:  # least balanced first, increments weakly growing
+        values = [F(0)]
+        for step in steps:
+            values.append(values[-1] + step)
+        tables[r] = tuple(zip(incomes, values))
+        steps = [step + rng.randint(0, 1) for step in steps]
+    params = FspuParams(tuple(sorted(tables.items())))
+    return simulate_fspu(params, splits, all_menus([s.id for s in splits], 2, 3))
+
+
+def integer_areu_data(rng, n_prizes):
+    """Five lotteries in quarters on an ``n_prizes`` grid.  On 3 prizes each
+    reference takes u(1) from {1/4, 1/2, 3/4}, weakly falling down the
+    order; on n > 3 prizes one utility in steps of 1/(4(n-1)) serves every
+    reference."""
+    prizes = tuple(F(x) for x in sorted(rng.sample(range(10), n_prizes)))
+    grid = [vec for vec in product(range(5), repeat=n_prizes) if sum(vec) == 4]
+    vectors = {f"l{i}": tuple(F(x, 4) for x in vec)
+               for i, vec in enumerate(rng.sample(grid, 5))}
+    from refdep.risk import riskier_than, worst_dilution
+    names = sorted(vectors)
+    blocked = {p: {q for q in names if q != p
+                   and (riskier_than(prizes, vectors[p], vectors[q])
+                        or worst_dilution(prizes, vectors[p], vectors[q]))}
+               for p in names}
+    ranking, remaining = [], set(names)
+    while remaining:
+        head = min(n for n in remaining if not blocked[n] & remaining)
+        ranking.append(head)
+        remaining.discard(head)
+    if n_prizes == 3:
+        levels = sorted((F(rng.randint(1, 3), 4) for _ in ranking), reverse=True)
+        utilities = {name: (F(0), level, F(1)) for name, level in zip(ranking, levels)}
+    else:
+        interior = sorted(rng.sample(range(1, 4 * (n_prizes - 1)), n_prizes - 2))
+        shared = (F(0), *(F(x, 4 * (n_prizes - 1)) for x in interior), F(1))
+        utilities = {name: shared for name in ranking}
+    params = AreuParams.build(prizes, vectors, ReferenceOrder(tuple(ranking)), utilities)
+    return simulate_areu(params, all_menus(names, 2, 3))
+
+
 # -- the reference axioms by their sub-family definitions ------------------------
 #
 # Each runs the property on every sub-family the definition names, with no

@@ -328,16 +328,6 @@ def test_export_triangle_under_json_prints_the_csv_inside_json(tmp_path):
     assert text.splitlines()[0] == "p_b,p_w,reference_id,utility_level"
 
 
-def test_areu_fit_without_observations_certifies_the_empty_dataset(tmp_path):
-    doc = {**dataset_to_dict(allais_dataset()), "observations": []}
-    data, params = tmp_path / "data.json", tmp_path / "params.json"
-    data.write_text(json.dumps(doc))
-    code, out = run_json(["fit", "--model", "areu", "--out", str(params), str(data)])
-    assert code == 0 and out["fit"] == "ok"
-    code, out = run_json(["verify", "--model", "areu", str(params), str(data)])
-    assert code == 0 and out["pass"] is True
-
-
 def test_text_mode_renders_without_error():
     code, out = run(["check", "--model", "ordu", "fixtures://compliance_2_1"])
     assert code == 0 and "pass" in out
@@ -380,6 +370,42 @@ def _documents():
 
 
 DOCUMENTS = _documents()
+
+
+def _assert_fit_certifies(model, doc, tmp_path):
+    data, params = tmp_path / "data.json", tmp_path / "params.json"
+    data.write_text(json.dumps(doc))
+    code, out = run_json(["fit", "--model", model, "--out", str(params), str(data)])
+    assert code == 0 and out["fit"] == "ok"
+    code, out = run_json(["verify", "--model", model, str(params), str(data)])
+    assert code == 0 and out["pass"] is True
+
+
+@pytest.mark.parametrize("model", sorted(DOCUMENTS))
+def test_fit_without_observations_certifies_the_empty_dataset(model, tmp_path):
+    _assert_fit_certifies(model, {**DOCUMENTS[model]["data"], "observations": []}, tmp_path)
+
+
+@pytest.mark.parametrize("model, payloads", [
+    ("pbdu", ({"amount": "5", "time": "0"}, {"amount": "5", "time": "2"})),
+    ("fspu", ({"own": "5", "other": "2"}, {"own": "4", "other": "2"}))])
+def test_fit_with_one_amount_or_other_income_certifies_the_data(model, payloads, tmp_path):
+    # the first payload wins: sooner, or more for oneself
+    _assert_fit_certifies(model, {
+        **DOCUMENTS[model]["data"],
+        "alternatives": [{"id": alt, "payload": payload} for alt, payload in zip("ab", payloads)],
+        "observations": [{"menu": ["a", "b"], "choice": ["a"]}]}, tmp_path)
+
+
+@pytest.mark.parametrize("model", ["pbdu", "fspu"])
+def test_fit_without_alternatives_is_a_validation_error(model, tmp_path):
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps({**DOCUMENTS[model]["data"], "alternatives": [],
+                                "observations": []}))
+    code, out = run_json(["fit", "--model", model, str(data)])
+    assert code == 2 and out["error"] == "validation", out
+
+
 _LEAVES = (st.none() | st.booleans() | st.integers(-2, 3)
            | st.floats(-2, 2, allow_nan=False, width=16)
            | st.sampled_from(["", "0", "1", "1/2", "-1", "0/0", "0.5", "a", "p1", "lottery",

@@ -27,12 +27,27 @@ from refdep.cli import main
 from refdep.rivals import fixture_names
 from refdep.serialize import dataset_to_dict, to_json
 
-from helpers import areu_data, fspu_data, ordu_data, pbdu_data, perturbed
+from helpers import (
+    areu_data,
+    fspu_data,
+    integer_areu_data,
+    integer_fspu_data,
+    integer_pbdu_data,
+    ordu_data,
+    pbdu_data,
+    perturbed,
+    tie_rich,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).with_name("golden.json")
 MODELS = ("ordu", "areu", "pbdu", "fspu")
 SEEDED = {"ordu": ordu_data, "areu": areu_data, "pbdu": pbdu_data, "fspu": fspu_data}
+# (model, label, draw, seeds) of the tie-rich datasets
+TIED = (("pbdu", "pbdu", integer_pbdu_data, range(12)),
+        ("fspu", "fspu", integer_fspu_data, range(12)),
+        ("areu", "areu3", lambda rng: integer_areu_data(rng, 3), range(3)),
+        ("areu", "areu4", lambda rng: integer_areu_data(rng, 4), range(3)))
 
 
 def _digest(text):
@@ -86,9 +101,25 @@ def _seeded_commands(work):
             yield f"report {model} {label}", ["report", data]
 
 
+def _tied_commands(work):
+    """fit and verify on seeded datasets with a menu holding two or more
+    chosen members and an unchosen one; each of them fits."""
+    for model, label, draw, seeds in TIED:
+        for seed in seeds:
+            data = work / f"tied-{label}-{seed}.json"
+            data.write_text(to_json(dataset_to_dict(tie_rich(random.Random(seed), draw))))
+            params = work / f"tied-{label}-{seed}-params.json"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["fit", "--model", model, "--out", str(params), str(data)]) == 0
+            yield f"fit tied {label} {seed}", ["fit", "--model", model, str(data)]
+            yield f"verify tied {label} {seed}", ["verify", "--model", model, str(params),
+                                                  str(data)]
+
+
 def record_cli():
     with tempfile.TemporaryDirectory() as work:
-        commands = [*_fixture_commands(), *_seeded_commands(Path(work))]
+        work = Path(work)
+        commands = [*_fixture_commands(), *_seeded_commands(work), *_tied_commands(work)]
         return {label: {"json": _run(["--json", *argv]), "text": _run(argv)}
                 for label, argv in commands}
 

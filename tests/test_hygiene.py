@@ -1,0 +1,54 @@
+"""No dead names in the modules of ``src/refdep`` (``__init__.py`` aside).
+
+Each module reads every name it takes with a ``from``-import, unless the
+import line says that ``bench/tracing.py`` wraps the name there, and
+reads every private name it defines at module level.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "refdep"
+MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+WRAPPED = "bench/tracing.py wraps it"
+
+
+def _parse(path):
+    source = path.read_text()
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return source.splitlines(), tree, read
+
+
+def _defined(statement):
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        yield statement.name
+    targets = (statement.targets if isinstance(statement, ast.Assign)
+               else [statement.target] if isinstance(statement, ast.AnnAssign) else [])
+    for target in targets:
+        for node in ast.walk(target):
+            if isinstance(node, ast.Name):
+                yield node.id
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_every_from_import_is_read(path):
+    lines, tree, read = _parse(path)
+    unused = [alias.asname or alias.name
+              for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+              for alias in node.names
+              if (alias.asname or alias.name) not in read
+              and WRAPPED not in lines[alias.lineno - 1]]
+    assert not unused, f"{path.name} imports but never reads {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_every_private_module_name_is_read(path):
+    _, tree, read = _parse(path)
+    unread = [name for statement in tree.body for name in _defined(statement)
+              if name.startswith("_") and not name.startswith("__") and name not in read]
+    assert not unread, f"{path.name} defines but never reads {unread}"

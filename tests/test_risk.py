@@ -604,6 +604,18 @@ def test_fit_rejects_dominated_choices():
         fit_areu(ds)
 
 
+def test_fit_stops_at_the_first_failing_axiom(monkeypatch):
+    calls = []
+    check = risk.check_risk_reference_dependence
+    monkeypatch.setattr(risk, "check_risk_reference_dependence",
+                        lambda ds: calls.append(ds) or check(ds))
+    lots = {"good": lot([(4000, 1)]), "bad": lot([(0, 1)])}
+    ds = lottery_dataset(lots, [(frozenset(lots), ["bad"])])
+    with pytest.raises(AxiomFails) as failure:
+        fit_areu(ds)
+    assert failure.value.axiom == "FOSD" and calls == []
+
+
 def test_simulated_fit_round_trip_on_random_instances():
     rng = random.Random(8)
     for _ in range(5):
