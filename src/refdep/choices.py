@@ -160,8 +160,9 @@ class ChoiceDataset:
     def universe(self) -> Menu:
         return Menu(self.alternatives)
 
-    def menus(self):
-        return sorted_menus(self.observations)
+    def menus(self) -> tuple:
+        """The observed menus in canonical order."""
+        return self.lattice().menus
 
     def choice(self, menu: Menu) -> Menu:
         try:
@@ -183,27 +184,99 @@ class ChoiceDataset:
             self._cache[key] = compute()
         return self._cache[key]
 
+    def lattice(self) -> "MenuLattice":
+        """The dataset's menu lattice, built on first use."""
+        return self.cached("lattice", lambda: MenuLattice(self))
+
     def observed_subsets(self, menu: Menu):
         """All observed menus contained in ``menu`` (including itself)."""
-        target = Menu(menu)
-        return [m for m in self.menus() if m <= target]
+        lattice = self.lattice()
+        return lattice.at(lattice.within(menu))
 
     def nested_pairs(self):
-        """All observed (small, big) pairs with small a strict subset of big."""
-        def pairs():
-            menus = self.menus()
-            return [(small, big) for big in menus for small in menus if small < big]
-        return self.cached("nested", pairs)
+        """All observed (small, big) pairs with small a strict subset of
+        big, big in canonical order and then small."""
+        lattice = self.lattice()
+        return [(lattice.menus[j], big) for i, big in enumerate(lattice.menus)
+                for j in bits(lattice.inside[i] & ~(1 << i))]
 
     def restrict(self, family) -> "ChoiceDataset":
         """Keep only the observations in ``family``; universe unchanged."""
-        family = [Menu(m) for m in family]
-        for m in family:
-            if m not in self.observations:
-                raise UnobservedMenu(f"menu {sorted(m)} was not observed")
-        kept = {m: self.observations[m] for m in family}
+        lattice = self.lattice()
+        kept = {m: self.observations[m] for m in lattice.at(lattice.mask(family))}
         return ChoiceDataset(self.kind, self.alternatives, kept,
                              floor=self.floor, _validated=True)
+
+
+def bits(mask: int):
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def member_masks(sets) -> dict:
+    """Per alternative, the bitmask of the positions in ``sets`` of the
+    sets holding it."""
+    out = {}
+    for pos, members in enumerate(sets):
+        for alt in members:
+            out[alt] = out.get(alt, 0) | 1 << pos
+    return out
+
+
+def outside(masks: dict, pool) -> int:
+    """The union of the ``member_masks`` of the alternatives not in ``pool``:
+    the positions of the sets not contained in ``pool``."""
+    out = 0
+    for alt, mask in masks.items():
+        if alt not in pool:
+            out |= mask
+    return out
+
+
+class MenuLattice:
+    """A dataset's observed menus as bit positions, so that "which
+    observed menus lie inside (or contain) which" is big-int algebra.
+
+    Bit i stands for ``menus[i]``, the i-th observed menu in canonical
+    order.  ``contain[a]`` and ``chosen[a]`` mask the menus that contain
+    and that choose alternative a; ``inside[i]`` masks the observed
+    sub-menus of menu i, itself included.
+    """
+
+    def __init__(self, dataset: ChoiceDataset):
+        self.menus = tuple(sorted_menus(dataset.observations))
+        self.index = {menu: pos for pos, menu in enumerate(self.menus)}
+        self.full = (1 << len(self.menus)) - 1
+        self.contain = member_masks(self.menus)
+        self.chosen = member_masks(dataset.observations[menu] for menu in self.menus)
+        self.inside = tuple(self.within(menu) for menu in self.menus)
+
+    def within(self, pool) -> int:
+        """The observed menus contained in ``pool``."""
+        return self.full & ~outside(self.contain, pool)
+
+    def containing(self, members) -> int:
+        """The observed menus containing every one of ``members``."""
+        out = self.full
+        for alt in members:
+            out &= self.contain.get(alt, 0)
+        return out
+
+    def mask(self, family) -> int:
+        """The menus of ``family``; UnobservedMenu for one not observed."""
+        out = 0
+        for menu in map(Menu, family):
+            if menu not in self.index:
+                raise UnobservedMenu(f"menu {sorted(menu)} was not observed")
+            out |= 1 << self.index[menu]
+        return out
+
+    def at(self, mask: int) -> list:
+        """The menus at the set bits of ``mask``, in canonical order."""
+        return [self.menus[pos] for pos in bits(mask)]
 
 
 def _check_invariants(ds: ChoiceDataset) -> None:
@@ -273,29 +346,33 @@ def warp_over(dataset: ChoiceDataset, family) -> list:
 
     For observed menus B strictly inside A with c(A) meeting B, the clause
     requires c(A) ∩ B = c(B).  Every offending (A, B) pair is reported,
-    sorted lexicographically by menu.
+    A and then B in canonical order, which is ``sort_witnesses`` order.
     """
-    fam = [Menu(m) for m in family]
-    for m in fam:
-        if m not in dataset.observations:
-            raise UnobservedMenu(f"menu {sorted(m)} was not observed")
-    fam = sorted_menus(set(fam))
+    lattice = dataset.lattice()
+    fam = lattice.mask(family)
     witnesses = []
-    for big in fam:
+    for pos in bits(fam):
+        big = lattice.menus[pos]
         c_big = dataset.observations[big]
-        for small in fam:
-            if small == big or not small < big:
-                continue
+        # a sub-menu violates when it meets c(A) and keeps a member of c(A)
+        # it does not choose or chooses a member of A outside c(A)
+        meets = differs = 0
+        for alt in big:
+            if alt in c_big:
+                meets |= lattice.contain[alt]
+                differs |= lattice.contain[alt] & ~lattice.chosen[alt]
+            else:
+                differs |= lattice.chosen.get(alt, 0)
+        for small in lattice.at(lattice.inside[pos] & fam & meets & differs):
             kept = c_big & small
-            if kept and kept != dataset.observations[small]:
-                witnesses.append(ViolationWitness(
-                    kind="WARP",
-                    menus=(big, small),
-                    narrative=(
-                        f"c({_fmt(big)}) ∩ {_fmt(small)} = {_fmt(kept)} "
-                        f"but c({_fmt(small)}) = {_fmt(dataset.observations[small])}"),
-                ))
-    return sort_witnesses(witnesses)
+            witnesses.append(ViolationWitness(
+                kind="WARP",
+                menus=(big, small),
+                narrative=(
+                    f"c({_fmt(big)}) ∩ {_fmt(small)} = {_fmt(kept)} "
+                    f"but c({_fmt(small)}) = {_fmt(dataset.observations[small])}"),
+            ))
+    return witnesses
 
 
 def _fmt(ids) -> str:
@@ -355,22 +432,6 @@ def revealed_rows(dataset: ChoiceDataset, menu):
 # -- invariance under a transformation of the domain ------------------------
 
 
-def family_masks(dataset: ChoiceDataset, family):
-    """The family's menus in canonical order, with per-alternative
-    bitmasks (bit i = menu i) of the menus containing it and of the menus
-    choosing it."""
-    menus = sorted_menus(frozenset(m) for m in family)
-    contain, chosen = {}, {}
-    for pos, menu in enumerate(menus):
-        bit = 1 << pos
-        picked = dataset.choice(menu)
-        for alt in menu:
-            contain[alt] = contain.get(alt, 0) | bit
-            if alt in picked:
-                chosen[alt] = chosen.get(alt, 0) | bit
-    return menus, contain, chosen
-
-
 def invariance_over(dataset: ChoiceDataset, family, kind, correspondences) -> list:
     """Violations of choice invariance under a transformation of the domain.
 
@@ -379,18 +440,18 @@ def invariance_over(dataset: ChoiceDataset, family, kind, correspondences) -> li
     alongside y, together with one choosing y2 while x2 is present and
     unchosen.
     """
-    menus, contain, chosen = family_masks(dataset, family)
+    lattice = dataset.lattice()
+    fam = lattice.mask(family)
+    contain, chosen = lattice.contain, lattice.chosen
     witnesses = []
     for x, y, x2, y2, narrative in correspondences:
-        mask_a = chosen.get(x, 0) & contain.get(y, 0)
-        mask_b = chosen.get(y2, 0) & contain.get(x2, 0) & ~chosen.get(x2, 0)
-        if not (mask_a and mask_b):
-            continue
-        for i, menu_a in enumerate(menus):
-            if mask_a >> i & 1:
-                for j, menu_b in enumerate(menus):
-                    if mask_b >> j & 1:
-                        witnesses.append(ViolationWitness(kind, (menu_a, menu_b), narrative))
+        mask_a = fam & chosen.get(x, 0) & contain.get(y, 0)
+        mask_b = fam & chosen.get(y2, 0) & contain.get(x2, 0) & ~chosen.get(x2, 0)
+        if mask_a and mask_b:
+            menus_b = lattice.at(mask_b)
+            for menu_a in lattice.at(mask_a):
+                for menu_b in menus_b:
+                    witnesses.append(ViolationWitness(kind, (menu_a, menu_b), narrative))
     return sort_witnesses(witnesses)
 
 

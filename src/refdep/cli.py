@@ -11,6 +11,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -268,40 +269,33 @@ def build_parser():
 
     p = sub.add_parser("validate", help="validate a dataset file")
     p.add_argument("dataset")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("check", help="run a model's axiom battery")
     p.add_argument("--model", required=True, choices=sorted(_BATTERIES))
     p.add_argument("dataset")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("fit", help="fit model parameters to a dataset")
     p.add_argument("--model", required=True, choices=sorted(_FITTERS))
     p.add_argument("--out", default=None)
     p.add_argument("dataset")
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("simulate", help="expand menus through fitted parameters")
     p.add_argument("--model", required=True, choices=sorted(_FITTERS))
     p.add_argument("--out", default=None)
     p.add_argument("params")
     p.add_argument("menus")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="compare parameters against a dataset")
     p.add_argument("--model", required=True, choices=sorted(_FITTERS))
     p.add_argument("params")
     p.add_argument("dataset")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("report", help="global WARP / structural linkage report")
     p.add_argument("dataset")
-    p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("fixtures", help="list or run the built-in tables")
     p.add_argument("action", choices=["list", "run"])
     p.add_argument("name", nargs="?", default=None)
-    p.set_defaults(func=cmd_fixtures)
 
     p = sub.add_parser("export-triangle",
                        help="sample a fitted lottery model on the probability "
@@ -309,15 +303,19 @@ def build_parser():
     p.add_argument("--resolution", type=int, default=20)
     p.add_argument("--out", default=None)
     p.add_argument("params")
-    p.set_defaults(func=cmd_export_triangle)
     return parser
+
+
+@functools.cache
+def _parser():
+    """The parser, built on the first ``main`` call of the process."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:  # argparse's own report, plus JSON under --json
         exc.parser.print_usage(sys.stderr)
         if "--json" in argv:
@@ -326,8 +324,10 @@ def main(argv=None) -> int:
         else:
             sys.stderr.write(f"{exc.parser.prog}: error: {exc}\n")
         return 2
+    # looked up per call, so a replaced handler takes effect
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
         return _fail(args, "validation", str(exc))
     except RefdepError as exc:

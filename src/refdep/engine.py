@@ -20,7 +20,9 @@ from .choices import (
     FiniteProperty,
     Menu,
     ViolationWitness,
-    menu_key,
+    bits,
+    member_masks,
+    outside,
     sorted_menus,
 )
 from .exceptions import AxiomFails, NonHereditaryPsi, SynthesisFailed
@@ -47,15 +49,22 @@ IDENTITY_PSI = PsiMap("identity", lambda dataset, menu: frozenset(menu))
 
 def psi_table(dataset: ChoiceDataset, psi: PsiMap) -> dict:
     """Psi of every observed menu, cached per dataset and map.  Raises
-    NonHereditaryPsi if heredity fails on an observed nested pair."""
+    NonHereditaryPsi for the first observed nested pair, bigger menu
+    first, on which heredity fails."""
     def table():
-        out = {menu: psi.of(dataset, menu) for menu in dataset.menus()}
-        for small, big in dataset.nested_pairs():
-            stuck = (out[big] & small) - out[small]
+        lattice = dataset.lattice()
+        out = {menu: psi.of(dataset, menu) for menu in lattice.menus}
+        admits = member_masks(out.values())
+        for pos, big in enumerate(lattice.menus):
+            stuck = 0  # menus keeping a member admissible in big but not in them
+            for x in out[big]:
+                stuck |= lattice.contain.get(x, 0) & ~admits[x]
+            stuck &= lattice.inside[pos]
             if stuck:
+                small = lattice.menus[next(bits(stuck))]
                 raise NonHereditaryPsi(
-                    f"{psi.name}: {sorted(stuck)} admissible in {sorted(big)} "
-                    f"but not in sub-menu {sorted(small)}")
+                    f"{psi.name}: {sorted((out[big] & small) - out[small])} admissible "
+                    f"in {sorted(big)} but not in sub-menu {sorted(small)}")
         return out
     return dataset.cached(("psi", psi), table)
 
@@ -71,6 +80,16 @@ def witness_index(dataset: ChoiceDataset, prop: FiniteProperty) -> list:
         return [(w, frozenset().union(*w.menus), frozenset.intersection(*w.menus))
                 for w in prop.check(dataset, dataset.menus())]
     return dataset.cached(("witnesses", prop), index)
+
+
+def _witness_masks(dataset: ChoiceDataset, prop: FiniteProperty):
+    """Per alternative, the witness-index entries (bit k = entry k) whose
+    union holds it and those whose every menu holds it."""
+    def masks():
+        index = witness_index(dataset, prop)
+        return (member_masks(union for _, union, _ in index),
+                member_masks(meet for _, _, meet in index))
+    return dataset.cached(("witness masks", prop), masks)
 
 
 @dataclass(frozen=True)
@@ -94,16 +113,15 @@ class ReferenceOrder:
         return list(self.ranking)
 
 
-def _candidate_witnesses(dataset: ChoiceDataset, prop: FiniteProperty, psi: PsiMap,
-                         pool) -> list:
-    """(x, witnesses) for each admissible member x of ``pool`` in id
-    order: T's violations on the observed menus inside ``pool`` that
-    contain x."""
+def _blocking(dataset: ChoiceDataset, prop: FiniteProperty, psi: PsiMap, pool) -> list:
+    """(x, mask) for each admissible member x of ``pool`` in id order: the
+    witness-index entries that are T's violations on the observed menus
+    inside ``pool`` that contain x."""
     table = psi_table(dataset, psi)
     admissible = table[pool] if pool in table else psi.of(dataset, pool)
-    inside = [(w, meet) for w, union, meet in witness_index(dataset, prop)
-              if union <= pool]
-    return [(x, [w for w, meet in inside if x in meet]) for x in sorted(admissible)]
+    spans, shared = _witness_masks(dataset, prop)
+    elsewhere = outside(spans, pool)
+    return [(x, shared.get(x, 0) & ~elsewhere) for x in sorted(admissible)]
 
 
 def candidate_set(dataset: ChoiceDataset, prop: FiniteProperty, psi: PsiMap,
@@ -111,9 +129,8 @@ def candidate_set(dataset: ChoiceDataset, prop: FiniteProperty, psi: PsiMap,
     """Candidate references of an arbitrary alternative set ``pool``: the
     admissible members x for which the data restricted to observed menus
     inside ``pool`` that contain x satisfies T."""
-    return frozenset(x for x, witnesses in
-                     _candidate_witnesses(dataset, prop, psi, frozenset(pool))
-                     if not witnesses)
+    return frozenset(x for x, blocking in _blocking(dataset, prop, psi, frozenset(pool))
+                     if not blocking)
 
 
 def candidate_references(dataset: ChoiceDataset, prop: FiniteProperty,
@@ -149,11 +166,14 @@ def check_reference_dependence(dataset: ChoiceDataset, prop: FiniteProperty,
     """
     failures = []
     for menu in dataset.menus():
-        results = _candidate_witnesses(dataset, prop, psi, menu)
-        broken = tuple((x, tuple(witnesses)) for x, witnesses in results if witnesses)
+        results = _blocking(dataset, prop, psi, menu)
+        broken = [(x, blocking) for x, blocking in results if blocking]
         if (bool(broken) if universal else len(broken) == len(results)):
-            failures.append(ReferenceDependenceFailure(menu, broken))
-    return sorted(failures, key=lambda f: menu_key(f.menu))
+            index = witness_index(dataset, prop)
+            failures.append(ReferenceDependenceFailure(menu, tuple(
+                (x, tuple(index[pos][0] for pos in bits(blocking)))
+                for x, blocking in broken)))
+    return failures
 
 
 def synthesize_reference_order(dataset: ChoiceDataset, prop: FiniteProperty,
@@ -172,15 +192,14 @@ def synthesize_reference_order(dataset: ChoiceDataset, prop: FiniteProperty,
         raise AxiomFails(f"reference dependence ({prop.name} / {psi.name})", failures)
     images = dict(candidate_references(dataset, prop, psi))
     universe = sorted(dataset.universe)
-    menus = dataset.menus()
+    lattice = dataset.lattice()
     beats = {}
 
     def deletable(z, supersets):
         return all(images[menu] - {z} for menu in supersets if z in images[menu])
 
     for x, y in combinations(universe, 2):
-        pair = frozenset((x, y))
-        supersets = [menu for menu in menus if pair <= menu]
+        supersets = lattice.at(lattice.containing((x, y)))
         dx = deletable(x, supersets)
         dy = deletable(y, supersets)
         if dx and dy:

@@ -105,8 +105,8 @@ def verify_ordu(params: OrduParams, dataset: ChoiceDataset) -> list:
 
 
 def maximal_menus(dataset: ChoiceDataset):
-    menus = dataset.menus()
-    return [m for m in menus if not any(m < other for other in menus)]
+    lattice = dataset.lattice()
+    return [m for pos, m in enumerate(lattice.menus) if lattice.containing(m) == 1 << pos]
 
 
 def check_subset_closed(dataset: ChoiceDataset) -> None:

@@ -18,11 +18,13 @@ from refdep.choices import (
     LotteryPayload,
     PaymentPayload,
     SplitPayload,
+    ViolationWitness,
     sort_witnesses,
+    sorted_menus,
     validate_dataset,
 )
 from refdep.engine import ReferenceOrder
-from refdep.exceptions import RefdepError
+from refdep.exceptions import RefdepError, UnobservedMenu
 from refdep.ordu import simulate_ordu
 from refdep.risk import AreuParams, simulate_areu
 from refdep.social import FspuParams, gini, simulate_fspu
@@ -600,6 +602,75 @@ def anchored_subset_form_by_families(dataset):
         for anchor in sorted(earliest_payments(dataset, menu)):
             witnesses.update(TIME_PROPERTY.check(dataset, [m for m in inside if anchor in m]))
     return sort_witnesses(witnesses)
+
+
+# -- all-pairs scans: the references for the menu lattice ----------------------
+#
+# Each compares every pair of menus directly, so the bitmask answers of
+# ``ChoiceDataset.lattice`` can be checked against them.
+
+
+def nested_pairs_by_scan(dataset):
+    """(small, big) for observed small strictly inside big, big first."""
+    menus = sorted_menus(dataset.observations)
+    return [(small, big) for big in menus for small in menus if small < big]
+
+
+def warp_by_scan(dataset, family):
+    """WARP witnesses inside ``family``, by testing every ordered pair."""
+    fam = [frozenset(m) for m in family]
+    for m in fam:
+        if m not in dataset.observations:
+            raise UnobservedMenu(f"menu {sorted(m)} was not observed")
+    fam = sorted_menus(set(fam))
+    witnesses = []
+    for big in fam:
+        c_big = dataset.observations[big]
+        for small in fam:
+            if small == big or not small < big:
+                continue
+            kept = c_big & small
+            if kept and kept != dataset.observations[small]:
+                witnesses.append(ViolationWitness(
+                    kind="WARP",
+                    menus=(big, small),
+                    narrative=(
+                        f"c({_fmt(big)}) ∩ {_fmt(small)} = {_fmt(kept)} "
+                        f"but c({_fmt(small)}) = {_fmt(dataset.observations[small])}"),
+                ))
+    return sort_witnesses(witnesses)
+
+
+def _fmt(ids):
+    return "{" + ",".join(sorted(ids)) + "}"
+
+
+def invariance_by_scan(dataset, family, kind, correspondences):
+    """Invariance witnesses inside ``family``, by testing every menu pair
+    against every correspondence."""
+    fam = sorted_menus({frozenset(m) for m in family})
+    obs = dataset.observations
+    witnesses = []
+    for x, y, x2, y2, narrative in correspondences:
+        for menu_a in fam:
+            if not (x in obs[menu_a] and y in menu_a):
+                continue
+            for menu_b in fam:
+                if y2 in obs[menu_b] and x2 in menu_b and x2 not in obs[menu_b]:
+                    witnesses.append(ViolationWitness(kind, (menu_a, menu_b), narrative))
+    return sort_witnesses(witnesses)
+
+
+def psi_heredity_by_scan(dataset, psi):
+    """The NonHereditaryPsi message of the first nested pair (in
+    ``nested_pairs_by_scan`` order) where ``psi`` loses heredity, or None."""
+    table = {menu: psi.of(dataset, menu) for menu in dataset.observations}
+    for small, big in nested_pairs_by_scan(dataset):
+        stuck = (table[big] & small) - table[small]
+        if stuck:
+            return (f"{psi.name}: {sorted(stuck)} admissible in {sorted(big)} "
+                    f"but not in sub-menu {sorted(small)}")
+    return None
 
 
 # -- exact simplex oracle ----------------------------------------------------

@@ -253,6 +253,34 @@ def test_usage_errors_under_json_print_a_json_error(capsys):
     assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: refdep ")
 
 
+def test_one_parser_serves_every_command_of_a_process(monkeypatch, capsys):
+    commands = [
+        ["--json", "fit", "--model", "nope", "fixtures://compliance_2_1"],
+        ["--json", "check", "--model", "ordu", "fixtures://compliance_2_1"],
+        ["--json", "report", "fixtures://violation_2_1"],
+        ["fit", "--model", "ordu"],
+        ["fixtures", "list"],
+        ["--json", "validate", "fixtures://compliance_2_1"],
+    ]
+
+    def call(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    first_calls = []
+    for argv in commands:
+        cli._parser.cache_clear()
+        first_calls.append(call(argv))
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    assert [call(argv) for argv in commands] == first_calls
+    assert len(built) == 1
+    assert first_calls[0][0] == first_calls[3][0] == 2
+
+
 def _generic_doc(ids, menu, choice):
     return {"kind": "generic", "alternatives": [{"id": x} for x in ids],
             "observations": [{"menu": menu, "choice": choice}]}

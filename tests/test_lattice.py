@@ -1,0 +1,144 @@
+"""The menu lattice against the all-pairs scans it replaced.
+
+``ChoiceDataset.lattice`` answers every "which observed menus lie inside
+which" question with bitmasks; these tests replay the same questions by
+comparing menus pair by pair (the scans in ``helpers``) on seeded data
+of all four kinds, on thinned datasets and on random sub-families.
+"""
+
+import random
+
+import pytest
+
+from refdep.choices import WARP, invariance_over, shift_correspondences, sorted_menus, warp_over
+from refdep.engine import IDENTITY_PSI, PsiMap, candidate_set, psi_table
+from refdep.exceptions import NonHereditaryPsi, UnobservedMenu
+from refdep.ordu import maximal_menus
+from refdep.risk import LEAST_RISKY_PSI, _mixture_correspondences
+from refdep.rivals import load_fixture
+from refdep.social import MOST_BALANCED_PSI
+from refdep.timepref import EARLIEST_PSI
+
+from helpers import (
+    areu_data,
+    candidate_witnesses_by_families,
+    fspu_data,
+    invariance_by_scan,
+    nested_pairs_by_scan,
+    ordu_data,
+    pbdu_data,
+    perturbed,
+    psi_heredity_by_scan,
+    warp_by_scan,
+)
+
+
+def _no_correspondences(ds):
+    return []
+
+
+DOMAINS = {
+    "generic": (ordu_data, IDENTITY_PSI, _no_correspondences),
+    "lottery": (areu_data, LEAST_RISKY_PSI, _mixture_correspondences),
+    "dated_payment": (pbdu_data, EARLIEST_PSI, lambda ds: shift_correspondences(
+        ds, "amount", "time", lambda d: d > 0, "delay")),
+    "income_split": (fspu_data, MOST_BALANCED_PSI, lambda ds: shift_correspondences(
+        ds, "other", "own", lambda d: d != 0, "own-payment shift")),
+}
+
+
+def _datasets(make, rng, count=4):
+    """Perturbed model data, each followed by a thinned copy."""
+    for _ in range(count):
+        full = perturbed(rng, make(rng))
+        yield full
+        yield full.restrict([m for m in full.menus() if rng.random() < 0.6])
+
+
+def _random_family(rng, menus):
+    family = [m for m in menus if rng.random() < 0.5]
+    rng.shuffle(family)
+    return family
+
+
+@pytest.mark.parametrize("domain", sorted(DOMAINS))
+def test_lattice_agrees_with_the_all_pairs_scans(domain):
+    make, psi, correspondences = DOMAINS[domain]
+    rng = random.Random(71)
+    for ds in _datasets(make, rng):
+        menus = ds.menus()
+        assert isinstance(menus, tuple) and list(menus) == sorted_menus(ds.observations)
+        assert ds.nested_pairs() == nested_pairs_by_scan(ds)
+        assert maximal_menus(ds) == [m for m in menus if not any(m < o for o in menus)]
+        universe = sorted(ds.universe)
+        pools = [*menus, *(frozenset(rng.sample(universe, rng.randint(1, len(universe))))
+                           for _ in range(5))]
+        for pool in pools:
+            assert ds.observed_subsets(pool) == [m for m in menus if m <= pool]
+        assert warp_over(ds, menus) == warp_by_scan(ds, menus)
+        shifts = correspondences(ds)
+        for _ in range(5):
+            family = _random_family(rng, menus)
+            assert warp_over(ds, family) == warp_by_scan(ds, family)
+            drawn = [(*rng.sample(universe, 2), *rng.sample(universe, 2), "drawn")
+                     for _ in range(20)]
+            for corr in (drawn, shifts):
+                assert invariance_over(ds, family, "Invariance", corr) == \
+                    invariance_by_scan(ds, family, "Invariance", corr)
+        assert psi_heredity_by_scan(ds, psi) is None
+        assert psi_table(ds, psi) == {m: psi.of(ds, m) for m in menus}
+
+
+def test_warp_over_finds_violations_on_the_perturbed_data():
+    # the agreement above must not be vacuous
+    rng = random.Random(71)
+    assert any(warp_by_scan(ds, ds.menus()) for ds in _datasets(ordu_data, rng, 2))
+
+
+def test_a_family_with_an_unobserved_menu_raises():
+    ds = load_fixture("compliance_2_1")
+    family = [*ds.menus()[:3], frozenset("az")]
+    with pytest.raises(UnobservedMenu, match=r"\['a', 'z'\]"):
+        warp_over(ds, family)
+    with pytest.raises(UnobservedMenu, match=r"\['a', 'z'\]"):
+        invariance_over(ds, family, "Invariance", [])
+
+
+def test_candidate_sets_of_the_layering_pools_match_the_families():
+    # the pools ordu's layered reference order passes: the universe, then
+    # what is left after each layer, mostly unobserved on thinned data
+    rng = random.Random(67)
+    for ds in _datasets(ordu_data, rng, 6):
+        remaining = set(ds.universe)
+        while remaining:
+            pool = frozenset(remaining)
+            layer = candidate_set(ds, WARP, IDENTITY_PSI, pool)
+            assert layer == frozenset(
+                x for x, witnesses in
+                candidate_witnesses_by_families(ds, WARP, IDENTITY_PSI, pool)
+                if not witnesses)
+            if not layer:
+                break
+            remaining -= layer
+
+
+def test_non_hereditary_psi_names_the_first_offending_pair():
+    rng = random.Random(61)
+    raised = 0
+    for trial, ds in enumerate(_datasets(ordu_data, rng, 10)):
+        # the top member under a random ranking is hereditary; overwrite a
+        # few menus with random subsets to break it somewhere
+        ranking = sorted(ds.universe, key=lambda _: rng.random())
+        picks = {m: frozenset([min(m, key=ranking.index)]) for m in ds.menus()}
+        for menu in rng.sample(ds.menus(), rng.randint(0, 3)):
+            picks[menu] = frozenset(rng.sample(sorted(menu), rng.randint(1, len(menu))))
+        psi = PsiMap(f"drawn-{trial}", lambda dataset, menu, picks=picks: picks[menu])
+        expected = psi_heredity_by_scan(ds, psi)
+        if expected is None:
+            assert psi_table(ds, psi) == picks
+            continue
+        raised += 1
+        with pytest.raises(NonHereditaryPsi) as exc:
+            psi_table(ds, psi)
+        assert str(exc.value) == expected
+    assert raised
