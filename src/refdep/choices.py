@@ -47,9 +47,6 @@ class LotteryPayload:
                 return p
         return Fraction(0)
 
-    def mean(self) -> Fraction:
-        return sum((x * p for x, p in self.probs), Fraction(0))
-
 
 @dataclass(frozen=True)
 class PaymentPayload:

@@ -46,8 +46,6 @@ def _witness_doc(witness):
             "candidates": {x: [_witness_doc(w) for w in ws]
                            for x, ws in witness.per_candidate},
         }
-    if isinstance(witness, str):
-        return {"kind": "note", "narrative": witness}
     return {
         "kind": witness.kind,
         "menus": [sorted(m) for m in witness.menus],

@@ -4,15 +4,14 @@ Everything here is parameterized by a finite property T and an
 admissible-reference map Psi.  A menu's candidate references are the
 admissible members whose preservation keeps T intact on the observed
 sub-menus; the generalized axiom asks every menu to have at least one
-(or, in universal mode, demands it of every admissible member).  When
-the axiom holds, a total reference order consistent with the data can
-be synthesized by the doubleton-pruning recursion.
+(or, in universal mode, demands it of every admissible member).  A
+total reference order consistent with the data is synthesized by
+peeling candidate layers off the universe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable
 
 from .choices import (
@@ -177,74 +176,30 @@ def check_reference_dependence(dataset: ChoiceDataset, prop: FiniteProperty,
 
 
 def synthesize_reference_order(dataset: ChoiceDataset, prop: FiniteProperty,
-                               psi: PsiMap, debug: bool = False) -> ReferenceOrder:
+                               psi: PsiMap) -> ReferenceOrder:
     """Build a Psi-consistent total reference order explaining the data.
 
-    Finite doubleton-pruning recursion: start each observed menu's image
-    at its candidate set, walk the doubletons of the universe in id
-    order, and at each one delete (from every observed superset) a
-    member whose removal empties no image.  Once all doubletons are
-    visited the surviving images are singletons and the kept-over
-    relation is the order.
+    Candidate layering: the candidates of the universe rank first, in id
+    order, then those of what is left, and so on.  Each menu's top member
+    then lies in a layer whose pool holds the menu, so it is admissible
+    there and T holds on its reference class.  A pool with no candidate
+    raises AxiomFails with the axiom's witnesses when the axiom fails and
+    SynthesisFailed when it holds on these (partial) observations.
     """
-    failures = check_reference_dependence(dataset, prop, psi)
-    if failures:
-        raise AxiomFails(f"reference dependence ({prop.name} / {psi.name})", failures)
-    images = dict(candidate_references(dataset, prop, psi))
-    universe = sorted(dataset.universe)
-    lattice = dataset.lattice()
-    beats = {}
-
-    def deletable(z, supersets):
-        return all(images[menu] - {z} for menu in supersets if z in images[menu])
-
-    for x, y in combinations(universe, 2):
-        supersets = lattice.at(lattice.containing((x, y)))
-        dx = deletable(x, supersets)
-        dy = deletable(y, supersets)
-        if dx and dy:
-            drop, keep = (y, x)  # free pair: keep the lexicographically smaller
-        elif dx:
-            drop, keep = x, y
-        elif dy:
-            drop, keep = y, x
-        else:
+    remaining = frozenset(dataset.universe)
+    ranking = []
+    while remaining:
+        layer = candidate_set(dataset, prop, psi, remaining)
+        if not layer:
+            failures = check_reference_dependence(dataset, prop, psi)
+            if failures:
+                raise AxiomFails(f"reference dependence ({prop.name} / {psi.name})", failures)
             raise SynthesisFailed(
-                f"neither of {{{x},{y}}} is deletable; the observed menus are "
-                "too sparse for the pruning recursion (no observed union menu)")
-        beats[(keep, drop)] = True
-        for menu in supersets:
-            images[menu] = images[menu] - {drop}
-        if debug:
-            for menu, image in images.items():
-                assert image, f"image of {sorted(menu)} emptied"
-                for sub in dataset.observed_subsets(menu):
-                    assert image & sub <= images[sub], "alpha property broken"
-
-    wins = {x: 0 for x in universe}
-    for keep, _ in beats:
-        wins[keep] += 1
-    ranking = sorted(universe, key=lambda z: (-wins[z], z))
-    for hi, lo in combinations(ranking, 2):
-        if (hi, lo) not in beats:
-            raise SynthesisFailed(
-                f"kept-over relation is cyclic around {{{hi},{lo}}}; "
-                "cannot linearize on this partial dataset")
-    order = ReferenceOrder(tuple(ranking))
-
-    for menu, image in images.items():
-        if len(image) != 1 or order.argmax(menu) not in image:
-            raise SynthesisFailed(
-                f"image of {sorted(menu)} did not collapse to its order maximum")
-    # a witness lies inside x's reference class iff x tops its union and
-    # belongs to all of its menus
-    broken = sorted({order.argmax(union) for _, union, meet in witness_index(dataset, prop)
-                     if order.argmax(union) in meet})
-    if broken:
-        raise SynthesisFailed(
-            f"reference class of {broken[0]!r} violates {prop.name} across "
-            "non-nested observed menus; data too sparse to certify")
-    return order
+                f"no candidate reference inside {sorted(remaining)}; the observed "
+                "menus are too sparse to layer")
+        ranking.extend(sorted(layer))
+        remaining -= layer
+    return ReferenceOrder(tuple(ranking))
 
 
 def psi_consistency_check(order: ReferenceOrder, psi: PsiMap,

@@ -82,7 +82,8 @@ class MultiValuedChoice(RefdepError):
 
 
 class SynthesisFailed(RefdepError):
-    """The reference-order pruning recursion got stuck on partial data."""
+    """Reference-order layering found a pool with no candidate although
+    the axiom holds on the (partial) observations."""
 
 
 class AxiomFails(RefdepError):

@@ -1,7 +1,7 @@
 """Ordered-reference dependent utility: construction, evaluation, simulation.
 
-The construction follows the finite representation argument: peel off
-candidate-reference layers of the universe to get the reference order,
+The construction follows the finite representation argument: the
+engine's candidate layering of the universe gives the reference order,
 then for each alternative x rank its prediction set (the alternatives x
 reference-dominates and that beat x in binary choice) with the observed
 doubletons and tripletons containing x, and push everything else to a
@@ -28,11 +28,10 @@ from .choices import (
 from .engine import (
     IDENTITY_PSI,
     ReferenceOrder,
-    candidate_set,
     check_reference_dependence,
+    synthesize_reference_order,
 )
 from .exceptions import (
-    AxiomFails,
     NotSubsetClosed,
     RefdepError,
     UnionUnobserved,
@@ -134,20 +133,6 @@ def prediction_set(dataset: ChoiceDataset, order: ReferenceOrder, x) -> frozense
     return frozenset(out)
 
 
-def _layered_reference_order(dataset: ChoiceDataset) -> ReferenceOrder:
-    remaining = set(dataset.universe)
-    ranking = []
-    while remaining:
-        layer = candidate_set(dataset, WARP, IDENTITY_PSI, frozenset(remaining))
-        if not layer:
-            raise AxiomFails(
-                "reference dependence (layering)",
-                [f"no candidate reference inside {sorted(remaining)}"])
-        ranking.extend(sorted(layer))
-        remaining -= layer
-    return ReferenceOrder(tuple(ranking))
-
-
 def _rank_prediction_set(dataset: ChoiceDataset, x, pset) -> dict:
     """Total preorder on the prediction set, via menus containing x.
 
@@ -196,7 +181,7 @@ def build_ordu(dataset: ChoiceDataset) -> OrduParams:
     """
     check_subset_closed(dataset)
     raise_first_failure(battery(dataset))
-    order = _layered_reference_order(dataset)
+    order = synthesize_reference_order(dataset, WARP, IDENTITY_PSI)
     utilities = {}
     for x in order.ranking:
         pset = prediction_set(dataset, order, x)

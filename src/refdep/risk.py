@@ -686,25 +686,13 @@ def _rho_interval(dataset, menus):
     return _meet(lower, upper)
 
 
-def _sweep(intervals):
-    """Whether one value per interval exists, non-increasing down the list
-    (safest class first): from the bottom, carry the lower bound up."""
-    carried = _UNIT[0]
-    for interval in reversed(intervals):
-        if interval is None:
-            return False
-        carried = max(carried, interval[0])
-        if _meet(carried, interval[1]) is None:
-            return False
-    return True
-
-
 def _order_admits(intervals, order):
     """Whether some chain of the closed ``order`` over the classes of
-    ``intervals`` (ref -> interval) passes ``_sweep``: exactly when each
-    class's lower bound, raised by those of the classes below it, still
-    fits under its upper bound.  (Sorting the classes by raised lower
-    bound, ties by the order, gives a chain that passes.)"""
+    ``intervals`` (ref -> interval) admits one value per class, weakly
+    falling down the chain: exactly when each class's lower bound, raised
+    by those of the classes below it, still fits under its upper bound.
+    (Sorting the classes by raised lower bound, ties by the order, gives
+    such a chain.)  When ``order`` is itself a chain, it decides that one."""
     if None in intervals.values():
         return False
     for ref, (lower, upper) in intervals.items():
@@ -718,15 +706,17 @@ def _solve_chain(dataset, classes, chain):
     """One utility per reference class (``classes`` maps ref -> menus),
     weakly more concave up ``chain``, the refs ordered safest first.
 
-    On 3-prize grids ``_sweep`` decides the chain exactly and the LP, with
-    one concavity row per adjacent pair, runs only for a chain that
-    passes, to return the certificate; None is then a proof that the
+    On 3-prize grids ``_order_admits`` decides the chain exactly and the
+    LP, with one concavity row per adjacent pair, runs only for a chain
+    that passes, to return the certificate; None is then a proof that the
     chain has no utilities.  On 4+ prize grids: relax, post-check, then
     pin the gap ratios between adjacent classes to a refined rational
     grid, so None there means only "no certificate found"."""
     prizes = prize_grid(dataset)
     n = len(prizes)
-    if n == 3 and not _sweep([_rho_interval(dataset, classes[ref]) for ref in chain]):
+    if n == 3 and not _order_admits(
+            {ref: _rho_interval(dataset, classes[ref]) for ref in chain},
+            {ref: chain[k + 1:] for k, ref in enumerate(chain)}):
         return None
     groups = [(ref, classes[ref]) for ref in chain]
     problem = _utility_problem(dataset, groups)
@@ -931,6 +921,8 @@ def _triangle_points(params: AreuParams, prizes, resolution):
         raise NotATriangle("params are not over this prize grid")
     by_vector = {v: i for i, v in params.lotteries}
     k = int(resolution)
+    if k < 1:
+        raise ValidationError(f"resolution must be at least 1, got {k}")
     points = {}
     for i in range(k + 1):
         for j in range(k + 1 - i):

@@ -23,7 +23,7 @@ from .exceptions import (
 from .ordu import build_ordu, union_anchor_condition, verify_ordu
 
 
-def _table(kind, rows):
+def _table(rows):
     alts = sorted({x for menu, _ in rows for x in menu})
     return validate_dataset(
         GENERIC,
@@ -45,28 +45,28 @@ class Fixture:
 
 
 def _fixtures() -> dict:
-    compliance = _table(GENERIC, [
+    compliance = _table([
         ("abcd", "b"),
         ("abc", "b"), ("abd", "b"), ("acd", "d"), ("bcd", "bc"),
         ("ab", "b"), ("ac", "a"), ("ad", "d"),
         ("bc", "b"), ("bd", "b"), ("cd", "c"),
     ])
-    violation = _table(GENERIC, [
+    violation = _table([
         ("abc", "b"), ("ab", "a"), ("bc", "c"), ("ac", "a"),
     ])
-    decoy = _table(GENERIC, [
+    decoy = _table([
         ("abcd", "a"),
         ("abc", "a"), ("abd", "b"), ("acd", "c"), ("bcd", "b"),
         ("ab", "a"), ("ac", "a"), ("ad", "a"),
         ("bc", "b"), ("bd", "b"), ("cd", "c"),
     ])
-    pe_table = _table(GENERIC, [
+    pe_table = _table([
         ("abcd", "a"),
         ("abc", "ab"), ("abd", "ad"), ("acd", "a"), ("bcd", "c"),
         ("ab", "ab"), ("ac", "a"), ("ad", "ad"),
         ("bc", "bc"), ("bd", "d"), ("cd", "c"),
     ])
-    rsm_table = _table(GENERIC, [
+    rsm_table = _table([
         ("abcd", "a"),
         ("abc", "a"), ("abd", "d"), ("acd", "a"), ("bcd", "c"),
         ("ab", "a"), ("ac", "a"), ("ad", "d"),
@@ -75,19 +75,19 @@ def _fixtures() -> dict:
     # The separation pattern: a wins the small menu {a,b} and the grand
     # menu but loses the intermediate {a,b,d}, which no two-stage
     # shortlist can produce; {a,b,c} -> a keeps the table representable.
-    ordu_not_rsm = _table(GENERIC, [
+    ordu_not_rsm = _table([
         ("abcd", "a"),
         ("abc", "a"), ("abd", "b"), ("acd", "a"), ("bcd", "b"),
         ("ab", "a"), ("ac", "a"), ("ad", "a"),
         ("bc", "b"), ("bd", "b"), ("cd", "c"),
     ])
-    binary_cycle = _table(GENERIC, [
+    binary_cycle = _table([
         ("ab", "a"), ("bc", "b"), ("ca", "c"),
     ])
-    cla_small = _table(GENERIC, [
+    cla_small = _table([
         ("abc", "b"), ("ab", "a"), ("bc", "c"), ("ac", "a"),
     ])
-    ordu_not_cla = _table(GENERIC, [
+    ordu_not_cla = _table([
         ("abcd", "ab"),
         ("abc", "bc"), ("abd", "ab"), ("acd", "a"), ("bcd", "b"),
         ("ab", "b"), ("ac", "c"), ("ad", "a"),

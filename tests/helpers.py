@@ -23,8 +23,13 @@ from refdep.choices import (
     sorted_menus,
     validate_dataset,
 )
-from refdep.engine import ReferenceOrder
-from refdep.exceptions import RefdepError, UnobservedMenu
+from refdep.engine import (
+    ReferenceOrder,
+    candidate_references,
+    check_reference_dependence,
+    witness_index,
+)
+from refdep.exceptions import AxiomFails, RefdepError, SynthesisFailed, UnobservedMenu
 from refdep.ordu import simulate_ordu
 from refdep.risk import AreuParams, simulate_areu
 from refdep.social import FspuParams, gini, simulate_fspu
@@ -671,6 +676,75 @@ def psi_heredity_by_scan(dataset, psi):
             return (f"{psi.name}: {sorted(stuck)} admissible in {sorted(big)} "
                     f"but not in sub-menu {sorted(small)}")
     return None
+
+
+# -- the doubleton-pruning recursion: the reference for order synthesis ---------
+
+
+def synthesize_by_pruning(dataset, prop, psi):
+    """A Psi-consistent reference order by the finite doubleton-pruning
+    recursion, the reference for ``engine.synthesize_reference_order``.
+
+    Start each observed menu's image at its candidate set, walk the
+    doubletons of the universe in id order, and at each one delete (from
+    every observed superset) a member whose removal empties no image,
+    asserting after each step that no image is empty and that images keep
+    the alpha property.  Once all doubletons are visited the surviving
+    images are singletons and the kept-over relation is the order.
+    Raises AxiomFails when the axiom fails and SynthesisFailed when the
+    recursion gets stuck or its order fails the post-checks.
+    """
+    failures = check_reference_dependence(dataset, prop, psi)
+    if failures:
+        raise AxiomFails(f"reference dependence ({prop.name} / {psi.name})", failures)
+    images = dict(candidate_references(dataset, prop, psi))
+    universe = sorted(dataset.universe)
+    lattice = dataset.lattice()
+    beats = set()
+
+    def deletable(z, supersets):
+        return all(images[menu] - {z} for menu in supersets if z in images[menu])
+
+    for x, y in combinations(universe, 2):
+        supersets = lattice.at(lattice.containing((x, y)))
+        dx = deletable(x, supersets)
+        dy = deletable(y, supersets)
+        if dx and dy:
+            drop, keep = (y, x)  # free pair: keep the lexicographically smaller
+        elif dx:
+            drop, keep = x, y
+        elif dy:
+            drop, keep = y, x
+        else:
+            raise SynthesisFailed(f"neither of {{{x},{y}}} is deletable")
+        beats.add((keep, drop))
+        for menu in supersets:
+            images[menu] = images[menu] - {drop}
+        for menu, image in images.items():
+            assert image, f"image of {sorted(menu)} emptied"
+            for sub in dataset.observed_subsets(menu):
+                assert image & sub <= images[sub], "alpha property broken"
+
+    wins = {x: 0 for x in universe}
+    for keep, _ in beats:
+        wins[keep] += 1
+    ranking = sorted(universe, key=lambda z: (-wins[z], z))
+    if any((hi, lo) not in beats for hi, lo in combinations(ranking, 2)):
+        raise SynthesisFailed("kept-over relation is cyclic")
+    order = ReferenceOrder(tuple(ranking))
+    for menu, image in images.items():
+        if len(image) != 1 or order.argmax(menu) not in image:
+            raise SynthesisFailed(f"image of {sorted(menu)} did not collapse")
+    if order_breaks_a_reference_class(dataset, prop, order):
+        raise SynthesisFailed("a reference class violates the property")
+    return order
+
+
+def order_breaks_a_reference_class(dataset, prop, order):
+    """Whether a witness of ``prop`` lies inside one reference class of
+    ``order``: x tops the union of its menus and belongs to all of them."""
+    return any(order.argmax(union) in meet
+               for _, union, meet in witness_index(dataset, prop))
 
 
 # -- exact simplex oracle ----------------------------------------------------

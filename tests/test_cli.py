@@ -356,6 +356,20 @@ def test_export_triangle_under_json_prints_the_csv_inside_json(tmp_path):
     assert text.splitlines()[0] == "p_b,p_w,reference_id,utility_level"
 
 
+@pytest.mark.parametrize("resolution", ["0", "-1"])
+def test_export_triangle_below_resolution_one_is_a_validation_error(
+        tmp_path, capsys, resolution):
+    from test_risk import fan_out_params
+    params_path = tmp_path / "areu.json"
+    params_path.write_text(to_json(fan_out_params((F(0), F(1), F(3)), 2).to_json()))
+    argv = ["export-triangle", "--resolution", resolution, str(params_path)]
+    code, doc = run_json(argv)
+    assert code == 2 and doc == {"error": "validation",
+                                 "detail": f"resolution must be at least 1, got {resolution}"}
+    assert run(argv) == (2, "")
+    assert capsys.readouterr().err == f"error: resolution must be at least 1, got {resolution}\n"
+
+
 def test_text_mode_renders_without_error():
     code, out = run(["check", "--model", "ordu", "fixtures://compliance_2_1"])
     assert code == 0 and "pass" in out

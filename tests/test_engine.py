@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -14,7 +15,7 @@ from refdep.engine import (
     psi_consistency_check,
     synthesize_reference_order,
 )
-from refdep.exceptions import NonHereditaryPsi
+from refdep.exceptions import AxiomFails, NonHereditaryPsi, SynthesisFailed
 from refdep.ordu import build_ordu, simulate_ordu
 from refdep.risk import LEAST_RISKY_PSI, RISK_PROPERTY
 from refdep.rivals import load_fixture
@@ -36,6 +37,7 @@ from helpers import (
     generic_dataset,
     lot,
     lottery_dataset,
+    order_breaks_a_reference_class,
     ordu_bruteforce,
     ordu_data,
     pay,
@@ -45,6 +47,7 @@ from helpers import (
     random_ordu_params,
     rationalizable_by_weak_order,
     reference_dependence_by_families,
+    synthesize_by_pruning,
     time_reference_dependence_by_pairs,
 )
 
@@ -99,7 +102,7 @@ def test_doubletons_and_singletons_always_pass():
 
 def test_synthesize_matches_the_layered_order_on_compliance():
     ds = load_fixture("compliance_2_1")
-    order = synthesize_reference_order(ds, WARP, IDENTITY_PSI, debug=True)
+    order = synthesize_reference_order(ds, WARP, IDENTITY_PSI)
     assert order.ranking == ("a", "d", "b", "c")
     cmap = candidate_references(ds, WARP, IDENTITY_PSI)
     for menu in ds.menus():
@@ -285,3 +288,44 @@ def test_engine_agrees_with_evaluating_every_sub_family(domain):
                 assert report.pairwise == pairwise
                 assert report.subset_form == tuple(anchored_subset_form_by_families(ds))
     assert applicable or domain != "dated_payment"
+
+
+def _clean_perturbed_and_thinned(rng, make, count):
+    """Per draw: the model's data, a perturbed copy, and each thinned to
+    about 60 % of its menus."""
+    for _ in range(count):
+        clean = make(rng)
+        for ds in (clean, perturbed(rng, clean)):
+            yield ds
+            yield ds.restrict([m for m in ds.menus() if rng.random() < 0.6])
+
+
+@pytest.mark.parametrize("domain", sorted(ENGINE_DOMAINS))
+def test_synthesis_agrees_with_the_pruning_recursion(domain):
+    make, prop, psi = ENGINE_DOMAINS[domain]
+    rng = random.Random(53)
+    outcomes = Counter()
+    for ds in _clean_perturbed_and_thinned(rng, make, 12):
+        failures = check_reference_dependence(ds, prop, psi)
+        try:
+            oracle = synthesize_by_pruning(ds, prop, psi)
+        except (AxiomFails, SynthesisFailed):
+            oracle = None
+        try:
+            order = synthesize_reference_order(ds, prop, psi)
+        except AxiomFails as exc:
+            assert exc.axiom == f"reference dependence ({prop.name} / {psi.name})"
+            assert exc.witnesses == failures != []
+            outcomes["axiom fails"] += 1
+            continue
+        except SynthesisFailed:
+            assert failures == [] and oracle is None
+            outcomes["stuck"] += 1
+            continue
+        assert failures == []
+        candidates = candidate_references(ds, prop, psi)
+        assert all(order.argmax(menu) in candidates[menu] for menu in ds.menus())
+        assert not order_breaks_a_reference_class(ds, prop, order)
+        assert psi_consistency_check(order, psi, ds, ds.menus()) == []
+        outcomes["order" if oracle is not None else "order, oracle stuck"] += 1
+    assert outcomes["order"] and outcomes["axiom fails"], outcomes

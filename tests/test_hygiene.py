@@ -1,8 +1,9 @@
 """No dead names in the modules of ``src/refdep`` (``__init__.py`` aside).
 
 Each module reads every name it takes with a ``from``-import, unless the
-import line says that ``bench/tracing.py`` wraps the name there, and
-reads every private name it defines at module level.
+import line says that ``bench/tracing.py`` wraps the name there, reads
+every private name it defines at module level, and reads every parameter
+of each of its functions (``self`` and ``cls`` aside) in that function.
 """
 
 import ast
@@ -52,3 +53,20 @@ def test_every_private_module_name_is_read(path):
     unread = [name for statement in tree.body for name in _defined(statement)
               if name.startswith("_") and not name.startswith("__") and name not in read]
     assert not unread, f"{path.name} defines but never reads {unread}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_every_parameter_is_read(path):
+    _, tree, _ = _parse(path)
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        spec = node.args
+        params = [*spec.posonlyargs, *spec.args, *spec.kwonlyargs,
+                  *filter(None, (spec.vararg, spec.kwarg))]
+        read = {name.id for statement in node.body for name in ast.walk(statement)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+        unread += [f"{node.name}({arg.arg})" for arg in params
+                   if arg.arg not in ("self", "cls") and arg.arg not in read]
+    assert not unread, f"{path.name} never reads the parameters {unread}"

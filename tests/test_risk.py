@@ -499,6 +499,13 @@ def _chain_lp(classes):
     return solve_linear_feasibility(problem)
 
 
+def _chain_admits(intervals):
+    """Whether one value per interval exists, non-increasing down the list
+    (safest class first): ``_order_admits`` on the list's own chain."""
+    refs = range(len(intervals))
+    return risk._order_admits(dict(zip(refs, intervals)), {k: refs[k + 1:] for k in refs})
+
+
 # u = 1/2 as a row, and u > 1/2, u < 1/2 as open bounds that meet it
 HALF, ABOVE_HALF, BELOW_HALF = (2, -1, "="), (2, -1, ">"), (-2, 1, ">")
 
@@ -516,7 +523,7 @@ HALF, ABOVE_HALF, BELOW_HALF = (2, -1, "="), (2, -1, ">"), (-2, 1, ">")
 ])
 def test_sweep_at_bounds_that_meet_at_one_point(classes, feasible):
     intervals = [risk._interval(rows) for rows in classes]
-    assert risk._sweep(intervals) == feasible == bool(_chain_lp(classes))
+    assert _chain_admits(intervals) == feasible == bool(_chain_lp(classes))
 
 
 def test_sweep_agrees_with_the_lp_on_random_three_prize_chains():
@@ -524,7 +531,7 @@ def test_sweep_agrees_with_the_lp_on_random_three_prize_chains():
     verdicts = []
     for _ in range(400):
         classes = _random_rows(rng, rng.randint(1, 4))
-        verdict = risk._sweep([risk._interval(rows) for rows in classes])
+        verdict = _chain_admits([risk._interval(rows) for rows in classes])
         assert verdict == bool(_chain_lp(classes))
         verdicts.append(verdict)
     assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
@@ -542,7 +549,7 @@ def test_menu_intervals_agree_with_the_utility_lp():
         ds = lottery_dataset(lots, [(m, rng.sample(sorted(m), rng.randint(1, 2)))
                                     for m in menus])
         classes = {"hi": menus[:2], "lo": menus[2:]}
-        verdict = risk._sweep([risk._rho_interval(ds, classes[r]) for r in ("hi", "lo")])
+        verdict = _chain_admits([risk._rho_interval(ds, classes[r]) for r in ("hi", "lo")])
         problem = risk._utility_problem(ds, classes.items())
         problem.add({"u[hi][1]": 1, "u[lo][1]": -1}, ">=", 0)
         assert verdict == bool(solve_linear_feasibility(problem))
@@ -563,7 +570,7 @@ def test_order_admits_exactly_when_some_chain_passes_the_sweep():
         refs = rng.sample(items, rng.randint(1, len(items)))
         intervals = {ref: risk._interval(rows)
                      for ref, rows in zip(refs, _random_rows(rng, len(refs)))}
-        some = any(risk._sweep([intervals[r] for r in chain])
+        some = any(_chain_admits([intervals[r] for r in chain])
                    for chain in risk._chains(refs, order))
         assert risk._order_admits(intervals, order) == some
         verdicts.append(some)
