@@ -38,6 +38,11 @@ class LotteryPayload:
 
     probs: tuple  # tuple[(Fraction prize, Fraction prob), ...]
 
+    def __post_init__(self):
+        if sum((p for _, p in self.probs), Fraction(0)) != 1 \
+                or any(p < 0 for _, p in self.probs):
+            raise ValidationError("lottery probabilities must be >= 0 and sum to 1")
+
     def support(self):
         return tuple(x for x, _ in self.probs)
 

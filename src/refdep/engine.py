@@ -46,26 +46,41 @@ class PsiMap:
 IDENTITY_PSI = PsiMap("identity", lambda dataset, menu: frozenset(menu))
 
 
+def _psi(dataset: ChoiceDataset, psi: PsiMap):
+    """Psi of every observed menu and, per alternative, the mask of the
+    observed menus admitting it; cached per dataset and map, with
+    heredity checked on every observed menu."""
+    def build():
+        lattice = dataset.lattice()
+        table = {menu: psi.of(dataset, menu) for menu in lattice.menus}
+        known = table, member_masks(table.values())
+        for pos, big in enumerate(lattice.menus):
+            _check_heredity(lattice, psi, known, big, table[big], lattice.inside[pos])
+        return known
+    return dataset.cached(("psi", psi), build)
+
+
+def _check_heredity(lattice, psi, known, pool, admissible, inside) -> None:
+    """Raise NonHereditaryPsi, naming the members and the first sub-menu,
+    when a member of ``admissible``, Psi of ``pool``, is not admitted by an
+    observed sub-menu of ``pool`` (a bit of ``inside``) that holds it."""
+    table, admits = known
+    stuck = 0
+    for x in admissible:
+        stuck |= lattice.contain.get(x, 0) & ~admits.get(x, 0)
+    stuck &= inside
+    if stuck:
+        small = lattice.menus[next(bits(stuck))]
+        raise NonHereditaryPsi(
+            f"{psi.name}: {sorted((admissible & small) - table[small])} admissible "
+            f"in {sorted(pool)} but not in sub-menu {sorted(small)}")
+
+
 def psi_table(dataset: ChoiceDataset, psi: PsiMap) -> dict:
     """Psi of every observed menu, cached per dataset and map.  Raises
     NonHereditaryPsi for the first observed nested pair, bigger menu
     first, on which heredity fails."""
-    def table():
-        lattice = dataset.lattice()
-        out = {menu: psi.of(dataset, menu) for menu in lattice.menus}
-        admits = member_masks(out.values())
-        for pos, big in enumerate(lattice.menus):
-            stuck = 0  # menus keeping a member admissible in big but not in them
-            for x in out[big]:
-                stuck |= lattice.contain.get(x, 0) & ~admits[x]
-            stuck &= lattice.inside[pos]
-            if stuck:
-                small = lattice.menus[next(bits(stuck))]
-                raise NonHereditaryPsi(
-                    f"{psi.name}: {sorted((out[big] & small) - out[small])} admissible "
-                    f"in {sorted(big)} but not in sub-menu {sorted(small)}")
-        return out
-    return dataset.cached(("psi", psi), table)
+    return _psi(dataset, psi)[0]
 
 
 def witness_index(dataset: ChoiceDataset, prop: FiniteProperty) -> list:
@@ -115,9 +130,14 @@ class ReferenceOrder:
 def _blocking(dataset: ChoiceDataset, prop: FiniteProperty, psi: PsiMap, pool) -> list:
     """(x, mask) for each admissible member x of ``pool`` in id order: the
     witness-index entries that are T's violations on the observed menus
-    inside ``pool`` that contain x."""
-    table = psi_table(dataset, psi)
-    admissible = table[pool] if pool in table else psi.of(dataset, pool)
+    inside ``pool`` that contain x.  Raises NonHereditaryPsi when ``pool``
+    is not an observed menu and Psi is not hereditary from it."""
+    known = _psi(dataset, psi)
+    admissible = known[0].get(pool)
+    if admissible is None:
+        admissible = psi.of(dataset, pool)
+        lattice = dataset.lattice()
+        _check_heredity(lattice, psi, known, pool, admissible, lattice.within(pool))
     spans, shared = _witness_masks(dataset, prop)
     elsewhere = outside(spans, pool)
     return [(x, shared.get(x, 0) & ~elsewhere) for x in sorted(admissible)]

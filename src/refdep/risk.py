@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 
 from .choices import (
     Alternative,
@@ -98,18 +98,22 @@ def _check_same_grid(prizes, *vectors):
 # -- the risk orders -------------------------------------------------------
 
 
+def _cdf_gaps(p, q):
+    """The running difference F_p - F_q of the two CDFs, prize by prize."""
+    return accumulate(x - y for x, y in zip(p, q))
+
+
+def _scale(p, q, coords):
+    """The beta with p[i] = beta * q[i] at every index in ``coords``: 0
+    when q vanishes on all of them, None when no single beta fits."""
+    beta = next((p[i] / q[i] for i in coords if q[i] != 0), _ZERO)
+    return beta if all(p[i] == beta * q[i] for i in coords) else None
+
+
 def fosd(prizes, p, q) -> bool:
     """p first-order stochastically dominates q (strictly somewhere)."""
     _check_same_grid(prizes, p, q)
-    if p == q:
-        return False
-    fp = fq = _ZERO
-    for i in range(len(prizes)):
-        fp += p[i]
-        fq += q[i]
-        if fp > fq:
-            return False
-    return True
+    return p != q and all(gap <= 0 for gap in _cdf_gaps(p, q))
 
 
 def mps(prizes, p, q) -> bool:
@@ -119,45 +123,22 @@ def mps(prizes, p, q) -> bool:
     partial sums of the CDF difference stay nonnegative at every prize.
     """
     _check_same_grid(prizes, p, q)
-    if p == q:
+    if p == q or sum(x * (a - b) for x, a, b in zip(prizes, p, q)) != 0:
         return False
-    mean_p = sum((prizes[i] * p[i] for i in range(len(prizes))), _ZERO)
-    mean_q = sum((prizes[i] * q[i] for i in range(len(prizes))), _ZERO)
-    if mean_p != mean_q:
-        return False
-    fp = fq = _ZERO
-    acc = _ZERO
-    for i in range(len(prizes) - 1):
-        fp += p[i]
-        fq += q[i]
-        acc += (fp - fq) * (prizes[i + 1] - prizes[i])
-        if acc < 0:
-            return False
-    return True
+    steps = (hi - lo for lo, hi in zip(prizes, prizes[1:]))
+    return all(acc >= 0 for acc in accumulate(
+        gap * step for gap, step in zip(_cdf_gaps(p, q), steps)))
 
 
 def extreme_spread(prizes, p, q) -> bool:
     """p mixes q with a best/worst bet whose best-prize weight falls
     strictly inside (q(best), 1 - q(worst))."""
     _check_same_grid(prizes, p, q)
-    n = len(prizes)
-    interior = range(1, n - 1)
-    beta = None
-    for i in interior:
-        if q[i] != 0:
-            beta = p[i] / q[i]
-            break
-    if beta is None:
-        beta = _ZERO  # q lives on the extreme prizes only
-    if not 0 <= beta < 1:
+    beta = _scale(p, q, range(1, len(prizes) - 1))
+    if beta is None or not 0 <= beta < 1:
         return False
-    for i in interior:
-        if p[i] != beta * q[i]:
-            return False
     alpha = (p[-1] - beta * q[-1]) / (1 - beta)
-    if not q[-1] < alpha < 1 - q[0]:
-        return False
-    return p[0] == beta * q[0] + (1 - beta) * (1 - alpha)
+    return q[-1] < alpha < 1 - q[0] and p[0] == beta * q[0] + (1 - beta) * (1 - alpha)
 
 
 def worst_dilution(prizes, p, q) -> bool:
@@ -165,24 +146,15 @@ def worst_dilution(prizes, p, q) -> bool:
 
     Not part of the least-risky map; used only to force the reference
     order in fitting (diluting toward the worst prize never makes a
-    lottery safer).
+    lottery safer).  The fitter keeps these edges because with the spread
+    edges alone the reverse Allais data fits, ranking the diluted sure
+    thing above the sure thing.
     """
     _check_same_grid(prizes, p, q)
     if p == q:
         return False
-    beta = None
-    for i in range(1, len(prizes)):
-        if q[i] != 0:
-            beta = p[i] / q[i]
-            break
-    if beta is None:
-        return False  # q is the degenerate worst-prize lottery
-    if not 0 <= beta < 1:
-        return False
-    for i in range(1, len(prizes)):
-        if p[i] != beta * q[i]:
-            return False
-    return p[0] == beta * q[0] + (1 - beta)
+    beta = _scale(p, q, range(1, len(prizes)))
+    return beta is not None and 0 <= beta < 1 and p[0] == beta * q[0] + (1 - beta)
 
 
 def riskier_than(prizes, p, q) -> bool:
@@ -850,20 +822,9 @@ def betweenness_over(dataset: ChoiceDataset, family) -> list:
 
 def _mixture_weight(va, vb, vm):
     """alpha in (0,1) with vm = alpha va + (1-alpha) vb, else None."""
-    alpha = None
-    for x, y, z in zip(va, vb, vm):
-        if x == y:
-            if z != x:
-                return None
-            continue
-        candidate = (z - y) / (x - y)
-        if alpha is None:
-            alpha = candidate
-        elif alpha != candidate:
-            return None
-    if alpha is None or not 0 < alpha < 1:
-        return None
-    return alpha
+    alpha = _scale([z - y for y, z in zip(vb, vm)], [x - y for x, y in zip(va, vb)],
+                   range(len(va)))
+    return alpha if alpha is not None and 0 < alpha < 1 else None
 
 
 def transitivity_over(dataset: ChoiceDataset, family) -> list:

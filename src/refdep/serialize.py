@@ -57,11 +57,7 @@ def _payload_from_json(kind, raw):
     if kind == LOTTERY:
         probs = sorted((parse_rational(x), parse_rational(p))
                        for x, p in raw["probs"].items())
-        probs = tuple((x, p) for x, p in probs if p != 0)
-        total = sum((p for _, p in probs), Fraction(0))
-        if total != 1 or any(p < 0 for _, p in probs):
-            raise ValidationError("lottery probabilities must be >= 0 and sum to 1")
-        return LotteryPayload(probs)
+        return LotteryPayload(tuple((x, p) for x, p in probs if p != 0))
     if kind == DATED_PAYMENT:
         amount = parse_rational(raw["amount"])
         time = parse_rational(raw["time"])

@@ -53,10 +53,14 @@ def earliest_payments(dataset: ChoiceDataset, menu) -> frozenset:
 EARLIEST_PSI = PsiMap("earliest-payments", earliest_payments)
 
 
+def _delays(dataset: ChoiceDataset) -> list:
+    """The correspondences of a common positive delay, cached per dataset."""
+    return shift_correspondences(dataset, "amount", "time", lambda d: d > 0, "delay")
+
+
 def stationarity_over(dataset: ChoiceDataset, family) -> list:
     """Violations of choice invariance under a common positive delay."""
-    delays = shift_correspondences(dataset, "amount", "time", lambda d: d > 0, "delay")
-    return invariance_over(dataset, family, "Stationarity", delays)
+    return invariance_over(dataset, family, "Stationarity", _delays(dataset))
 
 
 STATIONARITY = FiniteProperty("Stationarity", stationarity_over)
@@ -125,9 +129,15 @@ def check_outcome_monotonicity_impatience(dataset: ChoiceDataset) -> list:
 
 def check_present_bias(dataset: ChoiceDataset) -> list:
     """Patience may only grow under a uniform delay, plus the scaled-menu
-    indifference-propagation clause."""
+    indifference-propagation clause.
+
+    Clause 1 reads the common-positive-delay correspondences that
+    stationarity caches: it reports the doubletons {early, late} and
+    {early2, late2}, each payment of the second the same amount delayed
+    by the same positive time, when ``late`` alone is chosen before the
+    delay and ``late2`` is not alone chosen after it."""
     witnesses = []
-    menus = dataset.menus()
+    observed = dataset.observations
     pays = {alt: dataset.payload(alt) for alt in dataset.universe}
 
     def timeline(menu):
@@ -137,32 +147,18 @@ def check_present_bias(dataset: ChoiceDataset) -> list:
             return None
         return members, times
 
-    doubles = [m for m in menus if len(m) == 2]
-    for menu_a in doubles:
-        line_a = timeline(menu_a)
-        if line_a is None:
-            continue
-        (e1, l1), (ta, tb) = line_a
-        for menu_b in doubles:
-            line_b = timeline(menu_b)
-            if line_b is None:
-                continue
-            (e2, l2), (sa, sb) = line_b
-            d = sa - ta
-            if d <= 0 or sb - tb != d:
-                continue
-            if pays[e1].amount != pays[e2].amount or \
-                    pays[l1].amount != pays[l2].amount:
-                continue
-            if dataset.observations[menu_a] == {l1} and \
-                    dataset.observations[menu_b] != {l2}:
-                witnesses.append(ViolationWitness(
-                    kind="PresentBias",
-                    menus=(menu_a, menu_b),
-                    narrative=(f"the later option {l1} wins, but after delaying "
-                               f"both by {format_rational(d)} it no longer does"),
-                ))
-    triples = [m for m in menus if len(m) == 3]
+    for late, early, late2, early2, _ in _delays(dataset):
+        menu_a, menu_b = frozenset((early, late)), frozenset((early2, late2))
+        if pays[early].time < pays[late].time and observed.get(menu_a) == {late} \
+                and menu_b in observed and observed[menu_b] != {late2}:
+            delay = pays[late2].time - pays[late].time
+            witnesses.append(ViolationWitness(
+                kind="PresentBias",
+                menus=(menu_a, menu_b),
+                narrative=(f"the later option {late} wins, but after delaying "
+                           f"both by {format_rational(delay)} it no longer does"),
+            ))
+    triples = [m for m in dataset.menus() if len(m) == 3]
     for menu_a in triples:
         line_a = timeline(menu_a)
         if line_a is None or dataset.observations[menu_a] != menu_a:

@@ -32,6 +32,7 @@ from refdep.engine import (
 from refdep.exceptions import AxiomFails, RefdepError, SynthesisFailed, UnobservedMenu
 from refdep.ordu import simulate_ordu
 from refdep.risk import AreuParams, simulate_areu
+from refdep.serialize import format_rational
 from refdep.social import FspuParams, gini, simulate_fspu
 from refdep.timepref import TIME_PROPERTY, PbduParams, earliest_payments, simulate_pbdu
 
@@ -676,6 +677,139 @@ def psi_heredity_by_scan(dataset, psi):
             return (f"{psi.name}: {sorted(stuck)} admissible in {sorted(big)} "
                     f"but not in sub-menu {sorted(small)}")
     return None
+
+
+# -- the lottery relations and present bias by explicit loops ----------------
+#
+# The bodies ``risk`` had before its relations shared one CDF walk and one
+# mixture-weight derivation, and the doubleton-by-doubleton clause 1 of
+# ``timepref.check_present_bias``: the references for the shared forms.
+
+
+def fosd_by_loop(prizes, p, q):
+    if p == q:
+        return False
+    fp = fq = F(0)
+    for i in range(len(prizes)):
+        fp += p[i]
+        fq += q[i]
+        if fp > fq:
+            return False
+    return True
+
+
+def mps_by_loop(prizes, p, q):
+    if p == q:
+        return False
+    mean_p = sum((prizes[i] * p[i] for i in range(len(prizes))), F(0))
+    mean_q = sum((prizes[i] * q[i] for i in range(len(prizes))), F(0))
+    if mean_p != mean_q:
+        return False
+    fp = fq = acc = F(0)
+    for i in range(len(prizes) - 1):
+        fp += p[i]
+        fq += q[i]
+        acc += (fp - fq) * (prizes[i + 1] - prizes[i])
+        if acc < 0:
+            return False
+    return True
+
+
+def extreme_spread_by_loop(prizes, p, q):
+    n = len(prizes)
+    interior = range(1, n - 1)
+    beta = None
+    for i in interior:
+        if q[i] != 0:
+            beta = p[i] / q[i]
+            break
+    if beta is None:
+        beta = F(0)  # q lives on the extreme prizes only
+    if not 0 <= beta < 1:
+        return False
+    for i in interior:
+        if p[i] != beta * q[i]:
+            return False
+    alpha = (p[-1] - beta * q[-1]) / (1 - beta)
+    if not q[-1] < alpha < 1 - q[0]:
+        return False
+    return p[0] == beta * q[0] + (1 - beta) * (1 - alpha)
+
+
+def worst_dilution_by_loop(prizes, p, q):
+    if p == q:
+        return False
+    beta = None
+    for i in range(1, len(prizes)):
+        if q[i] != 0:
+            beta = p[i] / q[i]
+            break
+    if beta is None:
+        return False  # q is the degenerate worst-prize lottery
+    if not 0 <= beta < 1:
+        return False
+    for i in range(1, len(prizes)):
+        if p[i] != beta * q[i]:
+            return False
+    return p[0] == beta * q[0] + (1 - beta)
+
+
+def mixture_weight_by_loop(va, vb, vm):
+    alpha = None
+    for x, y, z in zip(va, vb, vm):
+        if x == y:
+            if z != x:
+                return None
+            continue
+        candidate = (z - y) / (x - y)
+        if alpha is None:
+            alpha = candidate
+        elif alpha != candidate:
+            return None
+    if alpha is None or not 0 < alpha < 1:
+        return None
+    return alpha
+
+
+def present_bias_delays_by_pairs(dataset):
+    """Clause 1 of present bias, each observed doubleton against each."""
+    witnesses = []
+    menus = dataset.menus()
+    pays = {alt: dataset.payload(alt) for alt in dataset.universe}
+
+    def timeline(menu):
+        members = sorted(menu, key=lambda alt: (pays[alt].time, pays[alt].amount))
+        times = [pays[alt].time for alt in members]
+        if len(set(times)) != len(times):
+            return None
+        return members, times
+
+    doubles = [m for m in menus if len(m) == 2]
+    for menu_a in doubles:
+        line_a = timeline(menu_a)
+        if line_a is None:
+            continue
+        (e1, l1), (ta, tb) = line_a
+        for menu_b in doubles:
+            line_b = timeline(menu_b)
+            if line_b is None:
+                continue
+            (e2, l2), (sa, sb) = line_b
+            d = sa - ta
+            if d <= 0 or sb - tb != d:
+                continue
+            if pays[e1].amount != pays[e2].amount or \
+                    pays[l1].amount != pays[l2].amount:
+                continue
+            if dataset.observations[menu_a] == {l1} and \
+                    dataset.observations[menu_b] != {l2}:
+                witnesses.append(ViolationWitness(
+                    kind="PresentBias",
+                    menus=(menu_a, menu_b),
+                    narrative=(f"the later option {l1} wins, but after delaying "
+                               f"both by {format_rational(d)} it no longer does"),
+                ))
+    return sort_witnesses(set(witnesses))
 
 
 # -- the doubleton-pruning recursion: the reference for order synthesis ---------

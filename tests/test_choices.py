@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from refdep.choices import (
     Alternative,
     GENERIC,
     LOTTERY,
+    LotteryPayload,
     validate_dataset,
     warp_over,
 )
@@ -16,6 +18,7 @@ from refdep.exceptions import (
     EmptyChoice,
     MixedPayloadKinds,
     UnobservedMenu,
+    ValidationError,
 )
 from refdep.risk import betweenness_over, independence_over, transitivity_over
 from refdep.rivals import load_fixture
@@ -60,6 +63,15 @@ def test_duplicate_menu_rejected():
     with pytest.raises(DuplicateMenu):
         validate_dataset(GENERIC, [Alternative("a"), Alternative("b")],
                          [(("a", "b"), ("a",)), (("b", "a"), ("b",))])
+
+
+@pytest.mark.parametrize("probs", [((0, F(-1, 2)), (2, F(3, 2))), ((0, F(1, 2)), (2, F(1, 4)))],
+                         ids=["negative", "mass-deficient"])
+def test_lottery_probabilities_are_checked_when_the_payload_is_built(probs):
+    with pytest.raises(ValidationError, match="must be >= 0 and sum to 1"):
+        validate_dataset(LOTTERY, [Alternative("a", LotteryPayload(probs)),
+                                   Alternative("b", lot([(1, 1)]))],
+                         [(frozenset("ab"), frozenset("a"))])
 
 
 def test_mixed_payload_kinds_rejected():

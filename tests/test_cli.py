@@ -195,6 +195,20 @@ def test_model_of_another_dataset_kind_exits_2_with_json(tmp_path):
     assert code == 2 and doc["error"] == "validation"
 
 
+@pytest.mark.parametrize("probs", [{"0": "-1/2", "2": "3/2"}, {"0": "1/2", "2": "1/4"}],
+                         ids=["negative", "mass-deficient"])
+def test_lottery_with_bad_probabilities_exits_2_with_json(tmp_path, probs):
+    path = tmp_path / "data.json"
+    path.write_text(to_json({
+        "kind": "lottery",
+        "alternatives": [{"id": "a", "payload": {"probs": probs}},
+                         {"id": "b", "payload": {"probs": {"1": "1"}}}],
+        "observations": [{"menu": ["a", "b"], "choice": ["a"]}]}))
+    code, doc = run_json(["validate", str(path)])
+    assert code == 2 and doc == {"error": "validation",
+                                 "detail": "lottery probabilities must be >= 0 and sum to 1"}
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--model", "pbdu", "ordu.json", "fixtures://compliance_2_1"],
     ["simulate", "--model", "fspu", "pbdu.json", "menus.json"],

@@ -171,6 +171,17 @@ def test_non_hereditary_psi_is_rejected():
         check_reference_dependence(ds, WARP, bad)
 
 
+def test_non_hereditary_psi_on_an_unobserved_pool_is_rejected():
+    # hereditary between the observed doubletons, but the layering pool
+    # {a, b, c} admits c, which {a, c} does not
+    odd = PsiMap("odd", lambda ds, menu:
+                 frozenset([max(menu) if len(menu) == 3 else min(menu)]))
+    ds = generic_dataset([("ab", "a"), ("bc", "b"), ("ac", "a")])
+    with pytest.raises(NonHereditaryPsi) as exc:
+        synthesize_reference_order(ds, WARP, odd)
+    assert str(exc.value) == "odd: ['c'] admissible in ['a', 'b', 'c'] but not in sub-menu ['a', 'c']"
+
+
 def test_universal_mode_is_stricter():
     # b and c tie as most-balanced-style candidates; make one of them fail
     ds = generic_dataset([("abc", "a"), ("ab", "b"), ("ac", "a"), ("bc", "b")])

@@ -1,19 +1,38 @@
 """No dead names in the modules of ``src/refdep`` (``__init__.py`` aside).
 
 Each module reads every name it takes with a ``from``-import, unless the
-import line says that ``bench/tracing.py`` wraps the name there, reads
-every private name it defines at module level, and reads every parameter
-of each of its functions (``self`` and ``cls`` aside) in that function.
+import line says that ``bench/tracing.py`` wraps the name there and its
+``install()`` does replace that module global, reads every private name
+it defines at module level, and reads every parameter of each of its
+functions (``self`` and ``cls`` aside) in that function.
 """
 
 import ast
+import importlib
+from functools import cache
 from pathlib import Path
 
 import pytest
 
+from test_bench_tracing import _load_tracing
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "refdep"
 MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
 WRAPPED = "bench/tracing.py wraps it"
+
+
+@cache
+def _replaced_by_tracing():
+    """(module stem, name) for each module global that the benchmark's
+    ``install()`` replaces; every original is restored before returning."""
+    modules = {path.stem: importlib.import_module(f"refdep.{path.stem}") for path in MODULES}
+    before = {stem: dict(vars(module)) for stem, module in modules.items()}
+    tracer = _load_tracing().install()
+    try:
+        return {(stem, name) for stem, module in modules.items()
+                for name, value in vars(module).items() if before[stem].get(name) is not value}
+    finally:
+        tracer.remove()
 
 
 def _parse(path):
@@ -43,7 +62,8 @@ def test_every_from_import_is_read(path):
               if isinstance(node, ast.ImportFrom) and node.module != "__future__"
               for alias in node.names
               if (alias.asname or alias.name) not in read
-              and WRAPPED not in lines[alias.lineno - 1]]
+              and not (WRAPPED in lines[alias.lineno - 1]
+                       and (path.stem, alias.asname or alias.name) in _replaced_by_tracing())]
     assert not unused, f"{path.name} imports but never reads {unused}"
 
 

@@ -39,10 +39,15 @@ from helpers import (
     all_menus,
     allais_dataset,
     areu_instance,
+    extreme_spread_by_loop,
+    fosd_by_loop,
     lot,
     lottery_dataset,
+    mixture_weight_by_loop,
+    mps_by_loop,
     random_rho_monotone_areu,
     reverse_allais_dataset,
+    worst_dilution_by_loop,
 )
 
 PRIZES = (F(0), F(3000), F(4000))
@@ -180,6 +185,69 @@ def test_extreme_spread_never_dominates_its_base():
         if extreme_spread(prizes, p, q):
             assert p != q
             assert not fosd(prizes, p, q)
+
+
+def _probability_vector(rng, n):
+    denom = rng.choice((2, 3, 4, 6, 12))
+    cuts = sorted(rng.randint(0, denom) for _ in range(n - 1))
+    return tuple(F(hi - lo, denom) for lo, hi in zip((0, *cuts), (*cuts, denom)))
+
+
+def _mix(weight, p, q):
+    return tuple(weight * x + (1 - weight) * y for x, y in zip(p, q))
+
+
+def _related_pair(rng, prizes):
+    """(p, q) built so that one relation tends to hold: a worst-prize
+    dilution, a mixture with a best/worst bet, a mean-preserving move of
+    an interior prize's mass to two others, an upward shift of mass, or
+    neither (independent draws)."""
+    n = len(prizes)
+    q = _probability_vector(rng, n)
+    weight = F(rng.randint(0, 4), 4)
+    worst, best = (F(1), *[F(0)] * (n - 1)), (*[F(0)] * (n - 1), F(1))
+    kind = rng.randrange(5)
+    if kind == 0:
+        return _mix(weight, q, worst), q
+    if kind == 1:
+        return _mix(weight, q, _mix(F(rng.randint(0, 6), 6), best, worst)), q
+    movable = [i for i in range(1 if kind == 2 else 0, n - 1) if q[i]]
+    if kind == 4 or not movable:
+        return _probability_vector(rng, n), q
+    p = list(q)
+    mid = rng.choice(movable)
+    moved = q[mid] * F(rng.randint(1, 2), 2)
+    p[mid] -= moved
+    if kind == 2:
+        lo, hi = rng.randrange(mid), rng.randrange(mid + 1, n)
+        p[lo] += moved * (prizes[hi] - prizes[mid]) / (prizes[hi] - prizes[lo])
+        p[hi] += moved * (prizes[mid] - prizes[lo]) / (prizes[hi] - prizes[lo])
+    else:
+        p[rng.randrange(mid + 1, n)] += moved
+    return tuple(p), q
+
+
+def test_relations_match_their_explicit_loops_on_random_vectors():
+    rng = random.Random(12)
+    holds = dict.fromkeys(("fosd", "mps", "extreme", "dilution", "mixture"), 0)
+    for _ in range(50_000):
+        prizes = tuple(F(x) for x in sorted(rng.sample(range(12), rng.randint(3, 5))))
+        p, q = _related_pair(rng, prizes)
+        if rng.random() < 0.5:
+            p, q = q, p
+        mixed = (_mix(F(rng.randint(0, 6), 6), p, q) if rng.random() < 0.5
+                 else _probability_vector(rng, len(prizes)))
+        results = {
+            "fosd": (fosd(prizes, p, q), fosd_by_loop(prizes, p, q)),
+            "mps": (mps(prizes, p, q), mps_by_loop(prizes, p, q)),
+            "extreme": (extreme_spread(prizes, p, q), extreme_spread_by_loop(prizes, p, q)),
+            "dilution": (worst_dilution(prizes, p, q), worst_dilution_by_loop(prizes, p, q)),
+            "mixture": (risk._mixture_weight(p, q, mixed), mixture_weight_by_loop(p, q, mixed)),
+        }
+        for name, (new, old) in results.items():
+            assert new == old, (name, prizes, p, q, mixed)
+            holds[name] += new not in (False, None)
+    assert min(holds.values()) > 3_000, holds
 
 
 # -- independence ------------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -22,7 +23,16 @@ from refdep.timepref import (
     verify_pbdu,
 )
 
-from helpers import all_menus, pay, payment_dataset, pbdu_instance
+from helpers import (
+    all_menus,
+    integer_pbdu_data,
+    pay,
+    payment_dataset,
+    pbdu_data,
+    pbdu_instance,
+    perturbed,
+    present_bias_delays_by_pairs,
+)
 
 
 def fixture_dataset():
@@ -129,6 +139,31 @@ def test_present_bias_passes_on_the_fixture_and_on_simulations():
                 for k, v in payments.items()]
         ds = simulate_pbdu(params, alts, menus)
         assert check_present_bias(ds) == []
+
+
+def _all_doubletons(rng):
+    """Every doubleton of five to seven payments drawn with repeats from a
+    small amount-by-time grid, each choosing one member or both."""
+    cells = [(rng.randint(1, 3), rng.randint(0, 3)) for _ in range(rng.randint(5, 7))]
+    payments = {f"p{i}": pay(a, t) for i, (a, t) in enumerate(cells)}
+    return payment_dataset(payments, [
+        (menu, rng.choice((menu[:1], menu[1:], menu)))
+        for menu in combinations(sorted(payments), 2)])
+
+
+def test_present_bias_delays_match_the_doubleton_pairs():
+    rng = random.Random(23)
+    draws = (pbdu_data, integer_pbdu_data, _all_doubletons,
+             lambda rng: perturbed(rng, pbdu_data(rng)),
+             lambda rng: perturbed(rng, integer_pbdu_data(rng)))
+    flagged = 0
+    for _ in range(650):
+        for draw in draws:
+            ds = draw(rng)
+            delays = [w for w in check_present_bias(ds) if len(w.menus[0]) == 2]
+            assert delays == present_bias_delays_by_pairs(ds)
+            flagged += bool(delays)
+    assert flagged > 100
 
 
 def test_present_bias_scaling_clause_fires():
