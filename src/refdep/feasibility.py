@@ -4,13 +4,19 @@ Every fitter in this package reduces to one question: does a finite
 system of weak/strict linear inequalities with rational coefficients
 have a solution?  Floating-point LP cannot certify strict inequalities,
 so this module implements a small two-phase dictionary simplex with
-Bland's rule in exact arithmetic.  The tableau is fraction-free: every
-entry is a Python ``int`` over one common denominator, updated by
-Bareiss's exact-division step, and only the returned vertex is turned
-back into ``Fraction`` values.  Strict relations are handled with a
-shared gap variable g: each ``lhs > rhs`` becomes ``lhs >= rhs + g``, g
-is capped at 1 and then maximized; the system is feasible exactly when
-the optimum is positive.
+Bland's rule in exact arithmetic.  Coefficients are ``int`` or
+``Fraction``, and ints stay ints: a problem records the denominator D
+its rows are over, so a caller whose data share one denominator hands
+in integer rows, and the tableau is built straight from the sparse
+constraints.  The tableau is fraction-free: every entry is a Python
+``int`` over one common denominator, updated by Bareiss's exact-division
+step, and only the returned vertex is turned back into ``Fraction``
+values.  Strict relations are handled with a shared gap variable g:
+each ``lhs > rhs`` becomes ``lhs >= rhs + g``, g is capped at 1 and then
+maximized; the system is feasible exactly when the optimum is positive.
+The gap column and its cap are scaled by D too, so a problem over D
+gives the tableau of the same problem over 1 times D, and Bland's rule
+takes the same pivots to the same vertex.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ from typing import Mapping
 from .exceptions import RefdepError
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # relation -> (comparison, signs of its ``<=`` rows, takes the gap column):
 # ``lhs R rhs`` becomes ``sign * lhs (+ g) <= sign * rhs`` for each sign
@@ -41,25 +46,35 @@ RELATIONS = {
 class Constraint:
     """``sum(coeffs[v] * v) relation rhs`` with exact rational data."""
 
-    coeffs: tuple  # tuple[(str, Fraction), ...] sorted by variable name
+    coeffs: tuple  # tuple[(str, int | Fraction), ...] sorted by variable name
     relation: str
-    rhs: Fraction
+    rhs: int | Fraction
 
     def holds(self, assignment: Mapping) -> bool:
         lhs = sum((c * assignment[v] for v, c in self.coeffs), _ZERO)
         return RELATIONS[self.relation][0](lhs, self.rhs)
 
 
+def _exact(x):
+    """``x`` as an exact number: ints and ``Fraction``s as they are."""
+    return x if type(x) is int or type(x) is Fraction else Fraction(x)
+
+
 def constraint(coeffs: Mapping, relation: str, rhs) -> Constraint:
     if relation not in RELATIONS:
         raise ValueError(f"unknown relation {relation!r}")
-    items = tuple(sorted((v, Fraction(c)) for v, c in coeffs.items() if Fraction(c) != 0))
-    return Constraint(items, relation, Fraction(rhs))
+    items = sorted((v, _exact(c)) for v, c in coeffs.items())
+    return Constraint(tuple(item for item in items if item[1] != 0), relation, _exact(rhs))
 
 
 @dataclass
 class LinearFeasibilityProblem:
+    """Constraints over one ``denominator`` D: each row stands for itself
+    divided by D.  Only the strictness gap reads D; it stays in the
+    problem's own units, capped at 1, whatever D is."""
+
     constraints: list = field(default_factory=list)
+    denominator: int = 1
 
     def add(self, coeffs: Mapping, relation: str, rhs) -> None:
         self.constraints.append(constraint(coeffs, relation, rhs))
@@ -100,27 +115,28 @@ def solve_linear_feasibility(problem: LinearFeasibilityProblem):
     column = {name: 2 * i for i, name in enumerate(names)}
     gap = 2 * len(names)
     nvars = gap + 1 if strict else gap
+    den = problem.denominator
 
     rows = []  # (coeff vector, bound) meaning  coeffs . x <= bound
     for con in problem.constraints:
         _, signs, gapped = RELATIONS[con.relation]
-        vec = [_ZERO] * nvars
-        for v, c in con.coeffs:
-            vec[column[v]] = c
-            vec[column[v] + 1] = -c
         for sign in signs:
-            row = vec if sign == 1 else [-c for c in vec]
+            row = [0] * nvars
+            for v, c in con.coeffs:
+                c = c if sign == 1 else -c
+                row[column[v]] = c
+                row[column[v] + 1] = -c
             if gapped:
-                row[gap] = _ONE
+                row[gap] = den
             rows.append((row, con.rhs if sign == 1 else -con.rhs))
     if strict:
-        cap = [_ZERO] * nvars
-        cap[gap] = _ONE
-        rows.append((cap, _ONE))
+        cap = [0] * nvars
+        cap[gap] = den
+        rows.append((cap, den))
 
-    objective = [_ZERO] * nvars
+    objective = [0] * nvars
     if strict:
-        objective[gap] = _ONE
+        objective[gap] = 1
 
     solution = _simplex_maximize(rows, objective)
     if solution is None:
@@ -140,8 +156,9 @@ def _simplex_maximize(rows, objective):
     """Maximize ``objective . x`` s.t. ``rows`` (Ax <= b), x >= 0.
 
     Dictionary simplex with Bland's rule on a fraction-free integer
-    tableau (Edmonds; Bareiss).  The rows and b are scaled once by the
-    lcm of their denominators and the objective by its own; every entry
+    tableau (Edmonds; Bareiss).  Entries are ``int`` or ``Fraction``.
+    The rows and b are scaled once by the lcm of their denominators (1
+    when they are all ints) and the objective by its own; every entry
     is then a Python ``int`` over one common denominator ``d``, which is
     the determinant of the current basis, so each ``//`` below is exact.
     Positive scaling of the rows and of the objective keeps the signs

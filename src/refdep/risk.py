@@ -1,16 +1,21 @@
 """Risk domain: lotteries, risk orders, expected-utility fitting.
 
 Lotteries live on the dataset's prize grid (the sorted union of
-supports) and are handled as exact probability vectors.  Two partial
-risk orders drive everything: mean-preserving spreads and extreme
-spreads; the admissible references of a menu are the members spread
-over by nobody.  The fitted representation assigns one normalized
+supports) and are handled as exact probability vectors: the axioms, the
+least-risky Psi map and the fitter read them through one cached integer
+view (numerators over the probabilities' common denominator D), and the
+utility LP takes its rows over D as integers.  ``Fraction``s are built
+only for what is reported: params, narratives and the LP vertex.  Two
+partial risk orders drive everything: mean-preserving spreads and
+extreme spreads; the admissible references of a menu are the members
+spread over by nobody.  The fitted representation assigns one normalized
 Bernoulli utility per reference, more concave for safer references.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations
@@ -59,7 +64,13 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-# -- prize grids and vectors ----------------------------------------------
+# -- prize grids and integer coordinates ------------------------------------
+#
+# Every hot path reads a dataset's lotteries through one cached integer
+# view: the probabilities as numerators over their common denominator D,
+# the prizes as integers over their own.  The relations below are
+# scale-free, so they decide the same on this view as on the ``Fraction``
+# vectors, and ``Fraction``s are built only where a value is reported.
 
 
 def prize_grid(dataset: ChoiceDataset):
@@ -73,19 +84,24 @@ def prize_grid(dataset: ChoiceDataset):
     return dataset.cached("prizes", grid)
 
 
-def lottery_vector(payload: LotteryPayload, prizes) -> tuple:
-    vec = [payload.prob(x) for x in prizes]
-    if sum(vec, _ZERO) != 1:
-        raise PrizeSetMismatch("lottery has mass outside the prize grid")
-    return tuple(vec)
+def _integer_coords(prizes, vectors: dict) -> tuple:
+    """``prizes`` and the probability ``vectors`` (id -> tuple) as
+    integers: (the prizes over their common denominator, the
+    probabilities' common denominator D, id -> numerators over D)."""
+    scale = math.lcm(*(x.denominator for x in prizes))
+    den = math.lcm(*(x.denominator for vec in vectors.values() for x in vec))
+    return (tuple(x.numerator * (scale // x.denominator) for x in prizes), den,
+            {i: tuple(x.numerator * (den // x.denominator) for x in vec)
+             for i, vec in vectors.items()})
 
 
-def _vectors(dataset: ChoiceDataset) -> dict:
-    def table():
+def _coords(dataset: ChoiceDataset) -> tuple:
+    """The dataset's lotteries on its prize grid as ``_integer_coords``."""
+    def view():
         prizes = prize_grid(dataset)
-        return {alt_id: lottery_vector(alt.payload, prizes)
-                for alt_id, alt in dataset.alternatives.items()}
-    return dataset.cached("vectors", table)
+        return _integer_coords(prizes, {alt_id: tuple(alt.payload.prob(x) for x in prizes)
+                                        for alt_id, alt in dataset.alternatives.items()})
+    return dataset.cached("coords", view)
 
 
 def _check_same_grid(prizes, *vectors):
@@ -104,10 +120,13 @@ def _cdf_gaps(p, q):
 
 
 def _scale(p, q, coords):
-    """The beta with p[i] = beta * q[i] at every index in ``coords``: 0
+    """The beta with p[i] = beta * q[i] at every index in ``coords``, as
+    a (numerator, denominator) pair with a positive denominator: (0, 1)
     when q vanishes on all of them, None when no single beta fits."""
-    beta = next((p[i] / q[i] for i in coords if q[i] != 0), _ZERO)
-    return beta if all(p[i] == beta * q[i] for i in coords) else None
+    num, den = next(((p[i], q[i]) for i in coords if q[i] != 0), (0, 1))
+    if den < 0:
+        num, den = -num, -den
+    return (num, den) if all(p[i] * den == num * q[i] for i in coords) else None
 
 
 def fosd(prizes, p, q) -> bool:
@@ -132,13 +151,17 @@ def mps(prizes, p, q) -> bool:
 
 def extreme_spread(prizes, p, q) -> bool:
     """p mixes q with a best/worst bet whose best-prize weight falls
-    strictly inside (q(best), 1 - q(worst))."""
+    strictly inside (q(best), 1 - q(worst)).  Scale-free: the total mass
+    is read as sum(q), and the mixture weights are cross-multiplied."""
     _check_same_grid(prizes, p, q)
     beta = _scale(p, q, range(1, len(prizes) - 1))
-    if beta is None or not 0 <= beta < 1:
+    if beta is None or not 0 <= beta[0] < beta[1]:
         return False
-    alpha = (p[-1] - beta * q[-1]) / (1 - beta)
-    return q[-1] < alpha < 1 - q[0] and p[0] == beta * q[0] + (1 - beta) * (1 - alpha)
+    num, den = beta
+    mass, rest = sum(q), den - num
+    alpha = den * p[-1] - num * q[-1]  # the bet's best-prize weight, times den - num
+    return (q[-1] * rest < alpha < (mass - q[0]) * rest
+            and den * p[0] == num * q[0] + rest * mass - alpha)
 
 
 def worst_dilution(prizes, p, q) -> bool:
@@ -154,7 +177,10 @@ def worst_dilution(prizes, p, q) -> bool:
     if p == q:
         return False
     beta = _scale(p, q, range(1, len(prizes)))
-    return beta is not None and 0 <= beta < 1 and p[0] == beta * q[0] + (1 - beta)
+    if beta is None:
+        return False
+    num, den = beta
+    return 0 <= num < den and den * p[0] == num * q[0] + (den - num) * sum(q)
 
 
 def riskier_than(prizes, p, q) -> bool:
@@ -164,8 +190,7 @@ def riskier_than(prizes, p, q) -> bool:
 def _spreads(dataset: ChoiceDataset) -> frozenset:
     """The dataset's (p, q) lottery pairs with p riskier than q."""
     def pairs():
-        prizes = prize_grid(dataset)
-        vectors = _vectors(dataset)
+        prizes, _, vectors = _coords(dataset)
         return frozenset((p, q) for p in vectors for q in vectors
                          if p != q and riskier_than(prizes, vectors[p], vectors[q]))
     return dataset.cached("spreads", pairs)
@@ -188,21 +213,15 @@ LEAST_RISKY_PSI = PsiMap("least-risky", least_risky)
 
 
 def _diff_key(vec):
-    """Canonical (direction, sign) key; two diffs match a positive scalar
-    multiple iff their keys are equal."""
-    pivot = None
-    for x in vec:
-        if x != 0:
-            pivot = x
-            break
-    if pivot is None:
-        return None
-    return (tuple(x / abs(pivot) for x in vec), pivot > 0)
+    """The gcd-primitive form of an integer vector, None for zero; two
+    diffs are positive scalar multiples iff their keys are equal."""
+    g = math.gcd(*vec)
+    return tuple(x // g for x in vec) if g else None
 
 
 def _diff_table(dataset: ChoiceDataset):
     def table():
-        vectors = _vectors(dataset)
+        _, _, vectors = _coords(dataset)
         ids = sorted(vectors)
         out = {}
         for a in ids:
@@ -220,7 +239,7 @@ def _mixture_correspondences(dataset: ChoiceDataset):
     (p, q, p', q', alpha) with p' = p^a s and q' = q^a s exactly, a in
     (0,1), for some lottery s on the grid."""
     def correspondences():
-        vectors = _vectors(dataset)
+        _, _, vectors = _coords(dataset)
         diffs = _diff_table(dataset)
         groups = {}
         for pair, (vec, key) in diffs.items():
@@ -229,16 +248,17 @@ def _mixture_correspondences(dataset: ChoiceDataset):
         corr = []
         for pairs in groups.values():
             for p, q in pairs:
+                # the group's diffs are positive multiples of one another,
+                # so alpha = num / den with both read at one pivot
                 base = diffs[(p, q)][0]
                 pivot = next(i for i, x in enumerate(base) if x != 0)
+                den = abs(base[pivot])
                 for p2, q2 in pairs:
-                    alpha = diffs[(p2, q2)][0][pivot] / base[pivot]
-                    if not 0 < alpha < 1:
-                        continue
-                    mixer = tuple((x2 - alpha * x) / (1 - alpha)
-                                  for x2, x in zip(vectors[p2], vectors[p]))
-                    if all(x >= 0 for x in mixer):
-                        a = format_rational(alpha)
+                    num = abs(diffs[(p2, q2)][0][pivot])
+                    # the mixer (p2 - alpha p) / (1 - alpha) is a lottery
+                    if num < den and all(den * x2 >= num * x
+                                         for x2, x in zip(vectors[p2], vectors[p])):
+                        a = format_rational(Fraction(num, den))
                         corr.append((p, q, p2, q2, f"clause 1: {p} chosen over {q} "
                                      f"but the {a}-mixture {p2} loses to {q2}"))
                         corr.append((p2, q2, p, q, f"clause 2: {p2} chosen over {q2} "
@@ -265,8 +285,7 @@ def check_risk_reference_dependence(dataset: ChoiceDataset) -> list:
 
 def check_fosd_dominance(dataset: ChoiceDataset) -> list:
     """A dominated lottery must never be chosen while its dominator is present."""
-    prizes = prize_grid(dataset)
-    vectors = _vectors(dataset)
+    prizes, _, vectors = _coords(dataset)
     witnesses = []
     for menu in dataset.menus():
         picked = dataset.observations[menu]
@@ -411,10 +430,10 @@ class AreuParams:
                 raise ValidationError("utilities must be normalized to [0, 1]")
             rhos[i] = rho_vector(self.prizes, u)
         ranking = self.order.ranking
-        vectors = dict(self.lotteries)
+        prizes, _, vectors = _integer_coords(self.prizes, dict(self.lotteries))
         for hi_pos, hi in enumerate(ranking):
             for lo in ranking[hi_pos + 1:]:
-                if riskier_than(self.prizes, vectors[hi], vectors[lo]):
+                if riskier_than(prizes, vectors[hi], vectors[lo]):
                     raise ValidationError(
                         f"order is not risk-consistent: {hi} is a spread of {lo}")
                 if any(a < b for a, b in zip(rhos[hi], rhos[lo])):
@@ -471,8 +490,7 @@ def verify_areu(params: AreuParams, dataset: ChoiceDataset) -> list:
 
 def _forced_edges(dataset: ChoiceDataset) -> set:
     """(above, below) pairs forced on any admissible reference order."""
-    prizes = prize_grid(dataset)
-    vectors = _vectors(dataset)
+    prizes, _, vectors = _coords(dataset)
     spreads = _spreads(dataset)
     return {(q, p) for p in vectors for q in vectors if p != q
             and ((p, q) in spreads or worst_dilution(prizes, vectors[p], vectors[q]))}
@@ -513,7 +531,7 @@ def _reference_assignments(dataset: ChoiceDataset, order):
     first; yields ({menu: reference}, order) pairs, the closed ``order``
     extended by each reference above the rest of its menu."""
     menus = sorted(dataset.menus(), key=lambda m: (-len(m), menu_key(m)))
-    vectors = _vectors(dataset)
+    _, _, vectors = _coords(dataset)
     admissible = psi_table(dataset, LEAST_RISKY_PSI)
     candidates = {m: sorted(admissible[m], key=lambda i: vectors[i]) for m in menus}
 
@@ -543,7 +561,7 @@ def _uvar(label, i, n):
 def _eu_row(label, weights, n):
     """sum of w * u[label][i] over (i, w) in ``weights``, as LP
     coefficients plus the constant the normalized endpoints contribute."""
-    coeffs, const = {}, _ZERO
+    coeffs, const = {}, 0
     for i, w in weights:
         name = _uvar(label, i, n)
         if name is None:
@@ -556,26 +574,28 @@ def _eu_row(label, weights, n):
 
 def _menu_rows(dataset, menu):
     """One menu's EU-rationalization rows as (relation, head - other)
-    pairs over its ``revealed_rows``."""
-    vectors = _vectors(dataset)
+    pairs over its ``revealed_rows``, the differences in integers over D."""
+    diffs = _diff_table(dataset)
     for relation, head, other in revealed_rows(dataset, menu):
-        yield relation, tuple(a - b for a, b in zip(vectors[head], vectors[other]))
+        yield relation, diffs[(head, other)][0]
 
 
 def _utility_problem(dataset, groups):
     """The utility LP of ``groups``, (label, menus) pairs: per label a
     normalized, strictly increasing utility and the EU-rationalization
-    rows of its menus."""
+    rows of its menus.  Every row is over the probabilities' common
+    denominator D, so the EU rows are integer."""
     n = len(prize_grid(dataset))
-    problem = LinearFeasibilityProblem()
+    _, den, _ = _coords(dataset)
+    problem = LinearFeasibilityProblem(denominator=den)
     for label, menus in groups:
         last = None
         for i in range(1, n - 1):
             name = _uvar(label, i, n)
-            problem.add({name: 1, last: -1} if last else {name: 1}, ">", 0)
+            problem.add({name: den, last: -den} if last else {name: den}, ">", 0)
             last = name
         if last is not None:
-            problem.add({last: 1}, "<", 1)
+            problem.add({last: den}, "<", den)
         for menu in menus:
             for relation, diff in _menu_rows(dataset, menu):
                 coeffs, const = _eu_row(label, enumerate(diff), n)
@@ -632,7 +652,7 @@ def _interval(rows):
             if not (c > 0 if relation == ">" else c == 0):
                 return None
             continue
-        root = -c / a
+        root = Fraction(-c, a)
         if relation == "=":
             lower = max(lower, (root, False))
             upper = _tighter_upper(upper, (root, False))
@@ -644,18 +664,25 @@ def _interval(rows):
 
 
 def _rho_interval(dataset, menus):
-    """The u(1) interval of one utility over ``menus`` (3-prize grids)."""
-    table = dataset.cached("rho-intervals", lambda: {
+    """The u(1) interval of one utility over ``menus`` (3-prize grids),
+    cached per set of menus; each menu's own comes from its integer rows."""
+    per_menu = dataset.cached("menu-intervals", lambda: {
         menu: _interval((diff[1], diff[2], relation)
                         for relation, diff in _menu_rows(dataset, menu))
         for menu in dataset.menus()})
-    lower, upper = _UNIT
-    for menu in menus:
-        interval = table[menu]
-        if interval is None:
-            return None
-        lower, upper = max(lower, interval[0]), _tighter_upper(upper, interval[1])
-    return _meet(lower, upper)
+    per_class = dataset.cached("rho-intervals", dict)
+    key = frozenset(menus)
+    if key not in per_class:
+        lower, upper = _UNIT
+        for menu in key:
+            interval = per_menu[menu]
+            if interval is None:
+                break
+            lower, upper = max(lower, interval[0]), _tighter_upper(upper, interval[1])
+        else:
+            interval = _meet(lower, upper)
+        per_class[key] = interval
+    return per_class[key]
 
 
 def _order_admits(intervals, order):
@@ -686,6 +713,7 @@ def _solve_chain(dataset, classes, chain):
     grid, so None there means only "no certificate found"."""
     prizes = prize_grid(dataset)
     n = len(prizes)
+    _, den, _ = _coords(dataset)
     if n == 3 and not _order_admits(
             {ref: _rho_interval(dataset, classes[ref]) for ref in chain},
             {ref: chain[k + 1:] for k, ref in enumerate(chain)}):
@@ -694,7 +722,7 @@ def _solve_chain(dataset, classes, chain):
     problem = _utility_problem(dataset, groups)
     if n == 3:
         for hi, lo in zip(chain, chain[1:]):
-            problem.add({_uvar(hi, 1, n): 1, _uvar(lo, 1, n): -1}, ">=", 0)
+            problem.add({_uvar(hi, 1, n): den, _uvar(lo, 1, n): -den}, ">=", 0)
     result = solve_linear_feasibility(problem)
     if not result:
         return None
@@ -712,7 +740,7 @@ def _solve_chain(dataset, classes, chain):
                 # rho_i >= tau  <=>  u_i - u_{i-1} >= tau (u_{i+1} - u_{i-1})
                 for ref, relation in ((hi, ">="), (lo, "<=")):
                     coeffs, const = _eu_row(
-                        ref, ((i, _ONE), (i - 1, tau - 1), (i + 1, -tau)), n)
+                        ref, ((i, den), (i - 1, (tau - 1) * den), (i + 1, -tau * den)), n)
                     problem.add(coeffs, relation, -const)
         result = solve_linear_feasibility(problem)
         if result:
@@ -738,7 +766,6 @@ def fit_areu(dataset: ChoiceDataset) -> AreuParams:
         raise ValidationError("fit_areu needs a lottery dataset")
     raise_first_failure(battery(dataset))
     prizes = prize_grid(dataset)
-    vectors = _vectors(dataset)
     nodes = sorted(dataset.universe)
     forced = _close({x: frozenset() for x in nodes}, _forced_edges(dataset))
     if forced is None:
@@ -776,6 +803,8 @@ def fit_areu(dataset: ChoiceDataset) -> AreuParams:
             for alt in reversed(ranking):
                 utility = solution.get(alt, utility)
                 utilities[alt] = utility
+            _, den, numerators = _coords(dataset)
+            vectors = {alt: [Fraction(x, den) for x in vec] for alt, vec in numerators.items()}
             return AreuParams.build(prizes, vectors, ReferenceOrder(ranking), utilities)
     raise InfeasibleFit("no reference assignment and utility system certifies the data")
 
@@ -786,7 +815,7 @@ def fit_areu(dataset: ChoiceDataset) -> AreuParams:
 def betweenness_over(dataset: ChoiceDataset, family) -> list:
     fam = {frozenset(m) for m in family}
     doubles = sorted_menus(m for m in fam if len(m) == 2)
-    vectors = _vectors(dataset)
+    _, _, vectors = _coords(dataset)
     witnesses = []
     ids = sorted(dataset.universe)
     for pair in doubles:
@@ -824,7 +853,7 @@ def _mixture_weight(va, vb, vm):
     """alpha in (0,1) with vm = alpha va + (1-alpha) vb, else None."""
     alpha = _scale([z - y for y, z in zip(vb, vm)], [x - y for x, y in zip(va, vb)],
                    range(len(va)))
-    return alpha if alpha is not None and 0 < alpha < 1 else None
+    return Fraction(*alpha) if alpha is not None and 0 < alpha[0] < alpha[1] else None
 
 
 def transitivity_over(dataset: ChoiceDataset, family) -> list:

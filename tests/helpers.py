@@ -19,6 +19,7 @@ from refdep.choices import (
     PaymentPayload,
     SplitPayload,
     ViolationWitness,
+    revealed_rows,
     sort_witnesses,
     sorted_menus,
     validate_dataset,
@@ -31,7 +32,7 @@ from refdep.engine import (
 )
 from refdep.exceptions import AxiomFails, RefdepError, SynthesisFailed, UnobservedMenu
 from refdep.ordu import simulate_ordu
-from refdep.risk import AreuParams, simulate_areu
+from refdep.risk import AreuParams, prize_grid, simulate_areu
 from refdep.serialize import format_rational
 from refdep.social import FspuParams, gini, simulate_fspu
 from refdep.timepref import TIME_PROPERTY, PbduParams, earliest_payments, simulate_pbdu
@@ -769,6 +770,116 @@ def mixture_weight_by_loop(va, vb, vm):
     if alpha is None or not 0 < alpha < 1:
         return None
     return alpha
+
+
+# -- the lottery domain in Fractions ------------------------------------------
+#
+# The ``Fraction`` bodies ``risk`` had before its hot paths read the cached
+# integer view (numerators over one common denominator D): the references
+# for the scale-free relations, the gcd-primitive diff key, the
+# cross-multiplied mixture clause, the integer menu rows and the u(1)
+# intervals built from them.  ``fosd`` and ``mps`` kept their bodies; their
+# references are the loops above.
+
+
+def fraction_vectors(dataset):
+    """Each lottery's ``Fraction`` probability vector on the prize grid."""
+    prizes = prize_grid(dataset)
+    return {alt: tuple(dataset.payload(alt).prob(x) for x in prizes)
+            for alt in dataset.universe}
+
+
+def _fraction_scale(p, q, coords):
+    beta = next((p[i] / q[i] for i in coords if q[i] != 0), F(0))
+    return beta if all(p[i] == beta * q[i] for i in coords) else None
+
+
+def extreme_spread_by_fractions(prizes, p, q):
+    beta = _fraction_scale(p, q, range(1, len(prizes) - 1))
+    if beta is None or not 0 <= beta < 1:
+        return False
+    alpha = (p[-1] - beta * q[-1]) / (1 - beta)
+    return q[-1] < alpha < 1 - q[0] and p[0] == beta * q[0] + (1 - beta) * (1 - alpha)
+
+
+def worst_dilution_by_fractions(prizes, p, q):
+    if p == q:
+        return False
+    beta = _fraction_scale(p, q, range(1, len(prizes)))
+    return beta is not None and 0 <= beta < 1 and p[0] == beta * q[0] + (1 - beta)
+
+
+def diff_key_by_fractions(vec):
+    """(direction, sign): the vector over its first nonzero entry's size."""
+    pivot = next((x for x in vec if x != 0), None)
+    if pivot is None:
+        return None
+    return (tuple(x / abs(pivot) for x in vec), pivot > 0)
+
+
+def mixture_correspondences_by_fractions(dataset):
+    """Independence's correspondences from ``Fraction`` diffs, alpha as a
+    quotient and the mixer built and tested entry by entry."""
+    vectors = fraction_vectors(dataset)
+    ids = sorted(vectors)
+    diffs = {(a, b): tuple(x - y for x, y in zip(vectors[a], vectors[b]))
+             for a in ids for b in ids if a != b}
+    groups = {}
+    for pair, vec in diffs.items():
+        key = diff_key_by_fractions(vec)
+        if key is not None:
+            groups.setdefault(key, []).append(pair)
+    corr = []
+    for pairs in groups.values():
+        for p, q in pairs:
+            base = diffs[(p, q)]
+            pivot = next(i for i, x in enumerate(base) if x != 0)
+            for p2, q2 in pairs:
+                alpha = diffs[(p2, q2)][pivot] / base[pivot]
+                if not 0 < alpha < 1:
+                    continue
+                mixer = tuple((x2 - alpha * x) / (1 - alpha)
+                              for x2, x in zip(vectors[p2], vectors[p]))
+                if all(x >= 0 for x in mixer):
+                    a = format_rational(alpha)
+                    corr.append((p, q, p2, q2, f"clause 1: {p} chosen over {q} "
+                                 f"but the {a}-mixture {p2} loses to {q2}"))
+                    corr.append((p2, q2, p, q, f"clause 2: {p2} chosen over {q2} "
+                                 f"but the {a}-mixture {p} loses to {q}"))
+    return corr
+
+
+def menu_rows_by_fractions(dataset, menu):
+    """(relation, head - other) over the menu's revealed rows, in Fractions."""
+    vectors = fraction_vectors(dataset)
+    return [(relation, tuple(a - b for a, b in zip(vectors[head], vectors[other])))
+            for relation, head, other in revealed_rows(dataset, menu)]
+
+
+def interval_by_fractions(rows):
+    """The u(1) interval of (a, c, relation) rows a*u(1) + c (relation) 0
+    inside the open (0, 1), each root a ``Fraction`` quotient."""
+    def tighter(u, v):
+        return min(u, v, key=lambda bound: (bound[0], not bound[1]))
+
+    lower, upper = (F(0), True), (F(1), True)
+    for a, c, relation in rows:
+        if a == 0:
+            if not (c > 0 if relation == ">" else c == 0):
+                return None
+            continue
+        root = -c / a
+        if relation == "=":
+            lower = max(lower, (root, False))
+            upper = tighter(upper, (root, False))
+        elif a > 0:
+            lower = max(lower, (root, True))
+        else:
+            upper = tighter(upper, (root, True))
+    (lo, lo_open), (hi, hi_open) = lower, upper
+    if lo < hi or (lo == hi and not lo_open and not hi_open):
+        return lower, upper
+    return None
 
 
 def present_bias_delays_by_pairs(dataset):

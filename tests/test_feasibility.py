@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -220,3 +221,70 @@ def test_integer_tableau_matches_the_fraction_simplex_on_random_systems():
               "infeasible" if expected is None else
               "phase 1" if phase_one else "feasible"] += 1
     assert min(kinds[k] for k in ("unbounded", "infeasible", "phase 1", "feasible")) >= 100, kinds
+
+
+# -- one denominator per problem ---------------------------------------------
+
+_NONZERO = (-4, -3, -2, -1, 1, 2, 3, 4)
+_DENOMINATORS = (1, 2, 3, 4, 6)
+
+
+def _random_problem(rng):
+    """Random ``(coeffs, relation, rhs)`` rows in ``Fraction``s over one to
+    three variables, most of them strict."""
+    names = [f"x{i}" for i in range(rng.randint(1, 3))]
+    return [({v: F(rng.choice(_NONZERO), rng.choice(_DENOMINATORS))
+              for v in rng.sample(names, rng.randint(1, len(names)))},
+             rng.choice(("<=", "<", "<", ">=", ">", ">", "=")),
+             F(rng.randint(-4, 4), rng.choice(_DENOMINATORS)))
+            for _ in range(rng.randint(1, 6))]
+
+
+def _recorded_solve(monkeypatch, problem):
+    """The problem's result and the one (rows, objective) the simplex got."""
+    seen = []
+
+    def record(rows, objective):
+        seen.append((rows, objective))
+        return _simplex_maximize(rows, objective)
+
+    monkeypatch.setattr(feasibility, "_simplex_maximize", record)
+    result = solve_linear_feasibility(problem)
+    (tableau,) = seen
+    return result, tableau
+
+
+def _multiple(rows, base):
+    """The k > 0 with ``rows`` equal to k times ``base`` entry by entry,
+    None when there is no such one constant."""
+    flat = [x for vec, bound in rows for x in (*vec, bound)]
+    flat_base = [x for vec, bound in base for x in (*vec, bound)]
+    if [len(vec) for vec, _ in rows] != [len(vec) for vec, _ in base]:
+        return None
+    k = next(F(x) / y for x, y in zip(flat, flat_base) if y != 0)
+    return k if k > 0 and all(x == k * y for x, y in zip(flat, flat_base)) else None
+
+
+def test_integer_rows_over_d_give_the_fraction_tableau_times_d_and_the_same_vertex(monkeypatch):
+    rng = random.Random(4)
+    kinds = Counter()
+    for _ in range(600):
+        rows = _random_problem(rng)
+        den = rng.choice((1, 2, 5)) * math.lcm(
+            *(x.denominator for coeffs, _, rhs in rows for x in (*coeffs.values(), rhs)))
+        over_one, over_d = LinearFeasibilityProblem(), LinearFeasibilityProblem(denominator=den)
+        for coeffs, relation, rhs in rows:
+            over_one.add(coeffs, relation, rhs)
+            over_d.add({v: int(c * den) for v, c in coeffs.items()}, relation, int(rhs * den))
+        result, (base, objective) = _recorded_solve(monkeypatch, over_one)
+        scaled_result, (scaled, scaled_objective) = _recorded_solve(monkeypatch, over_d)
+        assert all(type(x) is int for vec, bound in scaled for x in (*vec, bound))
+        assert _multiple(scaled, base) == den, rows
+        assert scaled_objective == objective
+        assert scaled_result == result, rows
+        strict = any(relation in ("<", ">") for _, relation, _ in rows)
+        kinds["strict" if strict else "weak"] += 1
+        kinds["feasible" if result else "infeasible"] += 1
+        kinds["phase 1"] += any(bound < 0 for _, bound in base)
+        kinds["D > 1"] += den > 1
+    assert min(kinds.values()) >= 50, kinds

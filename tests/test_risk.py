@@ -6,7 +6,7 @@ import pytest
 
 from refdep.choices import warp_over
 from refdep.engine import ReferenceOrder
-from refdep import risk
+from refdep import feasibility, risk
 from refdep.exceptions import AxiomFails, InfeasibleFit, NotIncreasing, PrizeSetMismatch
 from refdep.feasibility import LinearFeasibilityProblem, solve_linear_feasibility
 from refdep.risk import (
@@ -39,14 +39,22 @@ from helpers import (
     all_menus,
     allais_dataset,
     areu_instance,
+    diff_key_by_fractions,
+    extreme_spread_by_fractions,
     extreme_spread_by_loop,
     fosd_by_loop,
+    fraction_vectors,
+    integer_areu_data,
+    interval_by_fractions,
     lot,
     lottery_dataset,
+    menu_rows_by_fractions,
+    mixture_correspondences_by_fractions,
     mixture_weight_by_loop,
     mps_by_loop,
     random_rho_monotone_areu,
     reverse_allais_dataset,
+    worst_dilution_by_fractions,
     worst_dilution_by_loop,
 )
 
@@ -248,6 +256,148 @@ def test_relations_match_their_explicit_loops_on_random_vectors():
             assert new == old, (name, prizes, p, q, mixed)
             holds[name] += new not in (False, None)
     assert min(holds.values()) > 3_000, holds
+
+
+# -- the integer view against the Fraction forms -------------------------------
+
+
+def _fractional_grid(rng, n):
+    """``n`` prizes with non-unit denominators."""
+    values = sorted({F(k, d) for d in (2, 3, 5) for k in range(1, 4 * d) if k % d})
+    return tuple(sorted(rng.sample(values, n)))
+
+
+def test_relations_on_integer_coordinates_match_the_fraction_forms():
+    rng = random.Random(13)
+    holds = dict.fromkeys(("fosd", "mps", "extreme", "dilution", "mixture"), 0)
+    for _ in range(8_000):
+        prizes = _fractional_grid(rng, rng.choice((3, 4)))
+        p, q = _related_pair(rng, prizes)
+        if rng.random() < 0.5:
+            p, q = q, p
+        mixed = (_mix(F(rng.randint(0, 6), 6), p, q) if rng.random() < 0.5
+                 else _probability_vector(rng, len(prizes)))
+        grid, _, vectors = risk._integer_coords(prizes, {"p": p, "q": q, "m": mixed})
+        ip, iq, im = (vectors[k] for k in "pqm")
+        assert all(type(x) is int for x in (*grid, *ip, *iq, *im))
+        results = {
+            "fosd": (fosd(grid, ip, iq), fosd_by_loop(prizes, p, q)),
+            "mps": (mps(grid, ip, iq), mps_by_loop(prizes, p, q)),
+            "extreme": (extreme_spread(grid, ip, iq), extreme_spread_by_fractions(prizes, p, q)),
+            "dilution": (worst_dilution(grid, ip, iq), worst_dilution_by_fractions(prizes, p, q)),
+            "mixture": (risk._mixture_weight(ip, iq, im), mixture_weight_by_loop(p, q, mixed)),
+        }
+        for name, (new, old) in results.items():
+            assert new == old, (name, prizes, p, q, mixed)
+            holds[name] += new not in (False, None)
+    assert min(holds.values()) > 400, holds
+
+
+def _fractional_lottery_dataset(rng, n_prizes):
+    """Up to eight lotteries on an ``n_prizes`` grid with non-unit prize
+    denominators: three random ones, mixtures of two of them with the
+    third (so that Independence has correspondences) and a full-support
+    one that keeps the whole grid; random choices on all menus of size
+    2-3."""
+    prizes = _fractional_grid(rng, n_prizes)
+    base = [_probability_vector(rng, n_prizes) for _ in range(3)]
+    vectors = {tuple(F(1, n_prizes) for _ in prizes), *base}
+    for weight in (F(1, 2), F(1, 3)):
+        vectors.update(_mix(weight, v, base[2]) for v in base[:2])
+    named = {f"l{i}": v for i, v in enumerate(sorted(vectors))}
+    lots = {name: lot(zip(prizes, v)) for name, v in named.items()}
+    return lottery_dataset(lots, [(m, rng.sample(sorted(m), rng.randint(1, len(m))))
+                                  for m in all_menus(named, 2, 3)])
+
+
+def _partition(keys):
+    """The classes of equal keys among ``keys`` (item -> key)."""
+    classes = {}
+    for item, key in keys.items():
+        classes.setdefault(key, set()).add(item)
+    return {frozenset(items) for items in classes.values()}
+
+
+def test_integer_view_matches_the_fraction_forms_on_random_datasets():
+    rng = random.Random(31)
+    seen = {"correspondences": 0, "empty interval": 0, "interval": 0}
+    for trial in range(60):
+        n = 3 + trial % 2
+        ds = _fractional_lottery_dataset(rng, n)
+        prizes, vectors = risk.prize_grid(ds), fraction_vectors(ds)
+        assert len(prizes) == n
+        grid, den, numerators = risk._coords(ds)
+        assert {alt: tuple(F(x, den) for x in v) for alt, v in numerators.items()} == vectors
+        assert len({F(x) / y for x, y in zip(grid, prizes)}) == 1
+
+        spreads = {(p, q) for p in vectors for q in vectors if p != q
+                   and (mps_by_loop(prizes, vectors[p], vectors[q])
+                        or extreme_spread_by_fractions(prizes, vectors[p], vectors[q]))}
+        assert risk._spreads(ds) == spreads
+        assert risk._forced_edges(ds) == {
+            (q, p) for p in vectors for q in vectors if p != q and (
+                (p, q) in spreads or worst_dilution_by_fractions(prizes, vectors[p], vectors[q]))}
+
+        diffs = risk._diff_table(ds)
+        fraction_diffs = {(a, b): tuple(x - y for x, y in zip(vectors[a], vectors[b]))
+                          for a, b in diffs}
+        for pair, (vec, key) in diffs.items():
+            assert vec == tuple(den * x for x in fraction_diffs[pair])
+            assert (key is None) == (diff_key_by_fractions(fraction_diffs[pair]) is None)
+        assert _partition({pair: key for pair, (_, key) in diffs.items()}) == _partition(
+            {pair: diff_key_by_fractions(vec) for pair, vec in fraction_diffs.items()})
+
+        correspondences = risk._mixture_correspondences(ds)
+        assert correspondences == mixture_correspondences_by_fractions(ds)
+        seen["correspondences"] += bool(correspondences)
+
+        for menu in ds.menus():
+            rows = list(risk._menu_rows(ds, menu))
+            expected = menu_rows_by_fractions(ds, menu)
+            assert rows == [(relation, tuple(den * x for x in diff))
+                            for relation, diff in expected]
+            if n == 3:
+                interval = risk._interval((diff[1], diff[2], relation) for relation, diff in rows)
+                assert interval == interval_by_fractions(
+                    (diff[1], diff[2], relation) for relation, diff in expected)
+                seen["empty interval" if interval is None else "interval"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_integer_view_diff_table_intervals_and_lp_rows_hold_no_float(monkeypatch):
+    def exact(values):
+        return all(type(x) in (int, F) for x in values)
+
+    problems, tableaus = [], []
+    solve, simplex = risk.solve_linear_feasibility, feasibility._simplex_maximize
+    monkeypatch.setattr(risk, "solve_linear_feasibility",
+                        lambda problem: problems.append(problem) or solve(problem))
+    monkeypatch.setattr(feasibility, "_simplex_maximize",
+                        lambda rows, objective: tableaus.append((rows, objective))
+                        or simplex(rows, objective))
+    rng = random.Random(17)
+    for n_prizes in (3, 3, 4, 4):
+        ds = integer_areu_data(rng, n_prizes)
+        assert verify_areu(fit_areu(ds), ds) == []
+        grid, den, numerators = risk._coords(ds)
+        assert all(type(x) is int for x in (
+            *grid, den, *(x for v in numerators.values() for x in v)))
+        for vec, key in risk._diff_table(ds).values():
+            assert all(type(x) is int for x in (*vec, *(key or ())))
+        if n_prizes == 3:
+            risk._rho_interval(ds, ds.menus())
+            intervals = ds.cached("menu-intervals", dict)
+            assert len(intervals) == len(ds.menus())
+            for interval in intervals.values():
+                bounds = interval or ()
+                assert exact(value for value, _ in bounds)
+                assert all(type(is_open) is bool for _, is_open in bounds)
+    assert problems and tableaus
+    for problem in problems:
+        assert type(problem.denominator) is int
+        assert all(exact((*(c for _, c in con.coeffs), con.rhs)) for con in problem.constraints)
+    for rows, objective in tableaus:
+        assert exact(objective) and all(exact((*vec, bound)) for vec, bound in rows)
 
 
 # -- independence ------------------------------------------------------------
