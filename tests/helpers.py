@@ -531,6 +531,96 @@ def integer_fspu_data(rng):
     return simulate_fspu(params, splits, all_menus([s.id for s in splits], 2, 3))
 
 
+# -- fractional payloads ---------------------------------------------------------
+#
+# Amounts, times and incomes over denominators 2-6, so that the integer
+# payment and split views scale them; each draw holds a pair and its image
+# under a non-integer common shift, equal times and equal Gini levels.
+
+
+def fractional_pbdu_data(rng, den_amount=None, den_time=None):
+    """Six dated payments, amounts over ``den_amount`` and times over
+    ``den_time`` (each drawn from 2-6 when not given): two payments, the
+    same two delayed by a common d, and two more, scored by PBDU
+    parameters in halves over all menus of size 2-3."""
+    da = den_amount or rng.randint(2, 6)
+    dt = den_time or rng.randint(2, 6)
+    amounts = [F(a, da) for a in sorted(rng.sample(range(da, 5 * da), 3))]
+    t0, t1 = (F(t, dt) for t in rng.sample(range(3 * dt), 2))
+    d = F(rng.choice([k for k in range(1, 2 * dt + 1) if dt == 1 or k % dt]), dt)
+    a0, a1 = rng.sample(amounts, 2)
+    cells = [(a0, t0), (a1, t1), (a0, t0 + d), (a1, t1 + d)]
+    times = sorted({t for _, t in cells})
+    while len(cells) < 6:
+        cell = (rng.choice(amounts), rng.choice(times))
+        if cell not in cells:
+            cells.append(cell)
+    log_utility = _increasing_ints(rng, 3, rng.randint(0, 2))
+    if rng.random() < 0.5:
+        discounts = [-F(rng.randint(2, 6), 2)] * len(times)
+    else:
+        discounts = sorted(-F(rng.randint(1, 6), 2) for _ in times)
+    params = PbduParams(tuple((a, v / 2) for a, v in zip(amounts, log_utility)),
+                        tuple(zip(times, discounts)))
+    payments = [Alternative(f"p{i}", pay(a, t)) for i, (a, t) in enumerate(cells)]
+    return simulate_pbdu(params, payments, all_menus([p.id for p in payments], 2, 3))
+
+
+def fractional_fspu_data(rng, den_own=None, den_other=None):
+    """Six income splits, own income over ``den_own`` and other income over
+    ``den_other`` (each drawn from 2-6 when not given): two splits, the
+    same two shifted by a common own payment s, a balanced split and a
+    rescaled copy of the first (the same Gini), scored by FSPU sharing
+    utilities in halves over all menus of size 2-4 (a Quasi-linearity
+    witness needs a menu holding both of its menus)."""
+    do = den_own or rng.randint(2, 6)
+    dy = den_other or rng.randint(2, 6)
+    y_lo, y_hi = (F(y, dy) for y in sorted(rng.sample(range(dy, 4 * dy), 2)))
+    x = F(rng.randint(4 * do, 8 * do), do)
+    gap = F(rng.randint(1, 2 * do), do)
+    s = F(rng.choice([k for k in range(1, 2 * do + 1) if do == 1 or k % do]), do)
+    m = F(rng.randint(do, 3 * do), do)
+    payloads = [(x, y_hi), (x + gap, y_lo), (x + s, y_hi), (x + gap + s, y_lo),
+                (m, m), (2 * x, 2 * y_hi)]
+    splits = [Alternative(f"s{i}", split(own, other)) for i, (own, other) in enumerate(payloads)]
+    incomes = sorted({other for _, other in payloads})
+    refs = sorted({gini(a.payload) for a in splits}, reverse=True)
+    steps = [F(rng.randint(1, 4), 2) for _ in incomes[1:]]
+    shared = rng.random() < 0.5
+    tables = {}
+    for r in refs:  # least balanced first, increments weakly growing
+        values = [F(0)]
+        for step in steps:
+            values.append(values[-1] + step)
+        tables[r] = tuple(zip(incomes, values))
+        if not shared:
+            steps = [step + F(rng.randint(0, 2), 2) for step in steps]
+    params = FspuParams(tuple(sorted(tables.items())))
+    return simulate_fspu(params, splits, all_menus([a.id for a in splits], 2, 4))
+
+
+def _battery_witnesses(battery, dataset):
+    """Every ViolationWitness a model's ``battery`` reports, those inside a
+    reference-dependence failure included."""
+    for _, _, witnesses in battery(dataset):
+        for w in witnesses:
+            if isinstance(w, ViolationWitness):
+                yield w
+            else:
+                for _, blocking in w.per_candidate:
+                    yield from blocking
+
+
+def with_fractional_shift_witness(rng, dataset, battery, kind):
+    """The first ``perturbed`` copy of ``dataset`` whose ``battery`` reports
+    a ``kind`` witness with a non-integer shift (a '/' in its narrative)."""
+    while True:
+        noisy = perturbed(rng, dataset)
+        if any(w.kind == kind and "/" in w.narrative
+               for w in _battery_witnesses(battery, noisy)):
+            return noisy
+
+
 def integer_areu_data(rng, n_prizes):
     """Five lotteries in quarters on an ``n_prizes`` grid.  On 3 prizes each
     reference takes u(1) from {1/4, 1/2, 3/4}, weakly falling down the

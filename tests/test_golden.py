@@ -23,12 +23,15 @@ from pathlib import Path
 
 import pytest
 
+from refdep import social, timepref
 from refdep.cli import main
 from refdep.rivals import fixture_names
 from refdep.serialize import dataset_to_dict, to_json
 
 from helpers import (
     areu_data,
+    fractional_fspu_data,
+    fractional_pbdu_data,
     fspu_data,
     integer_areu_data,
     integer_fspu_data,
@@ -37,6 +40,7 @@ from helpers import (
     pbdu_data,
     perturbed,
     tie_rich,
+    with_fractional_shift_witness,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,6 +52,13 @@ TIED = (("pbdu", "pbdu", integer_pbdu_data, range(12)),
         ("fspu", "fspu", integer_fspu_data, range(12)),
         ("areu", "areu3", lambda rng: integer_areu_data(rng, 3), range(3)),
         ("areu", "areu4", lambda rng: integer_areu_data(rng, 4), range(3)))
+# (model, draw, battery, witness kind) of the datasets with fractional payloads
+FRACTIONAL = (("pbdu", fractional_pbdu_data, timepref.battery, "Stationarity"),
+              ("fspu", fractional_fspu_data, social.battery, "Quasi-linearity"))
+# one --json command per model, replayed under two hash seeds
+RUN_CLI = "import sys; from refdep.cli import main; sys.exit(main(sys.argv[1:]))"
+HASH_SEEDED = ("check ordu perturbed", "fit areu clean",
+               "check pbdu fractional 0 witnessed", "fit fspu fractional 0 clean")
 
 
 def _digest(text):
@@ -116,12 +127,32 @@ def _tied_commands(work):
                                                   str(data)]
 
 
+def _fractional_commands(work):
+    """check and fit on seeded datasets whose amounts, times and incomes
+    have denominators 2-6, clean and perturbed until a Stationarity or
+    Quasi-linearity witness with a non-integer shift appears."""
+    for model, draw, battery, kind in FRACTIONAL:
+        for seed in range(3):
+            clean = draw(random.Random(seed))
+            datasets = {"clean": clean, "witnessed": with_fractional_shift_witness(
+                random.Random(seed), clean, battery, kind)}
+            for label, ds in datasets.items():
+                data = work / f"fractional-{model}-{seed}-{label}.json"
+                data.write_text(to_json(dataset_to_dict(ds)))
+                for command in ("check", "fit"):
+                    yield (f"{command} {model} fractional {seed} {label}",
+                           [command, "--model", model, str(data)])
+
+
+def _commands(work):
+    return [*_fixture_commands(), *_seeded_commands(work), *_tied_commands(work),
+            *_fractional_commands(work)]
+
+
 def record_cli():
     with tempfile.TemporaryDirectory() as work:
-        work = Path(work)
-        commands = [*_fixture_commands(), *_seeded_commands(work), *_tied_commands(work)]
         return {label: {"json": _run(["--json", *argv]), "text": _run(argv)}
-                for label, argv in commands}
+                for label, argv in _commands(Path(work))}
 
 
 def record_demos():
@@ -146,6 +177,20 @@ def test_cli_output_is_byte_identical_to_the_baseline(golden):
     assert sorted(got) == sorted(golden["cli"])
     changed = [label for label in got if got[label] != golden["cli"][label]]
     assert not changed, f"output changed: {changed}"
+
+
+def test_json_output_does_not_depend_on_the_hash_seed(golden, tmp_path):
+    """A few --json commands, run in fresh interpreters under two hash
+    seeds, print what the baseline recorded in this process."""
+    commands = dict(_commands(tmp_path))
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for hash_seed in ("0", "1"):
+        for label in HASH_SEEDED:
+            proc = subprocess.run(
+                [sys.executable, "-c", RUN_CLI, "--json", *commands[label]],
+                env={**env, "PYTHONHASHSEED": hash_seed}, capture_output=True, text=True)
+            got = [proc.returncode, _digest(proc.stdout), _digest(proc.stderr)]
+            assert got == golden["cli"][label]["json"], (label, hash_seed)
 
 
 def test_demo_output_is_byte_identical_to_the_baseline(golden):
