@@ -9,6 +9,7 @@ is an exact ``fractions.Fraction``; no checker ever rounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
@@ -59,6 +60,10 @@ class PaymentPayload:
 
     amount: Fraction
     time: Fraction
+
+    def __post_init__(self):
+        if not (self.amount > 0 and self.time >= 0):
+            raise ValidationError("payments need amount > 0 and time >= 0")
 
 
 @dataclass(frozen=True)
@@ -317,6 +322,38 @@ def _check_invariants(ds: ChoiceDataset) -> None:
                     f"alternative {alt.id!r} pays below the floor {floor}")
 
 
+def over_common_denominator(rows) -> tuple:
+    """(D, each row of rationals in ``rows`` as a tuple of integer
+    numerators over D), with D the lcm of all their denominators."""
+    rows = list(rows)
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return den, [tuple(x.numerator * (den // x.denominator) for x in row) for row in rows]
+
+
+# payload fields that share one denominator in the integer view, per kind
+_SCALED_TOGETHER = {DATED_PAYMENT: (("amount",), ("time",)),
+                    INCOME_SPLIT: (("own", "other"),)}
+
+
+def integer_payloads(dataset: ChoiceDataset) -> dict:
+    """A payment or split dataset's payloads as integers, cached per
+    dataset: field -> (D, id -> numerator over D).  Amounts and times
+    are each over their own common denominator.  Own and other income
+    share one, since the Gini coefficient is invariant only under a
+    common scale.  Comparisons, sums and differences within a field
+    read these integers; ``Fraction(n, D)`` gives a value back."""
+    def view():
+        ids = list(dataset.alternatives)
+        out = {}
+        for fields in _SCALED_TOGETHER[dataset.kind]:
+            den, rows = over_common_denominator(
+                [tuple(getattr(dataset.payload(alt), f) for f in fields) for alt in ids])
+            for i, field_name in enumerate(fields):
+                out[field_name] = den, {alt: row[i] for alt, row in zip(ids, rows)}
+        return out
+    return dataset.cached("integers", view)
+
+
 def validate_dataset(kind, alternatives, observations, floor=None) -> ChoiceDataset:
     """Build a dataset from raw pieces, checking every invariant.
 
@@ -460,34 +497,38 @@ def invariance_over(dataset: ChoiceDataset, family, kind, correspondences) -> li
 def shift_correspondences(dataset: ChoiceDataset, fixed, moved, allowed, label):
     """Correspondences of a common shift of the payload coordinate
     ``moved`` with ``fixed`` held: x, y map to x2, y2 when both move by
-    the same shift d with ``allowed(d)``.  Cached per dataset under
+    the same shift d with ``allowed(d)``.  Shifts are read on the
+    ``integer_payloads`` view, so ``allowed`` sees d times a positive
+    denominator and may test only its sign.  Cached per dataset under
     ``label``, which names one transformation."""
     def correspondences():
+        ints = integer_payloads(dataset)
+        (_, fixed_of), (den, moved_of) = ints[fixed], ints[moved]
         ids = sorted(dataset.universe)
-        coords = {alt: (getattr(dataset.payload(alt), fixed),
-                        getattr(dataset.payload(alt), moved)) for alt in ids}
-        by_fixed = {}
+        by_fixed, at = {}, {}
         for alt in ids:
-            by_fixed.setdefault(coords[alt][0], []).append(alt)
+            by_fixed.setdefault(fixed_of[alt], []).append(alt)
+            at.setdefault((fixed_of[alt], moved_of[alt]), []).append(alt)
+        # each shift's text: str(Fraction) is serialize.format_rational's
+        # form; serialize imports this module, so it is not used here
+        shown = {}
         out = []
         for x in ids:
-            fx, mx = coords[x]
-            for x2 in by_fixed[fx]:
-                shift = coords[x2][1] - mx
+            mx = moved_of[x]
+            for x2 in by_fixed[fixed_of[x]]:
+                shift = moved_of[x2] - mx
                 if not allowed(shift):
                     continue
+                if shift not in shown:
+                    shown[shift] = str(Fraction(shift, den))
                 for y in ids:
                     if y == x:
                         continue
-                    fy, my = coords[y]
-                    for y2 in by_fixed[fy]:
-                        if coords[y2][1] - my == shift:
-                            # str(Fraction) is serialize.format_rational's form;
-                            # serialize imports this module, so it is not used here
-                            out.append((x, y, x2, y2, (
-                                f"{x} chosen alongside {y}, but after a common {label} "
-                                f"of {Fraction(shift)} the shifted {y2} is chosen "
-                                f"while {x2} is not")))
+                    for y2 in at.get((fixed_of[y], moved_of[y] + shift), ()):
+                        out.append((x, y, x2, y2, (
+                            f"{x} chosen alongside {y}, but after a common {label} "
+                            f"of {shown[shift]} the shifted {y2} is chosen "
+                            f"while {x2} is not")))
         return out
 
     return dataset.cached(("shift", label), correspondences)

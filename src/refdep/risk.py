@@ -35,6 +35,7 @@ from .choices import (
     maximizers,
     menu_key,
     mismatches,
+    over_common_denominator,
     raise_first_failure,
     revealed_rows,
     simulate,
@@ -88,11 +89,9 @@ def _integer_coords(prizes, vectors: dict) -> tuple:
     """``prizes`` and the probability ``vectors`` (id -> tuple) as
     integers: (the prizes over their common denominator, the
     probabilities' common denominator D, id -> numerators over D)."""
-    scale = math.lcm(*(x.denominator for x in prizes))
-    den = math.lcm(*(x.denominator for vec in vectors.values() for x in vec))
-    return (tuple(x.numerator * (scale // x.denominator) for x in prizes), den,
-            {i: tuple(x.numerator * (den // x.denominator) for x in vec)
-             for i, vec in vectors.items()})
+    _, (scaled,) = over_common_denominator([prizes])
+    den, rows = over_common_denominator(vectors.values())
+    return scaled, den, dict(zip(vectors, rows))
 
 
 def _coords(dataset: ChoiceDataset) -> tuple:

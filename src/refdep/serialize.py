@@ -59,11 +59,7 @@ def _payload_from_json(kind, raw):
                        for x, p in raw["probs"].items())
         return LotteryPayload(tuple((x, p) for x, p in probs if p != 0))
     if kind == DATED_PAYMENT:
-        amount = parse_rational(raw["amount"])
-        time = parse_rational(raw["time"])
-        if amount <= 0 or time < 0:
-            raise ValidationError("payments need amount > 0 and time >= 0")
-        return PaymentPayload(amount, time)
+        return PaymentPayload(parse_rational(raw["amount"]), parse_rational(raw["time"]))
     if kind == INCOME_SPLIT:
         return SplitPayload(parse_rational(raw["own"]), parse_rational(raw["other"]))
     raise ValidationError(f"unknown dataset kind {kind!r}")

@@ -19,6 +19,7 @@ from .choices import (
     ViolationWitness,
     WARP,
     conjoin,
+    integer_payloads,
     invariance_over,
     linkage_report,
     maximizers,
@@ -45,8 +46,20 @@ def gini(split: SplitPayload) -> Fraction:
     return abs(split.own - split.other) / (2 * (split.own + split.other))
 
 
+def _gini_levels(dataset: ChoiceDataset) -> tuple:
+    """Per alternative its Gini coefficient and its level, the rank of
+    that coefficient among the dataset's distinct ones (0 the most
+    balanced), cached per dataset."""
+    def levels():
+        ginis = {alt: gini(a.payload) for alt, a in dataset.alternatives.items()}
+        rank = {g: i for i, g in enumerate(sorted(set(ginis.values())))}
+        return ginis, {alt: rank[g] for alt, g in ginis.items()}
+    return dataset.cached("gini-levels", levels)
+
+
 def most_balanced(dataset: ChoiceDataset, menu) -> frozenset:
-    return maximizers(menu, lambda x: -gini(dataset.payload(x)))
+    _, level = _gini_levels(dataset)
+    return maximizers(menu, lambda x: -level[x])
 
 
 MOST_BALANCED_PSI = PsiMap("most-balanced", most_balanced)
@@ -209,44 +222,53 @@ def fit_fspu(dataset: ChoiceDataset) -> FspuParams:
     if dataset.kind != INCOME_SPLIT:
         raise ValidationError("fit_fspu needs an income-split dataset")
     raise_first_failure(battery(dataset))
+    ints = integer_payloads(dataset)
+    (den, own), (_, other) = ints["own"], ints["other"]
+    ginis, level = _gini_levels(dataset)
 
     def reference(menu):
-        return min(gini(dataset.payload(alt)) for alt in menu)
+        return min(level[alt] for alt in menu)
 
     # no observations: the universe's most balanced Gini; no alternatives: no table
     references = {menu: reference(menu) for menu in dataset.menus()}
     refs = sorted(set(references.values()) or {reference(m) for m in [dataset.universe] if m})
-    incomes = sorted({dataset.payload(alt).other for alt in dataset.universe})
+    gini_at = {level[alt]: g for alt, g in ginis.items()}
+    incomes = sorted(set(other.values()))
+    income = {y: Fraction(y, den) for y in incomes}
+    shown = {y: format_rational(income[y]) for y in incomes}
+    shown_ref = {r: format_rational(gini_at[r]) for r in refs}
 
     def build(var):
-        problem = LinearFeasibilityProblem()
+        # every row times the income denominator S: integer rows over S
+        problem = LinearFeasibilityProblem(denominator=den)
         for r in refs:
             for lo, hi in zip(incomes, incomes[1:]):
-                problem.add({var(r, hi): 1, var(r, lo): -1}, ">", 0)
+                problem.add({var(r, hi): den, var(r, lo): -den}, ">", 0)
         for r_lo, r_hi in zip(refs, refs[1:]):
             for lo, hi in zip(incomes, incomes[1:]):
                 coeffs = {}
-                for name, weight in ((var(r_lo, hi), 1), (var(r_lo, lo), -1),
-                                     (var(r_hi, hi), -1), (var(r_hi, lo), 1)):
+                for name, weight in ((var(r_lo, hi), den), (var(r_lo, lo), -den),
+                                     (var(r_hi, hi), -den), (var(r_hi, lo), den)):
                     coeffs[name] = coeffs.get(name, 0) + weight
                 if any(coeffs.values()):  # a shared table cancels every term
                     problem.add(coeffs, ">=", 0)
         for menu, ref in references.items():
-            for relation, head, other in revealed_rows(dataset, menu):
-                hs, os_ = dataset.payload(head), dataset.payload(other)
-                coeffs = {var(ref, hs.other): 1}
-                coeffs[var(ref, os_.other)] = coeffs.get(var(ref, os_.other), 0) - 1
-                problem.add(coeffs, relation, os_.own - hs.own)
+            for relation, head, rest in revealed_rows(dataset, menu):
+                coeffs = {var(ref, other[head]): den}
+                low = var(ref, other[rest])
+                coeffs[low] = coeffs.get(low, 0) - den
+                problem.add(coeffs, relation, own[rest] - own[head])
         return problem
 
     # a single sharing table first: quasi-linear data stays quasi-linear;
     # a lone other-income is in no row, and any value serves it
-    for var in (lambda r, y: f"v[shared][{format_rational(y)}]",
-                lambda r, y: f"v[{format_rational(r)}][{format_rational(y)}]"):
+    for var in (lambda r, y: f"v[shared][{shown[y]}]",
+                lambda r, y: f"v[{shown_ref[r]}][{shown[y]}]"):
         result = solve_linear_feasibility(build(var))
         if result:
             return FspuParams(tuple(
-                (r, tuple((y, result.assignment.get(var(r, y), 0)) for y in incomes))
+                (gini_at[r], tuple((income[y], result.assignment.get(var(r, y), 0))
+                                   for y in incomes))
                 for r in refs))
     raise InfeasibleFit("no sharing-utility family fits the data")
 

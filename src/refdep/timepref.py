@@ -22,6 +22,7 @@ from .choices import (
     ViolationWitness,
     WARP,
     conjoin,
+    integer_payloads,
     invariance_over,
     linkage_report,
     maximizers,
@@ -47,7 +48,8 @@ from .serialize import format_rational, parse_rational
 
 def earliest_payments(dataset: ChoiceDataset, menu) -> frozenset:
     """Members arriving at the menu's minimal time."""
-    return maximizers(sorted(menu), lambda x: -dataset.payload(x).time)
+    _, times = integer_payloads(dataset)["time"]
+    return maximizers(sorted(menu), lambda x: -times[x])
 
 
 EARLIEST_PSI = PsiMap("earliest-payments", earliest_payments)
@@ -289,13 +291,15 @@ def verify_pbdu(params: PbduParams, dataset: ChoiceDataset) -> list:
 
 def standing_assumption(dataset: ChoiceDataset):
     """True/False for the best-late-vs-worst-now doubleton when observed,
-    None when that menu never appears."""
-    amounts = [dataset.payload(alt).amount for alt in dataset.universe]
-    times = [dataset.payload(alt).time for alt in dataset.universe]
-    lo_now = [alt for alt in dataset.universe
+    None when that menu never appears.  Several alternatives may share a
+    corner payment; their doubletons are tried in id order."""
+    ids = sorted(dataset.universe)
+    amounts = [dataset.payload(alt).amount for alt in ids]
+    times = [dataset.payload(alt).time for alt in ids]
+    lo_now = [alt for alt in ids
               if dataset.payload(alt).amount == min(amounts)
               and dataset.payload(alt).time == min(times)]
-    hi_late = [alt for alt in dataset.universe
+    hi_late = [alt for alt in ids
                if dataset.payload(alt).amount == max(amounts)
                and dataset.payload(alt).time == max(times)]
     for a in lo_now:
@@ -317,41 +321,49 @@ def fit_pbdu(dataset: ChoiceDataset) -> PbduParams:
     if dataset.kind != DATED_PAYMENT:
         raise ValidationError("fit_pbdu needs a dated-payment dataset")
     raise_first_failure(battery(dataset))
-    amounts = sorted({dataset.payload(alt).amount for alt in dataset.universe})
+    ints = integer_payloads(dataset)
+    (amount_den, amount_of), (time_den, time_of) = ints["amount"], ints["time"]
+    amounts = sorted(set(amount_of.values()))
 
     def reference(menu):
-        return min(dataset.payload(alt).time for alt in menu)
+        return min(time_of[alt] for alt in menu)
 
     # no observations: the universe's earliest time; no alternatives: no table
     references = {menu: reference(menu) for menu in dataset.menus()}
     refs = sorted(set(references.values()) or {reference(m) for m in [dataset.universe] if m})
-    lvar = {a: f"L[{format_rational(a)}]" for a in amounts}
+    amount = {a: Fraction(a, amount_den) for a in amounts}
+    time = {r: Fraction(r, time_den) for r in refs}
+    lvar = {a: f"L[{format_rational(amount[a])}]" for a in amounts}
 
     def build(dvar):
-        problem = LinearFeasibilityProblem()
+        # every row times the time denominator T: integer rows over T
+        problem = LinearFeasibilityProblem(denominator=time_den)
         for lo, hi in zip(amounts, amounts[1:]):
-            problem.add({lvar[hi]: 1, lvar[lo]: -1}, ">", 0)
+            problem.add({lvar[hi]: time_den, lvar[lo]: -time_den}, ">", 0)
         for name in sorted({dvar(r) for r in refs}):
-            problem.add({name: 1}, "<", 0)
+            problem.add({name: time_den}, "<", 0)
         ordered = [dvar(r) for r in refs]
         for lo, hi in zip(ordered, ordered[1:]):
             if lo != hi:
-                problem.add({hi: 1, lo: -1}, ">=", 0)
+                problem.add({hi: time_den, lo: -time_den}, ">=", 0)
         for menu, ref in references.items():
             for relation, head, other in revealed_rows(dataset, menu):
-                hp, op = dataset.payload(head), dataset.payload(other)
-                coeffs = {lvar[hp.amount]: 1, dvar(ref): hp.time - op.time}
-                coeffs[lvar[op.amount]] = coeffs.get(lvar[op.amount], 0) - 1
+                coeffs = {lvar[amount_of[head]]: time_den,
+                          dvar(ref): time_of[head] - time_of[other]}
+                low = lvar[amount_of[other]]
+                coeffs[low] = coeffs.get(low, 0) - time_den
                 problem.add(coeffs, relation, 0)
         return problem
 
     # a single discount first: classical data stays classical; a lone
     # amount is in no row, and any log-utility serves it
-    for dvar in (lambda r: "D[shared]", lambda r: f"D[{format_rational(r)}]"):
+    per_ref = {r: f"D[{format_rational(time[r])}]" for r in refs}
+    for dvar in (lambda r: "D[shared]", per_ref.__getitem__):
         result = solve_linear_feasibility(build(dvar))
         if result:
-            return PbduParams(tuple((a, result.assignment.get(lvar[a], 0)) for a in amounts),
-                              tuple((r, result.assignment[dvar(r)]) for r in refs))
+            return PbduParams(
+                tuple((amount[a], result.assignment.get(lvar[a], 0)) for a in amounts),
+                tuple((time[r], result.assignment[dvar(r)]) for r in refs))
     raise InfeasibleFit("no log-utility / log-discount system fits the data")
 
 

@@ -19,6 +19,7 @@ from refdep.choices import (
     PaymentPayload,
     SplitPayload,
     ViolationWitness,
+    maximizers,
     revealed_rows,
     sort_witnesses,
     sorted_menus,
@@ -31,6 +32,7 @@ from refdep.engine import (
     witness_index,
 )
 from refdep.exceptions import AxiomFails, RefdepError, SynthesisFailed, UnobservedMenu
+from refdep.feasibility import LinearFeasibilityProblem
 from refdep.ordu import simulate_ordu
 from refdep.risk import AreuParams, prize_grid, simulate_areu
 from refdep.serialize import format_rational
@@ -1080,6 +1082,118 @@ def order_breaks_a_reference_class(dataset, prop, order):
     ``order``: x tops the union of its menus and belongs to all of them."""
     return any(order.argmax(union) in meet
                for _, union, meet in witness_index(dataset, prop))
+
+
+# -- payments and splits read as Fractions ----------------------------------------
+#
+# The bodies ``choices``, ``timepref`` and ``social`` had before they read
+# the integer payment and split views: the references for those views.
+
+
+def shift_correspondences_by_fractions(dataset, fixed, moved, allowed, label):
+    """Correspondences of a common shift of ``moved`` with ``fixed`` held,
+    each shift a ``Fraction`` difference of payload coordinates."""
+    ids = sorted(dataset.universe)
+    coords = {alt: (getattr(dataset.payload(alt), fixed),
+                    getattr(dataset.payload(alt), moved)) for alt in ids}
+    by_fixed = {}
+    for alt in ids:
+        by_fixed.setdefault(coords[alt][0], []).append(alt)
+    out = []
+    for x in ids:
+        fx, mx = coords[x]
+        for x2 in by_fixed[fx]:
+            shift = coords[x2][1] - mx
+            if not allowed(shift):
+                continue
+            for y in ids:
+                if y == x:
+                    continue
+                fy, my = coords[y]
+                for y2 in by_fixed[fy]:
+                    if coords[y2][1] - my == shift:
+                        out.append((x, y, x2, y2, (
+                            f"{x} chosen alongside {y}, but after a common {label} "
+                            f"of {F(shift)} the shifted {y2} is chosen "
+                            f"while {x2} is not")))
+    return out
+
+
+def earliest_payments_by_fractions(dataset, menu):
+    return maximizers(sorted(menu), lambda x: -dataset.payload(x).time)
+
+
+def most_balanced_by_fractions(dataset, menu):
+    return maximizers(menu, lambda x: -gini(dataset.payload(x)))
+
+
+def pbdu_problems_by_fractions(dataset):
+    """The shared-discount and the per-reference PBDU LPs in the order
+    ``fit_pbdu`` tries them, with ``Fraction`` rows over 1."""
+    amounts = sorted({dataset.payload(alt).amount for alt in dataset.universe})
+
+    def reference(menu):
+        return min(dataset.payload(alt).time for alt in menu)
+
+    references = {menu: reference(menu) for menu in dataset.menus()}
+    refs = sorted(set(references.values()) or {reference(m) for m in [dataset.universe] if m})
+    lvar = {a: f"L[{format_rational(a)}]" for a in amounts}
+
+    def build(dvar):
+        problem = LinearFeasibilityProblem()
+        for lo, hi in zip(amounts, amounts[1:]):
+            problem.add({lvar[hi]: 1, lvar[lo]: -1}, ">", 0)
+        for name in sorted({dvar(r) for r in refs}):
+            problem.add({name: 1}, "<", 0)
+        ordered = [dvar(r) for r in refs]
+        for lo, hi in zip(ordered, ordered[1:]):
+            if lo != hi:
+                problem.add({hi: 1, lo: -1}, ">=", 0)
+        for menu, ref in references.items():
+            for relation, head, other in revealed_rows(dataset, menu):
+                hp, op = dataset.payload(head), dataset.payload(other)
+                coeffs = {lvar[hp.amount]: 1, dvar(ref): hp.time - op.time}
+                coeffs[lvar[op.amount]] = coeffs.get(lvar[op.amount], 0) - 1
+                problem.add(coeffs, relation, 0)
+        return problem
+
+    return [build(lambda r: "D[shared]"), build(lambda r: f"D[{format_rational(r)}]")]
+
+
+def fspu_problems_by_fractions(dataset):
+    """The shared-table and the per-reference FSPU LPs in the order
+    ``fit_fspu`` tries them, with ``Fraction`` rows over 1 and one
+    ``gini`` per menu member."""
+    def reference(menu):
+        return min(gini(dataset.payload(alt)) for alt in menu)
+
+    references = {menu: reference(menu) for menu in dataset.menus()}
+    refs = sorted(set(references.values()) or {reference(m) for m in [dataset.universe] if m})
+    incomes = sorted({dataset.payload(alt).other for alt in dataset.universe})
+
+    def build(var):
+        problem = LinearFeasibilityProblem()
+        for r in refs:
+            for lo, hi in zip(incomes, incomes[1:]):
+                problem.add({var(r, hi): 1, var(r, lo): -1}, ">", 0)
+        for r_lo, r_hi in zip(refs, refs[1:]):
+            for lo, hi in zip(incomes, incomes[1:]):
+                coeffs = {}
+                for name, weight in ((var(r_lo, hi), 1), (var(r_lo, lo), -1),
+                                     (var(r_hi, hi), -1), (var(r_hi, lo), 1)):
+                    coeffs[name] = coeffs.get(name, 0) + weight
+                if any(coeffs.values()):
+                    problem.add(coeffs, ">=", 0)
+        for menu, ref in references.items():
+            for relation, head, other in revealed_rows(dataset, menu):
+                hs, os_ = dataset.payload(head), dataset.payload(other)
+                coeffs = {var(ref, hs.other): 1}
+                coeffs[var(ref, os_.other)] = coeffs.get(var(ref, os_.other), 0) - 1
+                problem.add(coeffs, relation, os_.own - hs.own)
+        return problem
+
+    return [build(lambda r, y: f"v[shared][{format_rational(y)}]"),
+            build(lambda r, y: f"v[{format_rational(r)}][{format_rational(y)}]")]
 
 
 # -- exact simplex oracle ----------------------------------------------------

@@ -209,6 +209,21 @@ def test_lottery_with_bad_probabilities_exits_2_with_json(tmp_path, probs):
                                  "detail": "lottery probabilities must be >= 0 and sum to 1"}
 
 
+@pytest.mark.parametrize("payment", [{"amount": "-10", "time": "0"},
+                                     {"amount": "10", "time": "-3"}],
+                         ids=["negative-amount", "negative-time"])
+def test_payment_with_bad_amount_or_time_exits_2_with_json(tmp_path, payment):
+    path = tmp_path / "data.json"
+    path.write_text(to_json({
+        "kind": "dated_payment",
+        "alternatives": [{"id": "a", "payload": payment},
+                         {"id": "b", "payload": {"amount": "20", "time": "4"}}],
+        "observations": [{"menu": ["a", "b"], "choice": ["a"]}]}))
+    code, doc = run_json(["validate", str(path)])
+    assert code == 2 and doc == {"error": "validation",
+                                 "detail": "payments need amount > 0 and time >= 0"}
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--model", "pbdu", "ordu.json", "fixtures://compliance_2_1"],
     ["simulate", "--model", "fspu", "pbdu.json", "menus.json"],

@@ -1,10 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from refdep.choices import warp_over
+from refdep.choices import Alternative, DATED_PAYMENT, PaymentPayload, validate_dataset, warp_over
 from refdep.exceptions import AxiomFails, ValidationError
 from refdep.timepref import (
     PbduParams,
@@ -259,6 +263,37 @@ def test_standing_assumption_reported():
     assert standing_assumption(yes) is True
     assert standing_assumption(no) is False
     assert standing_assumption(fixture_dataset()) is None
+
+
+STANDING_WITH_A_SHARED_CORNER = """
+from fractions import Fraction as F
+from refdep.choices import Alternative, DATED_PAYMENT, PaymentPayload, validate_dataset
+from refdep.timepref import standing_assumption
+alts = [Alternative(i, PaymentPayload(F(a), F(t)))
+        for i, a, t in (("a", 10, 0), ("a2", 10, 0), ("b", 20, 5))]
+print(standing_assumption(validate_dataset(
+    DATED_PAYMENT, alts, [({"a", "b"}, {"a"}), ({"a2", "b"}, {"b"})])))
+"""
+
+
+def test_standing_assumption_does_not_depend_on_the_hash_seed():
+    # a and a2 both pay the worst amount now and disagree against b; the
+    # doubleton of the first id, {a, b}, decides under every hash seed
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    for hash_seed in ("0", "5"):
+        proc = subprocess.run([sys.executable, "-c", STANDING_WITH_A_SHARED_CORNER],
+                              env={**env, "PYTHONHASHSEED": hash_seed},
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout == "False\n", hash_seed
+
+
+@pytest.mark.parametrize("amount, time", [(-10, -3), (0, 1), (10, -3)])
+def test_payment_payload_needs_positive_amount_and_nonnegative_time(amount, time):
+    with pytest.raises(ValidationError, match="payments need amount > 0 and time >= 0"):
+        validate_dataset(DATED_PAYMENT, [Alternative("a", PaymentPayload(F(amount), F(time))),
+                                         Alternative("b", pay(20, 4))],
+                         [({"a", "b"}, {"a"})])
+    assert PaymentPayload(F(1, 2), F(0)).time == 0
 
 
 def test_linkage_on_fixture_fails_both():
