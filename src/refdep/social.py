@@ -47,18 +47,19 @@ def gini(split: SplitPayload) -> Fraction:
 
 
 def _gini_levels(dataset: ChoiceDataset) -> tuple:
-    """Per alternative its Gini coefficient and its level, the rank of
-    that coefficient among the dataset's distinct ones (0 the most
-    balanced), cached per dataset."""
+    """(per alternative its level, the dataset's distinct Gini
+    coefficients ascending): level i is the i-th coefficient, so 0 is
+    the most balanced.  Cached per dataset."""
     def levels():
         ginis = {alt: gini(a.payload) for alt, a in dataset.alternatives.items()}
-        rank = {g: i for i, g in enumerate(sorted(set(ginis.values())))}
-        return ginis, {alt: rank[g] for alt, g in ginis.items()}
+        values = sorted(set(ginis.values()))
+        rank = {g: i for i, g in enumerate(values)}
+        return {alt: rank[g] for alt, g in ginis.items()}, values
     return dataset.cached("gini-levels", levels)
 
 
 def most_balanced(dataset: ChoiceDataset, menu) -> frozenset:
-    _, level = _gini_levels(dataset)
+    level, _ = _gini_levels(dataset)
     return maximizers(menu, lambda x: -level[x])
 
 
@@ -224,7 +225,7 @@ def fit_fspu(dataset: ChoiceDataset) -> FspuParams:
     raise_first_failure(battery(dataset))
     ints = integer_payloads(dataset)
     (den, own), (_, other) = ints["own"], ints["other"]
-    ginis, level = _gini_levels(dataset)
+    level, gini_at = _gini_levels(dataset)
 
     def reference(menu):
         return min(level[alt] for alt in menu)
@@ -232,7 +233,6 @@ def fit_fspu(dataset: ChoiceDataset) -> FspuParams:
     # no observations: the universe's most balanced Gini; no alternatives: no table
     references = {menu: reference(menu) for menu in dataset.menus()}
     refs = sorted(set(references.values()) or {reference(m) for m in [dataset.universe] if m})
-    gini_at = {level[alt]: g for alt, g in ginis.items()}
     incomes = sorted(set(other.values()))
     income = {y: Fraction(y, den) for y in incomes}
     shown = {y: format_rational(income[y]) for y in incomes}
