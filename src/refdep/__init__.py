@@ -17,7 +17,6 @@ from .choices import (
     ViolationWitness,
     WARP,
     conjoin,
-    restrict,
     validate_dataset,
     warp_over,
 )

@@ -35,7 +35,8 @@ KINDS = (GENERIC, LOTTERY, DATED_PAYMENT, INCOME_SPLIT)
 
 @dataclass(frozen=True)
 class LotteryPayload:
-    """A lottery as sorted (prize, probability) pairs with positive mass."""
+    """A lottery as sorted (prize, probability) pairs with positive mass,
+    each prize once."""
 
     probs: tuple  # tuple[(Fraction prize, Fraction prob), ...]
 
@@ -43,6 +44,8 @@ class LotteryPayload:
         if sum((p for _, p in self.probs), Fraction(0)) != 1 \
                 or any(p < 0 for _, p in self.probs):
             raise ValidationError("lottery probabilities must be >= 0 and sum to 1")
+        if len({x for x, _ in self.probs}) != len(self.probs):
+            raise ValidationError("a lottery must list each prize once")
 
     def support(self):
         return tuple(x for x, _ in self.probs)
@@ -543,8 +546,3 @@ def mismatches(dataset: ChoiceDataset, choose) -> list:
         if predicted != dataset.observations[menu]:
             out.append((menu, predicted, dataset.observations[menu]))
     return out
-
-
-def restrict(dataset: ChoiceDataset, family) -> ChoiceDataset:
-    """Functional alias for :meth:`ChoiceDataset.restrict`."""
-    return dataset.restrict(family)

@@ -179,7 +179,7 @@ def cmd_simulate(args):
     elif args.model == "pbdu":
         ds = simulate_pbdu(params, alternatives.values(), menus)
     else:
-        ds = simulate_fspu(params, alternatives.values(), menus)
+        ds = simulate_fspu(params, alternatives.values(), menus, floor)
     doc = dataset_to_dict(ds)
     if args.out:
         with open(args.out, "w") as fh:

@@ -167,11 +167,6 @@ class ReferenceDependenceFailure:
     menu: Menu
     per_candidate: tuple  # tuple[(str, tuple[ViolationWitness, ...]), ...]
 
-    def narrative(self) -> str:
-        names = ", ".join(x for x, _ in self.per_candidate)
-        return (f"menu {{{','.join(sorted(self.menu))}}} has no admissible "
-                f"reference; failing candidates: {names}")
-
 
 def check_reference_dependence(dataset: ChoiceDataset, prop: FiniteProperty,
                                psi: PsiMap, universal: bool = False) -> list:

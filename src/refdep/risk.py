@@ -241,7 +241,7 @@ def _mixture_correspondences(dataset: ChoiceDataset):
         _, _, vectors = _coords(dataset)
         diffs = _diff_table(dataset)
         groups = {}
-        for pair, (vec, key) in diffs.items():
+        for pair, (_, key) in diffs.items():
             if key is not None:
                 groups.setdefault(key, []).append(pair)
         corr = []
@@ -320,8 +320,6 @@ def check_avoidable_risk(dataset: ChoiceDataset) -> list:
                 key1 = diffs[(risky1, safe1)][1]
                 for risky2 in sorted(c_big):
                     for safe2 in sorted(big - c_big):
-                        if risky2 == safe2:
-                            continue
                         if diffs[(risky2, safe2)][1] == key1:
                             witnesses.append(ViolationWitness(
                                 kind="AvoidableRisk",

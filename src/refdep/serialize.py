@@ -146,14 +146,18 @@ def menus_from_dict(doc):
         menus = [frozenset(ids_from_json(m, "menu")) for m in doc["menus"]]
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValidationError(f"malformed menus document: {exc}") from exc
-    ids = {a.id for a in alts}
+    by_id = {}
+    for alt in alts:
+        if alt.id in by_id:
+            raise ValidationError(f"duplicate alternative id {alt.id!r}")
+        by_id[alt.id] = alt
     for menu in menus:
         if not menu:
             raise ValidationError("empty menu in menus file")
-        if not menu <= ids:
+        if not menu <= by_id.keys():
             raise ValidationError(f"menu {sorted(menu)} uses undeclared ids")
     floor = parse_rational(doc["floor"]) if "floor" in doc else None
-    return kind, {a.id: a for a in alts}, menus, floor
+    return kind, by_id, menus, floor
 
 
 def to_json(obj) -> str:

@@ -87,22 +87,25 @@ def check_equality_reference_dependence(dataset: ChoiceDataset) -> list:
 def check_fairness(dataset: ChoiceDataset) -> list:
     """Expanding a menu never flips the chooser from sharing more to
     sharing less."""
+    den, other = integer_payloads(dataset)["other"]
+
+    def sharing(alt):
+        return format_rational(Fraction(other[alt], den))
+
     witnesses = []
     for small, big in dataset.nested_pairs():
         c_small = dataset.observations[small]
         c_big = dataset.observations[big]
         for generous in sorted(c_small):
-            g = dataset.payload(generous)
             for stingy in sorted(small):
-                s = dataset.payload(stingy)
-                if s.other >= g.other or stingy in c_small:
+                if other[stingy] >= other[generous] or stingy in c_small:
                     continue
                 if stingy in c_big:
                     witnesses.append(ViolationWitness(
                         kind="Fairness",
                         menus=(small, big),
-                        narrative=(f"{generous} (sharing {format_rational(g.other)}) "
-                                   f"beat {stingy} (sharing {format_rational(s.other)}), "
+                        narrative=(f"{generous} (sharing {sharing(generous)}) "
+                                   f"beat {stingy} (sharing {sharing(stingy)}), "
                                    f"yet expansion revives {stingy}"),
                     ))
     return sort_witnesses(set(witnesses))
@@ -110,17 +113,19 @@ def check_fairness(dataset: ChoiceDataset) -> list:
 
 def check_social_monotonicity(dataset: ChoiceDataset) -> list:
     """Binary dominance: weakly more for both and strictly more for one wins."""
+    ints = integer_payloads(dataset)
+    (_, own), (_, other) = ints["own"], ints["other"]
     witnesses = []
     for menu in dataset.menus():
         if len(menu) != 2:
             continue
         x, y = sorted(menu)
-        px, py = dataset.payload(x), dataset.payload(y)
         winner = None
-        if px.own >= py.own and px.other >= py.other and (px != py):
-            winner = x
-        elif py.own >= px.own and py.other >= px.other and (px != py):
-            winner = y
+        if (own[x], other[x]) != (own[y], other[y]):
+            if own[x] >= own[y] and other[x] >= other[y]:
+                winner = x
+            elif own[y] >= own[x] and other[y] >= other[x]:
+                winner = y
         if winner is not None and dataset.observations[menu] != {winner}:
             witnesses.append(ViolationWitness(
                 kind="SocialMonotonicity", menus=(menu,),
@@ -162,14 +167,11 @@ class FspuParams:
             if any(values[i] >= values[i + 1] for i in range(len(values) - 1)):
                 raise ValidationError("sharing utility must be strictly increasing")
         for (r_lo, t_lo), (r_hi, t_hi) in zip(self.tables, self.tables[1:]):
-            for (y1, v1), (y2, v2), (y1h, v1h), (y2h, v2h) in zip(
+            for (_, v1), (_, v2), (_, v1h), (_, v2h) in zip(
                     t_lo, t_lo[1:], t_hi, t_hi[1:]):
                 if v2 - v1 < v2h - v1h:
                     raise ValidationError(
                         f"increments at Gini {r_lo} must dominate those at {r_hi}")
-
-    def references(self):
-        return tuple(r for r, _ in self.tables)
 
     def value(self, ref, other_income) -> Fraction:
         for r, table in self.tables:
@@ -203,11 +205,14 @@ def evaluate_fspu(params: FspuParams, splits: dict) -> frozenset:
                       + params.value(ref, splits[alt].other))
 
 
-def simulate_fspu(params: FspuParams, alternatives, menus) -> ChoiceDataset:
+def simulate_fspu(params: FspuParams, alternatives, menus, floor=None) -> ChoiceDataset:
+    """The simulated dataset, with income ``floor`` (by default the
+    lowest income of ``alternatives``)."""
     alts = {a.id: a for a in alternatives}
+    if floor is None:
+        floor = min(min(a.payload.own, a.payload.other) for a in alts.values())
     return simulate(INCOME_SPLIT, alts.values(), menus, lambda menu: evaluate_fspu(
-        params, {alt: alts[alt].payload for alt in menu}),
-        floor=min(min(a.payload.own, a.payload.other) for a in alts.values()))
+        params, {alt: alts[alt].payload for alt in menu}), floor=floor)
 
 
 def verify_fspu(params: FspuParams, dataset: ChoiceDataset) -> list:

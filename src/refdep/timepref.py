@@ -109,18 +109,19 @@ def pairwise_anchored_equivalence(dataset: ChoiceDataset) -> EquivalenceReport:
 
 def check_outcome_monotonicity_impatience(dataset: ChoiceDataset) -> list:
     """Binary menus: more money at the same time wins; same money sooner wins."""
+    ints = integer_payloads(dataset)
+    (_, amount), (_, time) = ints["amount"], ints["time"]
     witnesses = []
     for menu in dataset.menus():
         if len(menu) != 2:
             continue
         x, y = sorted(menu)
-        px, py = dataset.payload(x), dataset.payload(y)
         expected = None
-        if px.time == py.time and px.amount != py.amount:
-            expected = x if px.amount > py.amount else y
+        if time[x] == time[y] and amount[x] != amount[y]:
+            expected = x if amount[x] > amount[y] else y
             tag = "OutcomeMonotonicity"
-        elif px.amount == py.amount and px.time != py.time:
-            expected = x if px.time < py.time else y
+        elif amount[x] == amount[y] and time[x] != time[y]:
+            expected = x if time[x] < time[y] else y
             tag = "Impatience"
         if expected is not None and dataset.observations[menu] != {expected}:
             witnesses.append(ViolationWitness(
@@ -137,55 +138,42 @@ def check_present_bias(dataset: ChoiceDataset) -> list:
     stationarity caches: it reports the doubletons {early, late} and
     {early2, late2}, each payment of the second the same amount delayed
     by the same positive time, when ``late`` alone is chosen before the
-    delay and ``late2`` is not alone chosen after it."""
-    witnesses = []
+    delay and ``late2`` is not alone chosen after it.  Clause 2 pairs
+    triples with distinct times whose members, in time order, pay the
+    same amounts, the second's times ``scale * t + offset`` of the
+    first's with 0 < scale < 1."""
+    ints = integer_payloads(dataset)
+    (_, amount), (time_den, time) = ints["amount"], ints["time"]
     observed = dataset.observations
-    pays = {alt: dataset.payload(alt) for alt in dataset.universe}
-
-    def timeline(menu):
-        members = sorted(menu, key=lambda alt: (pays[alt].time, pays[alt].amount))
-        times = [pays[alt].time for alt in members]
-        if len(set(times)) != len(times):
-            return None
-        return members, times
-
+    witnesses = []
     for late, early, late2, early2, _ in _delays(dataset):
         menu_a, menu_b = frozenset((early, late)), frozenset((early2, late2))
-        if pays[early].time < pays[late].time and observed.get(menu_a) == {late} \
+        if time[early] < time[late] and observed.get(menu_a) == {late} \
                 and menu_b in observed and observed[menu_b] != {late2}:
-            delay = pays[late2].time - pays[late].time
+            delay = Fraction(time[late2] - time[late], time_den)
             witnesses.append(ViolationWitness(
                 kind="PresentBias",
                 menus=(menu_a, menu_b),
                 narrative=(f"the later option {late} wins, but after delaying "
                            f"both by {format_rational(delay)} it no longer does"),
             ))
-    triples = [m for m in dataset.menus() if len(m) == 3]
-    for menu_a in triples:
-        line_a = timeline(menu_a)
-        if line_a is None or dataset.observations[menu_a] != menu_a:
+    lines = {menu: sorted(menu, key=time.__getitem__) for menu in dataset.menus()
+             if len(menu) == 3 and len({time[alt] for alt in menu}) == 3}
+    for menu_a, (a0, a1, a2) in lines.items():
+        if observed[menu_a] != menu_a:
             continue
-        members_a, times_a = line_a
-        for menu_b in triples:
-            if menu_b == menu_a:
+        span_a = time[a2] - time[a0]
+        for menu_b, (b0, b1, b2) in lines.items():
+            if menu_b == menu_a or (amount[a0], amount[a1], amount[a2]) \
+                    != (amount[b0], amount[b1], amount[b2]):
                 continue
-            line_b = timeline(menu_b)
-            if line_b is None:
+            # scale = span_b / span_a, and the middle times must match
+            span_b = time[b2] - time[b0]
+            if not 0 < span_b < span_a \
+                    or (time[b1] - time[b0]) * span_a != (time[a1] - time[a0]) * span_b:
                 continue
-            members_b, times_b = line_b
-            if any(pays[x].amount != pays[y].amount
-                   for x, y in zip(members_a, members_b)):
-                continue
-            span = times_a[2] - times_a[0]
-            scale = (times_b[2] - times_b[0]) / span
-            offset = times_b[0] - scale * times_a[0]
-            if not 0 < scale < 1:
-                continue
-            if times_b[1] != scale * times_a[1] + offset:
-                continue
-            picked = dataset.observations[menu_b]
-            if members_b[0] in picked and members_b[2] in picked \
-                    and members_b[1] not in picked:
+            picked = observed[menu_b]
+            if b0 in picked and b2 in picked and b1 not in picked:
                 witnesses.append(ViolationWitness(
                     kind="PresentBias",
                     menus=(menu_a, menu_b),
@@ -293,15 +281,13 @@ def standing_assumption(dataset: ChoiceDataset):
     """True/False for the best-late-vs-worst-now doubleton when observed,
     None when that menu never appears.  Several alternatives may share a
     corner payment; their doubletons are tried in id order."""
+    ints = integer_payloads(dataset)
+    (_, amount), (_, time) = ints["amount"], ints["time"]
     ids = sorted(dataset.universe)
-    amounts = [dataset.payload(alt).amount for alt in ids]
-    times = [dataset.payload(alt).time for alt in ids]
     lo_now = [alt for alt in ids
-              if dataset.payload(alt).amount == min(amounts)
-              and dataset.payload(alt).time == min(times)]
+              if amount[alt] == min(amount.values()) and time[alt] == min(time.values())]
     hi_late = [alt for alt in ids
-               if dataset.payload(alt).amount == max(amounts)
-               and dataset.payload(alt).time == max(times)]
+               if amount[alt] == max(amount.values()) and time[alt] == max(time.values())]
     for a in lo_now:
         for b in hi_late:
             menu = frozenset((a, b))

@@ -1127,6 +1127,149 @@ def most_balanced_by_fractions(dataset, menu):
     return maximizers(menu, lambda x: -gini(dataset.payload(x)))
 
 
+def outcome_monotonicity_impatience_by_fractions(dataset):
+    witnesses = []
+    for menu in dataset.menus():
+        if len(menu) != 2:
+            continue
+        x, y = sorted(menu)
+        px, py = dataset.payload(x), dataset.payload(y)
+        expected = None
+        if px.time == py.time and px.amount != py.amount:
+            expected = x if px.amount > py.amount else y
+            tag = "OutcomeMonotonicity"
+        elif px.amount == py.amount and px.time != py.time:
+            expected = x if px.time < py.time else y
+            tag = "Impatience"
+        if expected is not None and dataset.observations[menu] != {expected}:
+            witnesses.append(ViolationWitness(
+                kind=tag, menus=(menu,),
+                narrative=f"{expected} should be the unique choice"))
+    return witnesses
+
+
+def present_bias_by_fractions(dataset):
+    """Both clauses of present bias; the delays of clause 1 come from
+    ``shift_correspondences_by_fractions``, and clause 2 maps the first
+    triple's times onto the second's by a ``Fraction`` affine map."""
+    witnesses = []
+    observed = dataset.observations
+    pays = {alt: dataset.payload(alt) for alt in dataset.universe}
+
+    def timeline(menu):
+        members = sorted(menu, key=lambda alt: (pays[alt].time, pays[alt].amount))
+        times = [pays[alt].time for alt in members]
+        if len(set(times)) != len(times):
+            return None
+        return members, times
+
+    delays = shift_correspondences_by_fractions(dataset, "amount", "time",
+                                                lambda d: d > 0, "delay")
+    for late, early, late2, early2, _ in delays:
+        menu_a, menu_b = frozenset((early, late)), frozenset((early2, late2))
+        if pays[early].time < pays[late].time and observed.get(menu_a) == {late} \
+                and menu_b in observed and observed[menu_b] != {late2}:
+            delay = pays[late2].time - pays[late].time
+            witnesses.append(ViolationWitness(
+                kind="PresentBias",
+                menus=(menu_a, menu_b),
+                narrative=(f"the later option {late} wins, but after delaying "
+                           f"both by {format_rational(delay)} it no longer does"),
+            ))
+    triples = [m for m in dataset.menus() if len(m) == 3]
+    for menu_a in triples:
+        line_a = timeline(menu_a)
+        if line_a is None or dataset.observations[menu_a] != menu_a:
+            continue
+        members_a, times_a = line_a
+        for menu_b in triples:
+            if menu_b == menu_a:
+                continue
+            line_b = timeline(menu_b)
+            if line_b is None:
+                continue
+            members_b, times_b = line_b
+            if any(pays[x].amount != pays[y].amount
+                   for x, y in zip(members_a, members_b)):
+                continue
+            span = times_a[2] - times_a[0]
+            scale = (times_b[2] - times_b[0]) / span
+            offset = times_b[0] - scale * times_a[0]
+            if not 0 < scale < 1:
+                continue
+            if times_b[1] != scale * times_a[1] + offset:
+                continue
+            picked = dataset.observations[menu_b]
+            if members_b[0] in picked and members_b[2] in picked \
+                    and members_b[1] not in picked:
+                witnesses.append(ViolationWitness(
+                    kind="PresentBias",
+                    menus=(menu_a, menu_b),
+                    narrative=("indifference among all three did not carry the "
+                               "middle option through the time rescaling"),
+                ))
+    return sort_witnesses(set(witnesses))
+
+
+def standing_assumption_by_fractions(dataset):
+    ids = sorted(dataset.universe)
+    amounts = [dataset.payload(alt).amount for alt in ids]
+    times = [dataset.payload(alt).time for alt in ids]
+    lo_now = [alt for alt in ids
+              if dataset.payload(alt).amount == min(amounts)
+              and dataset.payload(alt).time == min(times)]
+    hi_late = [alt for alt in ids
+               if dataset.payload(alt).amount == max(amounts)
+               and dataset.payload(alt).time == max(times)]
+    for a in lo_now:
+        for b in hi_late:
+            menu = frozenset((a, b))
+            if menu in dataset.observations:
+                return b in dataset.observations[menu]
+    return None
+
+
+def fairness_by_fractions(dataset):
+    witnesses = []
+    for small, big in dataset.nested_pairs():
+        c_small = dataset.observations[small]
+        c_big = dataset.observations[big]
+        for generous in sorted(c_small):
+            g = dataset.payload(generous)
+            for stingy in sorted(small):
+                s = dataset.payload(stingy)
+                if s.other >= g.other or stingy in c_small:
+                    continue
+                if stingy in c_big:
+                    witnesses.append(ViolationWitness(
+                        kind="Fairness",
+                        menus=(small, big),
+                        narrative=(f"{generous} (sharing {format_rational(g.other)}) "
+                                   f"beat {stingy} (sharing {format_rational(s.other)}), "
+                                   f"yet expansion revives {stingy}"),
+                    ))
+    return sort_witnesses(set(witnesses))
+
+
+def social_monotonicity_by_fractions(dataset):
+    witnesses = []
+    for menu in dataset.menus():
+        if len(menu) != 2:
+            continue
+        x, y = sorted(menu)
+        px, py = dataset.payload(x), dataset.payload(y)
+        winner = None
+        if px.own >= py.own and px.other >= py.other and (px != py):
+            winner = x
+        elif py.own >= px.own and py.other >= px.other and (px != py):
+            winner = y
+        if winner is not None and dataset.observations[menu] != {winner}:
+            witnesses.append(ViolationWitness(
+                kind="SocialMonotonicity", menus=(menu,),
+                narrative=f"{winner} dominates and must be the unique choice"))
+    return witnesses
+
+
 def pbdu_problems_by_fractions(dataset):
     """The shared-discount and the per-reference PBDU LPs in the order
     ``fit_pbdu`` tries them, with ``Fraction`` rows over 1."""

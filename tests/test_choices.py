@@ -22,6 +22,7 @@ from refdep.exceptions import (
 )
 from refdep.risk import betweenness_over, independence_over, transitivity_over
 from refdep.rivals import load_fixture
+from refdep.serialize import dataset_from_dict, menus_from_dict
 from refdep.social import quasilinearity_over
 from refdep.timepref import stationarity_over
 
@@ -72,6 +73,29 @@ def test_lottery_probabilities_are_checked_when_the_payload_is_built(probs):
         validate_dataset(LOTTERY, [Alternative("a", LotteryPayload(probs)),
                                    Alternative("b", lot([(1, 1)]))],
                          [(frozenset("ab"), frozenset("a"))])
+
+
+def test_a_lottery_listing_a_prize_twice_is_rejected():
+    """prob(1) would read only the first pair and drop the second's mass."""
+    with pytest.raises(ValidationError, match="each prize once"):
+        LotteryPayload(((F(1), F(1, 2)), (F(1), F(1, 2))))
+    with pytest.raises(ValidationError, match="each prize once"):
+        dataset_from_dict({"kind": "lottery",
+                           "alternatives": [{"id": "a", "payload": {"probs": {"1": "1/2",
+                                                                              "1.0": "1/2"}}}],
+                           "observations": []})
+
+
+def test_a_menus_file_repeating_an_id_is_rejected():
+    """As in a dataset file: a repeated id would keep only its last payload."""
+    doc = {"kind": "dated_payment", "menus": [["a", "b"]],
+           "alternatives": [{"id": "a", "payload": {"amount": "1", "time": "0"}},
+                            {"id": "b", "payload": {"amount": "2", "time": "1"}},
+                            {"id": "a", "payload": {"amount": "3", "time": "2"}}]}
+    with pytest.raises(ValidationError, match="duplicate alternative id 'a'"):
+        menus_from_dict(doc)
+    with pytest.raises(ValidationError, match="duplicate alternative id 'a'"):
+        dataset_from_dict({**doc, "observations": []})
 
 
 def test_mixed_payload_kinds_rejected():

@@ -209,6 +209,24 @@ def test_lottery_with_bad_probabilities_exits_2_with_json(tmp_path, probs):
                                  "detail": "lottery probabilities must be >= 0 and sum to 1"}
 
 
+def test_lottery_listing_a_prize_twice_exits_2_with_json(tmp_path):
+    """Read as one pair, {"1": "1/2", "1.0": "1/2"} lost half its mass
+    and the fit reported the valid data infeasible."""
+    path = tmp_path / "data.json"
+    path.write_text(to_json({
+        "kind": "lottery",
+        "alternatives": [{"id": "a", "payload": {"probs": {"1": "1/2", "1.0": "1/2"}}},
+                         {"id": "b", "payload": {"probs": {"0": "1/2", "2": "1/2"}}},
+                         {"id": "c", "payload": {"probs": {"0": "1/4", "1": "1/2", "2": "1/4"}}}],
+        "observations": [{"menu": ["a", "b"], "choice": ["a"]},
+                         {"menu": ["b", "c"], "choice": ["c"]}]}))
+    for argv in (["validate"], ["check", "--model", "areu"], ["fit", "--model", "areu"],
+                 ["report"]):
+        code, doc = run_json(argv + [str(path)])
+        assert code == 2 and doc == {"error": "validation",
+                                     "detail": "a lottery must list each prize once"}, argv
+
+
 @pytest.mark.parametrize("payment", [{"amount": "-10", "time": "0"},
                                      {"amount": "10", "time": "-3"}],
                          ids=["negative-amount", "negative-time"])
@@ -450,6 +468,38 @@ def _assert_fit_certifies(model, doc, tmp_path):
     assert code == 0 and out["fit"] == "ok"
     code, out = run_json(["verify", "--model", model, str(params), str(data)])
     assert code == 0 and out["pass"] is True
+
+
+def _simulate(tmp_path, model, menus):
+    params, path = tmp_path / "params.json", tmp_path / "menus.json"
+    params.write_text(json.dumps(DOCUMENTS[model]["params"]))
+    path.write_text(json.dumps(menus))
+    return run_json(["simulate", "--model", model, str(params), str(path)])
+
+
+@pytest.mark.parametrize("model", ["pbdu", "fspu"])
+def test_simulate_rejects_a_menus_file_repeating_an_id(model, tmp_path):
+    menus = copy.deepcopy(DOCUMENTS[model]["menus"])
+    first = menus["alternatives"][0]
+    menus["alternatives"].append({**first, "payload": menus["alternatives"][1]["payload"]})
+    code, doc = _simulate(tmp_path, model, menus)
+    assert code == 2 and doc == {"error": "validation",
+                                 "detail": f"duplicate alternative id {first['id']!r}"}
+
+
+def test_simulate_keeps_the_floor_of_the_menus_file(tmp_path):
+    menus = copy.deepcopy(DOCUMENTS["fspu"]["menus"])
+    lowest = min(parse_rational(a["payload"][side]) for a in menus["alternatives"]
+                 for side in ("own", "other"))
+    menus["floor"] = "1/2"
+    code, doc = _simulate(tmp_path, "fspu", menus)
+    assert code == 0 and lowest > F(1, 2) and doc["floor"] == "1/2"
+    menus["floor"] = str(lowest + 1)
+    code, doc = _simulate(tmp_path, "fspu", menus)
+    assert code == 2 and doc["error"] == "validation" and "below the floor" in doc["detail"]
+    del menus["floor"]
+    code, doc = _simulate(tmp_path, "fspu", menus)
+    assert code == 0 and doc["floor"] == str(lowest)
 
 
 @pytest.mark.parametrize("model", sorted(DOCUMENTS))

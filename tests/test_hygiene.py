@@ -3,8 +3,9 @@
 Each module reads every name it takes with a ``from``-import, unless the
 import line says that ``bench/tracing.py`` wraps the name there and its
 ``install()`` does replace that module global, reads every private name
-it defines at module level, and reads every parameter of each of its
-functions (``self`` and ``cls`` aside) in that function.
+it defines at module level, reads every parameter of each of its
+functions (``self`` and ``cls`` aside) in that function, and reads every
+local name a function binds, unless the name starts with ``_``.
 """
 
 import ast
@@ -90,3 +91,32 @@ def test_every_parameter_is_read(path):
         unread += [f"{node.name}({arg.arg})" for arg in params
                    if arg.arg not in ("self", "cls") and arg.arg not in read]
     assert not unread, f"{path.name} never reads the parameters {unread}"
+
+
+def _bound(node):
+    """The names ``node`` binds: assignment and loop targets, ``as``
+    names, and nested definitions and imports."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+        yield node.id
+    elif isinstance(node, ast.ExceptHandler) and node.name:
+        yield node.name
+    elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        yield node.name
+    elif isinstance(node, (ast.Import, ast.ImportFrom)):
+        yield from ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_every_local_name_is_read(path):
+    _, tree, _ = _parse(path)
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        inside = [sub for statement in node.body for sub in ast.walk(statement)]
+        read = {sub.id for sub in inside
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        unread += [f"{node.name}({name})"
+                   for name in sorted({name for sub in inside for name in _bound(sub)})
+                   if not name.startswith("_") and name not in read]
+    assert not unread, f"{path.name} binds but never reads {unread}"

@@ -1,10 +1,10 @@
 """The integer payment and split views against ``Fraction`` oracles.
 
 Shift correspondences, the earliest-payment and most-balanced Psi maps,
-and the PBDU and FSPU LPs read integer payloads.  The oracles in
-``helpers`` read the ``Fraction`` payloads as the code did before the
-views.  The data have denominators 1-6, equal times and equal Gini
-levels.
+the PBDU and FSPU axiom checks and LPs read integer payloads.  The
+oracles in ``helpers`` read the ``Fraction`` payloads as the code did
+before the views.  The data have denominators 1-6, equal times and
+equal Gini levels.
 """
 
 import math
@@ -17,14 +17,25 @@ from refdep import social, timepref
 from refdep.choices import integer_payloads, shift_correspondences
 from refdep.feasibility import solve_linear_feasibility
 
+from refdep.choices import DATED_PAYMENT, INCOME_SPLIT, Alternative, validate_dataset
+
 from helpers import (
+    all_menus,
     earliest_payments_by_fractions,
+    fairness_by_fractions,
     fractional_fspu_data,
     fractional_pbdu_data,
     fspu_problems_by_fractions,
     most_balanced_by_fractions,
+    outcome_monotonicity_impatience_by_fractions,
+    pay,
     pbdu_problems_by_fractions,
+    perturbed,
+    present_bias_by_fractions,
     shift_correspondences_by_fractions,
+    social_monotonicity_by_fractions,
+    split,
+    standing_assumption_by_fractions,
 )
 
 # (amount or own-income denominator, time or other-income denominator)
@@ -111,3 +122,117 @@ def test_lps_are_the_fraction_lps_times_one_denominator(model, monkeypatch):
             assert solve_linear_feasibility(problem) == solve_linear_feasibility(reference)
     assert per_reference  # the per-reference LP is reached too
 
+
+
+def _random_choices(rng, kind, payloads, floor=None):
+    """Every menu of size 2-3 over ``payloads`` (id -> payload) choosing
+    a random nonempty subset, the whole menu one time in three."""
+    observations = {}
+    for menu in all_menus(sorted(payloads), 2, 3):
+        members = sorted(menu)
+        observations[menu] = menu if rng.random() < 1 / 3 else frozenset(
+            rng.sample(members, rng.randint(1, len(members))))
+    return validate_dataset(kind, [Alternative(k, v) for k, v in payloads.items()],
+                            observations, floor=floor)
+
+
+def _affine_triples(rng, den):
+    """Three triples of dated payments with the same amounts in time order:
+    the second's times are s*t + o of the first's with s in (0, 1) not an
+    integer reciprocal, the third's middle time is off that map, and the
+    first and second choose as present bias's triple clause forbids."""
+    amounts = [F(rng.randint(1, 4 * den), den) for _ in range(3)]
+    times = [F(rng.randint(0, 2 * den), den)]
+    for _ in range(2):
+        times.append(times[-1] + F(rng.randint(1, 3 * den), den))
+    m = rng.randint(3, 6)
+    s = F(rng.randint(2, m - 1), m)
+    o = F(rng.randint(0, 2 * den), den)
+    shrunk = [s * t + o for t in times]
+    off = [shrunk[0], (shrunk[0] + shrunk[1]) / 2, shrunk[2]]
+    payloads = {f"{tag}{i}": pay(a, t) for tag, line in (("a", times), ("b", shrunk), ("c", off))
+                for i, (a, t) in enumerate(zip(amounts, line))}
+    ds = _random_choices(rng, DATED_PAYMENT, payloads)
+    observations = {**ds.observations, frozenset(("a0", "a1", "a2")): frozenset(("a0", "a1", "a2")),
+                    frozenset(("b0", "b1", "b2")): frozenset(("b0", "b2"))}
+    return validate_dataset(DATED_PAYMENT, ds.alternatives.values(), observations)
+
+
+def _payment_grid(rng, den):
+    """Six dated payments over ``den``: two, the same two delayed by a
+    common d (not an integer when den > 1) and two more, repeats allowed."""
+    def cell():
+        return F(rng.randint(den, 3 * den), den), F(rng.randint(0, 2 * den), den)
+    d = F(rng.choice([k for k in range(1, 2 * den + 1) if den == 1 or k % den]), den)
+    pairs = [cell(), cell()]
+    cells = [*pairs, *((a, t + d) for a, t in pairs), cell(), cell()]
+    return _random_choices(rng, DATED_PAYMENT, {f"p{i}": pay(a, t)
+                                                for i, (a, t) in enumerate(cells)})
+
+
+def _split_grid(rng, den):
+    """Six income splits on a small grid over ``den``, repeats allowed."""
+    return _random_choices(rng, INCOME_SPLIT, {
+        f"s{i}": split(F(rng.randint(den, 3 * den), den), F(rng.randint(den, 3 * den), den))
+        for i in range(6)}, floor=F(1))
+
+
+# model -> (checks read off the integer view, their Fraction oracles)
+CHECKS = {
+    "pbdu": ((timepref.check_outcome_monotonicity_impatience, timepref.check_present_bias),
+             (outcome_monotonicity_impatience_by_fractions, present_bias_by_fractions)),
+    "fspu": ((social.check_social_monotonicity, social.check_fairness),
+             (social_monotonicity_by_fractions, fairness_by_fractions)),
+}
+GRIDS = {"pbdu": (_payment_grid, _affine_triples), "fspu": (_split_grid,)}
+
+
+def _check_cases(model):
+    for ds in _datasets(model):
+        yield ds
+        yield perturbed(random.Random(len(ds.observations)), ds)
+    for den in range(1, 7):
+        for seed in range(3):
+            for grid in GRIDS[model]:
+                yield grid(random.Random(seed), den)
+
+
+@pytest.mark.parametrize("model", sorted(CHECKS))
+def test_axiom_checks_match_the_fraction_oracles(model):
+    """Equal witness lists, narratives included; every check reports on
+    some data and passes on other data."""
+    checks, oracles = CHECKS[model]
+    failed = {check.__name__: 0 for check in checks}
+    cases = list(_check_cases(model))
+    fractional = 0
+    for ds in cases:
+        for check, oracle in zip(checks, oracles):
+            witnesses = check(ds)
+            assert witnesses == oracle(ds), (check.__name__, ds.observations)
+            failed[check.__name__] += bool(witnesses)
+            fractional += any("/" in w.narrative for w in witnesses)
+    assert fractional  # a narrative shows a non-integer amount or delay
+    assert all(0 < count < len(cases) for count in failed.values()), failed
+
+
+def test_standing_assumption_matches_the_fraction_oracle():
+    verdicts = set()
+    for ds in _check_cases("pbdu"):
+        verdict = timepref.standing_assumption(ds)
+        assert verdict == standing_assumption_by_fractions(ds)
+        verdicts.add(verdict)
+    assert verdicts == {True, False, None}
+
+
+def test_present_bias_triple_clause_fires_on_fractional_rescalings():
+    fired = 0
+    for den in range(1, 7):
+        for seed in range(3):
+            ds = _affine_triples(random.Random(seed), den)
+            witnesses = timepref.check_present_bias(ds)
+            assert witnesses == present_bias_by_fractions(ds)
+            fired += any(w.menus == (frozenset(("a0", "a1", "a2")), frozenset(("b0", "b1", "b2")))
+                         for w in witnesses)
+            assert not any(frozenset(("c0", "c1", "c2")) in w.menus for w in witnesses
+                           if len(w.menus[0]) == 3)
+    assert fired == 18

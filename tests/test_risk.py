@@ -818,6 +818,32 @@ def test_reference_dependent_three_prize_fit_solves_one_lp(monkeypatch):
     assert verify_areu(fitted, ds) == []
 
 
+def test_sweep_rejects_the_first_chain_of_two_unordered_classes(monkeypatch):
+    # choosing x over the sure middle prize a puts u_a(1) below 1/2, and
+    # choosing b over its spread y puts u_b(1) above it; nothing orders a
+    # against b, so the id-order chain (a, b) comes first and fails the
+    # sweep with no LP, and (b, a) is certified by the only LP
+    lots = {"a": lot([(1, 1)]), "x": lot([(0, F(1, 2)), (2, F(1, 2))]),
+            "b": lot([(1, F(1, 2)), (2, F(1, 2))]), "y": lot([(0, F(1, 4)), (2, F(3, 4))])}
+    ds = lottery_dataset(lots, [(("a", "x"), ("x",)), (("b", "y"), ("b",))])
+    events = []
+    solve_chain, solve = risk._solve_chain, risk.solve_linear_feasibility
+
+    def traced_chain(dataset, classes, chain):
+        events.append(chain)
+        solution = solve_chain(dataset, classes, chain)
+        events.append(solution is not None)
+        return solution
+
+    monkeypatch.setattr(risk, "_solve_chain", traced_chain)
+    monkeypatch.setattr(risk, "solve_linear_feasibility",
+                        lambda problem: events.append("lp") or solve(problem))
+    fitted = fit_areu(ds)
+    assert events == [("a", "b"), False, ("b", "a"), "lp", True]
+    assert fitted.order.ranking[:2] == ("b", "a")
+    assert verify_areu(fitted, ds) == []
+
+
 def vec4(w, a, b, c):
     return (F(w), F(a), F(b), F(c))
 

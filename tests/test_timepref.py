@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 from refdep.choices import Alternative, DATED_PAYMENT, PaymentPayload, validate_dataset, warp_over
-from refdep.exceptions import AxiomFails, ValidationError
+from refdep.exceptions import AxiomFails, InfeasibleFit, ValidationError
 from refdep.timepref import (
     PbduParams,
+    battery,
     check_outcome_monotonicity_impatience,
     check_present_bias,
     check_time_reference_dependence,
@@ -248,6 +249,23 @@ def test_single_switching_zero_switches_with_equal_deltas():
     params = PbduParams(((F(18), F(0)), (F(20), F(1))), ((F(0), F(-2)),))
     assert single_switching_check(params, pay(18, 0), pay(20, 1),
                                   range(0, 11)) == []
+
+
+def test_fit_of_data_passing_the_battery_can_be_infeasible():
+    """The battery is necessary, not sufficient: this perturbed simulation
+    passes every PBDU axiom check, and neither LP has a solution."""
+    rng = random.Random(779)
+    ds = perturbed(rng, pbdu_data(rng))
+    assert not any(witnesses for _, _, witnesses in battery(ds))
+    with pytest.raises(InfeasibleFit):
+        fit_pbdu(ds)
+
+
+def test_discount_log_below_the_grid_takes_the_earliest_fitted_time():
+    params = PbduParams(((F(1), F(0)), (F(2), F(1))), ((F(2), F(-3)), (F(5), F(-1))))
+    assert [params.discount_log(t) for t in (F(0), F(1, 2), F(2), F(4), F(5), F(9))] \
+        == [-3, -3, -3, -3, -1, -1]
+    assert evaluate_pbdu(params, {"x": pay(1, 1), "y": pay(2, 2)}) == {"x"}
 
 
 def test_decreasing_discounts_rejected_at_construction():
