@@ -323,6 +323,8 @@ def _check_invariants(ds: ChoiceDataset) -> None:
             if alt.payload.own < floor or alt.payload.other < floor:
                 raise ValidationError(
                     f"alternative {alt.id!r} pays below the floor {floor}")
+    elif ds.floor is not None:
+        raise ValidationError(f"a floor applies only to {INCOME_SPLIT} data, not {ds.kind}")
 
 
 def over_common_denominator(rows) -> tuple:

@@ -175,6 +175,7 @@ def cmd_simulate(args):
     if args.model == "ordu":
         ds = simulate_ordu(params, menus)
     elif args.model == "areu":
+        risk.check_lotteries(params, alternatives.values())
         ds = simulate_areu(params, menus)
     elif args.model == "pbdu":
         ds = simulate_pbdu(params, alternatives.values(), menus)

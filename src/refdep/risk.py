@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations
+from operator import le
 
 from .choices import (
     Alternative,
@@ -471,6 +472,19 @@ def evaluate_areu(params: AreuParams, menu) -> Menu:
     return maximizers(menu, lambda alt: expected_utility(params.vector(alt), u))
 
 
+def check_lotteries(params: AreuParams, alternatives) -> None:
+    """A ValidationError when an alternative the params name carries
+    another lottery than the params' or a prize off their grid (its
+    probabilities sum to 1, so either shows as a different vector on the
+    grid).  Ids the params do not name are left to ``evaluate_areu``."""
+    named = dict(params.lotteries)
+    for alt in alternatives:
+        if alt.id in named and tuple(
+                alt.payload.prob(x) for x in params.prizes) != named[alt.id]:
+            raise ValidationError(
+                f"lottery {alt.id!r} differs from the params' lottery of that id")
+
+
 def simulate_areu(params: AreuParams, menus) -> ChoiceDataset:
     alternatives = [Alternative(alt_id, LotteryPayload(tuple(
         (x, p) for x, p in zip(params.prizes, vec) if p != 0)))
@@ -479,6 +493,7 @@ def simulate_areu(params: AreuParams, menus) -> ChoiceDataset:
 
 
 def verify_areu(params: AreuParams, dataset: ChoiceDataset) -> list:
+    check_lotteries(params, dataset.alternatives.values())
     return mismatches(dataset, lambda menu: evaluate_areu(params, menu))
 
 
@@ -618,84 +633,62 @@ def _rho_monotone(prizes, chain, utilities) -> bool:
 # With u(0) = 0 and u(2) = 1 fixed, a utility is its one value u(1), which
 # is also its rho.  Every row of ``_menu_rows`` is then
 # a*u(1) + c (= or >) 0, a bound on u(1) or, with a = 0, a constant test,
-# so the utilities that rationalize a set of menus form an interval.  An
-# interval is a (lower, upper) pair of (value, open) bounds, or None when
-# empty; strict increase keeps it inside the open (0, 1).
-
-_UNIT = ((_ZERO, True), (_ONE, True))
-
-
-def _tighter_upper(u, v):
-    """The smaller upper bound; at equal values the open one."""
-    return min(u, v, key=lambda bound: (bound[0], not bound[1]))
-
-
-def _meet(lower, upper):
-    """The interval between two bounds, or None when they leave no value.
-    At equal values the larger lower bound is the open one, so ``max``
-    picks the tighter of two lower bounds."""
-    (lo, lo_open), (hi, hi_open) = lower, upper
-    if lo < hi or (lo == hi and not lo_open and not hi_open):
-        return lower, upper
-    return None
+# so the utilities that rationalize a set of menus form an interval.  A
+# bound is one ordered key: (value, 1) an open lower bound, (value, -1) an
+# open upper bound, (value, 0) a closed one.  The tighter of two lower
+# bounds is then their max, of two upper bounds their min, and an interval
+# (lower, upper) is empty exactly when lower > upper.  Strict increase
+# keeps it inside the open (0, 1).
 
 
 def _interval(rows):
     """The u(1) interval of (a, c, relation) rows a*u(1) + c (relation) 0,
-    relation "=" or ">", inside the open (0, 1)."""
-    lower, upper = _UNIT
+    relation "=" or ">", inside the open (0, 1); one fixed empty pair when
+    a constant row fails."""
+    lower, upper = (0, 1), (1, -1)
     for a, c, relation in rows:
         if a == 0:
             if not (c > 0 if relation == ">" else c == 0):
-                return None
+                return (1, 1), (0, -1)
             continue
         root = Fraction(-c, a)
         if relation == "=":
-            lower = max(lower, (root, False))
-            upper = _tighter_upper(upper, (root, False))
+            lower, upper = max(lower, (root, 0)), min(upper, (root, 0))
         elif a > 0:
-            lower = max(lower, (root, True))
+            lower = max(lower, (root, 1))
         else:
-            upper = _tighter_upper(upper, (root, True))
-    return _meet(lower, upper)
+            upper = min(upper, (root, -1))
+    return lower, upper
 
 
 def _rho_interval(dataset, menus):
-    """The u(1) interval of one utility over ``menus`` (3-prize grids),
-    cached per set of menus; each menu's own comes from its integer rows."""
-    per_menu = dataset.cached("menu-intervals", lambda: {
-        menu: _interval((diff[1], diff[2], relation)
-                        for relation, diff in _menu_rows(dataset, menu))
-        for menu in dataset.menus()})
-    per_class = dataset.cached("rho-intervals", dict)
-    key = frozenset(menus)
-    if key not in per_class:
-        lower, upper = _UNIT
-        for menu in key:
-            interval = per_menu[menu]
-            if interval is None:
-                break
-            lower, upper = max(lower, interval[0]), _tighter_upper(upper, interval[1])
-        else:
-            interval = _meet(lower, upper)
-        per_class[key] = interval
-    return per_class[key]
+    """The u(1) interval of one utility over ``menus`` (3-prize grids), as
+    ranks among the dataset's distinct bounds.  Each menu's own interval
+    comes from its integer rows, ranked once per dataset.  The menus hold
+    fewer than twice as many distinct bounds as there are menus, so a
+    class with no menus gets ranks outside all of them: the open (0, 1)."""
+    def ranked():
+        intervals = {menu: _interval((diff[1], diff[2], relation)
+                                     for relation, diff in _menu_rows(dataset, menu))
+                     for menu in dataset.menus()}
+        rank = {key: k for k, key in enumerate(sorted(
+            {key for pair in intervals.values() for key in pair}))}
+        return {menu: (rank[lower], rank[upper]) for menu, (lower, upper) in intervals.items()}
+    per_menu = dataset.cached("menu-intervals", ranked)
+    return (max((per_menu[menu][0] for menu in menus), default=-1),
+            min((per_menu[menu][1] for menu in menus), default=2 * len(per_menu)))
 
 
 def _order_admits(intervals, order):
     """Whether some chain of the closed ``order`` over the classes of
-    ``intervals`` (ref -> interval) admits one value per class, weakly
-    falling down the chain: exactly when each class's lower bound, raised
-    by those of the classes below it, still fits under its upper bound.
-    (Sorting the classes by raised lower bound, ties by the order, gives
-    such a chain.)  When ``order`` is itself a chain, it decides that one."""
-    if None in intervals.values():
-        return False
-    for ref, (lower, upper) in intervals.items():
-        raised = max([lower] + [intervals[x][0] for x in order[ref] if x in intervals])
-        if _meet(raised, upper) is None:
-            return False
-    return True
+    ``intervals`` (ref -> interval of ordered keys) admits one value per
+    class, weakly falling down the chain: exactly when each class's lower
+    bound, raised by those of the classes below it, still fits under its
+    upper bound.  (Sorting the classes by raised lower bound, ties by the
+    order, gives such a chain.)  When ``order`` is itself a chain, it
+    decides that one."""
+    return all(max([lower] + [intervals[x][0] for x in order[ref] if x in intervals]) <= upper
+               for ref, (lower, upper) in intervals.items())
 
 
 def _solve_chain(dataset, classes, chain):
@@ -780,7 +773,7 @@ def fit_areu(dataset: ChoiceDataset) -> AreuParams:
             # one utility for every class has the same rows under every
             # assignment; solved once, in the first assignment's row order
             menus = [menu for class_menus in classes.values() for menu in class_menus]
-            if not three or _rho_interval(dataset, menus) is not None:
+            if not three or le(*_rho_interval(dataset, menus)):
                 result = solve_linear_feasibility(_utility_problem(dataset, [("shared", menus)]))
                 shared = _utilities(result, ["shared"], len(prizes))["shared"] if result else None
         if three and not _order_admits(

@@ -157,6 +157,8 @@ def menus_from_dict(doc):
         if not menu <= by_id.keys():
             raise ValidationError(f"menu {sorted(menu)} uses undeclared ids")
     floor = parse_rational(doc["floor"]) if "floor" in doc else None
+    if floor is not None and kind != INCOME_SPLIT:
+        raise ValidationError(f"a floor applies only to {INCOME_SPLIT} menus, not {kind}")
     return kind, by_id, menus, floor
 
 

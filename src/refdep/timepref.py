@@ -74,8 +74,7 @@ def check_time_reference_dependence(dataset: ChoiceDataset) -> list:
     earliest payment (including each menu with itself)."""
     earliest = psi_table(dataset, EARLIEST_PSI)
     return sort_witnesses({w for w, _, _ in witness_index(dataset, TIME_PROPERTY)
-                           if len(set(w.menus)) <= 2
-                           and frozenset.intersection(*(earliest[m] for m in w.menus))})
+                           if frozenset.intersection(*(earliest[m] for m in w.menus))})
 
 
 @dataclass(frozen=True)

@@ -98,6 +98,20 @@ def test_a_menus_file_repeating_an_id_is_rejected():
         dataset_from_dict({**doc, "observations": []})
 
 
+@pytest.mark.parametrize("kind, payload", [
+    ("dated_payment", {"amount": "1", "time": "0"}),
+    ("lottery", {"probs": {"0": "1"}}),
+    ("generic", None)])
+def test_a_floor_outside_income_split_data_is_rejected(kind, payload):
+    """A floor binds only splits; elsewhere it would be written back unchecked."""
+    alts = [{"id": "a", **({"payload": payload} if payload else {})}]
+    doc = {"kind": kind, "alternatives": alts, "floor": "-5"}
+    with pytest.raises(ValidationError, match=f"a floor applies only to income_split .*{kind}"):
+        dataset_from_dict({**doc, "observations": [{"menu": ["a"], "choice": ["a"]}]})
+    with pytest.raises(ValidationError, match=f"a floor applies only to income_split .*{kind}"):
+        menus_from_dict({**doc, "menus": [["a"]]})
+
+
 def test_mixed_payload_kinds_rejected():
     with pytest.raises(MixedPayloadKinds):
         validate_dataset(LOTTERY,

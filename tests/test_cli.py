@@ -502,6 +502,31 @@ def test_simulate_keeps_the_floor_of_the_menus_file(tmp_path):
     assert code == 0 and doc["floor"] == str(lowest)
 
 
+@pytest.mark.parametrize("payload", [{"probs": {"0": "1"}}, {"probs": {"7": "1"}}])
+def test_areu_verify_and_simulate_reject_a_lottery_other_than_the_params(payload, tmp_path):
+    """Another lottery on the grid, or one on a prize off it, under an id
+    the params name."""
+    alt = DOCUMENTS["areu"]["menus"]["alternatives"][0]["id"]
+    error = {"error": "validation",
+             "detail": f"lottery {alt!r} differs from the params' lottery of that id"}
+    menus = copy.deepcopy(DOCUMENTS["areu"]["menus"])
+    menus["alternatives"][0]["payload"] = payload
+    assert _simulate(tmp_path, "areu", menus) == (2, error)
+    data = copy.deepcopy(DOCUMENTS["areu"]["data"])
+    data["alternatives"][0]["payload"] = payload
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(data))
+    params = tmp_path / "params.json"  # written by _simulate
+    assert run_json(["verify", "--model", "areu", str(params), str(path)]) == (2, error)
+
+
+def test_a_floor_on_a_lottery_menus_file_is_rejected(tmp_path):
+    menus = {**DOCUMENTS["areu"]["menus"], "floor": "1"}
+    code, doc = _simulate(tmp_path, "areu", menus)
+    assert code == 2 and doc == {
+        "error": "validation", "detail": "a floor applies only to income_split menus, not lottery"}
+
+
 @pytest.mark.parametrize("model", sorted(DOCUMENTS))
 def test_fit_without_observations_certifies_the_empty_dataset(model, tmp_path):
     _assert_fit_certifies(model, {**DOCUMENTS[model]["data"], "observations": []}, tmp_path)

@@ -5,7 +5,11 @@ import line says that ``bench/tracing.py`` wraps the name there and its
 ``install()`` does replace that module global, reads every private name
 it defines at module level, reads every parameter of each of its
 functions (``self`` and ``cls`` aside) in that function, and reads every
-local name a function binds, unless the name starts with ``_``.
+local name a function binds, unless the name starts with ``_``.  Every
+key passed to ``ChoiceDataset.cached`` starts with a string literal, and
+each literal appears at exactly one call site: the keys of all modules
+share one cache per dataset, so a repeated one would hand back another
+computation's value.
 """
 
 import ast
@@ -120,3 +124,25 @@ def test_every_local_name_is_read(path):
                    for name in sorted({name for sub in inside for name in _bound(sub)})
                    if not name.startswith("_") and name not in read]
     assert not unread, f"{path.name} binds but never reads {unread}"
+
+
+def _cache_tag(key):
+    """The string literal a ``cached`` key is or starts with, else None."""
+    if isinstance(key, ast.Tuple) and key.elts:
+        key = key.elts[0]
+    return key.value if isinstance(key, ast.Constant) and isinstance(key.value, str) else None
+
+
+def test_every_cache_key_is_a_literal_used_at_one_call_site():
+    sites = {}
+    for path in MODULES:
+        _, tree, _ = _parse(path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "cached":
+                sites.setdefault(_cache_tag(node.args[0]), []).append(
+                    f"{path.name}:{node.lineno}")
+    assert None not in sites, f"cache keys with no literal tag at {sites[None]}"
+    repeated = {tag: where for tag, where in sites.items() if len(where) > 1}
+    assert not repeated, f"cache keys used at more than one call site: {repeated}"
+    assert len(sites) >= 10

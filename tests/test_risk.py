@@ -7,7 +7,14 @@ import pytest
 from refdep.choices import warp_over
 from refdep.engine import ReferenceOrder
 from refdep import feasibility, risk
-from refdep.exceptions import AxiomFails, InfeasibleFit, NotIncreasing, PrizeSetMismatch
+from refdep.exceptions import (
+    AxiomFails,
+    InfeasibleFit,
+    NotIncreasing,
+    PrizeSetMismatch,
+    UnknownLottery,
+    ValidationError,
+)
 from refdep.feasibility import LinearFeasibilityProblem, solve_linear_feasibility
 from refdep.risk import (
     AreuParams,
@@ -318,6 +325,16 @@ def _partition(keys):
     return {frozenset(items) for items in classes.values()}
 
 
+def _as_fraction_interval(interval):
+    """An interval of ordered bound keys in the form of
+    ``interval_by_fractions``: None when empty, else ((value, open),
+    (value, open))."""
+    (lo, lo_side), (hi, hi_side) = interval
+    if interval[0] > interval[1]:
+        return None
+    return (lo, lo_side == 1), (hi, hi_side == -1)
+
+
 def test_integer_view_matches_the_fraction_forms_on_random_datasets():
     rng = random.Random(31)
     seen = {"correspondences": 0, "empty interval": 0, "interval": 0}
@@ -357,7 +374,8 @@ def test_integer_view_matches_the_fraction_forms_on_random_datasets():
             assert rows == [(relation, tuple(den * x for x in diff))
                             for relation, diff in expected]
             if n == 3:
-                interval = risk._interval((diff[1], diff[2], relation) for relation, diff in rows)
+                interval = _as_fraction_interval(risk._interval(
+                    (diff[1], diff[2], relation) for relation, diff in rows))
                 assert interval == interval_by_fractions(
                     (diff[1], diff[2], relation) for relation, diff in expected)
                 seen["empty interval" if interval is None else "interval"] += 1
@@ -385,13 +403,15 @@ def test_integer_view_diff_table_intervals_and_lp_rows_hold_no_float(monkeypatch
         for vec, key in risk._diff_table(ds).values():
             assert all(type(x) is int for x in (*vec, *(key or ())))
         if n_prizes == 3:
-            risk._rho_interval(ds, ds.menus())
-            intervals = ds.cached("menu-intervals", dict)
-            assert len(intervals) == len(ds.menus())
-            for interval in intervals.values():
-                bounds = interval or ()
+            for menu in ds.menus():
+                bounds = risk._interval((diff[1], diff[2], relation)
+                                        for relation, diff in risk._menu_rows(ds, menu))
                 assert exact(value for value, _ in bounds)
-                assert all(type(is_open) is bool for _, is_open in bounds)
+                assert all(type(side) is int for _, side in bounds)
+            risk._rho_interval(ds, ds.menus())
+            ranks = ds.cached("menu-intervals", dict)
+            assert len(ranks) == len(ds.menus())
+            assert all(type(rank) is int for pair in ranks.values() for rank in pair)
     assert problems and tableaus
     for problem in problems:
         assert type(problem.denominator) is int
@@ -553,6 +573,18 @@ def test_fit_allais_pins_the_footnote_values():
     u_risk = params.utility(params.order.argmax(frozenset(("q1", "q2"))))
     assert u_safe[1] > F(4, 5) > u_risk[1]
     assert verify_areu(params, ds) == []
+
+
+@pytest.mark.parametrize("p1", [lot([(0, 1)]), lot([(3000, F(1, 2)), (5, F(1, 2))])])
+def test_verify_rejects_data_whose_lottery_differs_from_the_params(p1):
+    # another lottery on the grid, or mass on a prize off it
+    params = fit_areu(allais_dataset())
+    ds = lottery_dataset({**ALLAIS_LOTTERIES, "p1": p1}, [(("p1", "p2"), ("p1",))])
+    with pytest.raises(ValidationError, match="lottery 'p1' differs from the params"):
+        verify_areu(params, ds)
+    unnamed = lottery_dataset({**ALLAIS_LOTTERIES, "r": p1}, [(("p1", "r"), ("p1",))])
+    with pytest.raises(UnknownLottery):
+        verify_areu(params, unnamed)
 
 
 def test_fit_reverse_allais_is_infeasible():
@@ -775,6 +807,29 @@ def test_menu_intervals_agree_with_the_utility_lp():
     assert any(verdicts) and not all(verdicts)
 
 
+def test_ranked_class_intervals_agree_with_the_fraction_meet():
+    rng = random.Random(23)
+    seen = {"empty": 0, "interval": 0, "no menus": 0}
+    for _ in range(30):
+        ds = _fractional_lottery_dataset(rng, 3)
+        menus = ds.menus()
+        rows = {menu: [(diff[1], diff[2], relation)
+                       for relation, diff in menu_rows_by_fractions(ds, menu)]
+                for menu in menus}
+        classes = [[]] + [rng.sample(menus, rng.randint(1, 4)) for _ in range(8)]
+        for members in classes:
+            lower, upper = risk._rho_interval(ds, members)
+            oracle = interval_by_fractions(row for menu in members for row in rows[menu])
+            assert (lower > upper) == (oracle is None)
+            seen["no menus" if not members else "empty" if oracle is None else "interval"] += 1
+        for hi, lo in permutations(classes[1:4], 2):
+            ranked = [risk._rho_interval(ds, members) for members in (hi, lo)]
+            unranked = [risk._interval(row for menu in members for row in rows[menu])
+                        for members in (hi, lo)]
+            assert _chain_admits(ranked) == _chain_admits(unranked)
+    assert min(seen.values()) >= 20, seen
+
+
 def test_order_admits_exactly_when_some_chain_passes_the_sweep():
     rng = random.Random(9)
     verdicts = []
@@ -801,7 +856,8 @@ def test_reference_dependent_three_prize_fit_solves_one_lp(monkeypatch):
     # certificate's
     params = random_rho_monotone_areu(random.Random(64), n_lotteries=5)
     ds = simulate_areu(params, all_menus([i for i, _ in params.lotteries], 2, 3))
-    assert risk._rho_interval(ds, ds.menus()) is None
+    lower, upper = risk._rho_interval(ds, ds.menus())
+    assert lower > upper
     tried, solves = [], []
     assignments, solve = risk._reference_assignments, risk.solve_linear_feasibility
 
