@@ -32,8 +32,8 @@ from .engine import (
     synthesize_reference_order,
 )
 from .exceptions import (
+    InfeasibleFit,
     NotSubsetClosed,
-    RefdepError,
     UnionUnobserved,
     UnknownAlternative,
     UnobservedMenu,
@@ -157,8 +157,8 @@ def _rank_prediction_set(dataset: ChoiceDataset, x, pset) -> dict:
         top = [a for a in remaining
                if all(weakly_better(a, b) for b in remaining)]
         if not top:
-            raise RefdepError(
-                f"intransitive ranking around reference {x!r}; WARP check missed it")
+            raise InfeasibleFit(
+                f"the menus with reference {x!r} rank its prediction set intransitively")
         for a in top:
             levels[a] = level
         remaining = [a for a in remaining if a not in top]
@@ -177,7 +177,9 @@ def build_ordu(dataset: ChoiceDataset) -> OrduParams:
 
     Raises NotSubsetClosed when observations are too sparse and
     AxiomFails with the reference-dependence witnesses when the data
-    cannot be represented.
+    cannot be represented.  The constructed params are replayed on the
+    data: on partial data (not every menu observed) the construction may
+    fail where some representation exists, and raises InfeasibleFit.
     """
     check_subset_closed(dataset)
     raise_first_failure(battery(dataset))
@@ -190,7 +192,10 @@ def build_ordu(dataset: ChoiceDataset) -> OrduParams:
         for alt, level in levels.items():
             table[alt] = Fraction(level)
         utilities[x] = table
-    return OrduParams.build(order, utilities)
+    params = OrduParams.build(order, utilities)
+    if verify_ordu(params, dataset):
+        raise InfeasibleFit("the constructed utilities do not reproduce the data")
+    return params
 
 
 # -- the necessary condition separating ORDU from rival models -----------

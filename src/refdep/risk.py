@@ -167,11 +167,9 @@ def extreme_spread(prizes, p, q) -> bool:
 def worst_dilution(prizes, p, q) -> bool:
     """p = beta*q + (1-beta)*(worst prize for sure), beta in [0,1), p != q.
 
-    Not part of the least-risky map; used only to force the reference
-    order in fitting (diluting toward the worst prize never makes a
-    lottery safer).  The fitter keeps these edges because with the spread
-    edges alone the reverse Allais data fits, ranking the diluted sure
-    thing above the sure thing.
+    Not part of the least-risky map, but ranked below q as a spread is
+    (``_below``): with the spread edges alone the reverse Allais data
+    fits, ranking the diluted sure thing above the sure thing.
     """
     _check_same_grid(prizes, p, q)
     if p == q:
@@ -185,6 +183,11 @@ def worst_dilution(prizes, p, q) -> bool:
 
 def riskier_than(prizes, p, q) -> bool:
     return mps(prizes, p, q) or extreme_spread(prizes, p, q)
+
+
+def _below(prizes, p, q) -> bool:
+    """p is a spread or a worst-prize dilution of q, so ranks below it."""
+    return riskier_than(prizes, p, q) or worst_dilution(prizes, p, q)
 
 
 def _spreads(dataset: ChoiceDataset) -> frozenset:
@@ -360,16 +363,17 @@ def rho_vector(prizes, u) -> tuple:
                  for i in range(1, len(u) - 1))
 
 
+def _more_concave(r1, r2) -> bool:
+    """Gap ratios ``r1`` are weakly more concave than ``r2``."""
+    return all(a >= b for a, b in zip(r1, r2))
+
+
 def concavity_compare(prizes, u1, u2) -> Concavity:
-    r1 = rho_vector(prizes, u1)
-    r2 = rho_vector(prizes, u2)
-    if r1 == r2:
-        return Concavity.EQUAL
-    if all(a >= b for a, b in zip(r1, r2)):
-        return Concavity.MORE_CONCAVE
-    if all(a <= b for a, b in zip(r1, r2)):
-        return Concavity.LESS_CONCAVE
-    return Concavity.INCOMPARABLE
+    r1, r2 = rho_vector(prizes, u1), rho_vector(prizes, u2)
+    more, less = _more_concave(r1, r2), _more_concave(r2, r1)
+    if more:
+        return Concavity.EQUAL if less else Concavity.MORE_CONCAVE
+    return Concavity.LESS_CONCAVE if less else Concavity.INCOMPARABLE
 
 
 # -- AREU parameters -------------------------------------------------------
@@ -380,7 +384,8 @@ class AreuParams:
     """Reference order over named lotteries plus per-reference utilities.
 
     Utilities are normalized to 0 at the worst prize and 1 at the best,
-    strictly increasing, and weakly more concave up the order.
+    strictly increasing, and weakly more concave up the order, and no
+    lottery ranks above one it is ``_below``; the prizes strictly increase.
     """
 
     prizes: tuple
@@ -412,6 +417,8 @@ class AreuParams:
         raise UnknownLottery(f"no utility for reference {ref_id!r}")
 
     def validate(self) -> None:
+        if any(a >= b for a, b in zip(self.prizes, self.prizes[1:])):
+            raise ValidationError("prizes must be strictly increasing")
         ids = {i for i, _ in self.lotteries}
         if set(self.order.ranking) != ids:
             raise ValidationError("order must cover exactly the named lotteries")
@@ -427,17 +434,14 @@ class AreuParams:
             if u[0] != 0 or u[-1] != 1:
                 raise ValidationError("utilities must be normalized to [0, 1]")
             rhos[i] = rho_vector(self.prizes, u)
-        ranking = self.order.ranking
         prizes, _, vectors = _integer_coords(self.prizes, dict(self.lotteries))
-        for hi_pos, hi in enumerate(ranking):
-            for lo in ranking[hi_pos + 1:]:
-                if riskier_than(prizes, vectors[hi], vectors[lo]):
-                    raise ValidationError(
-                        f"order is not risk-consistent: {hi} is a spread of {lo}")
-                if any(a < b for a, b in zip(rhos[hi], rhos[lo])):
-                    raise ValidationError(
-                        f"concavity must not increase down the order "
-                        f"({hi} vs {lo})")
+        for hi, lo in combinations(self.order.ranking, 2):
+            if _below(prizes, vectors[hi], vectors[lo]):
+                raise ValidationError(f"order is not risk-consistent: {hi} is a "
+                                      f"spread or a worst-prize dilution of {lo}")
+            if not _more_concave(rhos[hi], rhos[lo]):
+                raise ValidationError(
+                    f"concavity must not increase down the order ({hi} vs {lo})")
 
     def to_json(self) -> dict:
         return {
@@ -501,11 +505,11 @@ def verify_areu(params: AreuParams, dataset: ChoiceDataset) -> list:
 
 
 def _forced_edges(dataset: ChoiceDataset) -> set:
-    """(above, below) pairs forced on any admissible reference order."""
+    """The (above, below) pairs with below ``_below`` above: the edges
+    every valid reference order respects."""
     prizes, _, vectors = _coords(dataset)
-    spreads = _spreads(dataset)
-    return {(q, p) for p in vectors for q in vectors if p != q
-            and ((p, q) in spreads or worst_dilution(prizes, vectors[p], vectors[q]))}
+    return {(q, p) for p in vectors for q in vectors
+            if p != q and _below(prizes, vectors[p], vectors[q])}
 
 
 def _close(order, edges):
@@ -624,8 +628,7 @@ def _utilities(result, labels, n):
 
 def _rho_monotone(prizes, chain, utilities) -> bool:
     rhos = [rho_vector(prizes, utilities[r]) for r in chain]
-    return all(all(a >= b for a, b in zip(rhos[i], rhos[i + 1]))
-               for i in range(len(rhos) - 1))
+    return all(map(_more_concave, rhos, rhos[1:]))
 
 
 # -- 3-prize grids: u(1) intervals -------------------------------------------
@@ -741,13 +744,16 @@ def _solve_chain(dataset, classes, chain):
 
 
 def fit_areu(dataset: ChoiceDataset) -> AreuParams:
-    """Search for an exact ordered-reference expected-utility certificate.
+    """Search for an exact ordered-reference expected-utility certificate
+    among the params ``AreuParams.validate`` accepts on the dataset's
+    grid (the union of its supports): every order searched extends the
+    ``_forced_edges``, the pairs validate forbids ranking the other way.
 
     Raises AxiomFails when the axiom battery already rejects the data and
     InfeasibleFit when no (reference assignment, order, utilities) triple
     certifies it.  On 3-prize grids every assignment and chain is decided
     exactly by u(1) intervals, with one LP for the certificate, so
-    InfeasibleFit is a proof that no such triple exists.  On 4+ prize
+    InfeasibleFit is a proof that no such params exist.  On 4+ prize
     grids the cross-class concavity coupling uses a refined rational
     grid, so InfeasibleFit there means "no certificate found", not a
     proof of non-representability.

@@ -6,7 +6,7 @@ feasibility cross-checks use elimination instead of the simplex.
 """
 
 from fractions import Fraction as F
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
 
 from refdep.choices import (
     Alternative,
@@ -31,10 +31,16 @@ from refdep.engine import (
     check_reference_dependence,
     witness_index,
 )
-from refdep.exceptions import AxiomFails, RefdepError, SynthesisFailed, UnobservedMenu
+from refdep.exceptions import (
+    AxiomFails,
+    RefdepError,
+    SynthesisFailed,
+    UnobservedMenu,
+    ValidationError,
+)
 from refdep.feasibility import LinearFeasibilityProblem
 from refdep.ordu import simulate_ordu
-from refdep.risk import AreuParams, prize_grid, simulate_areu
+from refdep.risk import AreuParams, _below, prize_grid, simulate_areu
 from refdep.serialize import format_rational
 from refdep.social import FspuParams, gini, simulate_fspu
 from refdep.timepref import TIME_PROPERTY, PbduParams, earliest_payments, simulate_pbdu
@@ -268,6 +274,63 @@ def random_ordu_params(rng, ids=("a", "b", "c", "d", "e")):
     return OrduParams.build(ReferenceOrder(tuple(ranking)), utilities)
 
 
+def random_valid_areu(rng):
+    """Parameters on prizes (0, 1, 2): five distinct lotteries with
+    denominators 2-4 whose supports cover the grid, a random order, and
+    u(1) in 24ths weakly falling down it.  ``validate`` is the only
+    filter: None when it rejects them."""
+    while True:
+        vectors = set()
+        while len(vectors) < 5:
+            den = rng.randint(2, 4)
+            worst = rng.randint(0, den)
+            best = rng.randint(0, den - worst)
+            vectors.add((F(worst, den), F(den - worst - best, den), F(best, den)))
+        if all(any(v[i] for v in vectors) for i in range(3)):
+            break
+    names = [f"l{i}" for i in range(5)]
+    ranking = rng.sample(names, 5)
+    levels = sorted((F(rng.randint(1, 23), 24) for _ in names), reverse=True)
+    try:
+        return AreuParams.build((F(0), F(1), F(2)), dict(zip(names, sorted(vectors))),
+                                ReferenceOrder(tuple(ranking)),
+                                {name: (F(0), u, F(1)) for name, u in zip(ranking, levels)})
+    except ValidationError:
+        return None
+
+
+def random_valid_pbdu(rng):
+    """Five dated payments on amounts 1-9 and times 0-4, with random
+    quarter-grid log-utilities (ties rejected) and weakly rising negative
+    log-discounts: (params, alternatives), or None when ``PbduParams``
+    rejects the draw."""
+    cells = rng.sample([(a, t) for a in range(1, 10) for t in range(5)], 5)
+    amounts = sorted({F(a) for a, _ in cells})
+    times = sorted({F(t) for _, t in cells})
+    try:
+        params = PbduParams(
+            tuple(zip(amounts, sorted(F(rng.randint(0, 48), 4) for _ in amounts))),
+            tuple(zip(times, sorted(-F(rng.randint(1, 12), 4) for _ in times))))
+    except ValidationError:
+        return None
+    return params, [Alternative(f"p{i}", pay(a, t)) for i, (a, t) in enumerate(cells)]
+
+
+def random_valid_fspu(rng):
+    """Five income splits on own incomes 1-8 and other incomes 1-5, with
+    random quarter-grid sharing increments that weakly grow toward more
+    balanced references: (params, alternatives)."""
+    cells = rng.sample([(x, y) for x in range(1, 9) for y in range(1, 6)], 5)
+    splits = [Alternative(f"s{i}", split(x, y)) for i, (x, y) in enumerate(cells)]
+    incomes = sorted({F(y) for _, y in cells})
+    steps = [F(rng.randint(1, 8), 4) for _ in incomes[1:]]
+    tables = {}
+    for ref in sorted({gini(s.payload) for s in splits}, reverse=True):
+        tables[ref] = tuple(zip(incomes, accumulate(steps, initial=F(0))))
+        steps = [step + F(rng.randint(0, 4), 4) for step in steps]
+    return FspuParams(tuple(sorted(tables.items()))), splits
+
+
 def _random_fraction(rng, lo, hi, denom=24):
     lo, hi = F(lo), F(hi)
     span = hi - lo
@@ -315,11 +378,9 @@ def areu_instance(rng, distinct):
         vec = (F(cut1, denom), F(cut2, denom), F(denom - cut1 - cut2, denom))
         if vec not in vectors.values():
             vectors[f"n{noise}"] = vec
-    from refdep.risk import riskier_than, worst_dilution
     names = sorted(vectors)
-    edges = {(q, p) for p in names for q in names if p != q
-             and (riskier_than(prizes, vectors[p], vectors[q])
-                  or worst_dilution(prizes, vectors[p], vectors[q]))}
+    edges = {(q, p) for p in names for q in names
+             if p != q and _below(prizes, vectors[p], vectors[q])}
     ranking = []
     remaining = set(names)
     blocked = {n: {a for a, b in edges if b == n} for n in names}
@@ -352,13 +413,11 @@ def random_rho_monotone_areu(rng, n_lotteries=5):
         vec = (F(cut1, denom), F(cut2, denom), F(denom - cut1 - cut2, denom))
         if vec not in vectors.values():
             vectors[f"l{len(vectors)}"] = vec
-    from refdep.risk import riskier_than, worst_dilution
     names = sorted(vectors)
-    # also orient pure worst-prize dilutions downward, matching the
-    # stance the fitter takes on them
-    edges = {(q, p) for p in names for q in names if p != q
-             and (riskier_than(prizes, vectors[p], vectors[q])
-                  or worst_dilution(prizes, vectors[p], vectors[q]))}
+    # spreads and worst-prize dilutions rank below their sources, as
+    # AreuParams.validate requires
+    edges = {(q, p) for p in names for q in names
+             if p != q and _below(prizes, vectors[p], vectors[q])}
     ranking = []
     remaining = set(names)
     blocked = {n: {a for a, b in edges if b == n} for n in names}
@@ -632,11 +691,8 @@ def integer_areu_data(rng, n_prizes):
     grid = [vec for vec in product(range(5), repeat=n_prizes) if sum(vec) == 4]
     vectors = {f"l{i}": tuple(F(x, 4) for x in vec)
                for i, vec in enumerate(rng.sample(grid, 5))}
-    from refdep.risk import riskier_than, worst_dilution
     names = sorted(vectors)
-    blocked = {p: {q for q in names if q != p
-                   and (riskier_than(prizes, vectors[p], vectors[q])
-                        or worst_dilution(prizes, vectors[p], vectors[q]))}
+    blocked = {p: {q for q in names if q != p and _below(prizes, vectors[p], vectors[q])}
                for p in names}
     ranking, remaining = [], set(names)
     while remaining:

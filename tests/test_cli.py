@@ -520,6 +520,24 @@ def test_areu_verify_and_simulate_reject_a_lottery_other_than_the_params(payload
     assert run_json(["verify", "--model", "areu", str(params), str(path)]) == (2, error)
 
 
+def test_areu_params_on_a_prize_grid_that_is_not_strictly_increasing_are_rejected(tmp_path):
+    # on the grid (2, 0, 1) a sure 1 would take utility 1 and beat a sure 2
+    params = {"prizes": ["2", "0", "1"],
+              "lotteries": {"two": ["1", "0", "0"], "one": ["0", "0", "1"]},
+              "order": ["two", "one"],
+              "utilities": {"two": ["0", "1/2", "1"], "one": ["0", "1/2", "1"]}}
+    menus = {"kind": "lottery", "menus": [["one", "two"]],
+             "alternatives": [{"id": "two", "payload": {"probs": {"2": "1"}}},
+                              {"id": "one", "payload": {"probs": {"1": "1"}}}]}
+    params_path, menus_path = tmp_path / "params.json", tmp_path / "menus.json"
+    params_path.write_text(json.dumps(params))
+    menus_path.write_text(json.dumps(menus))
+    error = {"error": "validation", "detail": "prizes must be strictly increasing"}
+    assert run_json(["simulate", "--model", "areu", str(params_path), str(menus_path)]) \
+        == (2, error)
+    assert run_json(["export-triangle", "--resolution", "1", str(params_path)]) == (2, error)
+
+
 def test_a_floor_on_a_lottery_menus_file_is_rejected(tmp_path):
     menus = {**DOCUMENTS["areu"]["menus"], "floor": "1"}
     code, doc = _simulate(tmp_path, "areu", menus)

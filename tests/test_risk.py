@@ -566,6 +566,27 @@ def test_build_rejects_a_utility_off_the_prize_grid():
         AreuParams.build(PRIZES, {"p": vec(0, 1, 0)}, ReferenceOrder(("p",)), {"p": ()})
 
 
+@pytest.mark.parametrize("prizes", [["2", "0", "1"], ["0", "0", "1"], ["0", "1", "1"]])
+def test_validate_rejects_a_prize_grid_that_is_not_strictly_increasing(prizes):
+    doc = {"prizes": prizes, "lotteries": {"a": ["1", "0", "0"], "b": ["0", "0", "1"]},
+           "order": ["b", "a"], "utilities": {"a": ["0", "1/2", "1"], "b": ["0", "1/2", "1"]}}
+    with pytest.raises(ValidationError, match="prizes must be strictly increasing"):
+        AreuParams.from_json(doc)
+    assert AreuParams.from_json({**doc, "prizes": ["0", "1", "2"]}).prizes == (0, 1, 2)
+
+
+def test_validate_ranks_a_worst_prize_dilution_below_its_source():
+    # b mixes the sure middle prize a with the sure worst prize: it is no
+    # spread of a, yet no reference order may rank it above a
+    vectors = {"a": vec(0, 1, 0), "b": vec(F(1, 2), F(1, 2), 0)}
+    utilities = {"a": vec(0, F(1, 2), 1), "b": vec(0, F(1, 2), 1)}
+    assert not riskier_than(PRIZES, vectors["b"], vectors["a"])
+    assert worst_dilution(PRIZES, vectors["b"], vectors["a"])
+    AreuParams.build(PRIZES, vectors, ReferenceOrder(("a", "b")), utilities)
+    with pytest.raises(ValidationError, match="b is a spread or a worst-prize dilution of a"):
+        AreuParams.build(PRIZES, vectors, ReferenceOrder(("b", "a")), utilities)
+
+
 def test_fit_allais_pins_the_footnote_values():
     ds = allais_dataset()
     params = fit_areu(ds)
@@ -1053,15 +1074,17 @@ def test_fanning_fan_out_fan_in_and_neutral():
     assert report.category is Fanning.RISK_AVERSE_FAN_OUT
 
     points = triangle_grid(k)
-    ranking = sorted(points, key=lambda a: (points[a][2], -points[a][0], a))
+    # the lotteries that pay the middle prize and never the best rank
+    # first and are more concave; no spread or worst-prize dilution ranks
+    # above its source, and every u(1) is below the neutral 1/3
     neutral = F(1, 3)
-    n = len(ranking)
-    utilities = {alt: (F(0), neutral * F(n - rank, n + 1), F(1))
-                 for rank, alt in enumerate(ranking)}
-    mirrored = AreuParams.build(prizes, points, ReferenceOrder(tuple(ranking)),
-                                utilities)
-    assert fanning_classify(mirrored, prizes, k).category \
-        is Fanning.RISK_LOVING_FAN_IN
+    safe = {alt: vec[2] == 0 and vec[1] > 0 for alt, vec in points.items()}
+    ranking = sorted(points, key=lambda a: (not safe[a], a))
+    utilities = {alt: (F(0), F(1, 4) if safe[alt] else F(1, 6), F(1)) for alt in points}
+    fan_in = AreuParams.build(prizes, points, ReferenceOrder(tuple(ranking)), utilities)
+    report = fanning_classify(fan_in, prizes, k)
+    assert report.category is Fanning.RISK_LOVING_FAN_IN
+    assert {s.slope for s in report.samples} == {F(1, 5), F(1, 3)}
 
     flat = AreuParams.build(
         prizes, points,
