@@ -45,11 +45,11 @@ class UnknownFixture(RefdepError):
     pass
 
 
-class PrizeSetMismatch(RefdepError):
+class PrizeSetMismatch(ValidationError):
     pass
 
 
-class NotIncreasing(RefdepError):
+class NotIncreasing(ValidationError):
     pass
 
 

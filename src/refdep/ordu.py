@@ -2,10 +2,12 @@
 
 The construction follows the finite representation argument: the
 engine's candidate layering of the universe gives the reference order,
-then for each alternative x rank its prediction set (the alternatives x
-reference-dominates and that beat x in binary choice) with the observed
-doubletons and tripletons containing x, and push everything else to a
-sentinel value strictly below.
+which splits the observed menus into one class per reference (the menus
+it tops).  Each class must be rationalized by one weak order, so the
+relation its choices reveal is closed (Richter's congruence); the
+reference and the alternatives revealed weakly above it are then ranked
+by the closure's strict part, and everything else gets a sentinel value
+strictly below.
 """
 
 from __future__ import annotations
@@ -51,6 +53,10 @@ class OrduParams:
 
     @staticmethod
     def build(order: ReferenceOrder, utilities) -> "OrduParams":
+        ids = set(order.ranking)
+        if set(utilities) != ids or any(set(table) != ids for table in utilities.values()):
+            raise ValidationError("utilities need one table per id of the order, "
+                                  "each scoring exactly those ids")
         packed = tuple(sorted(
             (ref, tuple(sorted((alt, Fraction(v)) for alt, v in table.items())))
             for ref, table in utilities.items()))
@@ -74,9 +80,6 @@ class OrduParams:
         order = ReferenceOrder(tuple(ids_from_json(doc["order"], "order")))
         utilities = {ref: {alt: parse_rational(v) for alt, v in table.items()}
                      for ref, table in doc["utilities"].items()}
-        keys = [*utilities, *(alt for table in utilities.values() for alt in table)]
-        if not all(isinstance(key, str) for key in keys):
-            raise ValidationError("utility keys must be alternative ids")
         return OrduParams.build(order, utilities)
 
 
@@ -86,11 +89,7 @@ def evaluate_ordu(params: OrduParams, menu) -> Menu:
     known = set(params.order.ranking)
     if not menu <= known:
         raise UnknownAlternative(f"{sorted(menu - known)} not covered by the order")
-    table = params.utility(params.order.argmax(menu))
-    try:
-        return maximizers(menu, table.__getitem__)
-    except KeyError as exc:
-        raise UnknownAlternative(str(exc)) from exc
+    return maximizers(menu, params.utility(params.order.argmax(menu)).__getitem__)
 
 
 def simulate_ordu(params: OrduParams, menus) -> ChoiceDataset:
@@ -117,53 +116,7 @@ def check_subset_closed(dataset: ChoiceDataset) -> None:
             for sub in combinations(members, size):
                 if frozenset(sub) not in observed:
                     raise NotSubsetClosed(
-                        f"subset {set(sub)} of maximal menu {set(members)} unobserved")
-
-
-def prediction_set(dataset: ChoiceDataset, order: ReferenceOrder, x) -> frozenset:
-    """Alternatives x reference-dominates that weakly beat x in binary choice."""
-    ranks = order.rank_map()
-    out = {x}
-    for y in order.ranking:
-        if y == x or ranks[y] < ranks[x]:
-            continue
-        pair = frozenset((x, y))
-        if pair in dataset.observations and y in dataset.observations[pair]:
-            out.add(y)
-    return frozenset(out)
-
-
-def _rank_prediction_set(dataset: ChoiceDataset, x, pset) -> dict:
-    """Total preorder on the prediction set, via menus containing x.
-
-    Returns alt -> integer level, larger is better; ties share a level.
-    Pairs never co-observed under reference x are tied (they never
-    compete in any menu this utility decides).
-    """
-    members = sorted(pset)
-
-    def weakly_better(a, b):
-        if a == b:
-            return True
-        probe = frozenset((x, a, b))
-        if probe in dataset.observations:
-            return a in dataset.observations[probe]
-        return True  # never co-observed: tie
-
-    levels = {}
-    level = len(members)
-    remaining = list(members)
-    while remaining:
-        top = [a for a in remaining
-               if all(weakly_better(a, b) for b in remaining)]
-        if not top:
-            raise InfeasibleFit(
-                f"the menus with reference {x!r} rank its prediction set intransitively")
-        for a in top:
-            levels[a] = level
-        remaining = [a for a in remaining if a not in top]
-        level -= 1
-    return levels
+                        f"subset {list(sub)} of maximal menu {members} unobserved")
 
 
 def battery(dataset: ChoiceDataset):
@@ -177,20 +130,33 @@ def build_ordu(dataset: ChoiceDataset) -> OrduParams:
 
     Raises NotSubsetClosed when observations are too sparse and
     AxiomFails with the reference-dependence witnesses when the data
-    cannot be represented.  The constructed params are replayed on the
-    data: on partial data (not every menu observed) the construction may
-    fail where some representation exists, and raises InfeasibleFit.
+    cannot be represented.  On partial data (not every menu observed) the
+    menus one reference of the synthesized order tops may admit no weak
+    order: InfeasibleFit then names the conflict, though another order
+    may represent the data.
     """
     check_subset_closed(dataset)
     raise_first_failure(battery(dataset))
     order = synthesize_reference_order(dataset, WARP, IDENTITY_PSI)
+    lattice = dataset.lattice()
+    left = lattice.full
     utilities = {}
     for x in order.ranking:
-        pset = prediction_set(dataset, order, x)
-        levels = _rank_prediction_set(dataset, x, pset)
-        table = {alt: Fraction(0) for alt in order.ranking}
-        for alt, level in levels.items():
-            table[alt] = Fraction(level)
+        tops = lattice.containing((x,)) & left  # the menus x tops
+        left &= ~tops
+        family = lattice.at(tops)
+        above = _revealed_above(dataset, family)
+        conflict = _incongruence(dataset, family, above)
+        if conflict:
+            menu, z, y = conflict
+            raise InfeasibleFit(
+                f"the menus with reference {x!r} reveal {z!r} weakly above {y!r}, "
+                f"but {sorted(menu)} chooses {y!r} and not {z!r}")
+        ranked = above.get(x, set()) | {x}
+        layers = _layers(ranked, lambda a, b: a in above[b] and b not in above[a])
+        table = dict.fromkeys(order.ranking, Fraction(0))
+        for level, layer in zip(range(len(ranked), 0, -1), layers):
+            table.update(dict.fromkeys(layer, Fraction(level)))
         utilities[x] = table
     params = OrduParams.build(order, utilities)
     if verify_ordu(params, dataset):
@@ -198,17 +164,11 @@ def build_ordu(dataset: ChoiceDataset) -> OrduParams:
     return params
 
 
-# -- the necessary condition separating ORDU from rival models -----------
-
-
-def _rationalized_by_single_ranking(dataset: ChoiceDataset, family) -> bool:
-    """Richter's (1966) congruence: with x revealed weakly above y when x
-    is chosen from a menu holding y, and that relation transitively
-    closed, no menu may leave unchosen a member revealed weakly above one
-    of its chosen members.  It holds exactly when one weak order picks
-    every menu's choice as its best members."""
-    family = [frozenset(m) for m in family]
-    above = {}  # alt -> the alternatives revealed weakly above it
+def _revealed_above(dataset: ChoiceDataset, family) -> dict:
+    """alt -> the alternatives revealed weakly above it by the menus of
+    ``family`` (x is revealed weakly above y when x is chosen from a menu
+    holding y), transitively closed."""
+    above = {}
     for menu in family:
         for y in menu:
             above.setdefault(y, set()).update(dataset.observations[menu])
@@ -216,8 +176,46 @@ def _rationalized_by_single_ranking(dataset: ChoiceDataset, family) -> bool:
         for x in above:
             if k in above[x]:
                 above[x] |= above[k]
-    return not any(above[y] & (menu - dataset.observations[menu])
-                   for menu in family for y in dataset.observations[menu])
+    return above
+
+
+def _incongruence(dataset: ChoiceDataset, family, above):
+    """The first (menu, unchosen, chosen) of ``family`` whose unchosen
+    member is revealed weakly above (``above``) its chosen one, or None."""
+    for menu in family:
+        chosen = dataset.observations[menu]
+        for y in sorted(chosen):
+            over = above[y] & (menu - chosen)
+            if over:
+                return menu, min(over), y
+    return None
+
+
+def _layers(members, beats) -> list | None:
+    """``members`` peeled from the top: each layer holds the remaining
+    members that no other remaining member ``beats``.  None when a cycle
+    of ``beats`` leaves no top."""
+    remaining = set(members)
+    layers = []
+    while remaining:
+        top = {x for x in remaining
+               if not any(beats(y, x) for y in remaining if y != x)}
+        if not top:
+            return None
+        layers.append(top)
+        remaining -= top
+    return layers
+
+
+# -- the necessary condition separating ORDU from rival models -----------
+
+
+def _rationalized_by_single_ranking(dataset: ChoiceDataset, family) -> bool:
+    """Richter's (1966) congruence: no menu may leave unchosen a member
+    revealed weakly above one of its chosen members.  It holds exactly
+    when one weak order picks every menu's choice as its best members."""
+    family = [frozenset(m) for m in family]
+    return _incongruence(dataset, family, _revealed_above(dataset, family)) is None
 
 
 def union_anchor_condition(dataset: ChoiceDataset, parts) -> bool:

@@ -20,7 +20,7 @@ from .exceptions import (
     UniverseTooLarge,
     UnknownFixture,
 )
-from .ordu import build_ordu, union_anchor_condition, verify_ordu
+from .ordu import _layers, build_ordu, union_anchor_condition
 
 
 def _table(rows):
@@ -213,17 +213,6 @@ def rsm_rationalizable(dataset: ChoiceDataset):
 # -- personal equilibrium ---------------------------------------------------
 
 
-def _strict_acyclic(members, strict) -> bool:
-    remaining = set(members)
-    while remaining:
-        top = [x for x in remaining
-               if not any((y, x) in strict for y in remaining if y != x)]
-        if not top:
-            return False
-        remaining.difference_update(top)
-    return True
-
-
 def pe_rationalizable(dataset: ChoiceDataset):
     """Search for a complete (possibly intransitive) preference whose
     maximal sets reproduce the data.
@@ -239,7 +228,7 @@ def pe_rationalizable(dataset: ChoiceDataset):
     observations = sorted(dataset.observations.items(),
                           key=lambda kv: sorted(kv[0]))
     for strict in _pair_states(list(combinations(members, 2))):
-        if not _strict_acyclic(members, strict):
+        if _layers(members, lambda y, x: (y, x) in strict) is None:
             continue
         if all(_maximal(menu, strict) == choice for menu, choice in observations):
             return strict
@@ -251,10 +240,10 @@ def pe_rationalizable(dataset: ChoiceDataset):
 
 def ordu_admissible(dataset: ChoiceDataset) -> bool:
     try:
-        params = build_ordu(dataset)
+        build_ordu(dataset)
     except (AxiomFails, NotSubsetClosed):
         return False
-    return not verify_ordu(params, dataset)
+    return True
 
 
 def separation_suite() -> dict:

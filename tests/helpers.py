@@ -19,6 +19,7 @@ from refdep.choices import (
     PaymentPayload,
     SplitPayload,
     ViolationWitness,
+    WARP,
     maximizers,
     revealed_rows,
     sort_witnesses,
@@ -26,20 +27,23 @@ from refdep.choices import (
     validate_dataset,
 )
 from refdep.engine import (
+    IDENTITY_PSI,
     ReferenceOrder,
     candidate_references,
     check_reference_dependence,
+    synthesize_reference_order,
     witness_index,
 )
 from refdep.exceptions import (
     AxiomFails,
+    InfeasibleFit,
     RefdepError,
     SynthesisFailed,
     UnobservedMenu,
     ValidationError,
 )
 from refdep.feasibility import LinearFeasibilityProblem
-from refdep.ordu import simulate_ordu
+from refdep.ordu import OrduParams, check_subset_closed, simulate_ordu, verify_ordu
 from refdep.risk import AreuParams, _below, prize_grid, simulate_areu
 from refdep.serialize import format_rational
 from refdep.social import FspuParams, gini, simulate_fspu
@@ -270,7 +274,6 @@ def random_ordu_params(rng, ids=("a", "b", "c", "d", "e")):
     ranking = list(ids)
     rng.shuffle(ranking)
     utilities = {ref: {alt: F(rng.randint(0, 6)) for alt in ids} for ref in ids}
-    from refdep.ordu import OrduParams
     return OrduParams.build(ReferenceOrder(tuple(ranking)), utilities)
 
 
@@ -1138,6 +1141,53 @@ def order_breaks_a_reference_class(dataset, prop, order):
     ``order``: x tops the union of its menus and belongs to all of them."""
     return any(order.argmax(union) in meet
                for _, union, meet in witness_index(dataset, prop))
+
+
+# -- the prediction-set construction: the reference for the ORDU fit -------------
+
+
+def ordu_by_prediction_sets(dataset):
+    """ORDU params by the prediction-set construction, the reference for
+    ``ordu.build_ordu``.
+
+    The order is the synthesized one.  Each reference x ranks its
+    prediction set (x and the alternatives below x in the order that it
+    does not strictly beat in their observed doubleton) by the observed
+    tripletons {x, a, b}, tying pairs never observed together, and gives
+    every other alternative 0.  Raises InfeasibleFit when a prediction
+    set is ranked intransitively or the params mispredict the data.
+    """
+    check_subset_closed(dataset)
+    failures = check_reference_dependence(dataset, WARP, IDENTITY_PSI)
+    if failures:
+        raise AxiomFails("reference dependence (WARP / identity)", failures)
+    order = synthesize_reference_order(dataset, WARP, IDENTITY_PSI)
+    ranks = order.rank_map()
+    utilities = {}
+    for x in order.ranking:
+        pset = [x] + [y for y in order.ranking if ranks[y] > ranks[x]
+                      and y in dataset.observations.get(frozenset((x, y)), ())]
+
+        def weakly_better(a, b):
+            probe = frozenset((x, a, b))
+            return a == b or probe not in dataset.observations \
+                or a in dataset.observations[probe]
+
+        table = {alt: F(0) for alt in order.ranking}
+        level, remaining = len(pset), pset
+        while remaining:
+            top = [a for a in remaining if all(weakly_better(a, b) for b in remaining)]
+            if not top:
+                raise InfeasibleFit(
+                    f"the menus with reference {x!r} rank its prediction set intransitively")
+            table.update(dict.fromkeys(top, F(level)))
+            remaining = [a for a in remaining if a not in top]
+            level -= 1
+        utilities[x] = table
+    params = OrduParams.build(order, utilities)
+    if verify_ordu(params, dataset):
+        raise InfeasibleFit("the constructed utilities do not reproduce the data")
+    return params
 
 
 # -- payments and splits read as Fractions ----------------------------------------

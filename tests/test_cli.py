@@ -267,7 +267,14 @@ def test_params_and_menus_of_another_model_exit_2_with_json(tmp_path, argv):
     ("pbdu", lambda doc: {**doc, "log_discount": {}}),
     ("ordu", lambda doc: {**doc, "order": [*doc["order"][:-1], None]}),
     ("ordu", lambda doc: {**doc, "order": [True, *doc["order"][1:]]}),
-], ids=["empty-pbdu-discount-table", "null-in-ordu-order", "boolean-in-ordu-order"])
+    ("ordu", lambda doc: {**doc, "utilities": {"a": doc["utilities"]["a"]}}),
+    ("ordu", lambda doc: {**doc, "utilities": {**doc["utilities"], "z": doc["utilities"]["a"]}}),
+    ("ordu", lambda doc: {**doc, "utilities": {**doc["utilities"], "b": {"b": "1"}}}),
+    ("areu", lambda doc: {**doc, "utilities": dict.fromkeys(doc["utilities"], ["0", "1", "1"])}),
+    ("areu", lambda doc: {**doc, "lotteries": {k: v[:2] for k, v in doc["lotteries"].items()}}),
+], ids=["empty-pbdu-discount-table", "null-in-ordu-order", "boolean-in-ordu-order",
+        "missing-ordu-utility", "stray-ordu-utility", "ordu-utility-missing-an-id",
+        "areu-utility-not-increasing", "areu-lottery-off-the-grid"])
 def test_malformed_params_exit_2_with_a_validation_error(tmp_path, model, edit):
     docs = DOCUMENTS[model]
     paths = {name: tmp_path / f"{name}.json" for name in ("params", "menus", "data")}
@@ -276,9 +283,21 @@ def test_malformed_params_exit_2_with_a_validation_error(tmp_path, model, edit):
         paths[name].write_text(json.dumps(doc))
     params, menus, data = (str(paths[name]) for name in ("params", "menus", "data"))
     for argv in (["simulate", "--model", model, params, menus],
-                 ["verify", "--model", model, params, data]):
+                 ["verify", "--model", model, params, data],
+                 *([["export-triangle", params]] if model == "areu" else [])):
         code, doc = run_json(argv)
         assert code == 2 and doc["error"] == "validation", (argv, doc)
+
+
+def test_an_unobserved_subset_is_named_by_sorted_ids(tmp_path):
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps({
+        "kind": "generic", "alternatives": [{"id": x} for x in "abcd"],
+        "observations": [{"menu": ["a", "b", "c", "d"], "choice": ["a"]},
+                         {"menu": ["a", "b"], "choice": ["a"]}]}))
+    assert run_json(["fit", "--model", "ordu", str(data)]) == (2, {
+        "error": "NotSubsetClosed",
+        "detail": "subset ['a', 'c'] of maximal menu ['a', 'b', 'c', 'd'] unobserved"})
 
 
 def test_usage_errors_under_json_print_a_json_error(capsys):

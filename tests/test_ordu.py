@@ -2,16 +2,21 @@ import random
 
 import pytest
 
-from refdep.choices import warp_over
-from refdep.engine import ReferenceOrder
-from refdep.exceptions import AxiomFails, NotSubsetClosed, UnionUnobserved, ValidationError
+from refdep.choices import WARP, warp_over
+from refdep.engine import IDENTITY_PSI, ReferenceOrder, synthesize_reference_order
+from refdep.exceptions import (
+    AxiomFails,
+    InfeasibleFit,
+    NotSubsetClosed,
+    UnionUnobserved,
+    ValidationError,
+)
 from refdep.ordu import (
     OrduParams,
     _rationalized_by_single_ranking,
     build_ordu,
     check_subset_closed,
     evaluate_ordu,
-    prediction_set,
     union_anchor_condition,
     simulate_ordu,
     verify_ordu,
@@ -21,6 +26,7 @@ from refdep.rivals import load_fixture
 from helpers import (
     all_menus,
     generic_dataset,
+    ordu_by_prediction_sets,
     random_ordu_params,
     rationalizable_by_weak_order,
     weak_orders,
@@ -47,11 +53,46 @@ def test_binary_cycle_with_a_consistent_tripleton_builds():
     assert verify_ordu(params, ds) == []
 
 
-def test_prediction_set_contains_its_anchor():
+def test_each_reference_scores_itself_above_the_sentinel():
     ds = load_fixture("compliance_2_1")
     params = build_ordu(ds)
     for x in ds.universe:
-        assert x in prediction_set(ds, params.order, x)
+        assert params.utility(x)[x] > 0
+
+
+def _fit_or_infeasible(fit, dataset):
+    try:
+        return fit(dataset)
+    except InfeasibleFit:
+        return None
+
+
+@pytest.mark.parametrize("ids, seeds, max_size", [
+    ("abcde", range(300), None), ("abcdefgh", range(30), None), ("abcde", range(300), 3)],
+    ids=["five-power-set", "eight-power-set", "five-size-2-3"])
+def test_build_returns_the_prediction_set_params(ids, seeds, max_size):
+    infeasible = 0
+    for seed in seeds:
+        params = random_ordu_params(random.Random(seed), ids=tuple(ids))
+        dataset = simulate_ordu(params, all_menus(ids, 2, max_size))
+        fitted = _fit_or_infeasible(build_ordu, dataset)
+        assert fitted == _fit_or_infeasible(ordu_by_prediction_sets, dataset), seed
+        infeasible += fitted is None
+    assert infeasible == (0 if max_size is None else 24)
+
+
+def test_an_incongruent_reference_class_is_named():
+    params = random_ordu_params(random.Random(0))
+    dataset = simulate_ordu(params, all_menus(params.order.ranking, 2, 3))
+    with pytest.raises(InfeasibleFit) as exc:
+        build_ordu(dataset)
+    assert exc.value.detail == (
+        "the menus with reference 'a' reveal 'b' weakly above 'd', "
+        "but ['a', 'b', 'd'] chooses 'd' and not 'b'")
+    order = synthesize_reference_order(dataset, WARP, IDENTITY_PSI)
+    family = [menu for menu in dataset.observations if order.argmax(menu) == "a"]
+    assert frozenset("abd") in family and dataset.observations[frozenset("abd")] == {"d"}
+    assert not _rationalized_by_single_ranking(dataset, family)
 
 
 def test_evaluate_singleton_returns_itself():
@@ -219,3 +260,4 @@ def test_from_json_rejects_ids_that_are_not_strings():
                 {**doc, "utilities": {**doc["utilities"], "a": {**table, True: "0"}}}):
         with pytest.raises(ValidationError):
             OrduParams.from_json(bad)
+
