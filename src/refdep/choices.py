@@ -473,7 +473,7 @@ def revealed_rows(dataset: ChoiceDataset, menu):
             yield relation, picked[0], other
 
 
-# -- invariance under a transformation of the domain ------------------------
+# -- invariance under a transformation of the domain, and dominance ----------
 
 
 def invariance_over(dataset: ChoiceDataset, family, kind, correspondences) -> list:
@@ -497,6 +497,22 @@ def invariance_over(dataset: ChoiceDataset, family, kind, correspondences) -> li
                 for menu_b in menus_b:
                     witnesses.append(ViolationWitness(kind, (menu_a, menu_b), narrative))
     return sort_witnesses(witnesses)
+
+
+def dominance_over(dataset: ChoiceDataset, menus, beats, describe) -> list:
+    """Violations of dominance on ``menus``: one witness per menu, chosen
+    member ``loser`` and member ``winner`` with ``beats(winner, loser)``,
+    losers and then winners in id order; ``describe(winner, loser)``
+    gives its kind and narrative."""
+    witnesses = []
+    for menu in menus:
+        members = sorted(menu)
+        for loser in sorted(dataset.observations[menu]):
+            for winner in members:
+                if winner != loser and beats(winner, loser):
+                    kind, narrative = describe(winner, loser)
+                    witnesses.append(ViolationWitness(kind, (menu,), narrative))
+    return witnesses
 
 
 def shift_correspondences(dataset: ChoiceDataset, fixed, moved, allowed, label):

@@ -11,7 +11,7 @@ peeling candidate layers off the universe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .choices import (
@@ -84,16 +84,13 @@ def psi_table(dataset: ChoiceDataset, psi: PsiMap) -> dict:
 
 
 def witness_index(dataset: ChoiceDataset, prop: FiniteProperty) -> list:
-    """T's witnesses over all observed menus, each paired with the union
-    and the intersection of its menus, cached per dataset and property.
+    """T's witnesses over all observed menus, cached per dataset and property.
 
     Since T is local, its witnesses on any family of observed menus are
     the entries whose menus all lie in the family, in the same order.
     """
-    def index():
-        return [(w, frozenset().union(*w.menus), frozenset.intersection(*w.menus))
-                for w in prop.check(dataset, dataset.menus())]
-    return dataset.cached(("witnesses", prop), index)
+    return dataset.cached(("witnesses", prop),
+                          lambda: prop.check(dataset, dataset.menus()))
 
 
 def _witness_masks(dataset: ChoiceDataset, prop: FiniteProperty):
@@ -101,8 +98,8 @@ def _witness_masks(dataset: ChoiceDataset, prop: FiniteProperty):
     union holds it and those whose every menu holds it."""
     def masks():
         index = witness_index(dataset, prop)
-        return (member_masks(union for _, union, _ in index),
-                member_masks(meet for _, _, meet in index))
+        return (member_masks(frozenset().union(*w.menus) for w in index),
+                member_masks(frozenset.intersection(*w.menus) for w in index))
     return dataset.cached(("witness masks", prop), masks)
 
 
@@ -111,17 +108,19 @@ class ReferenceOrder:
     """Strict total order over alternative ids, highest-ranked first."""
 
     ranking: tuple
+    ranks: dict = field(init=False, repr=False, compare=False)  # id -> position
 
     def __post_init__(self):
-        if len(set(self.ranking)) != len(self.ranking):
+        ranks = {alt_id: i for i, alt_id in enumerate(self.ranking)}
+        if len(ranks) != len(self.ranking):
             raise ValueError("ranking has duplicates")
+        object.__setattr__(self, "ranks", ranks)
 
     def rank_map(self) -> dict:
-        return {alt_id: i for i, alt_id in enumerate(self.ranking)}
+        return dict(self.ranks)
 
     def argmax(self, menu) -> str:
-        ranks = self.rank_map()
-        return min(menu, key=lambda alt_id: ranks[alt_id])
+        return min(menu, key=self.ranks.__getitem__)
 
     def to_json(self):
         return list(self.ranking)
@@ -185,7 +184,7 @@ def check_reference_dependence(dataset: ChoiceDataset, prop: FiniteProperty,
         if (bool(broken) if universal else len(broken) == len(results)):
             index = witness_index(dataset, prop)
             failures.append(ReferenceDependenceFailure(menu, tuple(
-                (x, tuple(index[pos][0] for pos in bits(blocking)))
+                (x, tuple(index[pos] for pos in bits(blocking)))
                 for x, blocking in broken)))
     return failures
 
@@ -222,7 +221,7 @@ def psi_consistency_check(order: ReferenceOrder, psi: PsiMap,
     """Witnesses to Psi-inconsistency: a menu whose non-admissible member
     outranks every admissible member."""
     witnesses = []
-    ranks = order.rank_map()
+    ranks = order.ranks
     for menu in sorted_menus(frozenset(m) for m in menus):
         admissible = psi.of(dataset, menu)
         best_admissible = min(ranks[x] for x in admissible)

@@ -86,9 +86,9 @@ class OrduParams:
 def evaluate_ordu(params: OrduParams, menu) -> Menu:
     """All maximizers of the reference's utility over the menu."""
     menu = frozenset(menu)
-    known = set(params.order.ranking)
-    if not menu <= known:
-        raise UnknownAlternative(f"{sorted(menu - known)} not covered by the order")
+    missing = menu.difference(params.order.ranks)
+    if missing:
+        raise UnknownAlternative(f"{sorted(missing)} not covered by the order")
     return maximizers(menu, params.utility(params.order.argmax(menu)).__getitem__)
 
 

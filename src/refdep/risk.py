@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations
-from operator import le
 
 from .choices import (
     Alternative,
@@ -31,6 +30,7 @@ from .choices import (
     ViolationWitness,
     WARP,
     conjoin,
+    dominance_over,
     invariance_over,
     linkage_report,
     maximizers,
@@ -60,7 +60,7 @@ from .exceptions import (
     ValidationError,
 )
 from .feasibility import LinearFeasibilityProblem, solve_linear_feasibility
-from .serialize import format_rational, parse_rational
+from .serialize import format_rational, ids_from_json, parse_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -289,17 +289,10 @@ def check_risk_reference_dependence(dataset: ChoiceDataset) -> list:
 def check_fosd_dominance(dataset: ChoiceDataset) -> list:
     """A dominated lottery must never be chosen while its dominator is present."""
     prizes, _, vectors = _coords(dataset)
-    witnesses = []
-    for menu in dataset.menus():
-        picked = dataset.observations[menu]
-        for loser in sorted(picked):
-            for winner in sorted(menu):
-                if winner != loser and fosd(prizes, vectors[winner], vectors[loser]):
-                    witnesses.append(ViolationWitness(
-                        kind="FOSD",
-                        menus=(menu,),
-                        narrative=f"{loser} chosen although {winner} dominates it"))
-    return witnesses
+    return dominance_over(
+        dataset, dataset.menus(),
+        lambda winner, loser: fosd(prizes, vectors[winner], vectors[loser]),
+        lambda winner, loser: ("FOSD", f"{loser} chosen although {winner} dominates it"))
 
 
 def check_avoidable_risk(dataset: ChoiceDataset) -> list:
@@ -458,7 +451,7 @@ class AreuParams:
         return AreuParams.build(
             [parse_rational(x) for x in doc["prizes"]],
             {i: [parse_rational(x) for x in v] for i, v in doc["lotteries"].items()},
-            ReferenceOrder(tuple(doc["order"])),
+            ReferenceOrder(tuple(ids_from_json(doc["order"], "order"))),
             {i: [parse_rational(x) for x in v] for i, v in doc["utilities"].items()},
         )
 
@@ -469,9 +462,9 @@ def expected_utility(vec, u) -> Fraction:
 
 def evaluate_areu(params: AreuParams, menu) -> Menu:
     menu = frozenset(menu)
-    known = set(params.order.ranking)
-    if not menu <= known:
-        raise UnknownLottery(f"{sorted(menu - known)} not covered by the order")
+    missing = menu.difference(params.order.ranks)
+    if missing:
+        raise UnknownLottery(f"{sorted(missing)} not covered by the order")
     u = params.utility(params.order.argmax(menu))
     return maximizers(menu, lambda alt: expected_utility(params.vector(alt), u))
 
@@ -767,8 +760,6 @@ def fit_areu(dataset: ChoiceDataset) -> AreuParams:
     if forced is None:
         raise EmptyPsi("forced risk-consistency constraints are cyclic")
 
-    three = len(prizes) == 3
-    shared = None
     for count, (assignment, order) in enumerate(_reference_assignments(dataset, forced)):
         classes = {}
         for menu, ref in assignment.items():
@@ -779,10 +770,9 @@ def fit_areu(dataset: ChoiceDataset) -> AreuParams:
             # one utility for every class has the same rows under every
             # assignment; solved once, in the first assignment's row order
             menus = [menu for class_menus in classes.values() for menu in class_menus]
-            if not three or le(*_rho_interval(dataset, menus)):
-                result = solve_linear_feasibility(_utility_problem(dataset, [("shared", menus)]))
-                shared = _utilities(result, ["shared"], len(prizes))["shared"] if result else None
-        if three and not _order_admits(
+            solution = _solve_chain(dataset, {"shared": menus}, ["shared"])
+            shared = solution["shared"] if solution else None
+        if len(prizes) == 3 and not _order_admits(
                 {ref: _rho_interval(dataset, menus) for ref, menus in classes.items()}, order):
             continue
         for chain in _chains(classes, order):

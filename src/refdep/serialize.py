@@ -22,7 +22,7 @@ from .choices import (
     SplitPayload,
     validate_dataset,
 )
-from .exceptions import ValidationError
+from .exceptions import DuplicateMenu, ValidationError
 
 
 def parse_rational(text) -> Fraction:
@@ -139,7 +139,7 @@ def dump_dataset(ds: ChoiceDataset, path) -> None:
 
 
 def menus_from_dict(doc):
-    """A menus file is a dataset document with "menus" instead of observations."""
+    """A menus file: a dataset document listing each menu once under "menus"."""
     try:
         kind = doc["kind"]
         alts = _alternatives_from_json(kind, doc["alternatives"])
@@ -156,6 +156,9 @@ def menus_from_dict(doc):
             raise ValidationError("empty menu in menus file")
         if not menu <= by_id.keys():
             raise ValidationError(f"menu {sorted(menu)} uses undeclared ids")
+    if len(set(menus)) < len(menus):
+        repeat = next(menu for pos, menu in enumerate(menus) if menu in menus[:pos])
+        raise DuplicateMenu(f"menu {sorted(repeat)} listed twice")
     floor = parse_rational(doc["floor"]) if "floor" in doc else None
     if floor is not None and kind != INCOME_SPLIT:
         raise ValidationError(f"a floor applies only to {INCOME_SPLIT} menus, not {kind}")

@@ -19,6 +19,7 @@ from .choices import (
     ViolationWitness,
     WARP,
     conjoin,
+    dominance_over,
     integer_payloads,
     invariance_over,
     linkage_report,
@@ -115,22 +116,15 @@ def check_social_monotonicity(dataset: ChoiceDataset) -> list:
     """Binary dominance: weakly more for both and strictly more for one wins."""
     ints = integer_payloads(dataset)
     (_, own), (_, other) = ints["own"], ints["other"]
-    witnesses = []
-    for menu in dataset.menus():
-        if len(menu) != 2:
-            continue
-        x, y = sorted(menu)
-        winner = None
-        if (own[x], other[x]) != (own[y], other[y]):
-            if own[x] >= own[y] and other[x] >= other[y]:
-                winner = x
-            elif own[y] >= own[x] and other[y] >= other[x]:
-                winner = y
-        if winner is not None and dataset.observations[menu] != {winner}:
-            witnesses.append(ViolationWitness(
-                kind="SocialMonotonicity", menus=(menu,),
-                narrative=f"{winner} dominates and must be the unique choice"))
-    return witnesses
+
+    def beats(x, y):
+        return (own[x] >= own[y] and other[x] >= other[y]
+                and (own[x], other[x]) != (own[y], other[y]))
+
+    return dominance_over(
+        dataset, [m for m in dataset.menus() if len(m) == 2], beats,
+        lambda winner, _: ("SocialMonotonicity",
+                           f"{winner} dominates and must be the unique choice"))
 
 
 def battery(dataset: ChoiceDataset):

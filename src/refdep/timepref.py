@@ -22,6 +22,7 @@ from .choices import (
     ViolationWitness,
     WARP,
     conjoin,
+    dominance_over,
     integer_payloads,
     invariance_over,
     linkage_report,
@@ -34,7 +35,7 @@ from .choices import (
     sort_witnesses,
     warp_over,  # noqa: F401  bench/tracing.py wraps it here
 )
-from .engine import PsiMap, psi_table, witness_index
+from .engine import PsiMap, check_reference_dependence, psi_table, witness_index
 from .exceptions import (
     InfeasibleFit,
     NotSubsetClosed,
@@ -73,7 +74,7 @@ def check_time_reference_dependence(dataset: ChoiceDataset) -> list:
     """WARP and Stationarity over every observed menu pair sharing an
     earliest payment (including each menu with itself)."""
     earliest = psi_table(dataset, EARLIEST_PSI)
-    return sort_witnesses({w for w, _, _ in witness_index(dataset, TIME_PROPERTY)
+    return sort_witnesses({w for w in witness_index(dataset, TIME_PROPERTY)
                            if frozenset.intersection(*(earliest[m] for m in w.menus))})
 
 
@@ -96,12 +97,12 @@ def pairwise_anchored_equivalence(dataset: ChoiceDataset) -> EquivalenceReport:
     except NotSubsetClosed:
         return EquivalenceReport("not_applicable", (), ())
     pairwise = check_time_reference_dependence(dataset)
-    # a witness of the family of (menu, anchor) lies inside the menu and
-    # keeps the anchor, an earliest payment of the menu, in all its menus
-    earliest = psi_table(dataset, EARLIEST_PSI)
+    # the anchored form: T's violations inside a menu whose every menu
+    # keeps one of its earliest payments
     subset_form = sort_witnesses({
-        w for w, union, meet in witness_index(dataset, TIME_PROPERTY)
-        if any(union <= menu and anchors & meet for menu, anchors in earliest.items())})
+        w for failure in check_reference_dependence(
+            dataset, TIME_PROPERTY, EARLIEST_PSI, universal=True)
+        for _, blocking in failure.per_candidate for w in blocking})
     status = "agree" if bool(pairwise) == bool(subset_form) else "disagree"
     return EquivalenceReport(status, tuple(pairwise), tuple(subset_form))
 
@@ -110,23 +111,17 @@ def check_outcome_monotonicity_impatience(dataset: ChoiceDataset) -> list:
     """Binary menus: more money at the same time wins; same money sooner wins."""
     ints = integer_payloads(dataset)
     (_, amount), (_, time) = ints["amount"], ints["time"]
-    witnesses = []
-    for menu in dataset.menus():
-        if len(menu) != 2:
-            continue
-        x, y = sorted(menu)
-        expected = None
-        if time[x] == time[y] and amount[x] != amount[y]:
-            expected = x if amount[x] > amount[y] else y
-            tag = "OutcomeMonotonicity"
-        elif amount[x] == amount[y] and time[x] != time[y]:
-            expected = x if time[x] < time[y] else y
-            tag = "Impatience"
-        if expected is not None and dataset.observations[menu] != {expected}:
-            witnesses.append(ViolationWitness(
-                kind=tag, menus=(menu,),
-                narrative=f"{expected} should be the unique choice"))
-    return witnesses
+
+    def beats(x, y):
+        return (time[x] == time[y] and amount[x] > amount[y]
+                or amount[x] == amount[y] and time[x] < time[y])
+
+    def describe(winner, loser):
+        tag = "OutcomeMonotonicity" if time[winner] == time[loser] else "Impatience"
+        return tag, f"{winner} should be the unique choice"
+
+    return dominance_over(dataset, [m for m in dataset.menus() if len(m) == 2],
+                          beats, describe)
 
 
 def check_present_bias(dataset: ChoiceDataset) -> list:

@@ -940,6 +940,24 @@ def fraction_vectors(dataset):
             for alt in dataset.universe}
 
 
+def fosd_dominance_by_loop(dataset):
+    """FOSD witnesses by the loop ``risk.check_fosd_dominance`` ran before
+    the dominance checks shared ``choices.dominance_over``, on the
+    ``Fraction`` vectors and ``fosd_by_loop``."""
+    prizes, vectors = prize_grid(dataset), fraction_vectors(dataset)
+    witnesses = []
+    for menu in dataset.menus():
+        picked = dataset.observations[menu]
+        for loser in sorted(picked):
+            for winner in sorted(menu):
+                if winner != loser and fosd_by_loop(prizes, vectors[winner], vectors[loser]):
+                    witnesses.append(ViolationWitness(
+                        kind="FOSD",
+                        menus=(menu,),
+                        narrative=f"{loser} chosen although {winner} dominates it"))
+    return witnesses
+
+
 def _fraction_scale(p, q, coords):
     beta = next((p[i] / q[i] for i in coords if q[i] != 0), F(0))
     return beta if all(p[i] == beta * q[i] for i in coords) else None
@@ -1139,8 +1157,8 @@ def synthesize_by_pruning(dataset, prop, psi):
 def order_breaks_a_reference_class(dataset, prop, order):
     """Whether a witness of ``prop`` lies inside one reference class of
     ``order``: x tops the union of its menus and belongs to all of them."""
-    return any(order.argmax(union) in meet
-               for _, union, meet in witness_index(dataset, prop))
+    return any(order.argmax(frozenset().union(*w.menus)) in frozenset.intersection(*w.menus)
+               for w in witness_index(dataset, prop))
 
 
 # -- the prediction-set construction: the reference for the ORDU fit -------------

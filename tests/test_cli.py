@@ -506,6 +506,36 @@ def test_simulate_rejects_a_menus_file_repeating_an_id(model, tmp_path):
                                  "detail": f"duplicate alternative id {first['id']!r}"}
 
 
+@pytest.mark.parametrize("model", ["ordu", "areu", "pbdu", "fspu"])
+def test_simulate_rejects_a_menus_file_repeating_a_menu(model, tmp_path):
+    menus = copy.deepcopy(DOCUMENTS[model]["menus"])
+    first = menus["menus"][0]
+    menus["menus"].append(first[::-1])
+    code, doc = _simulate(tmp_path, model, menus)
+    assert code == 2 and doc == {"error": "validation",
+                                 "detail": f"menu {sorted(first)} listed twice"}
+
+
+def test_areu_params_with_a_bare_string_order_are_rejected(tmp_path):
+    # a string of one-letter ids would otherwise be read letter by letter
+    params = {"prizes": ["0", "1", "2"],
+              "lotteries": {"a": ["0", "1", "0"], "b": ["1/2", "0", "1/2"]},
+              "order": ["a", "b"],
+              "utilities": {"a": ["0", "3/4", "1"], "b": ["0", "3/4", "1"]}}
+    data = {"kind": "lottery", "observations": [{"menu": ["a", "b"], "choice": ["a"]}],
+            "alternatives": [{"id": "a", "payload": {"probs": {"1": "1"}}},
+                             {"id": "b", "payload": {"probs": {"0": "1/2", "2": "1/2"}}}]}
+    params_path, data_path = tmp_path / "params.json", tmp_path / "data.json"
+    data_path.write_text(json.dumps(data))
+    params_path.write_text(json.dumps(params))
+    verify = ["verify", "--model", "areu", str(params_path), str(data_path)]
+    assert run_json(verify)[0] == 0
+    params_path.write_text(json.dumps({**params, "order": "ab"}))
+    error = {"error": "validation", "detail": "order 'ab' is not an array of alternative ids"}
+    assert run_json(verify) == (2, error)
+    assert run_json(["export-triangle", "--resolution", "1", str(params_path)]) == (2, error)
+
+
 def test_simulate_keeps_the_floor_of_the_menus_file(tmp_path):
     menus = copy.deepcopy(DOCUMENTS["fspu"]["menus"])
     lowest = min(parse_rational(a["payload"][side]) for a in menus["alternatives"]

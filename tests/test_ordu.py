@@ -9,6 +9,7 @@ from refdep.exceptions import (
     InfeasibleFit,
     NotSubsetClosed,
     UnionUnobserved,
+    UnknownAlternative,
     ValidationError,
 )
 from refdep.ordu import (
@@ -261,3 +262,17 @@ def test_from_json_rejects_ids_that_are_not_strings():
         with pytest.raises(ValidationError):
             OrduParams.from_json(bad)
 
+
+def test_one_rank_map_serves_the_top_lookup_and_the_coverage_test():
+    params = random_ordu_params(random.Random(0), ids=("a", "b", "c"))
+    order = params.order
+    ranks = order.rank_map()
+    assert ranks == {alt: k for k, alt in enumerate(order.ranking)}
+    ranks[order.ranking[-1]] = -1  # a copy: the order's own map is unchanged
+    assert order.argmax(set(order.ranking)) == order.ranking[0]
+    same = ReferenceOrder(order.ranking)
+    assert order == same and hash(order) == hash(same)
+    with pytest.raises(UnknownAlternative, match=r"\['y', 'z'\] not covered by the order"):
+        evaluate_ordu(params, {"a", "z", "y"})
+    with pytest.raises(ValueError, match="ranking has duplicates"):
+        ReferenceOrder(("a", "b", "a"))

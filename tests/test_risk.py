@@ -21,6 +21,7 @@ from refdep.risk import (
     Concavity,
     Fanning,
     check_avoidable_risk,
+    check_fosd_dominance,
     check_risk_reference_dependence,
     concavity_compare,
     extreme_spread,
@@ -50,6 +51,7 @@ from helpers import (
     extreme_spread_by_fractions,
     extreme_spread_by_loop,
     fosd_by_loop,
+    fosd_dominance_by_loop,
     fraction_vectors,
     integer_areu_data,
     interval_by_fractions,
@@ -59,6 +61,7 @@ from helpers import (
     mixture_correspondences_by_fractions,
     mixture_weight_by_loop,
     mps_by_loop,
+    perturbed,
     random_rho_monotone_areu,
     reverse_allais_dataset,
     worst_dilution_by_fractions,
@@ -87,6 +90,21 @@ def test_fosd_is_irreflexive():
 
 def test_fosd_allais_pair():
     assert fosd(PRIZES, vec(F(1, 5), 0, F(4, 5)), vec(F(4, 5), 0, F(1, 5)))
+
+
+def test_fosd_dominance_matches_its_loop_on_perturbed_data():
+    """Every (menu, chosen loser, dominator) witness, in the loop's order,
+    on perturbed quarter-grid data of 3 and 4 prizes and on perturbed
+    model-generated data."""
+    rng = random.Random(19)
+    found = 0
+    for k in range(40):
+        ds = perturbed(rng, integer_areu_data(rng, 3 + k % 2) if k % 4
+                       else simulate_areu(*areu_instance(rng, k % 8 == 0)))
+        expected = fosd_dominance_by_loop(ds)
+        assert check_fosd_dominance(ds) == expected
+        found += len(expected)
+    assert found > 40
 
 
 def test_mps_symmetric_spread_of_the_midpoint():
@@ -897,9 +915,10 @@ def test_reference_dependent_three_prize_fit_solves_one_lp(monkeypatch):
 
 def test_sweep_rejects_the_first_chain_of_two_unordered_classes(monkeypatch):
     # choosing x over the sure middle prize a puts u_a(1) below 1/2, and
-    # choosing b over its spread y puts u_b(1) above it; nothing orders a
-    # against b, so the id-order chain (a, b) comes first and fails the
-    # sweep with no LP, and (b, a) is certified by the only LP
+    # choosing b over its spread y puts u_b(1) above it, so the one-utility
+    # chain ["shared"] fails the sweep with no LP; nothing orders a against
+    # b, so the id-order chain (a, b) comes next and fails it too, and
+    # (b, a) is certified by the only LP
     lots = {"a": lot([(1, 1)]), "x": lot([(0, F(1, 2)), (2, F(1, 2))]),
             "b": lot([(1, F(1, 2)), (2, F(1, 2))]), "y": lot([(0, F(1, 4)), (2, F(3, 4))])}
     ds = lottery_dataset(lots, [(("a", "x"), ("x",)), (("b", "y"), ("b",))])
@@ -916,7 +935,7 @@ def test_sweep_rejects_the_first_chain_of_two_unordered_classes(monkeypatch):
     monkeypatch.setattr(risk, "solve_linear_feasibility",
                         lambda problem: events.append("lp") or solve(problem))
     fitted = fit_areu(ds)
-    assert events == [("a", "b"), False, ("b", "a"), "lp", True]
+    assert events == [["shared"], False, ("a", "b"), False, ("b", "a"), "lp", True]
     assert fitted.order.ranking[:2] == ("b", "a")
     assert verify_areu(fitted, ds) == []
 
