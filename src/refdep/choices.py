@@ -155,14 +155,13 @@ class ChoiceDataset:
     observed menu (frozenset of ids) to its nonempty chosen subset.
     """
 
-    def __init__(self, kind, alternatives, observations, floor=None, _validated=False):
+    def __init__(self, kind, alternatives, observations, floor=None):
         self.kind = kind
         self.alternatives = dict(alternatives)  # id -> Alternative
         self.observations = {Menu(m): Menu(c) for m, c in observations.items()}
         self.floor = floor  # income floor, income_split datasets only
         self._cache = {}
-        if not _validated:
-            _check_invariants(self)
+        _check_invariants(self)
 
     # -- basic views -------------------------------------------------
 
@@ -214,8 +213,7 @@ class ChoiceDataset:
         """Keep only the observations in ``family``; universe unchanged."""
         lattice = self.lattice()
         kept = {m: self.observations[m] for m in lattice.at(lattice.mask(family))}
-        return ChoiceDataset(self.kind, self.alternatives, kept,
-                             floor=self.floor, _validated=True)
+        return ChoiceDataset(self.kind, self.alternatives, kept, floor=self.floor)
 
 
 def bits(mask: int):
@@ -515,6 +513,15 @@ def dominance_over(dataset: ChoiceDataset, menus, beats, describe) -> list:
     return witnesses
 
 
+def expansion_over(dataset: ChoiceDataset, kind, clashes) -> list:
+    """Violations of an expansion clause: one witness per narrative that
+    ``clashes(small, big)`` yields on an observed nested pair, a pattern
+    in c(small) clashing with one in c(big)."""
+    return sort_witnesses({ViolationWitness(kind, (small, big), narrative)
+                           for small, big in dataset.nested_pairs()
+                           for narrative in clashes(small, big)})
+
+
 def shift_correspondences(dataset: ChoiceDataset, fixed, moved, allowed, label):
     """Correspondences of a common shift of the payload coordinate
     ``moved`` with ``fixed`` held: x, y map to x2, y2 when both move by
@@ -530,8 +537,7 @@ def shift_correspondences(dataset: ChoiceDataset, fixed, moved, allowed, label):
         for alt in ids:
             by_fixed.setdefault(fixed_of[alt], []).append(alt)
             at.setdefault((fixed_of[alt], moved_of[alt]), []).append(alt)
-        # each shift's text: str(Fraction) is serialize.format_rational's
-        # form; serialize imports this module, so it is not used here
+        # str(Fraction) is serialize.format_rational; serialize imports this module
         shown = {}
         out = []
         for x in ids:

@@ -71,13 +71,18 @@ def constraint(coeffs: Mapping, relation: str, rhs) -> Constraint:
 class LinearFeasibilityProblem:
     """Constraints over one ``denominator`` D: each row stands for itself
     divided by D.  Only the strictness gap reads D; it stays in the
-    problem's own units, capped at 1, whatever D is."""
+    problem's own units, capped at 1, whatever D is.  A constraint equal
+    to one already added is dropped, so each row enters the tableau once."""
 
     constraints: list = field(default_factory=list)
     denominator: int = 1
+    _seen: set = field(default_factory=set, repr=False, compare=False)
 
     def add(self, coeffs: Mapping, relation: str, rhs) -> None:
-        self.constraints.append(constraint(coeffs, relation, rhs))
+        con = constraint(coeffs, relation, rhs)
+        if con not in self._seen:
+            self._seen.add(con)
+            self.constraints.append(con)
 
     def variables(self):
         names = set()

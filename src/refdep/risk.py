@@ -18,7 +18,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations, permutations
+from itertools import accumulate, combinations
 
 from .choices import (
     Alternative,
@@ -31,6 +31,7 @@ from .choices import (
     WARP,
     conjoin,
     dominance_over,
+    expansion_over,
     invariance_over,
     linkage_report,
     maximizers,
@@ -41,7 +42,6 @@ from .choices import (
     revealed_rows,
     simulate,
     sort_witnesses,
-    sorted_menus,
     warp_over,  # noqa: F401  bench/tracing.py wraps it here
 )
 from .engine import (
@@ -303,11 +303,10 @@ def check_avoidable_risk(dataset: ChoiceDataset) -> list:
     positively proportional decomposition wins strictly in big.
     """
     diffs = _diff_table(dataset)
-    witnesses = []
-    one_negative = {}
-    for pair, (vec, key) in diffs.items():
-        one_negative[pair] = key is not None and sum(1 for x in vec if x < 0) == 1
-    for small, big in dataset.nested_pairs():
+    one_negative = {pair: key is not None and sum(1 for x in vec if x < 0) == 1
+                    for pair, (vec, key) in diffs.items()}
+
+    def clashes(small, big):
         c_small = dataset.observations[small]
         c_big = dataset.observations[big]
         for safe1 in sorted(c_small):
@@ -318,15 +317,11 @@ def check_avoidable_risk(dataset: ChoiceDataset) -> list:
                 for risky2 in sorted(c_big):
                     for safe2 in sorted(big - c_big):
                         if diffs[(risky2, safe2)][1] == key1:
-                            witnesses.append(ViolationWitness(
-                                kind="AvoidableRisk",
-                                menus=(small, big),
-                                narrative=(
-                                    f"{safe1} beats {risky1} in the sub-menu but the "
-                                    f"proportional decomposition ({risky2} over "
-                                    f"{safe2}) wins strictly after expansion"),
-                            ))
-    return sort_witnesses(witnesses)
+                            yield (f"{safe1} beats {risky1} in the sub-menu but the "
+                                   f"proportional decomposition ({risky2} over "
+                                   f"{safe2}) wins strictly after expansion")
+
+    return expansion_over(dataset, "AvoidableRisk", clashes)
 
 
 def battery(dataset: ChoiceDataset):
@@ -798,41 +793,41 @@ def fit_areu(dataset: ChoiceDataset) -> AreuParams:
 # -- betweenness and transitivity over doubleton families ------------------
 
 
+def _triangles(family) -> list:
+    """Each ordered triple (x, y, z) of distinct alternatives whose
+    doubletons {x, y}, {y, z} and {z, x} all lie in ``family``."""
+    near = {}
+    for menu in family:
+        if len(menu) == 2:
+            x, y = menu
+            near.setdefault(x, set()).add(y)
+            near.setdefault(y, set()).add(x)
+    return [(x, y, z) for x in sorted(near) for y in sorted(near[x])
+            for z in sorted(near[x] & near[y])]
+
+
 def betweenness_over(dataset: ChoiceDataset, family) -> list:
-    fam = {frozenset(m) for m in family}
-    doubles = sorted_menus(m for m in fam if len(m) == 2)
+    """A strict choice between a and b must stay strict against a
+    mixture of the two (a over mid over b), and a tie must stay a tie."""
     _, _, vectors = _coords(dataset)
+    observed = dataset.observations
     witnesses = []
-    ids = sorted(dataset.universe)
-    for pair in doubles:
-        p, q = sorted(pair)
-        for orientation in ((p, q), (q, p)):
-            a, b = orientation
-            for mid in ids:
-                if mid in (a, b):
-                    continue
-                alpha = _mixture_weight(vectors[a], vectors[b], vectors[mid])
-                if alpha is None or frozenset((a, mid)) not in fam \
-                        or frozenset((mid, b)) not in fam:
-                    continue
-                c_ab = dataset.observations[pair]
-                c_am = dataset.observations[frozenset((a, mid))]
-                c_mb = dataset.observations[frozenset((mid, b))]
-                if c_ab == {a}:
-                    if c_am != {a} or c_mb != {mid}:
-                        witnesses.append(ViolationWitness(
-                            kind="Betweenness",
-                            menus=(pair, frozenset((a, mid)), frozenset((mid, b))),
-                            narrative=(f"{a} strictly beats {b} but the mixture "
-                                       f"{mid} breaks the strict chain")))
-                elif c_ab == pair:
-                    if c_am != frozenset((a, mid)) or c_mb != frozenset((mid, b)):
-                        witnesses.append(ViolationWitness(
-                            kind="Betweenness",
-                            menus=(pair, frozenset((a, mid)), frozenset((mid, b))),
-                            narrative=(f"{a} and {b} tie but the mixture {mid} "
-                                       f"breaks the indifference chain")))
-    return sort_witnesses(set(witnesses))
+    for a, b, mid in _triangles(family):
+        if _mixture_weight(vectors[a], vectors[b], vectors[mid]) is None:
+            continue
+        pair, left, right = frozenset((a, b)), frozenset((a, mid)), frozenset((mid, b))
+        if observed[pair] == {a}:
+            expected = ({a}, {mid})
+            narrative = f"{a} strictly beats {b} but the mixture {mid} breaks the strict chain"
+        elif observed[pair] == pair:
+            expected = (left, right)
+            narrative = (f"{a} and {b} tie but the mixture {mid} "
+                         f"breaks the indifference chain")
+        else:
+            continue
+        if (observed[left], observed[right]) != expected:
+            witnesses.append(ViolationWitness("Betweenness", (pair, left, right), narrative))
+    return sort_witnesses(witnesses)
 
 
 def _mixture_weight(va, vb, vm):
@@ -843,23 +838,14 @@ def _mixture_weight(va, vb, vm):
 
 
 def transitivity_over(dataset: ChoiceDataset, family) -> list:
-    fam = {frozenset(m) for m in family}
-    doubles = sorted_menus(m for m in fam if len(m) == 2)
-    members = sorted({x for m in doubles for x in m})
+    observed = dataset.observations
     witnesses = []
-    for trio in combinations(members, 3):
-        menus = [frozenset(pair) for pair in combinations(trio, 2)]
-        if not all(m in fam for m in menus):
-            continue
-        for p, q, s in permutations(trio):
-            pq, qs, sp = frozenset((p, q)), frozenset((q, s)), frozenset((s, p))
-            if p in dataset.observations[pq] and q in dataset.observations[qs] \
-                    and p not in dataset.observations[sp]:
-                witnesses.append(ViolationWitness(
-                    kind="Transitivity",
-                    menus=(pq, qs, sp),
-                    narrative=f"{p} >= {q} >= {s} but {s} strictly beats {p}"))
-    return sort_witnesses(set(witnesses))
+    for p, q, s in _triangles(family):
+        pq, qs, sp = frozenset((p, q)), frozenset((q, s)), frozenset((s, p))
+        if p in observed[pq] and q in observed[qs] and p not in observed[sp]:
+            witnesses.append(ViolationWitness(
+                "Transitivity", (pq, qs, sp), f"{p} >= {q} >= {s} but {s} strictly beats {p}"))
+    return sort_witnesses(witnesses)
 
 
 # -- triangle diagnostics --------------------------------------------------

@@ -41,10 +41,7 @@ def parse_rational(text) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(Fraction(value))
 
 
 def _payload_from_json(kind, raw):
@@ -134,8 +131,7 @@ def load_dataset(path) -> ChoiceDataset:
 
 def dump_dataset(ds: ChoiceDataset, path) -> None:
     with open(path, "w") as fh:
-        json.dump(dataset_to_dict(ds), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(to_json(dataset_to_dict(ds)))
 
 
 def menus_from_dict(doc):

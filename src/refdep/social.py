@@ -16,10 +16,10 @@ from .choices import (
     FiniteProperty,
     INCOME_SPLIT,
     SplitPayload,
-    ViolationWitness,
     WARP,
     conjoin,
     dominance_over,
+    expansion_over,
     integer_payloads,
     invariance_over,
     linkage_report,
@@ -29,7 +29,6 @@ from .choices import (
     revealed_rows,
     shift_correspondences,
     simulate,
-    sort_witnesses,
     warp_over,  # noqa: F401  bench/tracing.py wraps it here
 )
 from .engine import PsiMap, check_reference_dependence
@@ -93,23 +92,18 @@ def check_fairness(dataset: ChoiceDataset) -> list:
     def sharing(alt):
         return format_rational(Fraction(other[alt], den))
 
-    witnesses = []
-    for small, big in dataset.nested_pairs():
+    def clashes(small, big):
         c_small = dataset.observations[small]
         c_big = dataset.observations[big]
         for generous in sorted(c_small):
             for stingy in sorted(small):
-                if other[stingy] >= other[generous] or stingy in c_small:
-                    continue
-                if stingy in c_big:
-                    witnesses.append(ViolationWitness(
-                        kind="Fairness",
-                        menus=(small, big),
-                        narrative=(f"{generous} (sharing {sharing(generous)}) "
-                                   f"beat {stingy} (sharing {sharing(stingy)}), "
-                                   f"yet expansion revives {stingy}"),
-                    ))
-    return sort_witnesses(set(witnesses))
+                if other[stingy] < other[generous] and stingy not in c_small \
+                        and stingy in c_big:
+                    yield (f"{generous} (sharing {sharing(generous)}) "
+                           f"beat {stingy} (sharing {sharing(stingy)}), "
+                           f"yet expansion revives {stingy}")
+
+    return expansion_over(dataset, "Fairness", clashes)
 
 
 def check_social_monotonicity(dataset: ChoiceDataset) -> list:

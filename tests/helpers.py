@@ -1375,6 +1375,103 @@ def fairness_by_fractions(dataset):
     return sort_witnesses(set(witnesses))
 
 
+# -- expansion clauses and doubleton triangles by their own loops --------------
+#
+# The loops ``risk.check_avoidable_risk``, ``risk.betweenness_over`` and
+# ``risk.transitivity_over`` ran before the expansion clause shared
+# ``choices.expansion_over`` and the triangles shared ``risk._triangles``,
+# on the ``Fraction`` vectors and the lattice-free nested pairs.
+
+
+def avoidable_risk_by_loop(dataset):
+    vectors = fraction_vectors(dataset)
+    diffs, one_negative = {}, {}
+    for a in vectors:
+        for b in vectors:
+            if a != b:
+                vec = tuple(x - y for x, y in zip(vectors[a], vectors[b]))
+                diffs[(a, b)] = diff_key_by_fractions(vec)
+                one_negative[(a, b)] = diffs[(a, b)] is not None \
+                    and sum(1 for x in vec if x < 0) == 1
+    witnesses = []
+    for small, big in nested_pairs_by_scan(dataset):
+        c_small = dataset.observations[small]
+        c_big = dataset.observations[big]
+        for safe1 in sorted(c_small):
+            for risky1 in sorted(small):
+                if risky1 == safe1 or not one_negative[(risky1, safe1)]:
+                    continue
+                key1 = diffs[(risky1, safe1)]
+                for risky2 in sorted(c_big):
+                    for safe2 in sorted(big - c_big):
+                        if diffs[(risky2, safe2)] == key1:
+                            witnesses.append(ViolationWitness(
+                                kind="AvoidableRisk",
+                                menus=(small, big),
+                                narrative=(
+                                    f"{safe1} beats {risky1} in the sub-menu but the "
+                                    f"proportional decomposition ({risky2} over "
+                                    f"{safe2}) wins strictly after expansion"),
+                            ))
+    return sort_witnesses(witnesses)
+
+
+def betweenness_by_loop(dataset, family):
+    fam = {frozenset(m) for m in family}
+    doubles = sorted_menus(m for m in fam if len(m) == 2)
+    vectors = fraction_vectors(dataset)
+    witnesses = []
+    ids = sorted(dataset.universe)
+    for pair in doubles:
+        p, q = sorted(pair)
+        for a, b in ((p, q), (q, p)):
+            for mid in ids:
+                if mid in (a, b):
+                    continue
+                alpha = mixture_weight_by_loop(vectors[a], vectors[b], vectors[mid])
+                if alpha is None or frozenset((a, mid)) not in fam \
+                        or frozenset((mid, b)) not in fam:
+                    continue
+                c_ab = dataset.observations[pair]
+                c_am = dataset.observations[frozenset((a, mid))]
+                c_mb = dataset.observations[frozenset((mid, b))]
+                if c_ab == {a}:
+                    if c_am != {a} or c_mb != {mid}:
+                        witnesses.append(ViolationWitness(
+                            kind="Betweenness",
+                            menus=(pair, frozenset((a, mid)), frozenset((mid, b))),
+                            narrative=(f"{a} strictly beats {b} but the mixture "
+                                       f"{mid} breaks the strict chain")))
+                elif c_ab == pair:
+                    if c_am != frozenset((a, mid)) or c_mb != frozenset((mid, b)):
+                        witnesses.append(ViolationWitness(
+                            kind="Betweenness",
+                            menus=(pair, frozenset((a, mid)), frozenset((mid, b))),
+                            narrative=(f"{a} and {b} tie but the mixture {mid} "
+                                       f"breaks the indifference chain")))
+    return sort_witnesses(set(witnesses))
+
+
+def transitivity_by_loop(dataset, family):
+    fam = {frozenset(m) for m in family}
+    doubles = sorted_menus(m for m in fam if len(m) == 2)
+    members = sorted({x for m in doubles for x in m})
+    witnesses = []
+    for trio in combinations(members, 3):
+        menus = [frozenset(pair) for pair in combinations(trio, 2)]
+        if not all(m in fam for m in menus):
+            continue
+        for p, q, s in permutations(trio):
+            pq, qs, sp = frozenset((p, q)), frozenset((q, s)), frozenset((s, p))
+            if p in dataset.observations[pq] and q in dataset.observations[qs] \
+                    and p not in dataset.observations[sp]:
+                witnesses.append(ViolationWitness(
+                    kind="Transitivity",
+                    menus=(pq, qs, sp),
+                    narrative=f"{p} >= {q} >= {s} but {s} strictly beats {p}"))
+    return sort_witnesses(set(witnesses))
+
+
 def social_monotonicity_by_fractions(dataset):
     witnesses = []
     for menu in dataset.menus():

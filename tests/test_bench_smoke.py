@@ -1,10 +1,11 @@
-"""One traced round of the slowest benchmark workload.
+"""One traced round of each benchmark workload.
 
 The traced benchmark checks every output and marks the run incorrect
 when a layer span it expects stays empty, so a change that stops going
-through ``FiniteProperty.check``, ``PsiMap.of`` or the module-level
-``check_reference_dependence`` names fails here and not only in a full
-benchmark run.
+through the traced names (``FiniteProperty.check``, ``PsiMap.of``, the
+module-level ``check_reference_dependence``, ``cli._FITTERS``,
+``cli.simulate_*``, ``risk.solve_linear_feasibility``) fails here and
+not only in a full benchmark run.
 """
 
 import json
@@ -12,12 +13,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_one_traced_round_of_check_large_is_correct():
+@pytest.mark.parametrize("workload", ["check_large", "fit_lottery", "study_small"])
+def test_one_traced_round_is_correct(workload):
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", "check_large",
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
          "--seed", "4", "--seconds", "0", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr

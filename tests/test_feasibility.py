@@ -78,6 +78,17 @@ def test_each_relation_hands_the_simplex_its_le_rows(monkeypatch, relation, rows
     assert seen == [(rows, objective)]
 
 
+def test_adding_one_row_twice_keeps_one_constraint():
+    problem = LinearFeasibilityProblem()
+    problem.add({"x": 1, "y": -1}, ">", 0)
+    problem.add({"y": F(-1), "x": 1, "z": 0}, ">", 0)  # the same row, spelled otherwise
+    problem.add({"x": 1, "y": -1}, ">=", 0)
+    problem.add({"x": 1, "y": -1}, ">", 0)
+    assert [(c.coeffs, c.relation) for c in problem.constraints] == [
+        ((("x", 1), ("y", -1)), ">"), ((("x", 1), ("y", -1)), ">=")]
+    assert problem == LinearFeasibilityProblem(list(problem.constraints))
+
+
 def test_determinism():
     rows = [({"x": 1, "y": 2}, "<=", 7), ({"x": 1, "y": -1}, ">", 0),
             ({"y": 1}, ">", F(1, 3))]

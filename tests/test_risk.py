@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import permutations
 
@@ -41,18 +42,24 @@ from refdep.risk import (
     verify_areu,
     worst_dilution,
 )
+from refdep.social import check_fairness
 
 from helpers import (
     ALLAIS_LOTTERIES,
     all_menus,
     allais_dataset,
+    areu_data,
     areu_instance,
+    avoidable_risk_by_loop,
+    betweenness_by_loop,
     diff_key_by_fractions,
     extreme_spread_by_fractions,
     extreme_spread_by_loop,
+    fairness_by_fractions,
     fosd_by_loop,
     fosd_dominance_by_loop,
     fraction_vectors,
+    fspu_data,
     integer_areu_data,
     interval_by_fractions,
     lot,
@@ -64,6 +71,7 @@ from helpers import (
     perturbed,
     random_rho_monotone_areu,
     reverse_allais_dataset,
+    transitivity_by_loop,
     worst_dilution_by_fractions,
     worst_dilution_by_loop,
 )
@@ -1061,6 +1069,35 @@ def test_transitivity_flags_a_cycle():
         (frozenset(("a", "c")), ["c"]),
     ])
     assert transitivity_over(ds, ds.menus()) != []
+
+
+def test_expansion_and_triangle_checks_match_their_loops():
+    """On 300 perturbed lottery datasets and a random sub-family of each,
+    and on 300 perturbed split datasets for fairness, the checks give
+    the oracles' witness lists in their order; each reports on some
+    seed, and betweenness breaks both a strict and a tied chain."""
+    reported, chains = Counter(), set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        ds = perturbed(rng, areu_data(rng))
+        family = [m for m in ds.menus() if rng.random() < 0.6]
+        cases = [(check_avoidable_risk, avoidable_risk_by_loop, (ds,)),
+                 (check_avoidable_risk, avoidable_risk_by_loop, (ds.restrict(family),))]
+        for args in ((ds, ds.menus()), (ds, family)):
+            cases += [(betweenness_over, betweenness_by_loop, args),
+                      (transitivity_over, transitivity_by_loop, args)]
+        splits = perturbed(rng, fspu_data(rng))
+        cases.append((check_fairness, fairness_by_fractions, (splits,)))
+        for check, oracle, args in cases:
+            witnesses = check(*args)
+            assert witnesses == oracle(*args), (check.__name__, seed)
+            reported[check.__name__] += bool(witnesses)
+            chains.update(w.narrative.split()[-2] for w in witnesses
+                          if w.kind == "Betweenness")
+    assert set(reported) == {"check_avoidable_risk", "betweenness_over",
+                             "transitivity_over", "check_fairness"}
+    assert all(reported.values()), reported
+    assert chains == {"strict", "indifference"}
 
 
 # -- triangle ----------------------------------------------------------------
