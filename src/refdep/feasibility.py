@@ -71,12 +71,15 @@ def constraint(coeffs: Mapping, relation: str, rhs) -> Constraint:
 class LinearFeasibilityProblem:
     """Constraints over one ``denominator`` D: each row stands for itself
     divided by D.  Only the strictness gap reads D; it stays in the
-    problem's own units, capped at 1, whatever D is.  A constraint equal
-    to one already added is dropped, so each row enters the tableau once."""
+    problem's own units, capped at 1, whatever D is.  ``add`` drops a
+    constraint equal to one already in the problem."""
 
     constraints: list = field(default_factory=list)
     denominator: int = 1
-    _seen: set = field(default_factory=set, repr=False, compare=False)
+    _seen: set = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._seen = set(self.constraints)
 
     def add(self, coeffs: Mapping, relation: str, rhs) -> None:
         con = constraint(coeffs, relation, rhs)

@@ -13,6 +13,7 @@ from refdep.feasibility import (
     Infeasible,
     LinearFeasibilityProblem,
     _simplex_maximize,
+    constraint,
     solve_linear_feasibility,
 )
 
@@ -87,6 +88,15 @@ def test_adding_one_row_twice_keeps_one_constraint():
     assert [(c.coeffs, c.relation) for c in problem.constraints] == [
         ((("x", 1), ("y", -1)), ">"), ((("x", 1), ("y", -1)), ">=")]
     assert problem == LinearFeasibilityProblem(list(problem.constraints))
+
+
+def test_a_row_given_to_the_constructor_is_not_added_again():
+    row = constraint({"x": 1}, ">", 0)
+    problem = LinearFeasibilityProblem([row])
+    problem.add({"x": 1}, ">", 0)
+    assert problem.constraints == [row]
+    with pytest.raises(TypeError):
+        LinearFeasibilityProblem([], 1, {row})
 
 
 def test_determinism():
