@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, Mapping
 
 from .exceptions import (
@@ -92,20 +93,65 @@ def sorted_menus(menus: Iterable[Menu]):
     return sorted(menus, key=menu_key)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class ViolationWitness:
     """A certified axiom violation.
 
     ``menus`` are exactly the observations whose replay reproduces the
     failure of the named clause; ``narrative`` says which clause and how.
+    Equality and hashing read the narrative.  ``warp_over`` passes a
+    callable in place of the narrative string, so that its narratives are
+    formatted on their first read only.
     """
 
+    __slots__ = ("kind", "menus", "_narrative")
     kind: str
     menus: tuple  # tuple[Menu, ...]
-    narrative: str
+    _narrative: object  # str, or a callable formatting it
+
+    def __init__(self, kind: str, menus: tuple, narrative: str):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "menus", menus)
+        object.__setattr__(self, "_narrative", narrative)
+
+    @property
+    def narrative(self) -> str:
+        if not isinstance(self._narrative, str):
+            object.__setattr__(self, "_narrative", self._narrative())
+        return self._narrative
+
+    def __eq__(self, other):
+        if other.__class__ is not ViolationWitness:
+            return NotImplemented
+        return (self.kind == other.kind and self.menus == other.menus
+                and self.narrative == other.narrative)
+
+    def __hash__(self):
+        return hash((self.kind, self.menus, self.narrative))
+
+    def __repr__(self):
+        return (f"ViolationWitness(kind={self.kind!r}, menus={self.menus!r}, "
+                f"narrative={self.narrative!r})")
 
     def sort_key(self):
-        return (tuple(menu_key(m) for m in self.menus), self.kind, self.narrative)
+        """Menus in canonical order, kind, then narrative; the narrative
+        is read only to break a tie on the first two."""
+        return (tuple(menu_key(m) for m in self.menus), self.kind, _ByNarrative(self))
+
+
+class _ByNarrative:
+    """A witness ordered by its narrative, read only when compared."""
+
+    __slots__ = ("witness",)
+
+    def __init__(self, witness: ViolationWitness):
+        self.witness = witness
+
+    def __eq__(self, other):
+        return self.witness.narrative == other.witness.narrative
+
+    def __lt__(self, other):
+        return self.witness.narrative < other.witness.narrative
 
 
 def sort_witnesses(witnesses):
@@ -124,7 +170,9 @@ class FiniteProperty:
     The reference engine relies on this: it evaluates each property
     once per dataset, over all observed menus, and answers every
     sub-family question by filtering those witnesses, so a
-    user-supplied property that is not local gets wrong verdicts.
+    user-supplied property that is not local gets wrong verdicts.  Each
+    witness must name observed menus only; the engine raises
+    UnobservedMenu for one that does not.
     """
 
     name: str
@@ -389,6 +437,8 @@ def warp_over(dataset: ChoiceDataset, family) -> list:
     For observed menus B strictly inside A with c(A) meeting B, the clause
     requires c(A) ∩ B = c(B).  Every offending (A, B) pair is reported,
     A and then B in canonical order, which is ``sort_witnesses`` order.
+    Each narrative is formatted on its first read, from the two menus and
+    their choices alone.
     """
     lattice = dataset.lattice()
     fam = lattice.mask(family)
@@ -406,15 +456,14 @@ def warp_over(dataset: ChoiceDataset, family) -> list:
             else:
                 differs |= lattice.chosen.get(alt, 0)
         for small in lattice.at(lattice.inside[pos] & fam & meets & differs):
-            kept = c_big & small
-            witnesses.append(ViolationWitness(
-                kind="WARP",
-                menus=(big, small),
-                narrative=(
-                    f"c({_fmt(big)}) ∩ {_fmt(small)} = {_fmt(kept)} "
-                    f"but c({_fmt(small)}) = {_fmt(dataset.observations[small])}"),
-            ))
+            witnesses.append(ViolationWitness("WARP", (big, small), partial(
+                _warp_narrative, big, c_big, small, dataset.observations[small])))
     return witnesses
+
+
+def _warp_narrative(big, c_big, small, c_small) -> str:
+    return (f"c({_fmt(big)}) ∩ {_fmt(small)} = {_fmt(c_big & small)} "
+            f"but c({_fmt(small)}) = {_fmt(c_small)}")
 
 
 def _fmt(ids) -> str:

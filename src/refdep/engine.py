@@ -95,11 +95,36 @@ def witness_index(dataset: ChoiceDataset, prop: FiniteProperty) -> list:
 
 def _witness_masks(dataset: ChoiceDataset, prop: FiniteProperty):
     """Per alternative, the witness-index entries (bit k = entry k) whose
-    union holds it and those whose every menu holds it."""
+    union holds it and those whose every menu holds it, OR-ed from the
+    entries naming each observed menu.  Raises UnobservedMenu for an entry
+    naming a menu that was not observed."""
     def masks():
         index = witness_index(dataset, prop)
-        return (member_masks(frozenset().union(*w.menus) for w in index),
-                member_masks(frozenset.intersection(*w.menus) for w in index))
+        if not index:
+            return {}, {}
+        lattice = dataset.lattice()
+        naming = [0] * len(lattice.menus)  # per lattice position
+        try:
+            for k, witness in enumerate(index):
+                for menu in witness.menus:
+                    naming[lattice.index[menu]] |= 1 << k
+        except KeyError:
+            lattice.mask(witness.menus)  # raises UnobservedMenu naming the menu
+            raise
+        named = [(lattice.menus[pos], entries) for pos, entries in enumerate(naming) if entries]
+        spans, shared = {}, {}
+        for x in lattice.contain:
+            inside = elsewhere = 0
+            for menu, entries in named:
+                if x in menu:
+                    inside |= entries
+                else:
+                    elsewhere |= entries
+            if inside:
+                spans[x] = inside
+                if inside & ~elsewhere:
+                    shared[x] = inside & ~elsewhere
+        return spans, shared
     return dataset.cached(("witness masks", prop), masks)
 
 

@@ -21,6 +21,7 @@ from refdep.choices import (
     ViolationWitness,
     WARP,
     maximizers,
+    member_masks,
     revealed_rows,
     sort_witnesses,
     sorted_menus,
@@ -522,6 +523,13 @@ def ordu_data(rng):
     return simulate_ordu(params, all_menus(params.order.ranking))
 
 
+def large_ordu_data(rng):
+    """Reference-dependent ORDU data on 8 alternatives and all 247 menus of
+    size 2-8: hundreds of global WARP violations."""
+    ids = tuple("abcdefgh")
+    return simulate_ordu(random_ordu_params(rng, ids), all_menus(ids))
+
+
 def areu_data(rng):
     params, menus = areu_instance(rng, rng.random() < 0.5)
     return simulate_areu(params, menus)
@@ -829,6 +837,21 @@ def psi_heredity_by_scan(dataset, psi):
             return (f"{psi.name}: {sorted(stuck)} admissible in {sorted(big)} "
                     f"but not in sub-menu {sorted(small)}")
     return None
+
+
+# -- witness masks by frozensets ---------------------------------------------
+#
+# The per-alternative masks ``engine._witness_masks`` built from each
+# witness's union and intersection before it read lattice positions: the
+# reference for them.
+
+
+def witness_masks_by_sets(dataset, prop):
+    """(spans, shared): per alternative, the witness-index entries whose
+    union of menus holds it and those whose every menu holds it."""
+    index = witness_index(dataset, prop)
+    return (member_masks(frozenset().union(*w.menus) for w in index),
+            member_masks(frozenset.intersection(*w.menus) for w in index))
 
 
 # -- the lottery relations and present bias by explicit loops ----------------

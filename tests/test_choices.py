@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
@@ -199,3 +200,18 @@ def test_witness_ordering_is_deterministic():
     assert first == second
     keys = [w.sort_key() for w in first]
     assert keys == sorted(keys)
+
+
+def test_a_witness_is_frozen_whether_or_not_its_narrative_was_read():
+    ds = load_fixture("compliance_2_1")
+    for read in (False, True):
+        witness = warp_over(ds, ds.menus())[0]
+        if read:
+            assert witness.narrative
+        key = hash(witness)
+        for name in ("kind", "menus", "narrative"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(witness, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(witness, name)
+        assert hash(witness) == key and witness == warp_over(ds, ds.menus())[0]

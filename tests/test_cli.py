@@ -1,9 +1,11 @@
 import contextlib
 import copy
+import gc
 import io
 import json
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import random
@@ -15,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from refdep.choices import Alternative
 from refdep import cli
 from refdep.cli import main
-from refdep.exceptions import ValidationError
+from refdep.exceptions import AxiomFails, InfeasibleFit, ValidationError
 from refdep.ordu import simulate_ordu
 from refdep.risk import fit_areu
 from refdep.serialize import dataset_from_dict, dataset_to_dict, dump_dataset, parse_rational, to_json
@@ -25,8 +27,13 @@ from refdep.timepref import simulate_pbdu
 from helpers import (
     all_menus,
     allais_dataset,
+    areu_data,
+    fspu_data,
     fspu_instance,
+    large_ordu_data,
+    pbdu_data,
     pbdu_instance,
+    perturbed,
     random_ordu_params,
 )
 
@@ -702,3 +709,37 @@ def test_every_command_keeps_the_contract_on_a_dataset_without_observations(mode
         for argv in _commands(model, files):
             for prefix in ([], ["--json"]):
                 _assert_contract(prefix + argv)
+
+
+LIFETIME_DATA = {"ordu": large_ordu_data, "areu": areu_data, "pbdu": pbdu_data,
+                 "fspu": fspu_data}
+
+
+@pytest.mark.parametrize("model", sorted(LIFETIME_DATA))
+def test_a_dataset_dies_with_its_last_reference_after_check_fit_and_report(model):
+    """With the cyclic collector off, a dataset is freed as soon as it is
+    deleted after check, fit and report ran on it: nothing it caches
+    refers back to it.  The clean ORDU data passes its check with
+    hundreds of WARP witnesses left unformatted in its witness index."""
+    rng = random.Random(5)
+    gc.disable()
+    try:
+        for noisy in (False, True):
+            ds = LIFETIME_DATA[model](rng)
+            if noisy:
+                ds = perturbed(rng, ds)
+            ref = weakref.ref(ds)
+            for _, _, witnesses in cli._BATTERIES[model](ds):
+                cli._verdict(witnesses)
+            try:
+                cli._FITTERS[model][0](ds)
+            except AxiomFails as exc:
+                cli._verdict(exc.witnesses)
+            except InfeasibleFit:
+                pass
+            for witnesses in cli._LINKAGE_REPORTS.get(ds.kind, cli.linkage_report)(ds).values():
+                cli._verdict(witnesses)
+            del ds
+            assert ref() is None
+    finally:
+        gc.enable()

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from refdep.choices import WARP
+from refdep.choices import WARP, ChoiceDataset, FiniteProperty, ViolationWitness
 from refdep.engine import (
     IDENTITY_PSI,
     PsiMap,
@@ -14,8 +14,10 @@ from refdep.engine import (
     check_reference_dependence,
     psi_consistency_check,
     synthesize_reference_order,
+    witness_index,
+    _witness_masks,
 )
-from refdep.exceptions import AxiomFails, NonHereditaryPsi, SynthesisFailed
+from refdep.exceptions import AxiomFails, NonHereditaryPsi, SynthesisFailed, UnobservedMenu
 from refdep.ordu import build_ordu, simulate_ordu
 from refdep.risk import LEAST_RISKY_PSI, RISK_PROPERTY
 from refdep.rivals import load_fixture
@@ -35,6 +37,7 @@ from helpers import (
     exhaustive_single_valued_datasets,
     fspu_data,
     generic_dataset,
+    large_ordu_data,
     lot,
     lottery_dataset,
     order_breaks_a_reference_class,
@@ -49,6 +52,7 @@ from helpers import (
     reference_dependence_by_families,
     synthesize_by_pruning,
     time_reference_dependence_by_pairs,
+    witness_masks_by_sets,
 )
 
 
@@ -340,3 +344,40 @@ def test_synthesis_agrees_with_the_pruning_recursion(domain):
         assert psi_consistency_check(order, psi, ds, ds.menus()) == []
         outcomes["order" if oracle is not None else "order, oracle stuck"] += 1
     assert outcomes["order"] and outcomes["axiom fails"], outcomes
+
+
+MASK_DOMAINS = {**ENGINE_DOMAINS,
+                "generic, large": (large_ordu_data, WARP, IDENTITY_PSI)}
+
+
+@pytest.mark.parametrize("domain", sorted(MASK_DOMAINS))
+def test_witness_masks_match_the_frozenset_masks(domain):
+    """The per-position masks equal the union and intersection masks, and
+    the engine answers the same from either, narratives included, on
+    clean, perturbed and doubleton-only data."""
+    make, prop, psi = MASK_DOMAINS[domain]
+    rng = random.Random(61)
+    sizes = []
+    for _ in range(3 if domain == "generic, large" else 6):
+        clean = make(rng)
+        doubletons = clean.restrict([m for m in clean.menus() if len(m) == 2])
+        for ds in (clean, perturbed(rng, clean), doubletons):
+            sizes.append(len(witness_index(ds, prop)))
+            assert _witness_masks(ds, prop) == witness_masks_by_sets(ds, prop)
+            by_sets = ChoiceDataset(ds.kind, ds.alternatives, ds.observations, floor=ds.floor)
+            by_sets.cached(("witness masks", prop), lambda: witness_masks_by_sets(by_sets, prop))
+            for universal in (False, True):
+                failures = check_reference_dependence(ds, prop, psi, universal=universal)
+                want = check_reference_dependence(by_sets, prop, psi, universal=universal)
+                assert failures == want
+                assert [w.narrative for f in failures for _, ws in f.per_candidate for w in ws] \
+                    == [w.narrative for f in want for _, ws in f.per_candidate for w in ws]
+    assert 0 in sizes and max(sizes) > (500 if domain == "generic, large" else 0), sizes
+
+
+def test_a_witness_naming_an_unobserved_menu_raises_unobserved_menu():
+    ds = generic_dataset([("ab", "a"), ("abc", "b")])
+    ghost = FiniteProperty("ghost", lambda dataset, family: [
+        ViolationWitness("ghost", (frozenset("abc"), frozenset("bc")), "{b,c} is no menu")])
+    with pytest.raises(UnobservedMenu, match=r"\['b', 'c'\] was not observed"):
+        check_reference_dependence(ds, ghost, IDENTITY_PSI)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from refdep import social, timepref
+from refdep import choices, social, timepref
 from refdep.cli import main
 from refdep.rivals import fixture_names
 from refdep.serialize import dataset_to_dict, to_json
@@ -36,6 +36,7 @@ from helpers import (
     integer_areu_data,
     integer_fspu_data,
     integer_pbdu_data,
+    large_ordu_data,
     ordu_data,
     pbdu_data,
     perturbed,
@@ -197,6 +198,25 @@ def test_demo_output_is_byte_identical_to_the_baseline(golden):
     got = record_demos()
     changed = [name for name in sorted(golden["demos"]) if got.get(name) != golden["demos"][name]]
     assert sorted(got) == sorted(golden["demos"]) and not changed, f"output changed: {changed}"
+
+
+def test_a_passing_ordu_check_formats_no_warp_narrative(golden, tmp_path, monkeypatch):
+    """A passing check on reference-dependent data with hundreds of global
+    WARP violations formats none of their narratives; a failing check and
+    a report still print the recorded bytes."""
+    calls = []
+    fmt = choices._warp_narrative
+    monkeypatch.setattr(choices, "_warp_narrative", lambda *args: calls.append(args) or fmt(*args))
+    ds = large_ordu_data(random.Random(4))
+    data = tmp_path / "ordu-large.json"
+    data.write_text(to_json(dataset_to_dict(ds)))
+    assert _run(["--json", "check", "--model", "ordu", str(data)])[0] == 0
+    assert len(choices.warp_over(ds, ds.menus())) > 500 and calls == []
+    commands = dict(_seeded_commands(tmp_path))
+    for label in ("check ordu perturbed", "report ordu perturbed"):
+        assert {"json": _run(["--json", *commands[label]]), "text": _run(commands[label])} \
+            == golden["cli"][label]
+    assert calls
 
 
 if __name__ == "__main__":
