@@ -1,13 +1,13 @@
 """Ordered-reference dependent utility: construction, evaluation, simulation.
 
-The construction follows the finite representation argument: the
-engine's candidate layering of the universe gives the reference order,
-which splits the observed menus into one class per reference (the menus
-it tops).  Each class must be rationalized by one weak order, so the
-relation its choices reveal is closed (Richter's congruence); the
-reference and the alternatives revealed weakly above it are then ranked
-by the closure's strict part, and everything else gets a sentinel value
-strictly below.
+The construction follows the finite representation argument: a linear
+order splits the observed menus into one class per reference (the menus
+it tops), and it represents the data when each class is closed under the
+relation its choices reveal (Richter's congruence).  The order is peeled
+from the top, each step taking the smallest-id member of the pool whose
+class there is congruent; that member and the alternatives revealed
+weakly above it are ranked by the closure's strict part, and everything
+else gets a sentinel value strictly below.
 """
 
 from __future__ import annotations
@@ -27,12 +27,7 @@ from .choices import (
     raise_first_failure,
     simulate,
 )
-from .engine import (
-    IDENTITY_PSI,
-    ReferenceOrder,
-    check_reference_dependence,
-    synthesize_reference_order,
-)
+from .engine import IDENTITY_PSI, ReferenceOrder, check_reference_dependence
 from .exceptions import (
     InfeasibleFit,
     NotSubsetClosed,
@@ -128,37 +123,41 @@ def battery(dataset: ChoiceDataset):
 def build_ordu(dataset: ChoiceDataset) -> OrduParams:
     """Fit an exact ordered-reference representation, or raise.
 
-    Raises NotSubsetClosed when observations are too sparse and
-    AxiomFails with the reference-dependence witnesses when the data
-    cannot be represented.  On partial data (not every menu observed) the
-    menus one reference of the synthesized order tops may admit no weak
-    order: InfeasibleFit then names the conflict, though another order
-    may represent the data.
+    The order is the smallest valid reference order in id order.  Raises
+    NotSubsetClosed on too sparse observations, AxiomFails with the
+    reference-dependence witnesses, and InfeasibleFit when no order
+    exists: no member of some pool of the peel has a congruent class
+    there, yet any order's first member of that pool tops its class.
     """
     check_subset_closed(dataset)
     raise_first_failure(battery(dataset))
-    order = synthesize_reference_order(dataset, WARP, IDENTITY_PSI)
     lattice = dataset.lattice()
-    left = lattice.full
-    utilities = {}
-    for x in order.ranking:
-        tops = lattice.containing((x,)) & left  # the menus x tops
-        left &= ~tops
-        family = lattice.at(tops)
-        above = _revealed_above(dataset, family)
-        conflict = _incongruence(dataset, family, above)
-        if conflict:
-            menu, z, y = conflict
+    pool = sorted(dataset.universe)
+    ranking, utilities = [], {}
+    while pool:
+        inside, conflicts = lattice.within(pool), []
+        for x in pool:  # x would top its class: the menus in the pool holding it
+            family = lattice.at(lattice.containing((x,)) & inside)
+            above = _revealed_above(dataset, family)
+            conflict = _incongruence(dataset, family, above)
+            if conflict is None:
+                break
+            conflicts.append((x, *conflict))
+        else:
+            x, menu, z, y = conflicts[0]
             raise InfeasibleFit(
-                f"the menus with reference {x!r} reveal {z!r} weakly above {y!r}, "
+                f"no member of {pool} tops a congruent class: the menus with "
+                f"reference {x!r} reveal {z!r} weakly above {y!r}, "
                 f"but {sorted(menu)} chooses {y!r} and not {z!r}")
+        pool.remove(x)
+        ranking.append(x)
         ranked = above.get(x, set()) | {x}
         layers = _layers(ranked, lambda a, b: a in above[b] and b not in above[a])
-        table = dict.fromkeys(order.ranking, Fraction(0))
+        table = dict.fromkeys(dataset.universe, Fraction(0))
         for level, layer in zip(range(len(ranked), 0, -1), layers):
             table.update(dict.fromkeys(layer, Fraction(level)))
         utilities[x] = table
-    params = OrduParams.build(order, utilities)
+    params = OrduParams.build(ReferenceOrder(tuple(ranking)), utilities)
     if verify_ordu(params, dataset):
         raise InfeasibleFit("the constructed utilities do not reproduce the data")
     return params

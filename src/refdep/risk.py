@@ -307,15 +307,15 @@ def check_avoidable_risk(dataset: ChoiceDataset) -> list:
                     for pair, (vec, key) in diffs.items()}
 
     def clashes(small, big):
-        c_small = dataset.observations[small]
         c_big = dataset.observations[big]
-        for safe1 in sorted(c_small):
-            for risky1 in sorted(small):
+        riskies, big_riskies, big_safes = sorted(small), sorted(c_big), sorted(big - c_big)
+        for safe1 in sorted(dataset.observations[small]):
+            for risky1 in riskies:
                 if risky1 == safe1 or not one_negative[(risky1, safe1)]:
                     continue
                 key1 = diffs[(risky1, safe1)][1]
-                for risky2 in sorted(c_big):
-                    for safe2 in sorted(big - c_big):
+                for risky2 in big_riskies:
+                    for safe2 in big_safes:
                         if diffs[(risky2, safe2)][1] == key1:
                             yield (f"{safe1} beats {risky1} in the sub-menu but the "
                                    f"proportional decomposition ({risky2} over "

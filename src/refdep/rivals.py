@@ -15,6 +15,7 @@ from itertools import combinations, product
 from .choices import Alternative, ChoiceDataset, GENERIC, validate_dataset
 from .exceptions import (
     AxiomFails,
+    InfeasibleFit,
     MultiValuedChoice,
     NotSubsetClosed,
     UniverseTooLarge,
@@ -241,7 +242,7 @@ def pe_rationalizable(dataset: ChoiceDataset):
 def ordu_admissible(dataset: ChoiceDataset) -> bool:
     try:
         build_ordu(dataset)
-    except (AxiomFails, NotSubsetClosed):
+    except (AxiomFails, InfeasibleFit, NotSubsetClosed):
         return False
     return True
 

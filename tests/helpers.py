@@ -5,7 +5,9 @@ orders are enumerated directly, rival models are replayed forward, and
 feasibility cross-checks use elimination instead of the simplex.
 """
 
+import random
 from fractions import Fraction as F
+from functools import cache
 from itertools import accumulate, combinations, permutations, product
 
 from refdep.choices import (
@@ -32,7 +34,6 @@ from refdep.engine import (
     ReferenceOrder,
     candidate_references,
     check_reference_dependence,
-    synthesize_reference_order,
     witness_index,
 )
 from refdep.exceptions import (
@@ -151,48 +152,54 @@ def exhaustive_correspondences(ids=("a", "b", "c")):
 # -- independent oracles ------------------------------------------------------
 
 
-def weak_orders(members):
-    """Ordered set partitions, best class first (independent enumeration)."""
-    members = list(members)
+def weak_orders(members, keep=lambda top, rest: True):
+    """Ordered set partitions, best class first (independent enumeration).
+    A partition is extended past a class only when ``keep(class, rest)``
+    holds, ``rest`` being the members still to place."""
+    members = frozenset(members)
     if not members:
-        return [()]
-    head, rest = members[0], members[1:]
-    out = []
-    for tail in weak_orders(rest):
-        for i in range(len(tail)):
-            out.append(tail[:i] + (tail[i] | {head},) + tail[i + 1:])
-        for i in range(len(tail) + 1):
-            out.append(tail[:i] + (frozenset((head,)),) + tail[i:])
-    return out
+        yield ()
+        return
+    ids = sorted(members)
+    for size in range(1, len(ids) + 1):
+        for top in map(frozenset, combinations(ids, size)):
+            if keep(top, members - top):
+                for tail in weak_orders(members - top, keep):
+                    yield (top,) + tail
 
 
 def rationalizable_by_weak_order(dataset, menus):
-    members = sorted({x for m in menus for x in m})
-    for order in weak_orders(members):
-        rank = {}
-        for depth, cls in enumerate(order):
-            for alt in cls:
-                rank[alt] = depth
-        if all(frozenset(x for x in menu if rank[x] == min(rank[y] for y in menu))
-               == dataset.observations[frozenset(menu)] for menu in menus):
-            return True
-    return False
+    """Is each menu's choice its best members under one weak order?  The
+    weak orders are enumerated best class first, each cut at the first
+    class that is not exactly the choice of a menu it is the best of."""
+    menus = [frozenset(m) for m in menus]
+
+    def keep(top, rest):
+        return all(menu & top == dataset.observations[menu] for menu in menus
+                   if menu & top and menu <= top | rest)
+
+    return next(weak_orders({x for m in menus for x in m}, keep), None) is not None
 
 
 def ordu_bruteforce(dataset):
-    """Representation search over all orders x per-class weak orders."""
-    ids = sorted(dataset.universe)
+    """The first order, lexicographically by id, under which the menus
+    each reference tops admit one weak order; None when no order does.
+    A search over all orders: a prefix is cut once the menus its last
+    member tops (those in the pool it leaves that hold it) admit none."""
     menus = list(dataset.observations)
-    for ranking in permutations(ids):
-        rank = {x: i for i, x in enumerate(ranking)}
-        classes = {}
-        for menu in menus:
-            ref = min(menu, key=lambda x: rank[x])
-            classes.setdefault(ref, []).append(menu)
-        if all(rationalizable_by_weak_order(dataset, family)
-               for family in classes.values()):
-            return True
-    return False
+
+    @cache
+    def first(pool):
+        if not pool:
+            return ()
+        for x in sorted(pool):
+            if rationalizable_by_weak_order(dataset, [m for m in menus if x in m and m <= pool]):
+                tail = first(pool - {x})
+                if tail is not None:
+                    return (x,) + tail
+        return None
+
+    return first(frozenset(dataset.universe))
 
 
 def directed_pair_relations(members):
@@ -521,6 +528,15 @@ def perturbed(rng, dataset):
 def ordu_data(rng):
     params = random_ordu_params(rng)
     return simulate_ordu(params, all_menus(params.order.ranking))
+
+
+def perturbed_ordu_data(seed):
+    """ORDU data on the size-2-3 menus of five alternatives with about a
+    fifth of the choices re-drawn: subset-closed, and on some seeds (19)
+    passing the battery with no valid order."""
+    params = random_ordu_params(random.Random(seed))
+    return perturbed(random.Random(10_000 + seed),
+                     simulate_ordu(params, all_menus(params.order.ranking, 2, 3)))
 
 
 def large_ordu_data(rng):
@@ -1191,18 +1207,22 @@ def ordu_by_prediction_sets(dataset):
     """ORDU params by the prediction-set construction, the reference for
     ``ordu.build_ordu``.
 
-    The order is the synthesized one.  Each reference x ranks its
+    The order is ``ordu_bruteforce``'s.  Each reference x ranks its
     prediction set (x and the alternatives below x in the order that it
     does not strictly beat in their observed doubleton) by the observed
     tripletons {x, a, b}, tying pairs never observed together, and gives
-    every other alternative 0.  Raises InfeasibleFit when a prediction
-    set is ranked intransitively or the params mispredict the data.
+    every other alternative 0.  Raises InfeasibleFit when no order exists,
+    a prediction set is ranked intransitively or the params mispredict
+    the data.
     """
     check_subset_closed(dataset)
     failures = check_reference_dependence(dataset, WARP, IDENTITY_PSI)
     if failures:
         raise AxiomFails("reference dependence (WARP / identity)", failures)
-    order = synthesize_reference_order(dataset, WARP, IDENTITY_PSI)
+    ranking = ordu_bruteforce(dataset)
+    if ranking is None:
+        raise InfeasibleFit("no order admits one weak order per reference class")
+    order = ReferenceOrder(ranking)
     ranks = order.rank_map()
     utilities = {}
     for x in order.ranking:

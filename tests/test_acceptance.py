@@ -109,7 +109,7 @@ def test_criterion_03_representability_iff_at_three():
                 built = True
             except AxiomFails:
                 built = False
-            brute = ordu_bruteforce(ds)
+            brute = ordu_bruteforce(ds) is not None
             assert rd == built == brute
             checked += 1
         assert checked == 24

@@ -34,6 +34,7 @@ from helpers import (
     pbdu_data,
     pbdu_instance,
     perturbed,
+    perturbed_ordu_data,
     random_ordu_params,
 )
 
@@ -305,6 +306,18 @@ def test_an_unobserved_subset_is_named_by_sorted_ids(tmp_path):
     assert run_json(["fit", "--model", "ordu", str(data)]) == (2, {
         "error": "NotSubsetClosed",
         "detail": "subset ['a', 'c'] of maximal menu ['a', 'b', 'c', 'd'] unobserved"})
+
+
+def test_an_ordu_fit_with_no_order_is_infeasible_not_an_error(tmp_path):
+    """Subset-closed data that passes the battery but admits no order."""
+    path = write_dataset(tmp_path, perturbed_ordu_data(19))
+    detail = ("no member of ['a', 'c', 'd', 'e'] tops a congruent class: the menus "
+              "with reference 'a' reveal 'd' weakly above 'a', "
+              "but ['a', 'c', 'd'] chooses 'a' and not 'd'")
+    assert run_json(["fit", "--model", "ordu", path]) == (1, {
+        "model": "ordu", "fit": "infeasible", "detail": detail})
+    assert run(["fit", "--model", "ordu", path]) == (
+        1, f"detail: {detail}\nfit: infeasible\nmodel: ordu\n")
 
 
 def test_usage_errors_under_json_print_a_json_error(capsys):

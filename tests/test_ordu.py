@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from refdep.choices import WARP, warp_over
-from refdep.engine import IDENTITY_PSI, ReferenceOrder, synthesize_reference_order
+from refdep.choices import warp_over
+from refdep.engine import ReferenceOrder
 from refdep.exceptions import (
     AxiomFails,
     InfeasibleFit,
@@ -27,7 +27,9 @@ from refdep.rivals import load_fixture
 from helpers import (
     all_menus,
     generic_dataset,
+    ordu_bruteforce,
     ordu_by_prediction_sets,
+    perturbed_ordu_data,
     random_ordu_params,
     rationalizable_by_weak_order,
     weak_orders,
@@ -79,21 +81,39 @@ def test_build_returns_the_prediction_set_params(ids, seeds, max_size):
         fitted = _fit_or_infeasible(build_ordu, dataset)
         assert fitted == _fit_or_infeasible(ordu_by_prediction_sets, dataset), seed
         infeasible += fitted is None
-    assert infeasible == (0 if max_size is None else 24)
+    assert infeasible == 0
 
 
-def test_an_incongruent_reference_class_is_named():
-    params = random_ordu_params(random.Random(0))
-    dataset = simulate_ordu(params, all_menus(params.order.ranking, 2, 3))
+def test_a_stuck_pool_is_named_with_a_conflict():
+    dataset = perturbed_ordu_data(19)
     with pytest.raises(InfeasibleFit) as exc:
         build_ordu(dataset)
     assert exc.value.detail == (
-        "the menus with reference 'a' reveal 'b' weakly above 'd', "
-        "but ['a', 'b', 'd'] chooses 'd' and not 'b'")
-    order = synthesize_reference_order(dataset, WARP, IDENTITY_PSI)
-    family = [menu for menu in dataset.observations if order.argmax(menu) == "a"]
-    assert frozenset("abd") in family and dataset.observations[frozenset("abd")] == {"d"}
-    assert not _rationalized_by_single_ranking(dataset, family)
+        "no member of ['a', 'c', 'd', 'e'] tops a congruent class: the menus "
+        "with reference 'a' reveal 'd' weakly above 'a', "
+        "but ['a', 'c', 'd'] chooses 'a' and not 'd'")
+    pool = frozenset("acde")
+    for x in pool:
+        family = [menu for menu in dataset.observations if x in menu and menu <= pool]
+        assert not _rationalized_by_single_ranking(dataset, family), x
+    assert ordu_bruteforce(dataset) is None
+
+
+def test_fits_exactly_when_the_search_over_orders_finds_one():
+    """On perturbed data that passes the battery, the fit's order is the
+    first valid order in id order, and InfeasibleFit means there is none."""
+    outcomes = []
+    for seed in range(300):
+        dataset = perturbed_ordu_data(seed)
+        try:
+            fitted = build_ordu(dataset).order.ranking
+        except AxiomFails:
+            continue
+        except InfeasibleFit:
+            fitted = None
+        assert fitted == ordu_bruteforce(dataset), seed
+        outcomes.append(fitted is None)
+    assert min(outcomes.count(True), outcomes.count(False)) >= 10
 
 
 def test_evaluate_singleton_returns_itself():

@@ -4,6 +4,7 @@ from refdep.exceptions import MultiValuedChoice, UniverseTooLarge, UnknownFixtur
 from refdep.rivals import (
     fixture_names,
     load_fixture,
+    ordu_admissible,
     pe_rationalizable,
     rsm_rationalizable,
     separation_suite,
@@ -13,8 +14,10 @@ from helpers import (
     exhaustive_correspondences,
     exhaustive_single_valued_datasets,
     generic_dataset,
+    ordu_bruteforce,
     pe_bruteforce,
     pe_forward,
+    perturbed_ordu_data,
     rsm_bruteforce,
     rsm_forward,
 )
@@ -119,3 +122,14 @@ def test_cla_fixtures_are_classified_on_the_ordu_side_only():
     assert "attention" in report["cla_small"]["cla"]
     assert report["ordu_not_cla"]["ordu"] is True
     assert "attention" in report["ordu_not_cla"]["cla"]
+
+
+def test_ordu_admissible_is_the_search_over_orders_on_subset_closed_data():
+    """InfeasibleFit, like AxiomFails, proves that no order represents
+    the data (perturbed seed 19 is such a case)."""
+    verdicts = {}
+    for seed in range(60):
+        ds = perturbed_ordu_data(seed)
+        verdicts[seed] = ordu_admissible(ds)
+        assert verdicts[seed] == (ordu_bruteforce(ds) is not None), seed
+    assert verdicts[19] is False and True in verdicts.values()
