@@ -299,7 +299,8 @@ class MenuLattice:
     Bit i stands for ``menus[i]``, the i-th observed menu in canonical
     order.  ``contain[a]`` and ``chosen[a]`` mask the menus that contain
     and that choose alternative a; ``inside[i]`` masks the observed
-    sub-menus of menu i, itself included.
+    sub-menus of menu i, itself included, and ``above(i)`` its observed
+    super-menus, built on first use.
     """
 
     def __init__(self, dataset: ChoiceDataset):
@@ -309,6 +310,7 @@ class MenuLattice:
         self.contain = member_masks(self.menus)
         self.chosen = member_masks(dataset.observations[menu] for menu in self.menus)
         self.inside = tuple(self.within(menu) for menu in self.menus)
+        self._above = [None] * len(self.menus)
 
     def within(self, pool) -> int:
         """The observed menus contained in ``pool``."""
@@ -320,6 +322,12 @@ class MenuLattice:
         for alt in members:
             out &= self.contain.get(alt, 0)
         return out
+
+    def above(self, pos: int) -> int:
+        """The observed menus containing menu ``pos``, itself included."""
+        if self._above[pos] is None:
+            self._above[pos] = self.containing(self.menus[pos])
+        return self._above[pos]
 
     def mask(self, family) -> int:
         """The menus of ``family``; UnobservedMenu for one not observed."""
@@ -549,26 +557,51 @@ def invariance_over(dataset: ChoiceDataset, family, kind, correspondences) -> li
 def dominance_over(dataset: ChoiceDataset, menus, beats, describe) -> list:
     """Violations of dominance on ``menus``: one witness per menu, chosen
     member ``loser`` and member ``winner`` with ``beats(winner, loser)``,
-    losers and then winners in id order; ``describe(winner, loser)``
-    gives its kind and narrative."""
+    menus in canonical order, then losers and winners in id order;
+    ``describe(winner, loser)`` gives its kind and narrative.  ``beats``
+    must be pure: it is called once per ordered pair that meets in one
+    of ``menus``, the loser chosen there, and witnesses are listed only
+    on the menus where a beating pair meets."""
+    lattice = dataset.lattice()
+    fam = lattice.mask(menus)
+    beating, flagged = set(), 0
+    for loser, chosen in lattice.chosen.items():
+        chosen &= fam
+        if not chosen:
+            continue
+        for winner, contain in lattice.contain.items():
+            meets = contain & chosen
+            if meets and winner != loser and beats(winner, loser):
+                beating.add((winner, loser))
+                flagged |= meets
     witnesses = []
-    for menu in menus:
+    for menu in lattice.at(flagged):
         members = sorted(menu)
         for loser in sorted(dataset.observations[menu]):
             for winner in members:
-                if winner != loser and beats(winner, loser):
+                if (winner, loser) in beating:
                     kind, narrative = describe(winner, loser)
                     witnesses.append(ViolationWitness(kind, (menu,), narrative))
     return witnesses
 
 
-def expansion_over(dataset: ChoiceDataset, kind, clashes) -> list:
+def expansion_over(dataset: ChoiceDataset, kind, sides, clashes) -> list:
     """Violations of an expansion clause: one witness per narrative that
     ``clashes(small, big)`` yields on an observed nested pair, a pattern
-    in c(small) clashing with one in c(big)."""
-    return sort_witnesses({ViolationWitness(kind, (small, big), narrative)
-                           for small, big in dataset.nested_pairs()
-                           for narrative in clashes(small, big)})
+    in c(small) clashing with one in c(big).  ``sides`` gives, per
+    pattern, the mask of the menus whose choice shows its small side and
+    that of the menus whose choice shows its big side; ``clashes`` runs
+    only on the nested pairs that one pattern flags on both sides."""
+    lattice = dataset.lattice()
+    pairs = set()
+    for smalls, bigs in sides:
+        for pos in bits(smalls):
+            for big in bits(bigs & lattice.above(pos) & ~(1 << pos)):
+                pairs.add((pos, big))
+    menus = lattice.menus
+    return sort_witnesses({ViolationWitness(kind, (menus[small], menus[big]), narrative)
+                           for small, big in pairs
+                           for narrative in clashes(menus[small], menus[big])})
 
 
 def shift_correspondences(dataset: ChoiceDataset, fixed, moved, allowed, label):

@@ -128,6 +128,29 @@ def _witness_masks(dataset: ChoiceDataset, prop: FiniteProperty):
     return dataset.cached(("witness masks", prop), masks)
 
 
+def _blocked(dataset: ChoiceDataset, prop: FiniteProperty) -> dict:
+    """Per alternative x, the observed menus on which x cannot be the
+    reference: those containing every menu of some witness-index entry
+    whose menus all hold x.  Cached per dataset and property.  Raises
+    UnobservedMenu for an entry naming a menu that was not observed."""
+    def masks():
+        lattice = dataset.lattice()
+        universe = dataset.universe
+        blocked = {}
+        for witness in witness_index(dataset, prop):
+            pools = lattice.full
+            try:
+                for menu in witness.menus:
+                    pools &= lattice.above(lattice.index[menu])
+            except KeyError:
+                lattice.mask(witness.menus)  # raises UnobservedMenu naming the menu
+                raise
+            for x in universe.intersection(*witness.menus):
+                blocked[x] = blocked.get(x, 0) | pools
+        return blocked
+    return dataset.cached(("blocked", prop), masks)
+
+
 @dataclass(frozen=True)
 class ReferenceOrder:
     """Strict total order over alternative ids, highest-ranked first."""
@@ -200,17 +223,25 @@ def check_reference_dependence(dataset: ChoiceDataset, prop: FiniteProperty,
     member preserving T on the observed sub-menus containing it.  With
     ``universal=True`` every admissible member must do so (the social
     domain's stronger quantifier); failures then list only the broken
-    candidates.
+    candidates.  The failing menus are decided on lattice masks, from
+    the menus admitting each alternative and those blocking it; each
+    broken candidate's witnesses are listed on the failing menus only.
     """
+    _, admits = _psi(dataset, psi)
+    blocked = _blocked(dataset, prop)
+    lattice = dataset.lattice()
+    kept = broken = 0
+    for x, admitting in admits.items():
+        stuck = admitting & blocked.get(x, 0)
+        broken |= stuck
+        kept |= admitting & ~stuck
+    index = witness_index(dataset, prop)
     failures = []
-    for menu in dataset.menus():
-        results = _blocking(dataset, prop, psi, menu)
-        broken = [(x, blocking) for x, blocking in results if blocking]
-        if (bool(broken) if universal else len(broken) == len(results)):
-            index = witness_index(dataset, prop)
-            failures.append(ReferenceDependenceFailure(menu, tuple(
-                (x, tuple(index[pos] for pos in bits(blocking)))
-                for x, blocking in broken)))
+    for pos in bits(broken if universal else lattice.full & ~kept):
+        menu = lattice.menus[pos]
+        failures.append(ReferenceDependenceFailure(menu, tuple(
+            (x, tuple(index[k] for k in bits(blocking)))
+            for x, blocking in _blocking(dataset, prop, psi, menu) if blocking)))
     return failures
 
 
@@ -234,8 +265,8 @@ def synthesize_reference_order(dataset: ChoiceDataset, prop: FiniteProperty,
             if failures:
                 raise AxiomFails(f"reference dependence ({prop.name} / {psi.name})", failures)
             raise SynthesisFailed(
-                f"no candidate reference inside {sorted(remaining)}; the observed "
-                "menus are too sparse to layer")
+                f"no member of {sorted(remaining)} is a candidate reference of that pool, "
+                "although every observed menu has one")
         ranking.extend(sorted(layer))
         remaining -= layer
     return ReferenceOrder(tuple(ranking))

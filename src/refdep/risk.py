@@ -305,6 +305,18 @@ def check_avoidable_risk(dataset: ChoiceDataset) -> list:
     diffs = _diff_table(dataset)
     one_negative = {pair: key is not None and sum(1 for x in vec if x < 0) == 1
                     for pair, (vec, key) in diffs.items()}
+    lattice = dataset.lattice()
+    contain, chosen = lattice.contain, lattice.chosen
+    # per diff key: the menus choosing a safe side over a present one-negative
+    # risky side, and those choosing a risky side over a present safe side
+    smalls, bigs = {}, {}
+    for (risky, safe), (_, key) in diffs.items():
+        if key is None:
+            continue
+        if one_negative[(risky, safe)]:
+            smalls[key] = smalls.get(key, 0) | (chosen.get(safe, 0) & contain.get(risky, 0))
+        bigs[key] = bigs.get(key, 0) | (chosen.get(risky, 0) & contain.get(safe, 0)
+                                        & ~chosen.get(safe, 0))
 
     def clashes(small, big):
         c_big = dataset.observations[big]
@@ -321,7 +333,8 @@ def check_avoidable_risk(dataset: ChoiceDataset) -> list:
                                    f"proportional decomposition ({risky2} over "
                                    f"{safe2}) wins strictly after expansion")
 
-    return expansion_over(dataset, "AvoidableRisk", clashes)
+    return expansion_over(dataset, "AvoidableRisk",
+                          [(mask, bigs[key]) for key, mask in smalls.items()], clashes)
 
 
 def battery(dataset: ChoiceDataset):

@@ -103,7 +103,18 @@ def check_fairness(dataset: ChoiceDataset) -> list:
                            f"beat {stingy} (sharing {sharing(stingy)}), "
                            f"yet expansion revives {stingy}")
 
-    return expansion_over(dataset, "Fairness", clashes)
+    # per stingy alternative: the menus where it is present, unchosen and
+    # beaten by a more generous choice, and those choosing it
+    lattice = dataset.lattice()
+    contain, chosen = lattice.contain, lattice.chosen
+    sides = []
+    for stingy, present in contain.items():
+        beaten = 0
+        for generous, mask in chosen.items():
+            if other[stingy] < other[generous]:
+                beaten |= mask
+        sides.append((present & ~chosen.get(stingy, 0) & beaten, chosen.get(stingy, 0)))
+    return expansion_over(dataset, "Fairness", sides, clashes)
 
 
 def check_social_monotonicity(dataset: ChoiceDataset) -> list:

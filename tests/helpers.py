@@ -22,6 +22,7 @@ from refdep.choices import (
     SplitPayload,
     ViolationWitness,
     WARP,
+    bits,
     maximizers,
     member_masks,
     revealed_rows,
@@ -31,7 +32,9 @@ from refdep.choices import (
 )
 from refdep.engine import (
     IDENTITY_PSI,
+    ReferenceDependenceFailure,
     ReferenceOrder,
+    _blocking,
     candidate_references,
     check_reference_dependence,
     witness_index,
@@ -868,6 +871,45 @@ def witness_masks_by_sets(dataset, prop):
     index = witness_index(dataset, prop)
     return (member_masks(frozenset().union(*w.menus) for w in index),
             member_masks(frozenset.intersection(*w.menus) for w in index))
+
+
+# -- the per-menu loops: the references for the lattice-mask decisions ---------
+#
+# The bodies ``engine.check_reference_dependence``, ``choices.dominance_over``
+# and ``choices.expansion_over`` had before they decided on lattice masks:
+# each observed menu's candidates through ``engine._blocking``, ``beats`` on
+# each (menu, chosen loser, member) and ``clashes`` on each nested pair.
+
+
+def reference_dependence_by_menus(dataset, prop, psi, universal=False):
+    failures = []
+    for menu in dataset.menus():
+        results = _blocking(dataset, prop, psi, menu)
+        broken = [(x, blocking) for x, blocking in results if blocking]
+        if (bool(broken) if universal else len(broken) == len(results)):
+            index = witness_index(dataset, prop)
+            failures.append(ReferenceDependenceFailure(menu, tuple(
+                (x, tuple(index[pos] for pos in bits(blocking)))
+                for x, blocking in broken)))
+    return failures
+
+
+def dominance_by_menus(dataset, menus, beats, describe):
+    witnesses = []
+    for menu in menus:
+        members = sorted(menu)
+        for loser in sorted(dataset.observations[menu]):
+            for winner in members:
+                if winner != loser and beats(winner, loser):
+                    kind, narrative = describe(winner, loser)
+                    witnesses.append(ViolationWitness(kind, (menu,), narrative))
+    return witnesses
+
+
+def expansion_by_nested_pairs(dataset, kind, clashes):
+    return sort_witnesses({ViolationWitness(kind, (small, big), narrative)
+                           for small, big in dataset.nested_pairs()
+                           for narrative in clashes(small, big)})
 
 
 # -- the lottery relations and present bias by explicit loops ----------------

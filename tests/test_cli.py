@@ -9,17 +9,18 @@ import weakref
 from pathlib import Path
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from refdep.choices import Alternative
-from refdep import cli
+from refdep import cli, engine, risk
 from refdep.cli import main
 from refdep.exceptions import AxiomFails, InfeasibleFit, ValidationError
 from refdep.ordu import simulate_ordu
-from refdep.risk import fit_areu
+from refdep.risk import RISK_PROPERTY, fit_areu, simulate_areu
 from refdep.serialize import dataset_from_dict, dataset_to_dict, dump_dataset, parse_rational, to_json
 from refdep.social import simulate_fspu
 from refdep.timepref import simulate_pbdu
@@ -36,6 +37,7 @@ from helpers import (
     perturbed,
     perturbed_ordu_data,
     random_ordu_params,
+    random_rho_monotone_areu,
 )
 
 
@@ -756,3 +758,31 @@ def test_a_dataset_dies_with_its_last_reference_after_check_fit_and_report(model
             assert ref() is None
     finally:
         gc.enable()
+
+
+def test_a_passing_areu_check_calls_fosd_once_per_pair_and_lists_no_candidates(
+        tmp_path, monkeypatch):
+    """On eight lotteries and their 154 menus of size 2-4, a passing
+    ``check --model areu`` calls ``fosd`` at most once per ordered pair
+    and never lists a menu's candidates or builds the witness masks,
+    though the reference property has witnesses there."""
+    params = random_rho_monotone_areu(random.Random(2), n_lotteries=8)
+    ds = simulate_areu(params, all_menus(sorted(i for i, _ in params.lotteries), 2, 4))
+    assert len(ds.menus()) == 154 and engine.witness_index(ds, RISK_PROPERTY)
+    path = write_dataset(tmp_path, ds)
+    calls = Counter()
+    fosd = risk.fosd
+
+    def counted(prizes, p, q):
+        calls[p, q] += 1
+        return fosd(prizes, p, q)
+
+    def unused(*args):
+        raise AssertionError("a passing check listed witnesses per menu")
+
+    monkeypatch.setattr(risk, "fosd", counted)
+    monkeypatch.setattr(engine, "_blocking", unused)
+    monkeypatch.setattr(engine, "_witness_masks", unused)
+    code, doc = run_json(["check", "--model", "areu", path])
+    assert code == 0 and doc["pass"] is True
+    assert calls and max(calls.values()) == 1 and len(calls) <= 8 * 7

@@ -4,10 +4,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from refdep.choices import WARP, ChoiceDataset, FiniteProperty, ViolationWitness
+from refdep import risk, social, timepref
+from refdep.choices import (
+    WARP,
+    ChoiceDataset,
+    FiniteProperty,
+    ViolationWitness,
+    dominance_over,
+    expansion_over,
+)
 from refdep.engine import (
     IDENTITY_PSI,
     PsiMap,
+    ReferenceDependenceFailure,
     ReferenceOrder,
     candidate_references,
     candidate_set,
@@ -34,6 +43,8 @@ from helpers import (
     anchored_subset_form_by_families,
     areu_data,
     candidate_witnesses_by_families,
+    dominance_by_menus,
+    expansion_by_nested_pairs,
     exhaustive_single_valued_datasets,
     fspu_data,
     generic_dataset,
@@ -47,9 +58,11 @@ from helpers import (
     payment_dataset,
     pbdu_data,
     perturbed,
+    perturbed_ordu_data,
     random_ordu_params,
     rationalizable_by_weak_order,
     reference_dependence_by_families,
+    reference_dependence_by_menus,
     synthesize_by_pruning,
     time_reference_dependence_by_pairs,
     witness_masks_by_sets,
@@ -244,6 +257,19 @@ def test_rd_matches_build_on_random_five_alternative_data():
         assert rd == built
 
 
+def test_a_stuck_synthesis_names_the_pool_and_blames_no_sparsity():
+    """Perturbed seed 19 passes the axiom yet admits no reference order;
+    synthesis says only that the pool it reached has no candidate."""
+    dataset = perturbed_ordu_data(19)
+    assert check_reference_dependence(dataset, WARP, IDENTITY_PSI) == []
+    with pytest.raises(SynthesisFailed) as exc:
+        synthesize_reference_order(dataset, WARP, IDENTITY_PSI)
+    assert str(exc.value) == ("no member of ['a', 'c', 'd', 'e'] is a candidate reference "
+                              "of that pool, although every observed menu has one")
+    assert candidate_set(dataset, WARP, IDENTITY_PSI, frozenset("acde")) == frozenset()
+    assert ordu_bruteforce(dataset) is None
+
+
 def test_synthesis_with_the_risk_property_is_psi_consistent():
     from refdep.risk import LEAST_RISKY_PSI, RISK_PROPERTY, simulate_areu
     from helpers import random_rho_monotone_areu
@@ -350,29 +376,82 @@ MASK_DOMAINS = {**ENGINE_DOMAINS,
                 "generic, large": (large_ordu_data, WARP, IDENTITY_PSI)}
 
 
+def _mask_datasets(domain):
+    """Per draw: the model's data, a perturbed copy and its doubleton menus."""
+    make = MASK_DOMAINS[domain][0]
+    rng = random.Random(61)
+    for _ in range(3 if domain == "generic, large" else 6):
+        clean = make(rng)
+        doubletons = clean.restrict([m for m in clean.menus() if len(m) == 2])
+        yield from (clean, perturbed(rng, clean), doubletons)
+
+
 @pytest.mark.parametrize("domain", sorted(MASK_DOMAINS))
 def test_witness_masks_match_the_frozenset_masks(domain):
     """The per-position masks equal the union and intersection masks, and
     the engine answers the same from either, narratives included, on
     clean, perturbed and doubleton-only data."""
-    make, prop, psi = MASK_DOMAINS[domain]
-    rng = random.Random(61)
+    _, prop, psi = MASK_DOMAINS[domain]
     sizes = []
-    for _ in range(3 if domain == "generic, large" else 6):
-        clean = make(rng)
-        doubletons = clean.restrict([m for m in clean.menus() if len(m) == 2])
-        for ds in (clean, perturbed(rng, clean), doubletons):
-            sizes.append(len(witness_index(ds, prop)))
-            assert _witness_masks(ds, prop) == witness_masks_by_sets(ds, prop)
-            by_sets = ChoiceDataset(ds.kind, ds.alternatives, ds.observations, floor=ds.floor)
-            by_sets.cached(("witness masks", prop), lambda: witness_masks_by_sets(by_sets, prop))
-            for universal in (False, True):
-                failures = check_reference_dependence(ds, prop, psi, universal=universal)
-                want = check_reference_dependence(by_sets, prop, psi, universal=universal)
-                assert failures == want
-                assert [w.narrative for f in failures for _, ws in f.per_candidate for w in ws] \
-                    == [w.narrative for f in want for _, ws in f.per_candidate for w in ws]
+    for ds in _mask_datasets(domain):
+        sizes.append(len(witness_index(ds, prop)))
+        assert _witness_masks(ds, prop) == witness_masks_by_sets(ds, prop)
+        by_sets = ChoiceDataset(ds.kind, ds.alternatives, ds.observations, floor=ds.floor)
+        by_sets.cached(("witness masks", prop), lambda: witness_masks_by_sets(by_sets, prop))
+        for universal in (False, True):
+            failures = check_reference_dependence(ds, prop, psi, universal=universal)
+            want = check_reference_dependence(by_sets, prop, psi, universal=universal)
+            assert failures == want
+            assert [w.narrative for f in failures for _, ws in f.per_candidate for w in ws] \
+                == [w.narrative for f in want for _, ws in f.per_candidate for w in ws]
     assert 0 in sizes and max(sizes) > (500 if domain == "generic, large" else 0), sizes
+
+
+# the checks of each domain that read ``dominance_over`` or ``expansion_over``
+MASK_CHECKS = {"generic": (), "generic, large": (),
+               "lottery": (risk.check_fosd_dominance, risk.check_avoidable_risk),
+               "dated_payment": (timepref.check_outcome_monotonicity_impatience,),
+               "income_split": (social.check_social_monotonicity, social.check_fairness)}
+
+
+@pytest.mark.parametrize("domain", sorted(MASK_DOMAINS))
+def test_mask_decisions_match_the_per_menu_loops(domain, monkeypatch):
+    """Reference-dependence failures, existential and universal, and the
+    dominance and expansion witnesses equal those of the per-menu loops,
+    in order and with narratives, on the data above; so do the failures
+    under a Psi map that admits no member of the largest menu."""
+    _, prop, psi = MASK_DOMAINS[domain]
+    reported = Counter()
+
+    def against(fast, loop):
+        def both(dataset, *args):
+            got = fast(dataset, *args)
+            assert got == loop(dataset, *args)
+            reported[fast.__name__] += len(got)
+            return got
+        return both
+
+    for module in (risk, timepref, social):
+        monkeypatch.setattr(module, "dominance_over", against(dominance_over, dominance_by_menus))
+    for module in (risk, social):
+        monkeypatch.setattr(module, "expansion_over", against(
+            expansion_over, lambda dataset, kind, _sides, clashes:
+            expansion_by_nested_pairs(dataset, kind, clashes)))
+    for ds in _mask_datasets(domain):
+        last = ds.menus()[-1]
+        emptied = PsiMap(f"{psi.name}, none in {sorted(last)}", lambda dataset, menu, last=last:
+                         frozenset() if menu == last else psi.of(dataset, menu))
+        for p in (psi, emptied):
+            for universal in (False, True):
+                failures = check_reference_dependence(ds, prop, p, universal=universal)
+                assert failures == reference_dependence_by_menus(ds, prop, p, universal)
+                reported["failures"] += len(failures)
+        assert ReferenceDependenceFailure(last, ()) in check_reference_dependence(ds, prop, emptied)
+        for check in MASK_CHECKS[domain]:
+            check(ds)
+    want = {"failures"} | ({"dominance_over"} if MASK_CHECKS[domain] else set()) \
+        | ({"expansion_over"} if len(MASK_CHECKS[domain]) == 2 else set())
+    assert {name for name, count in reported.items() if count} == want, reported
 
 
 def test_a_witness_naming_an_unobserved_menu_raises_unobserved_menu():
