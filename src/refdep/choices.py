@@ -167,16 +167,24 @@ class FiniteProperty:
     means the restricted data passes.  Evaluators must be local: the
     witnesses inside ``family`` are exactly the witnesses over all
     observed menus whose menus all lie in ``family``, in the same order.
-    The reference engine relies on this: it evaluates each property
-    once per dataset, over all observed menus, and answers every
+    The reference engine relies on this: it evaluates each property at
+    most once per dataset, over all observed menus, and answers every
     sub-family question by filtering those witnesses, so a
     user-supplied property that is not local gets wrong verdicts.  Each
     witness must name observed menus only; the engine raises
     UnobservedMenu for one that does not.
+
+    ``blocking(dataset)``, optional, returns per alternative x the mask
+    of observed menus (``MenuLattice`` positions) on which x cannot be
+    the reference: those containing every menu of some witness whose
+    menus all hold x.  It must agree with the witnesses.  With a rule
+    the engine lists the witnesses only once some menu fails; without
+    one it derives the masks from the witness list.
     """
 
     name: str
     evaluator: Callable
+    blocking: Callable | None = None
 
     def check(self, dataset: "ChoiceDataset", family) -> list:
         return self.evaluator(dataset, family)
@@ -454,19 +462,42 @@ def warp_over(dataset: ChoiceDataset, family) -> list:
     for pos in bits(fam):
         big = lattice.menus[pos]
         c_big = dataset.observations[big]
-        # a sub-menu violates when it meets c(A) and keeps a member of c(A)
-        # it does not choose or chooses a member of A outside c(A)
-        meets = differs = 0
-        for alt in big:
-            if alt in c_big:
-                meets |= lattice.contain[alt]
-                differs |= lattice.contain[alt] & ~lattice.chosen[alt]
-            else:
-                differs |= lattice.chosen.get(alt, 0)
-        for small in lattice.at(lattice.inside[pos] & fam & meets & differs):
+        for small in lattice.at(_warp_smalls(lattice, pos, c_big) & fam):
             witnesses.append(ViolationWitness("WARP", (big, small), partial(
                 _warp_narrative, big, c_big, small, dataset.observations[small])))
     return witnesses
+
+
+def _warp_smalls(lattice: "MenuLattice", pos: int, c_big) -> int:
+    """The observed sub-menus B of menu ``pos`` (A, chosen ``c_big``) on
+    which WARP fails: B meets c(A) and keeps a member of c(A) it does not
+    choose or chooses a member of A outside c(A)."""
+    meets = differs = 0
+    for alt in lattice.menus[pos]:
+        if alt in c_big:
+            meets |= lattice.contain[alt]
+            differs |= lattice.contain[alt] & ~lattice.chosen[alt]
+        else:
+            differs |= lattice.chosen.get(alt, 0)
+    return lattice.inside[pos] & meets & differs
+
+
+def _warp_blocking(dataset: ChoiceDataset) -> dict:
+    """WARP's blocking rule: x cannot be the reference on the menus
+    containing an observed menu A with a WARP-violating sub-menu that
+    holds x.  Exact, since every WARP witness (A, B) has B inside A: the
+    menus holding both are those above A, and the members they share
+    are those of B."""
+    lattice = dataset.lattice()
+    blocked = {}
+    for pos, big in enumerate(lattice.menus):
+        smalls = _warp_smalls(lattice, pos, dataset.observations[big])
+        if smalls:
+            pools = lattice.above(pos)
+            for x in big:
+                if smalls & lattice.contain[x]:
+                    blocked[x] = blocked.get(x, 0) | pools
+    return blocked
 
 
 def _warp_narrative(big, c_big, small, c_small) -> str:
@@ -478,7 +509,7 @@ def _fmt(ids) -> str:
     return "{" + ",".join(sorted(ids)) + "}"
 
 
-WARP = FiniteProperty("WARP", warp_over)
+WARP = FiniteProperty("WARP", warp_over, _warp_blocking)
 
 
 def linkage_report(dataset: ChoiceDataset, **structural) -> dict:

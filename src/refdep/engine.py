@@ -48,14 +48,21 @@ IDENTITY_PSI = PsiMap("identity", lambda dataset, menu: frozenset(menu))
 
 def _psi(dataset: ChoiceDataset, psi: PsiMap):
     """Psi of every observed menu and, per alternative, the mask of the
-    observed menus admitting it; cached per dataset and map, with
-    heredity checked on every observed menu."""
+    observed menus admitting it; cached per dataset and map.  Heredity
+    is decided per alternative x: it fails when a menu admitting x lies
+    above one holding x without admitting it.  Only then are the
+    observed menus scanned for the first offending pair."""
     def build():
         lattice = dataset.lattice()
         table = {menu: psi.of(dataset, menu) for menu in lattice.menus}
         known = table, member_masks(table.values())
-        for pos, big in enumerate(lattice.menus):
-            _check_heredity(lattice, psi, known, big, table[big], lattice.inside[pos])
+        for x, admitting in known[1].items():
+            over = 0  # the menus above one holding x without admitting it
+            for pos in bits(lattice.contain.get(x, 0) & ~admitting):
+                over |= lattice.above(pos)
+            if over & admitting:
+                for pos, big in enumerate(lattice.menus):
+                    _check_heredity(lattice, psi, known, big, table[big], lattice.inside[pos])
         return known
     return dataset.cached(("psi", psi), build)
 
@@ -131,9 +138,13 @@ def _witness_masks(dataset: ChoiceDataset, prop: FiniteProperty):
 def _blocked(dataset: ChoiceDataset, prop: FiniteProperty) -> dict:
     """Per alternative x, the observed menus on which x cannot be the
     reference: those containing every menu of some witness-index entry
-    whose menus all hold x.  Cached per dataset and property.  Raises
-    UnobservedMenu for an entry naming a menu that was not observed."""
+    whose menus all hold x.  Cached per dataset and property.  The
+    property's blocking rule gives them when it has one; otherwise they
+    are derived from its witness index, and an entry naming a menu that
+    was not observed raises UnobservedMenu."""
     def masks():
+        if prop.blocking is not None:
+            return prop.blocking(dataset)
         lattice = dataset.lattice()
         universe = dataset.universe
         blocked = {}
@@ -224,8 +235,9 @@ def check_reference_dependence(dataset: ChoiceDataset, prop: FiniteProperty,
     ``universal=True`` every admissible member must do so (the social
     domain's stronger quantifier); failures then list only the broken
     candidates.  The failing menus are decided on lattice masks, from
-    the menus admitting each alternative and those blocking it; each
-    broken candidate's witnesses are listed on the failing menus only.
+    the menus admitting each alternative and those blocking it (see
+    ``_blocked``); T's witnesses are listed only when some menu fails,
+    and each broken candidate's only on the failing menus.
     """
     _, admits = _psi(dataset, psi)
     blocked = _blocked(dataset, prop)
@@ -235,9 +247,12 @@ def check_reference_dependence(dataset: ChoiceDataset, prop: FiniteProperty,
         stuck = admitting & blocked.get(x, 0)
         broken |= stuck
         kept |= admitting & ~stuck
+    failing = broken if universal else lattice.full & ~kept
+    if not failing:
+        return []
     index = witness_index(dataset, prop)
     failures = []
-    for pos in bits(broken if universal else lattice.full & ~kept):
+    for pos in bits(failing):
         menu = lattice.menus[pos]
         failures.append(ReferenceDependenceFailure(menu, tuple(
             (x, tuple(index[k] for k in bits(blocking)))

@@ -873,6 +873,26 @@ def witness_masks_by_sets(dataset, prop):
             member_masks(frozenset.intersection(*w.menus) for w in index))
 
 
+# -- blocked masks by witnesses ------------------------------------------------
+#
+# The per-witness loop ``engine._blocked`` ran for every property before a
+# property could give a blocking rule: the reference for WARP's rule.
+
+
+def blocked_by_witnesses(dataset, prop):
+    """Per alternative x, the observed menus containing every menu of some
+    witness-index entry whose menus all hold x."""
+    lattice = dataset.lattice()
+    blocked = {}
+    for witness in witness_index(dataset, prop):
+        pools = lattice.full
+        for menu in witness.menus:
+            pools &= lattice.above(lattice.index[menu])
+        for x in frozenset.intersection(*witness.menus):
+            blocked[x] = blocked.get(x, 0) | pools
+    return blocked
+
+
 # -- the per-menu loops: the references for the lattice-mask decisions ---------
 #
 # The bodies ``engine.check_reference_dependence``, ``choices.dominance_over``

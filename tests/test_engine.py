@@ -24,6 +24,7 @@ from refdep.engine import (
     psi_consistency_check,
     synthesize_reference_order,
     witness_index,
+    _blocked,
     _witness_masks,
 )
 from refdep.exceptions import AxiomFails, NonHereditaryPsi, SynthesisFailed, UnobservedMenu
@@ -42,6 +43,7 @@ from helpers import (
     all_menus,
     anchored_subset_form_by_families,
     areu_data,
+    blocked_by_witnesses,
     candidate_witnesses_by_families,
     dominance_by_menus,
     expansion_by_nested_pairs,
@@ -454,9 +456,33 @@ def test_mask_decisions_match_the_per_menu_loops(domain, monkeypatch):
     assert {name for name, count in reported.items() if count} == want, reported
 
 
+@pytest.mark.parametrize("domain", sorted(MASK_DOMAINS))
+def test_blocking_rules_match_the_per_witness_loop(domain):
+    """WARP's blocking rule, and the masks derived from the witnesses of
+    the conjoined properties, equal those of the per-witness loop; the
+    engine reports the same failures from either, existential and
+    universal, on clean, perturbed and doubleton-only data."""
+    _, prop, psi = MASK_DOMAINS[domain]
+    sizes, failed = [], 0
+    for ds in _mask_datasets(domain):
+        sizes.append(len(witness_index(ds, WARP)))
+        oracle = ChoiceDataset(ds.kind, ds.alternatives, ds.observations, floor=ds.floor)
+        for p, q in {WARP: IDENTITY_PSI, prop: psi}.items():
+            assert _blocked(ds, p) == blocked_by_witnesses(ds, p)
+            oracle.cached(("blocked", p), lambda p=p: blocked_by_witnesses(oracle, p))
+            for universal in (False, True):
+                failures = check_reference_dependence(ds, p, q, universal=universal)
+                assert failures == check_reference_dependence(oracle, p, q, universal=universal)
+                failed += len(failures)
+    assert failed and max(sizes) > (500 if domain == "generic, large" else 0), sizes
+
+
 def test_a_witness_naming_an_unobserved_menu_raises_unobserved_menu():
     ds = generic_dataset([("ab", "a"), ("abc", "b")])
     ghost = FiniteProperty("ghost", lambda dataset, family: [
         ViolationWitness("ghost", (frozenset("abc"), frozenset("bc")), "{b,c} is no menu")])
+    assert ghost.blocking is None
+    with pytest.raises(UnobservedMenu, match=r"\['b', 'c'\] was not observed"):
+        _blocked(ds, ghost)
     with pytest.raises(UnobservedMenu, match=r"\['b', 'c'\] was not observed"):
         check_reference_dependence(ds, ghost, IDENTITY_PSI)

@@ -202,21 +202,24 @@ def test_demo_output_is_byte_identical_to_the_baseline(golden):
 
 def test_a_passing_ordu_check_formats_no_warp_narrative(golden, tmp_path, monkeypatch):
     """A passing check on reference-dependent data with hundreds of global
-    WARP violations formats none of their narratives; a failing check and
-    a report still print the recorded bytes."""
-    calls = []
-    fmt = choices._warp_narrative
+    WARP violations never evaluates WARP, whose blocking rule decides
+    every menu, and so formats none of their narratives; a failing check
+    and a report still print the recorded bytes."""
+    calls, evaluated = [], []
+    fmt, check = choices._warp_narrative, choices.FiniteProperty.check
     monkeypatch.setattr(choices, "_warp_narrative", lambda *args: calls.append(args) or fmt(*args))
+    monkeypatch.setattr(choices.FiniteProperty, "check", lambda prop, dataset, family: (
+        evaluated.append(prop.name) or check(prop, dataset, family)))
     ds = large_ordu_data(random.Random(4))
     data = tmp_path / "ordu-large.json"
     data.write_text(to_json(dataset_to_dict(ds)))
     assert _run(["--json", "check", "--model", "ordu", str(data)])[0] == 0
-    assert len(choices.warp_over(ds, ds.menus())) > 500 and calls == []
+    assert len(choices.warp_over(ds, ds.menus())) > 500 and evaluated == [] and calls == []
     commands = dict(_seeded_commands(tmp_path))
     for label in ("check ordu perturbed", "report ordu perturbed"):
         assert {"json": _run(["--json", *commands[label]]), "text": _run(commands[label])} \
             == golden["cli"][label]
-    assert calls
+    assert calls and "WARP" in evaluated
 
 
 if __name__ == "__main__":
