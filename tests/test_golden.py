@@ -19,6 +19,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -145,9 +146,59 @@ def _fractional_commands(work):
                            [command, "--model", model, str(data)])
 
 
+def _drop_alternative(doc, fields):
+    """``doc`` without the last id of its order, in each of ``fields``
+    and in every table of ``doc["utilities"]`` keyed by id."""
+    gone = doc["order"][-1]
+    doc["order"] = doc["order"][:-1]
+    for name in fields:
+        del doc[name][gone]
+    for table in doc["utilities"].values():
+        if isinstance(table, dict):
+            del table[gone]
+    return doc
+
+
+def _drop_first(table):
+    del table[min(table, key=lambda key: Fraction(key))]
+
+
+def _error_doc(model, doc):
+    """Fitted params with one gap that some observed menu reaches: an
+    alternative the order misses (ORDU, AREU), an amount off the grid
+    (PBDU) or a reference Gini without a table (FSPU)."""
+    if model == "ordu":
+        return _drop_alternative(doc, ("utilities",))
+    if model == "areu":
+        return _drop_alternative(doc, ("lotteries", "utilities"))
+    if model == "pbdu":
+        _drop_first(doc["log_utility"])
+    else:
+        _drop_first(doc["tables"])
+    return doc
+
+
+def _error_commands(work):
+    """simulate and verify through params fitted to the clean seeded
+    dataset with one gap (``_error_doc``): each fails on one offender."""
+    for model, make in SEEDED.items():
+        doc = dataset_to_dict(make(random.Random(1)))
+        data = work / f"error-{model}.json"
+        data.write_text(to_json(doc))
+        menus = work / f"error-{model}-menus.json"
+        menus.write_text(to_json({**{k: v for k, v in doc.items() if k != "observations"},
+                                  "menus": [obs["menu"] for obs in doc["observations"]]}))
+        params = work / f"error-{model}-params.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["fit", "--model", model, "--out", str(params), str(data)]) == 0
+        params.write_text(to_json(_error_doc(model, json.loads(params.read_text()))))
+        yield f"simulate {model} error", ["simulate", "--model", model, str(params), str(menus)]
+        yield f"verify {model} error", ["verify", "--model", model, str(params), str(data)]
+
+
 def _commands(work):
     return [*_fixture_commands(), *_seeded_commands(work), *_tied_commands(work),
-            *_fractional_commands(work)]
+            *_fractional_commands(work), *_error_commands(work)]
 
 
 def record_cli():
