@@ -535,7 +535,10 @@ def raise_first_failure(battery) -> None:
 
 def maximizers(menu, score) -> frozenset:
     """The members of ``menu`` with the highest ``score``, scored in the
-    menu's iteration order (so the first failing lookup raises)."""
+    menu's iteration order, so the first failing lookup raises; a rule
+    whose scores can fail passes the members sorted, and the error then
+    names the smallest-id offender whatever the hash seed.  The models'
+    rules score on integers, so equal scores are exact ties."""
     scores = {alt: score(alt) for alt in menu}
     best = max(scores.values())
     return frozenset(alt for alt, value in scores.items() if value == best)

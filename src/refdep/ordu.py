@@ -24,6 +24,7 @@ from .choices import (
     WARP,
     maximizers,
     mismatches,
+    over_common_denominator,
     raise_first_failure,
     simulate,
 )
@@ -78,23 +79,37 @@ class OrduParams:
         return OrduParams.build(order, utilities)
 
 
+def _rule(params: OrduParams):
+    """``choose(menu)``: the maximizers of the utility of the menu's top
+    member, read once from integer tables over one denominator."""
+    ranks = params.order.ranks
+    _, rows = over_common_denominator(
+        [value for _, value in table] for _, table in params.utilities)
+    tables = {ref: dict(zip((alt for alt, _ in table), row))
+              for (ref, table), row in zip(params.utilities, rows)}
+
+    def choose(menu):
+        missing = menu.difference(ranks)
+        if missing:
+            raise UnknownAlternative(f"{sorted(missing)} not covered by the order")
+        return maximizers(menu, tables[params.order.argmax(menu)].__getitem__)
+    return choose
+
+
 def evaluate_ordu(params: OrduParams, menu) -> Menu:
     """All maximizers of the reference's utility over the menu."""
-    menu = frozenset(menu)
-    missing = menu.difference(params.order.ranks)
-    if missing:
-        raise UnknownAlternative(f"{sorted(missing)} not covered by the order")
-    return maximizers(menu, params.utility(params.order.argmax(menu)).__getitem__)
+    return _rule(params)(frozenset(menu))
 
 
 def simulate_ordu(params: OrduParams, menus) -> ChoiceDataset:
+    """The dataset choosing from each of ``menus`` by one rule."""
     return simulate(GENERIC, [Alternative(alt_id) for alt_id in sorted(params.order.ranking)],
-                    menus, lambda menu: evaluate_ordu(params, menu))
+                    menus, _rule(params))
 
 
 def verify_ordu(params: OrduParams, dataset: ChoiceDataset) -> list:
-    """Menus where the parameterization disagrees with the data."""
-    return mismatches(dataset, lambda menu: evaluate_ordu(params, menu))
+    """``mismatches`` of one rule built for the whole dataset."""
+    return mismatches(dataset, _rule(params))
 
 
 def maximal_menus(dataset: ChoiceDataset):

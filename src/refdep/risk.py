@@ -15,7 +15,9 @@ Bernoulli utility per reference, more concave for safer references.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
@@ -468,20 +470,38 @@ def expected_utility(vec, u) -> Fraction:
     return sum((p * x for p, x in zip(vec, u)), _ZERO)
 
 
+def _rule(params: AreuParams):
+    """``choose(menu)``: the maximizers of the expected utility under the
+    menu's top member's utility, on integer vectors read once; each
+    (reference, lottery) pair is scored once, on first use."""
+    ranks = params.order.ranks
+    _, _, vectors = _integer_coords(params.prizes, dict(params.lotteries))
+    _, rows = over_common_denominator(u for _, u in params.utilities)
+    utilities = dict(zip((ref for ref, _ in params.utilities), rows))
+
+    @functools.cache
+    def score(ref, alt):
+        return sum(map(operator.mul, vectors[alt], utilities[ref]))
+
+    def choose(menu):
+        missing = menu.difference(ranks)
+        if missing:
+            raise UnknownLottery(f"{sorted(missing)} not covered by the order")
+        ref = params.order.argmax(menu)
+        return maximizers(menu, lambda alt: score(ref, alt))
+    return choose
+
+
 def evaluate_areu(params: AreuParams, menu) -> Menu:
-    menu = frozenset(menu)
-    missing = menu.difference(params.order.ranks)
-    if missing:
-        raise UnknownLottery(f"{sorted(missing)} not covered by the order")
-    u = params.utility(params.order.argmax(menu))
-    return maximizers(menu, lambda alt: expected_utility(params.vector(alt), u))
+    """All maximizers of the reference's expected utility over the menu."""
+    return _rule(params)(frozenset(menu))
 
 
 def check_lotteries(params: AreuParams, alternatives) -> None:
     """A ValidationError when an alternative the params name carries
     another lottery than the params' or a prize off their grid (its
     probabilities sum to 1, so either shows as a different vector on the
-    grid).  Ids the params do not name are left to ``evaluate_areu``."""
+    grid).  Ids the params do not name are left to the choice rule."""
     named = dict(params.lotteries)
     for alt in alternatives:
         if alt.id in named and tuple(
@@ -491,15 +511,17 @@ def check_lotteries(params: AreuParams, alternatives) -> None:
 
 
 def simulate_areu(params: AreuParams, menus) -> ChoiceDataset:
+    """The dataset choosing from each of ``menus`` by one rule."""
     alternatives = [Alternative(alt_id, LotteryPayload(tuple(
         (x, p) for x, p in zip(params.prizes, vec) if p != 0)))
         for alt_id, vec in params.lotteries]
-    return simulate(LOTTERY, alternatives, menus, lambda menu: evaluate_areu(params, menu))
+    return simulate(LOTTERY, alternatives, menus, _rule(params))
 
 
 def verify_areu(params: AreuParams, dataset: ChoiceDataset) -> list:
+    """``mismatches`` of one rule built for the whole dataset."""
     check_lotteries(params, dataset.alternatives.values())
-    return mismatches(dataset, lambda menu: evaluate_areu(params, menu))
+    return mismatches(dataset, _rule(params))
 
 
 # -- AREU fitting ----------------------------------------------------------
@@ -507,10 +529,12 @@ def verify_areu(params: AreuParams, dataset: ChoiceDataset) -> list:
 
 def _forced_edges(dataset: ChoiceDataset) -> set:
     """The (above, below) pairs with below ``_below`` above: the edges
-    every valid reference order respects."""
+    every valid reference order respects.  The spreads are the least-risky
+    map's cached pairs; only worst-prize dilution is tested here."""
     prizes, _, vectors = _coords(dataset)
-    return {(q, p) for p in vectors for q in vectors
-            if p != q and _below(prizes, vectors[p], vectors[q])}
+    return {(q, p) for p, q in _spreads(dataset)} | {
+        (q, p) for p in vectors for q in vectors
+        if p != q and worst_dilution(prizes, vectors[p], vectors[q])}
 
 
 def _close(order, edges):

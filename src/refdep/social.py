@@ -8,6 +8,8 @@ within reach) weakly raises every sharing increment.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,6 +27,7 @@ from .choices import (
     linkage_report,
     maximizers,
     mismatches,
+    over_common_denominator,
     raise_first_failure,
     revealed_rows,
     shift_correspondences,
@@ -197,26 +200,47 @@ class FspuParams:
         return FspuParams(tables)
 
 
+def _rule(params: FspuParams, splits: dict):
+    """``choose(menu)`` over ``splits`` (id -> SplitPayload): the
+    maximizers of own + v_r(other), r the menu's lowest Gini, each
+    (reference, split) pair scored once, on first use, on integers.
+    Members are scored in id order: the smallest id off the grid raises."""
+    own_den, (owns,) = over_common_denominator([[s.own for s in splits.values()]])
+    owns = dict(zip(splits, owns))
+    den = math.lcm(*(v.denominator for _, table in params.tables for _, v in table))
+    level = functools.cache(lambda alt: gini(splits[alt]))  # a split paying nothing has none
+
+    @functools.cache
+    def score(ref, alt):  # ref: a member of the lowest Gini
+        value = params.value(level(ref), splits[alt].other)
+        return owns[alt] * den + value.numerator * (den // value.denominator) * own_den
+
+    def choose(menu):
+        members = sorted(menu)
+        ref = min(members, key=level)
+        return maximizers(members, lambda alt: score(ref, alt))
+    return choose
+
+
 def evaluate_fspu(params: FspuParams, splits: dict) -> frozenset:
     """``splits`` maps ids to SplitPayload; returns the chosen ids."""
-    ref = min(gini(s) for s in splits.values())
-    return maximizers(splits, lambda alt: splits[alt].own
-                      + params.value(ref, splits[alt].other))
+    return _rule(params, splits)(splits)
 
 
 def simulate_fspu(params: FspuParams, alternatives, menus, floor=None) -> ChoiceDataset:
-    """The simulated dataset, with income ``floor`` (by default the
-    lowest income of ``alternatives``)."""
+    """The dataset choosing from each of ``menus`` by one rule, with
+    income ``floor`` (by default the lowest income of ``alternatives``)."""
     alts = {a.id: a for a in alternatives}
     if floor is None:
         floor = min(min(a.payload.own, a.payload.other) for a in alts.values())
-    return simulate(INCOME_SPLIT, alts.values(), menus, lambda menu: evaluate_fspu(
-        params, {alt: alts[alt].payload for alt in menu}), floor=floor)
+    return simulate(INCOME_SPLIT, alts.values(), menus,
+                    _rule(params, {alt: a.payload for alt, a in alts.items()}), floor=floor)
 
 
 def verify_fspu(params: FspuParams, dataset: ChoiceDataset) -> list:
-    return mismatches(dataset, lambda menu: evaluate_fspu(
-        params, {alt: dataset.payload(alt) for alt in menu}))
+    """``mismatches`` of one rule built for the whole dataset."""
+    return mismatches(dataset, _rule(params, {
+        alt: a.payload for alt, a in dataset.alternatives.items()}))
 
 
 def fit_fspu(dataset: ChoiceDataset) -> FspuParams:

@@ -10,6 +10,7 @@ delta values are derived for display only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +29,7 @@ from .choices import (
     linkage_report,
     maximizers,
     mismatches,
+    over_common_denominator,
     raise_first_failure,
     revealed_rows,
     shift_correspondences,
@@ -253,22 +255,47 @@ class PbduParams:
         )
 
 
+def _rule(params: PbduParams, payloads: dict):
+    """``choose(menu)`` over ``payloads`` (id -> PaymentPayload): the
+    maximizers of t*D(r) + L(x), r the menu's earliest time, each
+    (reference, payment) pair scored once, on first use, on integers.
+    Members are scored in id order: the smallest id off the grid raises."""
+    time_den, (times,) = over_common_denominator([[p.time for p in payloads.values()]])
+    times = dict(zip(payloads, times))
+    den = math.lcm(*(v.denominator for table in (params.log_utility, params.log_discount)
+                     for _, v in table))
+
+    def scaled(value):
+        return value.numerator * (den // value.denominator)
+
+    @functools.cache
+    def score(ref, alt):
+        discount = scaled(params.discount_log(Fraction(ref, time_den)))
+        return times[alt] * discount + scaled(params.utility_log(payloads[alt].amount)) * time_den
+
+    def choose(menu):
+        members = sorted(menu)
+        ref = min(times[alt] for alt in members)
+        return maximizers(members, lambda alt: score(ref, alt))
+    return choose
+
+
 def evaluate_pbdu(params: PbduParams, payments: dict) -> frozenset:
     """``payments`` maps ids to PaymentPayload; returns the chosen ids."""
-    d = params.discount_log(min(p.time for p in payments.values()))
-    return maximizers(payments, lambda alt: params.utility_log(payments[alt].amount)
-                      + payments[alt].time * d)
+    return _rule(params, payments)(payments)
 
 
 def simulate_pbdu(params: PbduParams, alternatives, menus) -> ChoiceDataset:
+    """The dataset choosing from each of ``menus`` by one rule."""
     alts = {a.id: a for a in alternatives}
-    return simulate(DATED_PAYMENT, alts.values(), menus, lambda menu: evaluate_pbdu(
-        params, {alt: alts[alt].payload for alt in menu}))
+    return simulate(DATED_PAYMENT, alts.values(), menus,
+                    _rule(params, {alt: a.payload for alt, a in alts.items()}))
 
 
 def verify_pbdu(params: PbduParams, dataset: ChoiceDataset) -> list:
-    return mismatches(dataset, lambda menu: evaluate_pbdu(
-        params, {alt: dataset.payload(alt) for alt in menu}))
+    """``mismatches`` of one rule built for the whole dataset."""
+    return mismatches(dataset, _rule(params, {
+        alt: a.payload for alt, a in dataset.alternatives.items()}))
 
 
 def standing_assumption(dataset: ChoiceDataset):

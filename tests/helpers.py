@@ -44,12 +44,14 @@ from refdep.exceptions import (
     InfeasibleFit,
     RefdepError,
     SynthesisFailed,
+    UnknownAlternative,
+    UnknownLottery,
     UnobservedMenu,
     ValidationError,
 )
 from refdep.feasibility import LinearFeasibilityProblem
 from refdep.ordu import OrduParams, check_subset_closed, simulate_ordu, verify_ordu
-from refdep.risk import AreuParams, _below, prize_grid, simulate_areu
+from refdep.risk import AreuParams, _below, expected_utility, prize_grid, simulate_areu
 from refdep.serialize import format_rational
 from refdep.social import FspuParams, gini, simulate_fspu
 from refdep.timepref import TIME_PROPERTY, PbduParams, earliest_payments, simulate_pbdu
@@ -1663,6 +1665,42 @@ def fspu_problems_by_fractions(dataset):
 
     return [build(lambda r, y: f"v[shared][{format_rational(y)}]"),
             build(lambda r, y: f"v[{format_rational(r)}][{format_rational(y)}]")]
+
+
+# -- the per-menu evaluators: the references for the models' choice rules -------
+#
+# Each menu is scored from scratch in Fractions, in the menu's iteration
+# order, as the evaluators did before the rules scored each (reference,
+# alternative) pair once on integers.
+
+
+def evaluate_ordu_by_menu(params, menu):
+    menu = frozenset(menu)
+    missing = menu.difference(params.order.ranks)
+    if missing:
+        raise UnknownAlternative(f"{sorted(missing)} not covered by the order")
+    return maximizers(menu, params.utility(params.order.argmax(menu)).__getitem__)
+
+
+def evaluate_areu_by_menu(params, menu):
+    menu = frozenset(menu)
+    missing = menu.difference(params.order.ranks)
+    if missing:
+        raise UnknownLottery(f"{sorted(missing)} not covered by the order")
+    u = params.utility(params.order.argmax(menu))
+    return maximizers(menu, lambda alt: expected_utility(params.vector(alt), u))
+
+
+def evaluate_pbdu_by_menu(params, payments):
+    d = params.discount_log(min(p.time for p in payments.values()))
+    return maximizers(payments, lambda alt: params.utility_log(payments[alt].amount)
+                      + payments[alt].time * d)
+
+
+def evaluate_fspu_by_menu(params, splits):
+    ref = min(gini(s) for s in splits.values())
+    return maximizers(splits, lambda alt: splits[alt].own
+                      + params.value(ref, splits[alt].other))
 
 
 # -- exact simplex oracle ----------------------------------------------------

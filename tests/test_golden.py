@@ -39,8 +39,12 @@ from helpers import (
     integer_pbdu_data,
     large_ordu_data,
     ordu_data,
+    pay,
+    payment_dataset,
     pbdu_data,
     perturbed,
+    split,
+    split_dataset,
     tie_rich,
     with_fractional_shift_witness,
 )
@@ -243,6 +247,34 @@ def test_json_output_does_not_depend_on_the_hash_seed(golden, tmp_path):
                 env={**env, "PYTHONHASHSEED": hash_seed}, capture_output=True, text=True)
             got = [proc.returncode, _digest(proc.stdout), _digest(proc.stderr)]
             assert got == golden["cli"][label]["json"], (label, hash_seed)
+
+
+def test_error_detail_does_not_depend_on_the_hash_seed(tmp_path):
+    """verify on a menu with two payments off the amount grid, and on one
+    with two splits off the other-income grid, names the smallest id's
+    amount or income under every hash seed."""
+    cases = (
+        ("pbdu", payment_dataset({"a": pay(30, 0), "b": pay(40, 1)}, [("ab", "a")]),
+         {"log_utility": {"10": "1"}, "log_discount": {"0": "-1"}},
+         "amount 30 outside the fitted grid"),
+        ("fspu", split_dataset({"a": split(5, 2), "b": split(4, 3)}, [("ab", "a")]),
+         {"tables": {"1/14": {"1": "0", "5": "1"}}},
+         "other-income 2 outside the fitted grid"),
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for model, dataset, params, detail in cases:
+        data, fitted = tmp_path / f"{model}.json", tmp_path / f"{model}-params.json"
+        data.write_text(to_json(dataset_to_dict(dataset)))
+        fitted.write_text(to_json(params))
+        printed = set()
+        for hash_seed in "0123":
+            proc = subprocess.run(
+                [sys.executable, "-c", RUN_CLI, "--json", "verify", "--model", model,
+                 str(fitted), str(data)],
+                env={**env, "PYTHONHASHSEED": hash_seed}, capture_output=True, text=True)
+            assert proc.returncode == 2, proc.stderr
+            printed.add(json.loads(proc.stdout)["detail"])
+        assert printed == {detail}, model
 
 
 def test_demo_output_is_byte_identical_to_the_baseline(golden):

@@ -361,6 +361,25 @@ def _as_fraction_interval(interval):
     return (lo, lo_side == 1), (hi, hi_side == -1)
 
 
+def test_forced_edges_reuse_the_cached_spreads(monkeypatch):
+    """The forced edges are the spreads the least-risky map cached, reversed,
+    plus the worst-prize dilutions: the set the ``_below`` loop gives on
+    every ordered pair, with no spread tested again."""
+    datasets = [areu_data(random.Random(seed)) for seed in range(6)]
+    datasets += [integer_areu_data(random.Random(seed), n) for seed in range(4) for n in (3, 4)]
+    datasets += [perturbed(random.Random(seed), ds) for seed, ds in enumerate(datasets)]
+    riskier, calls = risk.riskier_than, []
+    for ds in datasets:
+        prizes, _, vectors = risk._coords(ds)
+        below = {(q, p) for p in vectors for q in vectors
+                 if p != q and risk._below(prizes, vectors[p], vectors[q])}
+        risk._spreads(ds)
+        monkeypatch.setattr(risk, "riskier_than", lambda *a: calls.append(a) or riskier(*a))
+        assert risk._forced_edges(ds) == below
+        monkeypatch.undo()
+    assert calls == []
+
+
 def test_integer_view_matches_the_fraction_forms_on_random_datasets():
     rng = random.Random(31)
     seen = {"correspondences": 0, "empty interval": 0, "interval": 0}
