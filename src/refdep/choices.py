@@ -681,7 +681,7 @@ def mismatches(dataset: ChoiceDataset, choose) -> list:
     """(menu, predicted, observed) for every observed menu where the
     model's ``choose(menu)`` disagrees with the data."""
     out = []
-    for menu in dataset.menus():
+    for menu in sorted_menus(dataset.observations):
         predicted = choose(menu)
         if predicted != dataset.observations[menu]:
             out.append((menu, predicted, dataset.observations[menu]))

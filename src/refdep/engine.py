@@ -12,6 +12,7 @@ peeling candidate layers off the universe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from typing import Callable
 
 from .choices import (
@@ -20,74 +21,68 @@ from .choices import (
     Menu,
     ViolationWitness,
     bits,
-    member_masks,
     outside,
     sorted_menus,
 )
-from .exceptions import AxiomFails, NonHereditaryPsi, SynthesisFailed
+from .exceptions import AxiomFails, EmptyPsi, SynthesisFailed
 
 
 @dataclass(frozen=True)
 class PsiMap:
-    """Admissible-reference map: menu -> nonempty subset of the menu.
+    """Admissible-reference map given by a relation: Psi of a pool keeps
+    the members of the pool that no member of the pool beats.
 
-    Must be hereditary: an admissible member of a menu stays admissible
-    in any sub-menu containing it.  ``evaluator(dataset, menu)`` may use
-    alternative payloads (least-risky lotteries, earliest payments, ...).
+    ``beats(dataset)`` returns, per alternative, the ids that beat it
+    (alternatives beaten by none may be left out); it may read payloads
+    (spreads of lotteries, payment times, ...).  Such a map is hereditary
+    by construction, and it admits a member of every nonempty pool iff
+    the relation has no cycle, which is checked once per dataset.
     """
 
     name: str
-    evaluator: Callable
+    beats: Callable
 
-    def of(self, dataset: ChoiceDataset, menu) -> frozenset:
-        return frozenset(self.evaluator(dataset, menu))
-
-
-IDENTITY_PSI = PsiMap("identity", lambda dataset, menu: frozenset(menu))
+    def of(self, dataset: ChoiceDataset, pool) -> frozenset:
+        beaten = _relation(dataset, self)
+        return frozenset(x for x in pool if x not in beaten or beaten[x].isdisjoint(pool))
 
 
-def _psi(dataset: ChoiceDataset, psi: PsiMap):
-    """Psi of every observed menu and, per alternative, the mask of the
-    observed menus admitting it; cached per dataset and map.  Heredity
-    is decided per alternative x: it fails when a menu admitting x lies
-    above one holding x without admitting it.  Only then are the
-    observed menus scanned for the first offending pair."""
+IDENTITY_PSI = PsiMap("identity", lambda dataset: {})
+
+
+def _relation(dataset: ChoiceDataset, psi: PsiMap) -> dict:
+    """``psi.beats(dataset)`` as frozensets, cached per dataset and map.
+    Raises EmptyPsi, naming its members, when the relation has a cycle."""
     def build():
-        lattice = dataset.lattice()
-        table = {menu: psi.of(dataset, menu) for menu in lattice.menus}
-        known = table, member_masks(table.values())
-        for x, admitting in known[1].items():
-            over = 0  # the menus above one holding x without admitting it
-            for pos in bits(lattice.contain.get(x, 0) & ~admitting):
-                over |= lattice.above(pos)
-            if over & admitting:
-                for pos, big in enumerate(lattice.menus):
-                    _check_heredity(lattice, psi, known, big, table[big], lattice.inside[pos])
-        return known
-    return dataset.cached(("psi", psi), build)
+        beaten = {x: frozenset(ys) for x, ys in psi.beats(dataset).items() if ys}
+        try:
+            TopologicalSorter({x: sorted(ys) for x, ys in sorted(beaten.items())}).prepare()
+        except CycleError as exc:
+            raise EmptyPsi(f"{psi.name}: {' beats '.join(exc.args[1])}, so no member of "
+                           f"{sorted(set(exc.args[1]))} is admissible") from None
+        return beaten
+    return dataset.cached(("psi relation", psi), build)
 
 
-def _check_heredity(lattice, psi, known, pool, admissible, inside) -> None:
-    """Raise NonHereditaryPsi, naming the members and the first sub-menu,
-    when a member of ``admissible``, Psi of ``pool``, is not admitted by an
-    observed sub-menu of ``pool`` (a bit of ``inside``) that holds it."""
-    table, admits = known
-    stuck = 0
-    for x in admissible:
-        stuck |= lattice.contain.get(x, 0) & ~admits.get(x, 0)
-    stuck &= inside
-    if stuck:
-        small = lattice.menus[next(bits(stuck))]
-        raise NonHereditaryPsi(
-            f"{psi.name}: {sorted((admissible & small) - table[small])} admissible "
-            f"in {sorted(pool)} but not in sub-menu {sorted(small)}")
+def _admits(dataset: ChoiceDataset, psi: PsiMap) -> dict:
+    """Per alternative x, the mask of the observed menus admitting it:
+    those holding x and no member beating x.  Cached per dataset and map."""
+    def build():
+        contain = dataset.lattice().contain
+        beaten = _relation(dataset, psi)
+        admits = {}
+        for x, holding in contain.items():
+            for y in beaten.get(x, ()):
+                holding &= ~contain.get(y, 0)
+            admits[x] = holding
+        return admits
+    return dataset.cached(("psi admits", psi), build)
 
 
 def psi_table(dataset: ChoiceDataset, psi: PsiMap) -> dict:
-    """Psi of every observed menu, cached per dataset and map.  Raises
-    NonHereditaryPsi for the first observed nested pair, bigger menu
-    first, on which heredity fails."""
-    return _psi(dataset, psi)[0]
+    """Psi of every observed menu, cached per dataset and map."""
+    return dataset.cached(("psi table", psi), lambda: {
+        menu: psi.of(dataset, menu) for menu in dataset.observations})
 
 
 def witness_index(dataset: ChoiceDataset, prop: FiniteProperty) -> list:
@@ -188,14 +183,8 @@ class ReferenceOrder:
 def _blocking(dataset: ChoiceDataset, prop: FiniteProperty, psi: PsiMap, pool) -> list:
     """(x, mask) for each admissible member x of ``pool`` in id order: the
     witness-index entries that are T's violations on the observed menus
-    inside ``pool`` that contain x.  Raises NonHereditaryPsi when ``pool``
-    is not an observed menu and Psi is not hereditary from it."""
-    known = _psi(dataset, psi)
-    admissible = known[0].get(pool)
-    if admissible is None:
-        admissible = psi.of(dataset, pool)
-        lattice = dataset.lattice()
-        _check_heredity(lattice, psi, known, pool, admissible, lattice.within(pool))
+    inside ``pool`` that contain x."""
+    admissible = psi.of(dataset, pool)
     spans, shared = _witness_masks(dataset, prop)
     elsewhere = outside(spans, pool)
     return [(x, shared.get(x, 0) & ~elsewhere) for x in sorted(admissible)]
@@ -239,7 +228,7 @@ def check_reference_dependence(dataset: ChoiceDataset, prop: FiniteProperty,
     ``_blocked``); T's witnesses are listed only when some menu fails,
     and each broken candidate's only on the failing menus.
     """
-    _, admits = _psi(dataset, psi)
+    admits = _admits(dataset, psi)
     blocked = _blocked(dataset, prop)
     lattice = dataset.lattice()
     kept = broken = 0

@@ -57,15 +57,15 @@ class NotATriangle(RefdepError):
     pass
 
 
-class NonHereditaryPsi(RefdepError):
-    pass
-
-
 class EmptyPsi(RefdepError):
-    """The admissible-reference set of a menu came out empty.
+    """A cycle left a pool without an admissible member.
 
-    This signals an internal inconsistency of the risk orders, not bad
-    user data; it should be unreachable.
+    Raised when the relation of a Psi map has a cycle on a dataset (each
+    member of the cycle is beaten by another, so a pool holding just them
+    admits none), and when the risk-consistency constraints that the AREU
+    fitter forces on the reference order are cyclic.  The built-in
+    relations and constraints come from the risk, time and Gini orders,
+    so from them it signals an internal inconsistency, not bad user data.
     """
 
 

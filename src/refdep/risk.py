@@ -201,17 +201,16 @@ def _spreads(dataset: ChoiceDataset) -> frozenset:
     return dataset.cached("spreads", pairs)
 
 
-def least_risky(dataset: ChoiceDataset, menu) -> frozenset:
-    """The admissible references: members no other member spreads over."""
-    spreads = _spreads(dataset)
-    menu = sorted(menu)
-    kept = frozenset(p for p in menu if not any((p, q) in spreads for q in menu))
-    if not kept:
-        raise EmptyPsi(f"all members of {menu} are spreads of one another")
-    return kept
+def _less_risky(dataset: ChoiceDataset) -> dict:
+    """Per lottery p, the lotteries p is a spread of: those beating it."""
+    beaten = {}
+    for p, q in _spreads(dataset):
+        beaten.setdefault(p, []).append(q)
+    return beaten
 
 
-LEAST_RISKY_PSI = PsiMap("least-risky", least_risky)
+LEAST_RISKY_PSI = PsiMap("least-risky", _less_risky)
+least_risky = LEAST_RISKY_PSI.of  # the members no other member spreads over
 
 
 # -- mixture detection -----------------------------------------------------

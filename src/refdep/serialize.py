@@ -20,6 +20,7 @@ from .choices import (
     LotteryPayload,
     PaymentPayload,
     SplitPayload,
+    sorted_menus,
     validate_dataset,
 )
 from .exceptions import DuplicateMenu, ValidationError
@@ -116,7 +117,7 @@ def dataset_to_dict(ds: ChoiceDataset) -> dict:
         ],
         "observations": [
             {"menu": sorted(menu), "choice": sorted(ds.observations[menu])}
-            for menu in ds.menus()
+            for menu in sorted_menus(ds.observations)
         ],
     }
     if ds.floor is not None:

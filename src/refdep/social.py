@@ -61,12 +61,14 @@ def _gini_levels(dataset: ChoiceDataset) -> tuple:
     return dataset.cached("gini-levels", levels)
 
 
-def most_balanced(dataset: ChoiceDataset, menu) -> frozenset:
+def _more_balanced(dataset: ChoiceDataset) -> dict:
+    """Per split, the splits at a strictly lower Gini level."""
     level, _ = _gini_levels(dataset)
-    return maximizers(menu, lambda x: -level[x])
+    return {x: [y for y in level if level[y] < g] for x, g in level.items()}
 
 
-MOST_BALANCED_PSI = PsiMap("most-balanced", most_balanced)
+MOST_BALANCED_PSI = PsiMap("most-balanced", _more_balanced)
+most_balanced = MOST_BALANCED_PSI.of  # the members at the pool's lowest Gini level
 
 
 def quasilinearity_over(dataset: ChoiceDataset, family) -> list:

@@ -49,13 +49,14 @@ from .ordu import check_subset_closed
 from .serialize import format_rational, parse_rational
 
 
-def earliest_payments(dataset: ChoiceDataset, menu) -> frozenset:
-    """Members arriving at the menu's minimal time."""
+def _earlier(dataset: ChoiceDataset) -> dict:
+    """Per payment, the payments arriving strictly earlier."""
     _, times = integer_payloads(dataset)["time"]
-    return maximizers(sorted(menu), lambda x: -times[x])
+    return {x: [y for y in times if times[y] < t] for x, t in times.items()}
 
 
-EARLIEST_PSI = PsiMap("earliest-payments", earliest_payments)
+EARLIEST_PSI = PsiMap("earliest-payments", _earlier)
+earliest_payments = EARLIEST_PSI.of  # the members arriving at the pool's earliest time
 
 
 def _delays(dataset: ChoiceDataset) -> list:

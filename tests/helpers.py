@@ -23,6 +23,7 @@ from refdep.choices import (
     ViolationWitness,
     WARP,
     bits,
+    integer_payloads,
     maximizers,
     member_masks,
     revealed_rows,
@@ -51,9 +52,9 @@ from refdep.exceptions import (
 )
 from refdep.feasibility import LinearFeasibilityProblem
 from refdep.ordu import OrduParams, check_subset_closed, simulate_ordu, verify_ordu
-from refdep.risk import AreuParams, _below, expected_utility, prize_grid, simulate_areu
+from refdep.risk import AreuParams, _below, _spreads, expected_utility, prize_grid, simulate_areu
 from refdep.serialize import format_rational
-from refdep.social import FspuParams, gini, simulate_fspu
+from refdep.social import FspuParams, _gini_levels, gini, simulate_fspu
 from refdep.timepref import TIME_PROPERTY, PbduParams, earliest_payments, simulate_pbdu
 
 
@@ -849,7 +850,7 @@ def invariance_by_scan(dataset, family, kind, correspondences):
 
 
 def psi_heredity_by_scan(dataset, psi):
-    """The NonHereditaryPsi message of the first nested pair (in
+    """A message naming the members and the first nested pair (in
     ``nested_pairs_by_scan`` order) where ``psi`` loses heredity, or None."""
     table = {menu: psi.of(dataset, menu) for menu in dataset.observations}
     for small, big in nested_pairs_by_scan(dataset):
@@ -858,6 +859,28 @@ def psi_heredity_by_scan(dataset, psi):
             return (f"{psi.name}: {sorted(stuck)} admissible in {sorted(big)} "
                     f"but not in sub-menu {sorted(small)}")
     return None
+
+
+# -- the per-menu Psi evaluators --------------------------------------------------
+#
+# The bodies the built-in admissible-reference maps had before they were
+# given by a relation, one evaluation per menu: the references for
+# ``PsiMap.of`` and for the engine's admits masks.
+
+
+def least_risky_by_loop(dataset, menu):
+    spreads = _spreads(dataset)
+    return frozenset(p for p in menu if not any((p, q) in spreads for q in menu))
+
+
+def earliest_payments_by_maximizers(dataset, menu):
+    _, times = integer_payloads(dataset)["time"]
+    return maximizers(sorted(menu), lambda x: -times[x])
+
+
+def most_balanced_by_maximizers(dataset, menu):
+    level, _ = _gini_levels(dataset)
+    return maximizers(menu, lambda x: -level[x])
 
 
 # -- witness masks by frozensets ---------------------------------------------

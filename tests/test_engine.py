@@ -16,7 +16,6 @@ from refdep.choices import (
 from refdep.engine import (
     IDENTITY_PSI,
     PsiMap,
-    ReferenceDependenceFailure,
     ReferenceOrder,
     candidate_references,
     candidate_set,
@@ -27,7 +26,7 @@ from refdep.engine import (
     _blocked,
     _witness_masks,
 )
-from refdep.exceptions import AxiomFails, NonHereditaryPsi, SynthesisFailed, UnobservedMenu
+from refdep.exceptions import AxiomFails, EmptyPsi, SynthesisFailed, UnobservedMenu
 from refdep.ordu import build_ordu, simulate_ordu
 from refdep.risk import LEAST_RISKY_PSI, RISK_PROPERTY
 from refdep.rivals import load_fixture
@@ -50,6 +49,7 @@ from helpers import (
     exhaustive_single_valued_datasets,
     fspu_data,
     generic_dataset,
+    integer_areu_data,
     large_ordu_data,
     lot,
     lottery_dataset,
@@ -182,23 +182,43 @@ def test_psi_consistency_earliest_first_time_order_passes():
     assert psi_consistency_check(order, EARLIEST_PSI, ds, menus) == []
 
 
-def test_non_hereditary_psi_is_rejected():
-    bad = PsiMap("bad", lambda ds, menu:
-                 frozenset([min(menu) if len(menu) == 2 else max(menu)]))
-    ds = generic_dataset([("abc", "a"), ("bc", "b")])
-    with pytest.raises(NonHereditaryPsi):
-        check_reference_dependence(ds, WARP, bad)
+def test_a_cyclic_psi_relation_raises_empty_psi_naming_the_cycle():
+    # c beats a beats b beats c; d, beaten by a, lies outside the cycle
+    cyclic = PsiMap("cyclic", lambda dataset: {"a": ["c"], "b": ["a"], "c": ["b"], "d": ["a"]})
+    ds = generic_dataset([("abcd", "a"), ("ab", "a"), ("cd", "c")])
+    message = "cyclic: a beats b beats c beats a, so no member of ['a', 'b', 'c'] is admissible"
+    for use in (lambda: cyclic.of(ds, frozenset("cd")),
+                lambda: check_reference_dependence(ds, WARP, cyclic),
+                lambda: synthesize_reference_order(ds, WARP, cyclic)):
+        with pytest.raises(EmptyPsi) as exc:
+            use()
+        assert str(exc.value) == message
 
 
-def test_non_hereditary_psi_on_an_unobserved_pool_is_rejected():
-    # hereditary between the observed doubletons, but the layering pool
-    # {a, b, c} admits c, which {a, c} does not
-    odd = PsiMap("odd", lambda ds, menu:
-                 frozenset([max(menu) if len(menu) == 3 else min(menu)]))
-    ds = generic_dataset([("ab", "a"), ("bc", "b"), ("ac", "a")])
-    with pytest.raises(NonHereditaryPsi) as exc:
-        synthesize_reference_order(ds, WARP, odd)
-    assert str(exc.value) == "odd: ['c'] admissible in ['a', 'b', 'c'] but not in sub-menu ['a', 'c']"
+def _acyclic_by_peeling(beaten, ids):
+    """Peel off the members no remaining member beats until none is left
+    (acyclic) or every remaining member is beaten (a cycle)."""
+    remaining = set(ids)
+    while remaining:
+        free = {x for x in remaining if not set(beaten.get(x, ())) & remaining}
+        if not free:
+            return False
+        remaining -= free
+    return True
+
+
+def test_the_least_risky_relation_has_no_cycle():
+    rng = random.Random(83)
+    related = 0
+    for draw in (areu_data, lambda rng: integer_areu_data(rng, 3),
+                 lambda rng: integer_areu_data(rng, 4)):
+        for _ in range(40):
+            ds = draw(rng)
+            beaten = LEAST_RISKY_PSI.beats(ds)
+            assert _acyclic_by_peeling(beaten, ds.universe)
+            assert LEAST_RISKY_PSI.of(ds, ds.universe)  # the relation's cycle check passes
+            related += bool(beaten)
+    assert related > 60, related
 
 
 def test_universal_mode_is_stricter():
@@ -420,8 +440,7 @@ MASK_CHECKS = {"generic": (), "generic, large": (),
 def test_mask_decisions_match_the_per_menu_loops(domain, monkeypatch):
     """Reference-dependence failures, existential and universal, and the
     dominance and expansion witnesses equal those of the per-menu loops,
-    in order and with narratives, on the data above; so do the failures
-    under a Psi map that admits no member of the largest menu."""
+    in order and with narratives, on the data above."""
     _, prop, psi = MASK_DOMAINS[domain]
     reported = Counter()
 
@@ -440,15 +459,10 @@ def test_mask_decisions_match_the_per_menu_loops(domain, monkeypatch):
             expansion_over, lambda dataset, kind, _sides, clashes:
             expansion_by_nested_pairs(dataset, kind, clashes)))
     for ds in _mask_datasets(domain):
-        last = ds.menus()[-1]
-        emptied = PsiMap(f"{psi.name}, none in {sorted(last)}", lambda dataset, menu, last=last:
-                         frozenset() if menu == last else psi.of(dataset, menu))
-        for p in (psi, emptied):
-            for universal in (False, True):
-                failures = check_reference_dependence(ds, prop, p, universal=universal)
-                assert failures == reference_dependence_by_menus(ds, prop, p, universal)
-                reported["failures"] += len(failures)
-        assert ReferenceDependenceFailure(last, ()) in check_reference_dependence(ds, prop, emptied)
+        for universal in (False, True):
+            failures = check_reference_dependence(ds, prop, psi, universal=universal)
+            assert failures == reference_dependence_by_menus(ds, prop, psi, universal)
+            reported["failures"] += len(failures)
         for check in MASK_CHECKS[domain]:
             check(ds)
     want = {"failures"} | ({"dominance_over"} if MASK_CHECKS[domain] else set()) \

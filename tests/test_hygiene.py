@@ -9,7 +9,7 @@ local name a function binds, unless the name starts with ``_``.  Every
 key passed to ``ChoiceDataset.cached`` starts with a string literal, and
 each literal appears at exactly one call site: the keys of all modules
 share one cache per dataset, so a repeated one would hand back another
-computation's value.
+computation's value.  Every exception class is read in another module.
 """
 
 import ast
@@ -146,3 +146,14 @@ def test_every_cache_key_is_a_literal_used_at_one_call_site():
     repeated = {tag: where for tag, where in sites.items() if len(where) > 1}
     assert not repeated, f"cache keys used at more than one call site: {repeated}"
     assert len(sites) >= 10
+
+
+def test_every_exception_class_is_used():
+    """Each class of ``exceptions.py`` is read in another module, so an
+    error type whose last raise is gone does not linger."""
+    _, tree, _ = _parse(SRC / "exceptions.py")
+    defined = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+    read = set().union(*(_parse(path)[2] for path in MODULES if path.stem != "exceptions"))
+    unused = [name for name in defined if name not in read]
+    assert not unused, f"exceptions.py defines but no other module reads {unused}"
+    assert len(defined) >= 20

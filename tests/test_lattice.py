@@ -10,20 +10,36 @@ import random
 
 import pytest
 
-from refdep.choices import WARP, invariance_over, shift_correspondences, sorted_menus, warp_over
-from refdep.engine import IDENTITY_PSI, PsiMap, candidate_set, psi_table
-from refdep.exceptions import NonHereditaryPsi, UnobservedMenu
+from refdep.choices import (
+    WARP,
+    ChoiceDataset,
+    invariance_over,
+    member_masks,
+    mismatches,
+    shift_correspondences,
+    sorted_menus,
+    warp_over,
+)
+from refdep.engine import IDENTITY_PSI, _admits, candidate_set, psi_table
+from refdep.exceptions import UnobservedMenu
 from refdep.ordu import maximal_menus
 from refdep.risk import LEAST_RISKY_PSI, _mixture_correspondences
 from refdep.rivals import load_fixture
+from refdep.serialize import dataset_to_dict
 from refdep.social import MOST_BALANCED_PSI
 from refdep.timepref import EARLIEST_PSI
 
 from helpers import (
     areu_data,
     candidate_witnesses_by_families,
+    earliest_payments_by_maximizers,
     fspu_data,
+    fractional_fspu_data,
+    fractional_pbdu_data,
+    integer_areu_data,
     invariance_by_scan,
+    least_risky_by_loop,
+    most_balanced_by_maximizers,
     nested_pairs_by_scan,
     ordu_data,
     pbdu_data,
@@ -122,23 +138,58 @@ def test_candidate_sets_of_the_layering_pools_match_the_families():
             remaining -= layer
 
 
-def test_non_hereditary_psi_names_the_first_offending_pair():
-    rng = random.Random(61)
-    raised = 0
-    for trial, ds in enumerate(_datasets(ordu_data, rng, 10)):
-        # the top member under a random ranking is hereditary; overwrite a
-        # few menus with random subsets to break it somewhere
-        ranking = sorted(ds.universe, key=lambda _: rng.random())
-        picks = {m: frozenset([min(m, key=ranking.index)]) for m in ds.menus()}
-        for menu in rng.sample(ds.menus(), rng.randint(0, 3)):
-            picks[menu] = frozenset(rng.sample(sorted(menu), rng.randint(1, len(menu))))
-        psi = PsiMap(f"drawn-{trial}", lambda dataset, menu, picks=picks: picks[menu])
-        expected = psi_heredity_by_scan(ds, psi)
-        if expected is None:
-            assert psi_table(ds, psi) == picks
-            continue
-        raised += 1
-        with pytest.raises(NonHereditaryPsi) as exc:
-            psi_table(ds, psi)
-        assert str(exc.value) == expected
-    assert raised
+def _identity(dataset, menu):
+    return frozenset(menu)
+
+
+# per domain: the old per-menu Psi evaluator and a draw with tied times,
+# Gini levels or unordered lotteries
+PSI_ORACLES = {
+    "generic": (_identity, ordu_data),
+    "lottery": (least_risky_by_loop, lambda rng: integer_areu_data(rng, 3)),
+    "dated_payment": (earliest_payments_by_maximizers, fractional_pbdu_data),
+    "income_split": (most_balanced_by_maximizers, fractional_fspu_data),
+}
+
+
+@pytest.mark.parametrize("domain", sorted(DOMAINS))
+def test_psi_relations_match_the_per_menu_evaluators(domain):
+    """The admits masks and ``PsiMap.of`` on every observed menu, and
+    ``PsiMap.of`` on random unobserved pools, equal the per-menu
+    evaluator on clean, perturbed and thinned data, ties included."""
+    make, psi, _ = DOMAINS[domain]
+    oracle, tied = PSI_ORACLES[domain]
+    rng = random.Random(73)
+    ties = pools = 0
+    for draw in (make, tied):
+        for _ in range(4):
+            clean = draw(rng)
+            full = perturbed(rng, clean)
+            thinned = full.restrict([m for m in full.menus() if rng.random() < 0.6])
+            for ds in (clean, full, thinned):
+                table = {m: oracle(ds, m) for m in ds.menus()}
+                assert {m: psi.of(ds, m) for m in ds.menus()} == table
+                assert {x: mask for x, mask in _admits(ds, psi).items() if mask} == \
+                    member_masks(table.values())
+                ties += any(1 < len(admitted) < len(m) for m, admitted in table.items())
+                universe = sorted(ds.universe)
+                for _ in range(20):
+                    pool = frozenset(rng.sample(universe, rng.randint(1, len(universe))))
+                    if pool not in ds.observations:
+                        pools += 1
+                        assert psi.of(ds, pool) == oracle(ds, pool)
+    assert pools > 50 and (ties or domain == "generic"), (pools, ties)
+
+
+@pytest.mark.parametrize("domain", sorted(DOMAINS))
+def test_mismatches_and_dataset_to_dict_build_no_lattice(domain):
+    """Both read the observed menus in canonical order without the masks."""
+    make = DOMAINS[domain][0]
+    for drawn in (make(random.Random(79)), load_fixture("compliance_2_1")):
+        ds = ChoiceDataset(drawn.kind, drawn.alternatives, drawn.observations, floor=drawn.floor)
+        menus = sorted_menus(ds.observations)
+        assert [sorted(m) for m, *_ in mismatches(ds, lambda menu: menu)] == \
+            [sorted(m) for m in menus if ds.observations[m] != m]
+        assert [o["menu"] for o in dataset_to_dict(ds)["observations"]] == \
+            [sorted(m) for m in menus]
+        assert "lattice" not in ds._cache
