@@ -25,7 +25,7 @@ from refdep.exceptions import InfeasibleFit
 
 
 def lot(pairs):
-    return LotteryPayload(tuple(sorted((F(x), F(p)) for x, p in pairs if F(p))))
+    return LotteryPayload(tuple((F(x), F(p)) for x, p in pairs))
 
 
 lotteries = {

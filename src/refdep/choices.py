@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Iterable, Mapping
 
 from .exceptions import (
@@ -37,7 +36,7 @@ KINDS = (GENERIC, LOTTERY, DATED_PAYMENT, INCOME_SPLIT)
 @dataclass(frozen=True)
 class LotteryPayload:
     """A lottery as sorted (prize, probability) pairs with positive mass,
-    each prize once."""
+    each prize once; pairs given with zero mass are dropped."""
 
     probs: tuple  # tuple[(Fraction prize, Fraction prob), ...]
 
@@ -45,11 +44,9 @@ class LotteryPayload:
         if sum((p for _, p in self.probs), Fraction(0)) != 1 \
                 or any(p < 0 for _, p in self.probs):
             raise ValidationError("lottery probabilities must be >= 0 and sum to 1")
+        object.__setattr__(self, "probs", tuple(sorted((x, p) for x, p in self.probs if p)))
         if len({x for x, _ in self.probs}) != len(self.probs):
             raise ValidationError("a lottery must list each prize once")
-
-    def support(self):
-        return tuple(x for x, _ in self.probs)
 
     def prob(self, prize) -> Fraction:
         for x, p in self.probs:
@@ -93,65 +90,21 @@ def sorted_menus(menus: Iterable[Menu]):
     return sorted(menus, key=menu_key)
 
 
-@dataclass(frozen=True, init=False, eq=False, repr=False)
+@dataclass(frozen=True, slots=True)
 class ViolationWitness:
     """A certified axiom violation.
 
     ``menus`` are exactly the observations whose replay reproduces the
     failure of the named clause; ``narrative`` says which clause and how.
-    Equality and hashing read the narrative.  ``warp_over`` passes a
-    callable in place of the narrative string, so that its narratives are
-    formatted on their first read only.
     """
 
-    __slots__ = ("kind", "menus", "_narrative")
     kind: str
     menus: tuple  # tuple[Menu, ...]
-    _narrative: object  # str, or a callable formatting it
-
-    def __init__(self, kind: str, menus: tuple, narrative: str):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "menus", menus)
-        object.__setattr__(self, "_narrative", narrative)
-
-    @property
-    def narrative(self) -> str:
-        if not isinstance(self._narrative, str):
-            object.__setattr__(self, "_narrative", self._narrative())
-        return self._narrative
-
-    def __eq__(self, other):
-        if other.__class__ is not ViolationWitness:
-            return NotImplemented
-        return (self.kind == other.kind and self.menus == other.menus
-                and self.narrative == other.narrative)
-
-    def __hash__(self):
-        return hash((self.kind, self.menus, self.narrative))
-
-    def __repr__(self):
-        return (f"ViolationWitness(kind={self.kind!r}, menus={self.menus!r}, "
-                f"narrative={self.narrative!r})")
+    narrative: str
 
     def sort_key(self):
-        """Menus in canonical order, kind, then narrative; the narrative
-        is read only to break a tie on the first two."""
-        return (tuple(menu_key(m) for m in self.menus), self.kind, _ByNarrative(self))
-
-
-class _ByNarrative:
-    """A witness ordered by its narrative, read only when compared."""
-
-    __slots__ = ("witness",)
-
-    def __init__(self, witness: ViolationWitness):
-        self.witness = witness
-
-    def __eq__(self, other):
-        return self.witness.narrative == other.witness.narrative
-
-    def __lt__(self, other):
-        return self.witness.narrative < other.witness.narrative
+        """Menus in canonical order, kind, then narrative."""
+        return (tuple(menu_key(m) for m in self.menus), self.kind, self.narrative)
 
 
 def sort_witnesses(witnesses):
@@ -453,8 +406,6 @@ def warp_over(dataset: ChoiceDataset, family) -> list:
     For observed menus B strictly inside A with c(A) meeting B, the clause
     requires c(A) ∩ B = c(B).  Every offending (A, B) pair is reported,
     A and then B in canonical order, which is ``sort_witnesses`` order.
-    Each narrative is formatted on its first read, from the two menus and
-    their choices alone.
     """
     lattice = dataset.lattice()
     fam = lattice.mask(family)
@@ -463,8 +414,8 @@ def warp_over(dataset: ChoiceDataset, family) -> list:
         big = lattice.menus[pos]
         c_big = dataset.observations[big]
         for small in lattice.at(_warp_smalls(lattice, pos, c_big) & fam):
-            witnesses.append(ViolationWitness("WARP", (big, small), partial(
-                _warp_narrative, big, c_big, small, dataset.observations[small])))
+            witnesses.append(ViolationWitness("WARP", (big, small), _warp_narrative(
+                big, c_big, small, dataset.observations[small])))
     return witnesses
 
 

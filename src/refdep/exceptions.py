@@ -99,7 +99,7 @@ class AxiomFails(RefdepError):
 
 
 class InfeasibleFit(RefdepError):
-    """No parameterization certifies the dataset at the attempted precision."""
+    """No parameterization certifies the dataset; a proof except on AREU grids of 4+ prizes."""
 
     def __init__(self, detail=""):
         self.detail = detail

@@ -81,7 +81,7 @@ def prize_grid(dataset: ChoiceDataset):
     def grid():
         prizes = set()
         for alt in dataset.alternatives.values():
-            prizes.update(alt.payload.support())
+            prizes.update(x for x, _ in alt.payload.probs)
         if len(prizes) < 2:
             raise PrizeSetMismatch("a lottery dataset needs at least two prizes")
         return tuple(sorted(prizes))
@@ -511,9 +511,8 @@ def check_lotteries(params: AreuParams, alternatives) -> None:
 
 def simulate_areu(params: AreuParams, menus) -> ChoiceDataset:
     """The dataset choosing from each of ``menus`` by one rule."""
-    alternatives = [Alternative(alt_id, LotteryPayload(tuple(
-        (x, p) for x, p in zip(params.prizes, vec) if p != 0)))
-        for alt_id, vec in params.lotteries]
+    alternatives = [Alternative(alt_id, LotteryPayload(tuple(zip(params.prizes, vec))))
+                    for alt_id, vec in params.lotteries]
     return simulate(LOTTERY, alternatives, menus, _rule(params))
 
 

@@ -8,6 +8,7 @@ produce byte-identical output.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from .choices import (
@@ -35,10 +36,18 @@ def parse_rational(text) -> Fraction:
         return Fraction(text)
     if isinstance(text, float):
         raise ValidationError(f"refusing float {text!r}; pass a string for exactness")
+    literal, limit = str(text), sys.get_int_max_str_digits() or float("inf")
     try:
-        return Fraction(str(text))
+        _, e, exponent = literal.lower().rpartition("e")
+        shift = abs(int(exponent)) if e else 0  # the value has <= len(literal) + shift digits
+        if shift > limit:  # refused before 10**shift is built
+            raise ValueError
+        value = Fraction(literal)
+        if len(literal) + shift > limit:
+            str(value)  # a ValueError past the limit
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad rational literal {text!r}") from exc
+    return value
 
 
 def format_rational(value: Fraction) -> str:
@@ -53,9 +62,8 @@ def _payload_from_json(kind, raw):
     if raw is None:
         raise ValidationError(f"{kind} alternatives need a payload")
     if kind == LOTTERY:
-        probs = sorted((parse_rational(x), parse_rational(p))
-                       for x, p in raw["probs"].items())
-        return LotteryPayload(tuple((x, p) for x, p in probs if p != 0))
+        return LotteryPayload(tuple((parse_rational(x), parse_rational(p))
+                                    for x, p in raw["probs"].items()))
     if kind == DATED_PAYMENT:
         return PaymentPayload(parse_rational(raw["amount"]), parse_rational(raw["time"]))
     if kind == INCOME_SPLIT:

@@ -70,7 +70,7 @@ def generic_dataset(rows):
 
 
 def lot(pairs):
-    return LotteryPayload(tuple(sorted((F(x), F(p)) for x, p in pairs if F(p) != 0)))
+    return LotteryPayload(tuple((F(x), F(p)) for x, p in pairs))
 
 
 def lottery_dataset(lotteries, rows):

@@ -21,9 +21,15 @@ from refdep.exceptions import (
     UnobservedMenu,
     ValidationError,
 )
-from refdep.risk import betweenness_over, independence_over, transitivity_over
+from refdep.risk import (
+    betweenness_over,
+    independence_over,
+    least_risky,
+    prize_grid,
+    transitivity_over,
+)
 from refdep.rivals import load_fixture
-from refdep.serialize import dataset_from_dict, menus_from_dict
+from refdep.serialize import dataset_from_dict, dataset_to_dict, menus_from_dict
 from refdep.social import quasilinearity_over
 from refdep.timepref import stationarity_over
 
@@ -85,6 +91,25 @@ def test_a_lottery_listing_a_prize_twice_is_rejected():
                            "alternatives": [{"id": "a", "payload": {"probs": {"1": "1/2",
                                                                               "1.0": "1/2"}}}],
                            "observations": []})
+
+
+def test_a_zero_mass_prize_does_not_widen_the_grid():
+    """A prize listed with zero mass is dropped when the payload is built,
+    so a dataset built in Python has the prize grid and least risky sets
+    of its JSON round trip."""
+    p = LotteryPayload(((F(3), F(3, 8)), (F(1), F(1, 8)), (F(2), F(1, 2))))
+    q = LotteryPayload(((F(0), F(0)), (F(2), F(1))))
+    ds = validate_dataset(LOTTERY, [Alternative("p", p), Alternative("q", q)],
+                          [(frozenset("pq"), frozenset("q"))])
+    again = dataset_from_dict(dataset_to_dict(ds))
+    assert prize_grid(ds) == prize_grid(again) == (1, 2, 3)
+    assert p.probs == ((1, F(1, 8)), (2, F(1, 2)), (3, F(3, 8))) and q.probs == ((2, 1),)
+    for menu, safest in (("pq", "q"), ("p", "p"), ("q", "q")):
+        assert least_risky(ds, frozenset(menu)) == least_risky(again, frozenset(menu)) \
+            == frozenset(safest)
+    listed = dataset_from_dict({"kind": "lottery", "observations": [], "alternatives": [
+        {"id": "a", "payload": {"probs": {"1": "1/2", "1.0": "0", "2": "1/2"}}}]})
+    assert listed.payload("a").probs == ((1, F(1, 2)), (2, F(1, 2)))
 
 
 def test_a_menus_file_repeating_an_id_is_rejected():

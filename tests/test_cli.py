@@ -1,10 +1,12 @@
 import contextlib
 import copy
+import dataclasses
 import gc
 import io
 import json
 import sys
 import tempfile
+import time
 import weakref
 from pathlib import Path
 
@@ -32,6 +34,7 @@ from helpers import (
     fspu_data,
     fspu_instance,
     large_ordu_data,
+    ordu_data,
     pbdu_data,
     pbdu_instance,
     perturbed,
@@ -235,6 +238,32 @@ def test_lottery_listing_a_prize_twice_exits_2_with_json(tmp_path):
         code, doc = run_json(argv + [str(path)])
         assert code == 2 and doc == {"error": "validation",
                                      "detail": "a lottery must list each prize once"}, argv
+
+
+def _write_lottery_data(tmp_path, prize):
+    path = tmp_path / "data.json"
+    path.write_text(to_json({
+        "kind": "lottery",
+        "alternatives": [{"id": "a", "payload": {"probs": {"0": "1/2", prize: "1/2"}}},
+                         {"id": "b", "payload": {"probs": {"1": "1"}}}],
+        "observations": [{"menu": ["a", "b"], "choice": ["a"]}]}))
+    return path
+
+
+@pytest.mark.parametrize("prize", ["1e5000", "1e100000000"])
+def test_a_literal_past_the_integer_digit_limit_exits_2_with_json(tmp_path, prize):
+    """Exponent notation got past Python's limit on the digits of an int:
+    with a prize "1e5000" validate passed and fit crashed printing the
+    params, and "1e100000000" kept validate building 10**100000000."""
+    path = _write_lottery_data(tmp_path, prize)
+    for argv in (["validate"], ["fit", "--model", "areu"]):
+        start = time.perf_counter()
+        code, doc = run_json(argv + [str(path)])
+        assert time.perf_counter() - start < 1, argv
+        assert code == 2 and doc == {"error": "validation",
+                                     "detail": f"bad rational literal {prize!r}"}, argv
+    assert run_json(["validate", str(_write_lottery_data(tmp_path, "1e4000"))])[0] == 0
+    assert parse_rational("1e4000") == 10 ** 4000
 
 
 @pytest.mark.parametrize("payment", [{"amount": "-10", "time": "0"},
@@ -734,8 +763,7 @@ LIFETIME_DATA = {"ordu": large_ordu_data, "areu": areu_data, "pbdu": pbdu_data,
 def test_a_dataset_dies_with_its_last_reference_after_check_fit_and_report(model):
     """With the cyclic collector off, a dataset is freed as soon as it is
     deleted after check, fit and report ran on it: nothing it caches
-    refers back to it.  The clean ORDU data passes its check with
-    hundreds of WARP witnesses left unformatted in its witness index."""
+    refers back to it."""
     rng = random.Random(5)
     gc.disable()
     try:
@@ -786,3 +814,30 @@ def test_a_passing_areu_check_calls_fosd_once_per_pair_and_lists_no_candidates(
     code, doc = run_json(["check", "--model", "areu", path])
     assert code == 0 and doc["pass"] is True
     assert calls and max(calls.values()) == 1 and len(calls) <= 8 * 7
+
+
+@pytest.mark.parametrize("model", sorted(LIFETIME_DATA))
+def test_witnesses_are_plain_values(model):
+    """The witnesses of a model's battery and linkage report on perturbed
+    data are plain frozen dataclass values: kind, menus and a narrative
+    string, with ``dataclasses.replace`` giving an equal, equally hashed
+    witness."""
+    make = {**LIFETIME_DATA, "ordu": ordu_data}[model]
+    witnesses = []
+    for seed in range(6):
+        rng = random.Random(seed)
+        ds = perturbed(rng, make(rng))
+        report = cli._LINKAGE_REPORTS.get(ds.kind, cli.linkage_report)(ds)
+        for found in [ws for _, _, ws in cli._BATTERIES[model](ds)] + list(report.values()):
+            for witness in found:
+                if isinstance(witness, engine.ReferenceDependenceFailure):
+                    witnesses += [w for _, ws in witness.per_candidate for w in ws]
+                else:
+                    witnesses.append(witness)
+    assert "WARP" in {w.kind for w in witnesses}
+    for witness in witnesses:
+        assert [f.name for f in dataclasses.fields(witness)] == ["kind", "menus", "narrative"]
+        narrative = dataclasses.astuple(witness)[2]
+        assert type(narrative) is str and narrative == witness.narrative
+        again = dataclasses.replace(witness, narrative=witness.narrative)
+        assert again == witness and hash(again) == hash(witness)
