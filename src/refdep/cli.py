@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import traceback
 
@@ -28,6 +27,7 @@ from .serialize import (
     dataset_to_dict,
     load_dataset,
     menus_from_dict,
+    read_json,
     to_json,
 )
 from .social import FspuParams, fit_fspu, simulate_fspu, verify_fspu
@@ -160,7 +160,7 @@ def cmd_fit(args):
 
 def _load_params(model, path):
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = read_json(fh)
     try:
         return _FITTERS[model][1].from_json(doc)
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
@@ -170,7 +170,7 @@ def _load_params(model, path):
 def cmd_simulate(args):
     params = _load_params(args.model, args.params)
     with open(args.menus) as fh:
-        kind, alternatives, menus, floor = menus_from_dict(json.load(fh))
+        kind, alternatives, menus, floor = menus_from_dict(read_json(fh))
     _check_kind(args.model, kind, "menus file")
     if args.model == "ordu":
         ds = simulate_ordu(params, menus)
@@ -327,7 +327,7 @@ def main(argv=None) -> int:
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)
-    except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValidationError, FileNotFoundError) as exc:
         return _fail(args, "validation", str(exc))
     except RefdepError as exc:
         return _fail(args, type(exc).__name__, str(exc))

@@ -567,28 +567,42 @@ def _chains(items, order):
 
 def _reference_assignments(dataset: ChoiceDataset, order):
     """DFS over per-menu admissible reference choices, largest menus
-    first; yields ({menu: reference}, order) pairs, the closed ``order``
-    extended by each reference above the rest of its menu."""
+    first, each menu's candidates safest first (ties by id); yields
+    ({menu: reference}, order) pairs, the closed ``order`` extended by
+    each reference above the rest of its menu.
+
+    On 3-prize grids each node carries its classes' u(1) intervals as
+    ranks (see ``_rho_interval``) and drops a child as soon as
+    ``_order_admits`` rejects them under the child's order.  Completing a
+    node only narrows its classes' intervals and adds edges, so a dropped
+    child has no admitted completion, and every assignment yielded is
+    admitted."""
     menus = sorted(dataset.menus(), key=lambda m: (-len(m), menu_key(m)))
     _, _, vectors = _coords(dataset)
     admissible = psi_table(dataset, LEAST_RISKY_PSI)
-    candidates = {m: sorted(admissible[m], key=lambda i: vectors[i]) for m in menus}
+    candidates = {m: sorted(admissible[m], key=lambda i: (vectors[i], i)) for m in menus}
+    ranks = ({m: _rho_interval(dataset, [m]) for m in menus}
+             if len(prize_grid(dataset)) == 3 else None)
 
-    def rec(pos, assigned, order):
+    def rec(pos, assigned, order, intervals):
         if pos == len(menus):
             yield dict(assigned), order
             return
         menu = menus[pos]
         for ref in candidates[menu]:
+            child = intervals
+            if ranks is not None:
+                (lower, upper), held = ranks[menu], intervals.get(ref, ranks[menu])
+                child = {**intervals, ref: (max(lower, held[0]), min(upper, held[1]))}
             # a bigger menu's reference is already above the rest of that
             # menu, so where it lies in this one any other choice is a cycle
             extended = _close(order, ((ref, y) for y in menu if y != ref))
-            if extended is not None:
+            if extended is not None and (ranks is None or _order_admits(child, extended)):
                 assigned[menu] = ref
-                yield from rec(pos + 1, assigned, extended)
+                yield from rec(pos + 1, assigned, extended, child)
                 del assigned[menu]
 
-    yield from rec(0, {}, order)
+    yield from rec(0, {}, order, {})
 
 
 def _uvar(label, i, n):
@@ -774,8 +788,9 @@ def fit_areu(dataset: ChoiceDataset) -> AreuParams:
 
     Raises AxiomFails when the axiom battery already rejects the data and
     InfeasibleFit when no (reference assignment, order, utilities) triple
-    certifies it.  On 3-prize grids every assignment and chain is decided
-    exactly by u(1) intervals, with one LP for the certificate, so
+    certifies it.  On 3-prize grids the search drops a partial assignment
+    once its classes' u(1) intervals fail, every chain is decided exactly
+    by those intervals, and one LP gives the certificate, so
     InfeasibleFit is a proof that no such params exist.  On 4+ prize
     grids the cross-class concavity coupling uses a refined rational
     grid, so InfeasibleFit there means "no certificate found", not a
@@ -802,9 +817,6 @@ def fit_areu(dataset: ChoiceDataset) -> AreuParams:
             menus = [menu for class_menus in classes.values() for menu in class_menus]
             solution = _solve_chain(dataset, {"shared": menus}, ["shared"])
             shared = solution["shared"] if solution else None
-        if len(prizes) == 3 and not _order_admits(
-                {ref: _rho_interval(dataset, menus) for ref, menus in classes.items()}, order):
-            continue
         for chain in _chains(classes, order):
             solution = ({ref: shared for ref in chain} if shared is not None
                         else _solve_chain(dataset, classes, chain))

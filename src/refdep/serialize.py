@@ -133,9 +133,19 @@ def dataset_to_dict(ds: ChoiceDataset) -> dict:
     return doc
 
 
+def read_json(fh):
+    """The JSON document in the open file ``fh``.  Malformed JSON, text
+    the file's encoding cannot decode and a number past Python's limit on
+    the digits of an int (all ValueErrors) are a ValidationError."""
+    try:
+        return json.load(fh)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
+
+
 def load_dataset(path) -> ChoiceDataset:
     with open(path) as fh:
-        return dataset_from_dict(json.load(fh))
+        return dataset_from_dict(read_json(fh))
 
 
 def dump_dataset(ds: ChoiceDataset, path) -> None:

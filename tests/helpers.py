@@ -50,6 +50,7 @@ from refdep.exceptions import (
     UnobservedMenu,
     ValidationError,
 )
+from refdep import risk
 from refdep.feasibility import LinearFeasibilityProblem
 from refdep.ordu import OrduParams, check_subset_closed, simulate_ordu, verify_ordu
 from refdep.risk import AreuParams, _below, _spreads, expected_utility, prize_grid, simulate_areu
@@ -1175,6 +1176,31 @@ def interval_by_fractions(rows):
     if lo < hi or (lo == hi and not lo_open and not hi_open):
         return lower, upper
     return None
+
+
+def reference_assignments_unpruned(dataset, order):
+    """``risk._reference_assignments`` with no interval cut: every
+    complete assignment whose references the closed ``order`` can rank
+    above the rest of their menus, in the same DFS order (largest menus
+    first, candidates safest first, ties by id)."""
+    menus = sorted(dataset.menus(), key=lambda m: (-len(m), sorted(m)))
+    vectors = fraction_vectors(dataset)
+    candidates = {m: sorted(least_risky_by_loop(dataset, m), key=lambda i: (vectors[i], i))
+                  for m in menus}
+
+    def rec(pos, assigned, order):
+        if pos == len(menus):
+            yield dict(assigned), order
+            return
+        menu = menus[pos]
+        for ref in candidates[menu]:
+            extended = risk._close(order, ((ref, y) for y in menu if y != ref))
+            if extended is not None:
+                assigned[menu] = ref
+                yield from rec(pos + 1, assigned, extended)
+                del assigned[menu]
+
+    yield from rec(0, {}, order)
 
 
 def present_bias_delays_by_pairs(dataset):

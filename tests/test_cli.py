@@ -266,6 +266,42 @@ def test_a_literal_past_the_integer_digit_limit_exits_2_with_json(tmp_path, priz
     assert parse_rational("1e4000") == 10 ** 4000
 
 
+def _with_a_huge_integer(path):
+    """A copy of the JSON object at ``path`` with an unused key holding an
+    unquoted integer of 5,001 digits."""
+    huge = path.with_name(f"huge-{path.name}")
+    huge.write_text('{"unused": 1' + "0" * 5000 + ", " + path.read_text().lstrip()[1:])
+    return huge
+
+
+def test_a_bare_integer_past_the_digit_limit_exits_2_with_json(tmp_path, capsys):
+    """``json`` reports such a number as a plain ValueError, which ended
+    validate, verify and simulate as internal errors with a traceback,
+    even under a key nothing reads."""
+    data = _write_lottery_data(tmp_path, "2")
+    params, menus = tmp_path / "params.json", tmp_path / "menus.json"
+    assert main(["fit", "--model", "areu", "--out", str(params), str(data)]) == 0
+    menus.write_text(to_json({"kind": "lottery", "alternatives": [], "menus": []}))
+    for argv in (["validate", _with_a_huge_integer(data)],
+                 ["verify", "--model", "areu", _with_a_huge_integer(params), data],
+                 ["simulate", "--model", "areu", params, _with_a_huge_integer(menus)]):
+        capsys.readouterr()
+        code = main(["--json"] + [str(arg) for arg in argv])
+        out, err = capsys.readouterr()
+        assert code == 2 and json.loads(out)["error"] == "validation", argv
+        assert "Traceback" not in err, argv
+
+
+def test_a_dataset_that_is_not_utf8_exits_2_with_json(tmp_path, capsys):
+    """Its UnicodeDecodeError, a ValueError too, was an internal error."""
+    path = tmp_path / "data.json"
+    path.write_bytes(b'{"kind": "\xff"}')
+    code = main(["--json", "validate", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and json.loads(out)["error"] == "validation"
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("payment", [{"amount": "-10", "time": "0"},
                                      {"amount": "10", "time": "-3"}],
                          ids=["negative-amount", "negative-time"])

@@ -38,6 +38,8 @@ from helpers import (
     integer_fspu_data,
     integer_pbdu_data,
     large_ordu_data,
+    lot,
+    lottery_dataset,
     ordu_data,
     pay,
     payment_dataset,
@@ -275,6 +277,28 @@ def test_error_detail_does_not_depend_on_the_hash_seed(tmp_path):
             assert proc.returncode == 2, proc.stderr
             printed.add(json.loads(proc.stdout)["detail"])
         assert printed == {detail}, model
+
+
+def test_fit_with_two_equal_lotteries_does_not_depend_on_the_hash_seed(tmp_path):
+    """a and b carry the same sure prize, so the reference search met them
+    as equally safe candidates in a frozenset's iteration order, and the
+    fitted order placed a by the hash seed."""
+    sure, risky = lot([(1, 1)]), lot([(0, "1/2"), (2, "1/2")])
+    safer = lot([(0, "1/4"), (2, "3/4")])
+    rows = [("ab", "ab"), ("ax", "a"), ("bx", "b"), ("ay", "y"), ("by", "y"), ("xy", "y"),
+            ("abx", "ab"), ("aby", "y"), ("axy", "y"), ("bxy", "y")]
+    data = tmp_path / "tied.json"
+    data.write_text(to_json(dataset_to_dict(
+        lottery_dataset({"a": sure, "b": sure, "x": risky, "y": safer}, rows))))
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    printed = set()
+    for hash_seed in "01234567":
+        proc = subprocess.run(
+            [sys.executable, "-c", RUN_CLI, "--json", "fit", "--model", "areu", str(data)],
+            env={**env, "PYTHONHASHSEED": hash_seed}, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        printed.add(proc.stdout)
+    assert len(printed) == 1
 
 
 def test_demo_output_is_byte_identical_to_the_baseline(golden):

@@ -5,7 +5,7 @@ from itertools import permutations
 
 import pytest
 
-from refdep.choices import warp_over
+from refdep.choices import ChoiceDataset, warp_over
 from refdep.engine import ReferenceOrder
 from refdep import feasibility, risk
 from refdep.exceptions import (
@@ -33,6 +33,7 @@ from refdep.risk import (
     least_risky,
     linkage_report_risk,
     mps,
+    prize_grid,
     rho_vector,
     riskier_than,
     simulate_areu,
@@ -70,6 +71,7 @@ from helpers import (
     mps_by_loop,
     perturbed,
     random_rho_monotone_areu,
+    reference_assignments_unpruned,
     reverse_allais_dataset,
     transitivity_by_loop,
     worst_dilution_by_fractions,
@@ -714,18 +716,24 @@ def test_fit_two_classes_on_four_prizes():
                                       rho_vector(prizes, u_low)))
 
 
-def test_fit_pins_gap_ratios_when_the_relaxed_four_prize_fit_is_not_ordered(monkeypatch):
-    # two rho-ordered utilities over all menus of size 2-3; the relaxed
-    # per-class LP solves but orders concavity wrongly, so the fit reaches
-    # the LP whose gap ratios are pinned to a rational grid
-    prizes = (F(0), F(1), F(2), F(3))
+def _four_prize_truth():
+    """Two rho-ordered utilities on a 4-prize grid."""
     vectors = {"l0": vec4(0, F(1, 2), F(1, 2), 0), "l1": vec4(F(1, 4), 0, F(1, 4), F(1, 2)),
                "l2": vec4(0, 1, 0, 0), "l3": vec4(0, F(2, 3), F(1, 3), 0),
                "l4": vec4(F(1, 3), 0, F(2, 3), 0)}
     u_hi, u_lo = vec4(0, F(3, 8), F(3, 4), 1), vec4(0, F(1, 24), F(1, 4), 1)
-    truth = AreuParams.build(prizes, vectors, ReferenceOrder(("l0", "l1", "l2", "l3", "l4")),
-                             {"l0": u_hi, "l1": u_hi, "l2": u_hi, "l3": u_lo, "l4": u_lo})
-    ds = simulate_areu(truth, all_menus(vectors, 2, 3))
+    return AreuParams.build((F(0), F(1), F(2), F(3)), vectors,
+                            ReferenceOrder(("l0", "l1", "l2", "l3", "l4")),
+                            {"l0": u_hi, "l1": u_hi, "l2": u_hi, "l3": u_lo, "l4": u_lo})
+
+
+def test_fit_pins_gap_ratios_when_the_relaxed_four_prize_fit_is_not_ordered(monkeypatch):
+    # two rho-ordered utilities over all menus of size 2-3; the relaxed
+    # per-class LP solves but orders concavity wrongly, so the fit reaches
+    # the LP whose gap ratios are pinned to a rational grid
+    truth = _four_prize_truth()
+    prizes = truth.prizes
+    ds = simulate_areu(truth, all_menus(truth.order.ranking, 2, 3))
     post_checks = []
     rho_monotone = risk._rho_monotone
     monkeypatch.setattr(risk, "_rho_monotone",
@@ -771,8 +779,11 @@ def test_close_and_chains_match_brute_force_over_permutations():
 
 
 def test_fit_solves_the_one_utility_lp_once(monkeypatch):
-    params = random_rho_monotone_areu(random.Random(11), n_lotteries=4)
-    ds = simulate_areu(params, all_menus([i for i, _ in params.lotteries], 2, 3))
+    # on 3-prize grids the search yields only assignments the intervals
+    # admit, so the four-prize data above, where seven assignments are
+    # tried, is the one to show the shared LP is not rebuilt per assignment
+    truth = _four_prize_truth()
+    ds = simulate_areu(truth, all_menus(truth.order.ranking, 2, 3))
     tried, shared = [], []
     assignments, utility_problem = risk._reference_assignments, risk._utility_problem
 
@@ -788,7 +799,7 @@ def test_fit_solves_the_one_utility_lp_once(monkeypatch):
     monkeypatch.setattr(risk, "_reference_assignments", counted_assignments)
     monkeypatch.setattr(risk, "_utility_problem", counted_problem)
     fitted = fit_areu(ds)
-    assert len(tried) >= 2 and len(shared) <= 1
+    assert len(tried) == 7 and len(shared) <= 1
     assert verify_areu(fitted, ds) == []
 
 
@@ -916,14 +927,90 @@ def test_order_admits_exactly_when_some_chain_passes_the_sweep():
     assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
 
 
+def _leaf_admitted(dataset, assignment, order):
+    """Whether the u(1) intervals of a complete assignment's classes admit
+    a chain of its closed ``order``."""
+    classes = {}
+    for menu, ref in assignment.items():
+        classes.setdefault(ref, []).append(menu)
+    return risk._order_admits(
+        {ref: risk._rho_interval(dataset, menus) for ref, menus in classes.items()}, order)
+
+
+def _fit_outcome(dataset):
+    try:
+        return fit_areu(dataset).to_json()
+    except (AxiomFails, InfeasibleFit) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_pruned_search_yields_the_admitted_leaves_of_the_unpruned_one(monkeypatch):
+    # 3-prize data of 4-6 lotteries: clean, with a fifth of the choices
+    # re-drawn, and with one choice re-drawn (some of which pass the
+    # battery with no fit); the fit from the unpruned search skips each
+    # leaf the intervals reject at every chain
+    outcomes = Counter()
+    for seed in range(1050):
+        rng = random.Random(seed)
+        params = random_rho_monotone_areu(rng, n_lotteries=rng.choice([4, 5, 6]))
+        ds = simulate_areu(params, all_menus([i for i, _ in params.lotteries], 2, 3))
+        if seed % 3 == 1:
+            ds = perturbed(rng, ds)
+        elif seed % 3 == 2:
+            observations = dict(ds.observations)
+            menu = rng.choice(sorted(observations, key=sorted))
+            observations[menu] = frozenset(rng.sample(sorted(menu), rng.randint(1, len(menu))))
+            ds = ChoiceDataset(ds.kind, ds.alternatives, observations)
+        if len(prize_grid(ds)) != 3:
+            continue
+        forced = risk._close({x: frozenset() for x in ds.universe}, risk._forced_edges(ds))
+        leaves = list(reference_assignments_unpruned(ds, forced))
+        assert list(risk._reference_assignments(ds, forced)) == [
+            leaf for leaf in leaves if _leaf_admitted(ds, *leaf)], seed
+        got = _fit_outcome(ds)
+        with monkeypatch.context() as patch:
+            patch.setattr(risk, "_reference_assignments", reference_assignments_unpruned)
+            assert _fit_outcome(ds) == got, seed
+        outcomes[seed % 3, got[0] if isinstance(got, tuple) else "fit"] += 1
+    assert sum(outcomes.values()) >= 1000
+    assert outcomes[0, "fit"] >= 300 and outcomes[1, "fit"] + outcomes[2, "fit"] >= 50
+    assert outcomes[1, "InfeasibleFit"] + outcomes[2, "InfeasibleFit"] >= 5
+
+
+def test_twelve_lottery_fit_yields_one_assignment(monkeypatch):
+    # the unpruned search reached 2,125 complete assignments here, over
+    # 963,976 ``_close`` calls
+    params = random_rho_monotone_areu(random.Random(12002), n_lotteries=12)
+    ds = simulate_areu(params, all_menus([i for i, _ in params.lotteries], 2, 3))
+    assert len(ds.menus()) == 286 and len(prize_grid(ds)) == 3
+    tried, closes = [], []
+    assignments, close = risk._reference_assignments, risk._close
+
+    def counted_assignments(*args):
+        for item in assignments(*args):
+            tried.append(item)
+            yield item
+
+    monkeypatch.setattr(risk, "_reference_assignments", counted_assignments)
+    monkeypatch.setattr(risk, "_close", lambda *args: closes.append(1) or close(*args))
+    fitted = fit_areu(ds)
+    assert verify_areu(fitted, ds) == []
+    assert len(tried) == 1 and len(closes) < 30_000
+
+
 def test_reference_dependent_three_prize_fit_solves_one_lp(monkeypatch):
-    # no one utility fits, and nine assignments are tried; the intervals
-    # rule out every other assignment and chain, so the only LP is the
-    # certificate's
+    # no one utility fits, and the unpruned search reaches eight complete
+    # assignments the intervals reject before the ninth, the first they
+    # admit; the pruned search yields that one alone, and the intervals
+    # rule out every other chain, so the only LP is the certificate's
     params = random_rho_monotone_areu(random.Random(64), n_lotteries=5)
     ds = simulate_areu(params, all_menus([i for i, _ in params.lotteries], 2, 3))
     lower, upper = risk._rho_interval(ds, ds.menus())
     assert lower > upper
+    forced = risk._close({x: frozenset() for x in ds.universe}, risk._forced_edges(ds))
+    leaves = list(reference_assignments_unpruned(ds, forced))
+    first = next(k for k, leaf in enumerate(leaves) if _leaf_admitted(ds, *leaf))
+    assert first + 1 == 9
     tried, solves = [], []
     assignments, solve = risk._reference_assignments, risk.solve_linear_feasibility
 
@@ -936,7 +1023,7 @@ def test_reference_dependent_three_prize_fit_solves_one_lp(monkeypatch):
     monkeypatch.setattr(risk, "solve_linear_feasibility",
                         lambda problem: solves.append(problem) or solve(problem))
     fitted = fit_areu(ds)
-    assert len(tried) >= 2 and len(solves) == 1
+    assert tried == leaves[first:first + 1] and len(solves) == 1
     assert verify_areu(fitted, ds) == []
 
 
