@@ -9,6 +9,7 @@ is an exact ``fractions.Fraction``; no checker ever rounds.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -290,13 +291,19 @@ class MenuLattice:
             self._above[pos] = self.containing(self.menus[pos])
         return self._above[pos]
 
+    def position(self, menu) -> int:
+        """The position of ``menu``; UnobservedMenu when it was not observed."""
+        menu = Menu(menu)
+        pos = self.index.get(menu)
+        if pos is None:
+            raise UnobservedMenu(f"menu {sorted(menu)} was not observed")
+        return pos
+
     def mask(self, family) -> int:
         """The menus of ``family``; UnobservedMenu for one not observed."""
         out = 0
-        for menu in map(Menu, family):
-            if menu not in self.index:
-                raise UnobservedMenu(f"menu {sorted(menu)} was not observed")
-            out |= 1 << self.index[menu]
+        for menu in family:
+            out |= 1 << self.position(menu)
         return out
 
     def at(self, mask: int) -> list:
@@ -485,14 +492,37 @@ def raise_first_failure(battery) -> None:
 
 
 def maximizers(menu, score) -> frozenset:
-    """The members of ``menu`` with the highest ``score``, scored in the
-    menu's iteration order, so the first failing lookup raises; a rule
-    whose scores can fail passes the members sorted, and the error then
-    names the smallest-id offender whatever the hash seed.  The models'
-    rules score on integers, so equal scores are exact ties."""
+    """The members of ``menu`` with the highest ``score``, scored in
+    order, so the first failing score raises.  The models' rules score
+    on integers, so equal scores are exact ties."""
     scores = {alt: score(alt) for alt in menu}
     best = max(scores.values())
     return frozenset(alt for alt, value in scores.items() if value == best)
+
+
+def reference_rule(reference, score):
+    """The choice rule of a reference-dependent model: ``choose(menu)``
+    gives the maximizers of ``score(ref, alt)`` over the menu's members
+    in id order, with ``ref = reference(members)`` read on the sorted
+    members.  Each (reference, alternative) pair is scored once, on first
+    use, so an alternative no menu holds is never scored, and the first
+    failing score names the smallest-id offender whatever the hash seed."""
+    score = functools.cache(score)
+
+    def choose(menu):
+        members = sorted(menu)
+        ref = reference(members)
+        return maximizers(members, lambda alt: score(ref, alt))
+    return choose
+
+
+def references_by_key(dataset: ChoiceDataset, key) -> tuple:
+    """(menu -> its reference, the references ascending) for a fit whose
+    reference is a menu's least ``key`` over its members.  With no
+    observations the one reference is the universe's least key, which
+    needs a nonempty universe."""
+    references = {menu: min(map(key, menu)) for menu in dataset.menus()}
+    return references, sorted(set(references.values()) or {min(map(key, dataset.universe))})
 
 
 def simulate(kind, alternatives, menus, choose, floor=None) -> ChoiceDataset:

@@ -24,7 +24,7 @@ from .choices import (
     outside,
     sorted_menus,
 )
-from .exceptions import AxiomFails, EmptyPsi, SynthesisFailed
+from .exceptions import AxiomFails, EmptyPsi, SynthesisFailed, UnknownAlternative
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,12 @@ class PsiMap:
 
 
 IDENTITY_PSI = PsiMap("identity", lambda dataset: {})
+
+
+def lower_keys(keys: dict) -> dict:
+    """The lower-key relation of ``keys`` (id -> comparable key) as
+    ``PsiMap.beats`` gives it: per id, the ids of strictly lower key."""
+    return {x: [y for y in keys if keys[y] < k] for x, k in keys.items()}
 
 
 def _relation(dataset: ChoiceDataset, psi: PsiMap) -> dict:
@@ -79,12 +85,6 @@ def _admits(dataset: ChoiceDataset, psi: PsiMap) -> dict:
     return dataset.cached(("psi admits", psi), build)
 
 
-def psi_table(dataset: ChoiceDataset, psi: PsiMap) -> dict:
-    """Psi of every observed menu, cached per dataset and map."""
-    return dataset.cached(("psi table", psi), lambda: {
-        menu: psi.of(dataset, menu) for menu in dataset.observations})
-
-
 def witness_index(dataset: ChoiceDataset, prop: FiniteProperty) -> list:
     """T's witnesses over all observed menus, cached per dataset and property.
 
@@ -106,13 +106,9 @@ def _witness_masks(dataset: ChoiceDataset, prop: FiniteProperty):
             return {}, {}
         lattice = dataset.lattice()
         naming = [0] * len(lattice.menus)  # per lattice position
-        try:
-            for k, witness in enumerate(index):
-                for menu in witness.menus:
-                    naming[lattice.index[menu]] |= 1 << k
-        except KeyError:
-            lattice.mask(witness.menus)  # raises UnobservedMenu naming the menu
-            raise
+        for k, witness in enumerate(index):
+            for menu in witness.menus:
+                naming[lattice.position(menu)] |= 1 << k
         named = [(lattice.menus[pos], entries) for pos, entries in enumerate(naming) if entries]
         spans, shared = {}, {}
         for x in lattice.contain:
@@ -145,12 +141,8 @@ def _blocked(dataset: ChoiceDataset, prop: FiniteProperty) -> dict:
         blocked = {}
         for witness in witness_index(dataset, prop):
             pools = lattice.full
-            try:
-                for menu in witness.menus:
-                    pools &= lattice.above(lattice.index[menu])
-            except KeyError:
-                lattice.mask(witness.menus)  # raises UnobservedMenu naming the menu
-                raise
+            for menu in witness.menus:
+                pools &= lattice.above(lattice.position(menu))
             for x in universe.intersection(*witness.menus):
                 blocked[x] = blocked.get(x, 0) | pools
         return blocked
@@ -175,6 +167,14 @@ class ReferenceOrder:
 
     def argmax(self, menu) -> str:
         return min(menu, key=self.ranks.__getitem__)
+
+    def top(self, members, missing=UnknownAlternative) -> str:
+        """The highest-ranked of ``members``; before that, ``missing``
+        naming the sorted ids the order does not cover, if any."""
+        off = set(members).difference(self.ranks)
+        if off:
+            raise missing(f"{sorted(off)} not covered by the order")
+        return self.argmax(members)
 
     def to_json(self):
         return list(self.ranking)

@@ -22,10 +22,10 @@ from .choices import (
     GENERIC,
     Menu,
     WARP,
-    maximizers,
     mismatches,
     over_common_denominator,
     raise_first_failure,
+    reference_rule,
     simulate,
 )
 from .engine import IDENTITY_PSI, ReferenceOrder, check_reference_dependence
@@ -82,23 +82,16 @@ class OrduParams:
 def _rule(params: OrduParams):
     """``choose(menu)``: the maximizers of the utility of the menu's top
     member, read once from integer tables over one denominator."""
-    ranks = params.order.ranks
     _, rows = over_common_denominator(
         [value for _, value in table] for _, table in params.utilities)
     tables = {ref: dict(zip((alt for alt, _ in table), row))
               for (ref, table), row in zip(params.utilities, rows)}
-
-    def choose(menu):
-        missing = menu.difference(ranks)
-        if missing:
-            raise UnknownAlternative(f"{sorted(missing)} not covered by the order")
-        return maximizers(menu, tables[params.order.argmax(menu)].__getitem__)
-    return choose
+    return reference_rule(params.order.top, lambda ref, alt: tables[ref][alt])
 
 
 def evaluate_ordu(params: OrduParams, menu) -> Menu:
     """All maximizers of the reference's utility over the menu."""
-    return _rule(params)(frozenset(menu))
+    return _rule(params)(menu)
 
 
 def simulate_ordu(params: OrduParams, menus) -> ChoiceDataset:

@@ -15,7 +15,6 @@ Bernoulli utility per reference, more concave for safer references.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -36,22 +35,17 @@ from .choices import (
     expansion_over,
     invariance_over,
     linkage_report,
-    maximizers,
     menu_key,
     mismatches,
     over_common_denominator,
     raise_first_failure,
+    reference_rule,
     revealed_rows,
     simulate,
     sort_witnesses,
     warp_over,  # noqa: F401  bench/tracing.py wraps it here
 )
-from .engine import (
-    PsiMap,
-    ReferenceOrder,
-    check_reference_dependence,
-    psi_table,
-)
+from .engine import PsiMap, ReferenceOrder, check_reference_dependence
 from .exceptions import (
     EmptyPsi,
     InfeasibleFit,
@@ -471,29 +465,18 @@ def expected_utility(vec, u) -> Fraction:
 
 def _rule(params: AreuParams):
     """``choose(menu)``: the maximizers of the expected utility under the
-    menu's top member's utility, on integer vectors read once; each
-    (reference, lottery) pair is scored once, on first use."""
-    ranks = params.order.ranks
+    menu's top member's utility, on integer vectors read once."""
     _, _, vectors = _integer_coords(params.prizes, dict(params.lotteries))
     _, rows = over_common_denominator(u for _, u in params.utilities)
     utilities = dict(zip((ref for ref, _ in params.utilities), rows))
-
-    @functools.cache
-    def score(ref, alt):
-        return sum(map(operator.mul, vectors[alt], utilities[ref]))
-
-    def choose(menu):
-        missing = menu.difference(ranks)
-        if missing:
-            raise UnknownLottery(f"{sorted(missing)} not covered by the order")
-        ref = params.order.argmax(menu)
-        return maximizers(menu, lambda alt: score(ref, alt))
-    return choose
+    return reference_rule(
+        lambda members: params.order.top(members, UnknownLottery),
+        lambda ref, alt: sum(map(operator.mul, vectors[alt], utilities[ref])))
 
 
 def evaluate_areu(params: AreuParams, menu) -> Menu:
     """All maximizers of the reference's expected utility over the menu."""
-    return _rule(params)(frozenset(menu))
+    return _rule(params)(menu)
 
 
 def check_lotteries(params: AreuParams, alternatives) -> None:
@@ -579,8 +562,8 @@ def _reference_assignments(dataset: ChoiceDataset, order):
     admitted."""
     menus = sorted(dataset.menus(), key=lambda m: (-len(m), menu_key(m)))
     _, _, vectors = _coords(dataset)
-    admissible = psi_table(dataset, LEAST_RISKY_PSI)
-    candidates = {m: sorted(admissible[m], key=lambda i: (vectors[i], i)) for m in menus}
+    candidates = {m: sorted(LEAST_RISKY_PSI.of(dataset, m), key=lambda i: (vectors[i], i))
+                  for m in menus}
     ranks = ({m: _rho_interval(dataset, [m]) for m in menus}
              if len(prize_grid(dataset)) == 3 else None)
 

@@ -25,16 +25,17 @@ from .choices import (
     integer_payloads,
     invariance_over,
     linkage_report,
-    maximizers,
     mismatches,
     over_common_denominator,
     raise_first_failure,
+    reference_rule,
+    references_by_key,
     revealed_rows,
     shift_correspondences,
     simulate,
     warp_over,  # noqa: F401  bench/tracing.py wraps it here
 )
-from .engine import PsiMap, check_reference_dependence
+from .engine import PsiMap, check_reference_dependence, lower_keys
 from .exceptions import (
     InfeasibleFit,
     UnknownAlternative,
@@ -61,13 +62,9 @@ def _gini_levels(dataset: ChoiceDataset) -> tuple:
     return dataset.cached("gini-levels", levels)
 
 
-def _more_balanced(dataset: ChoiceDataset) -> dict:
-    """Per split, the splits at a strictly lower Gini level."""
-    level, _ = _gini_levels(dataset)
-    return {x: [y for y in level if level[y] < g] for x, g in level.items()}
-
-
-MOST_BALANCED_PSI = PsiMap("most-balanced", _more_balanced)
+# a split is beaten by those at a strictly lower Gini level
+MOST_BALANCED_PSI = PsiMap("most-balanced",
+                           lambda dataset: lower_keys(_gini_levels(dataset)[0]))
 most_balanced = MOST_BALANCED_PSI.of  # the members at the pool's lowest Gini level
 
 
@@ -204,24 +201,17 @@ class FspuParams:
 
 def _rule(params: FspuParams, splits: dict):
     """``choose(menu)`` over ``splits`` (id -> SplitPayload): the
-    maximizers of own + v_r(other), r the menu's lowest Gini, each
-    (reference, split) pair scored once, on first use, on integers.
-    Members are scored in id order: the smallest id off the grid raises."""
+    maximizers of own + v_r(other), r the menu's lowest Gini, on integers."""
     own_den, (owns,) = over_common_denominator([[s.own for s in splits.values()]])
     owns = dict(zip(splits, owns))
     den = math.lcm(*(v.denominator for _, table in params.tables for _, v in table))
     level = functools.cache(lambda alt: gini(splits[alt]))  # a split paying nothing has none
 
-    @functools.cache
     def score(ref, alt):  # ref: a member of the lowest Gini
         value = params.value(level(ref), splits[alt].other)
         return owns[alt] * den + value.numerator * (den // value.denominator) * own_den
 
-    def choose(menu):
-        members = sorted(menu)
-        ref = min(members, key=level)
-        return maximizers(members, lambda alt: score(ref, alt))
-    return choose
+    return reference_rule(lambda members: min(members, key=level), score)
 
 
 def evaluate_fspu(params: FspuParams, splits: dict) -> frozenset:
@@ -252,17 +242,13 @@ def fit_fspu(dataset: ChoiceDataset) -> FspuParams:
     falls."""
     if dataset.kind != INCOME_SPLIT:
         raise ValidationError("fit_fspu needs an income-split dataset")
+    if not dataset.universe:
+        raise ValidationError("fit_fspu needs at least one split; the universe is empty")
     raise_first_failure(battery(dataset))
     ints = integer_payloads(dataset)
     (den, own), (_, other) = ints["own"], ints["other"]
     level, gini_at = _gini_levels(dataset)
-
-    def reference(menu):
-        return min(level[alt] for alt in menu)
-
-    # no observations: the universe's most balanced Gini; no alternatives: no table
-    references = {menu: reference(menu) for menu in dataset.menus()}
-    refs = sorted(set(references.values()) or {reference(m) for m in [dataset.universe] if m})
+    references, refs = references_by_key(dataset, level.__getitem__)
     incomes = sorted(set(other.values()))
     income = {y: Fraction(y, den) for y in incomes}
     shown = {y: format_rational(income[y]) for y in incomes}

@@ -10,7 +10,6 @@ delta values are derived for display only.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,17 +26,18 @@ from .choices import (
     integer_payloads,
     invariance_over,
     linkage_report,
-    maximizers,
     mismatches,
     over_common_denominator,
     raise_first_failure,
+    reference_rule,
+    references_by_key,
     revealed_rows,
     shift_correspondences,
     simulate,
     sort_witnesses,
     warp_over,  # noqa: F401  bench/tracing.py wraps it here
 )
-from .engine import PsiMap, check_reference_dependence, psi_table, witness_index
+from .engine import PsiMap, check_reference_dependence, lower_keys, witness_index
 from .exceptions import (
     InfeasibleFit,
     NotSubsetClosed,
@@ -49,13 +49,9 @@ from .ordu import check_subset_closed
 from .serialize import format_rational, parse_rational
 
 
-def _earlier(dataset: ChoiceDataset) -> dict:
-    """Per payment, the payments arriving strictly earlier."""
-    _, times = integer_payloads(dataset)["time"]
-    return {x: [y for y in times if times[y] < t] for x, t in times.items()}
-
-
-EARLIEST_PSI = PsiMap("earliest-payments", _earlier)
+# a payment is beaten by those arriving strictly earlier
+EARLIEST_PSI = PsiMap("earliest-payments",
+                      lambda dataset: lower_keys(integer_payloads(dataset)["time"][1]))
 earliest_payments = EARLIEST_PSI.of  # the members arriving at the pool's earliest time
 
 
@@ -76,7 +72,7 @@ TIME_PROPERTY = conjoin(WARP, STATIONARITY)
 def check_time_reference_dependence(dataset: ChoiceDataset) -> list:
     """WARP and Stationarity over every observed menu pair sharing an
     earliest payment (including each menu with itself)."""
-    earliest = psi_table(dataset, EARLIEST_PSI)
+    earliest = {m: EARLIEST_PSI.of(dataset, m) for m in dataset.observations}
     return sort_witnesses({w for w in witness_index(dataset, TIME_PROPERTY)
                            if frozenset.intersection(*(earliest[m] for m in w.menus))})
 
@@ -258,9 +254,7 @@ class PbduParams:
 
 def _rule(params: PbduParams, payloads: dict):
     """``choose(menu)`` over ``payloads`` (id -> PaymentPayload): the
-    maximizers of t*D(r) + L(x), r the menu's earliest time, each
-    (reference, payment) pair scored once, on first use, on integers.
-    Members are scored in id order: the smallest id off the grid raises."""
+    maximizers of t*D(r) + L(x), r the menu's earliest time, on integers."""
     time_den, (times,) = over_common_denominator([[p.time for p in payloads.values()]])
     times = dict(zip(payloads, times))
     den = math.lcm(*(v.denominator for table in (params.log_utility, params.log_discount)
@@ -269,16 +263,11 @@ def _rule(params: PbduParams, payloads: dict):
     def scaled(value):
         return value.numerator * (den // value.denominator)
 
-    @functools.cache
     def score(ref, alt):
         discount = scaled(params.discount_log(Fraction(ref, time_den)))
         return times[alt] * discount + scaled(params.utility_log(payloads[alt].amount)) * time_den
 
-    def choose(menu):
-        members = sorted(menu)
-        ref = min(times[alt] for alt in members)
-        return maximizers(members, lambda alt: score(ref, alt))
-    return choose
+    return reference_rule(lambda members: min(map(times.__getitem__, members)), score)
 
 
 def evaluate_pbdu(params: PbduParams, payments: dict) -> frozenset:
@@ -328,17 +317,13 @@ def fit_pbdu(dataset: ChoiceDataset) -> PbduParams:
     """
     if dataset.kind != DATED_PAYMENT:
         raise ValidationError("fit_pbdu needs a dated-payment dataset")
+    if not dataset.universe:
+        raise ValidationError("fit_pbdu needs at least one payment; the universe is empty")
     raise_first_failure(battery(dataset))
     ints = integer_payloads(dataset)
     (amount_den, amount_of), (time_den, time_of) = ints["amount"], ints["time"]
     amounts = sorted(set(amount_of.values()))
-
-    def reference(menu):
-        return min(time_of[alt] for alt in menu)
-
-    # no observations: the universe's earliest time; no alternatives: no table
-    references = {menu: reference(menu) for menu in dataset.menus()}
-    refs = sorted(set(references.values()) or {reference(m) for m in [dataset.universe] if m})
+    references, refs = references_by_key(dataset, time_of.__getitem__)
     amount = {a: Fraction(a, amount_den) for a in amounts}
     time = {r: Fraction(r, time_den) for r in refs}
     lvar = {a: f"L[{format_rational(amount[a])}]" for a in amounts}

@@ -4,7 +4,8 @@ Each rule reads its params once and scores each (reference, alternative)
 pair once, on integers; ``helpers.evaluate_*_by_menu`` score every menu
 from scratch in Fractions.  Both must choose the same sets, raise the
 same exception with the same message on the same menu, and raise nothing
-for an offender that no menu holds.
+for an offender that no menu holds.  The rules are all built by
+``choices.reference_rule``, which is also tested on its own here.
 """
 
 import random
@@ -19,9 +20,11 @@ from refdep.choices import (
     LOTTERY,
     LotteryPayload,
     mismatches,
+    reference_rule,
     simulate,
 )
-from refdep.exceptions import RefdepError
+from refdep.engine import ReferenceOrder
+from refdep.exceptions import RefdepError, UnknownAlternative, UnknownLottery
 from refdep.ordu import simulate_ordu, verify_ordu
 from refdep.risk import fit_areu, simulate_areu, verify_areu
 from refdep.social import fit_fspu, gini, simulate_fspu, verify_fspu
@@ -158,6 +161,41 @@ def test_fspu_rule_matches_the_per_menu_evaluator():
     assert tied
 
 
+def test_the_rule_builder_scores_each_pair_once_on_the_sorted_members():
+    """``reference`` sees each menu's members sorted; each (reference,
+    alternative) pair is scored once across menus; a failing score is
+    not kept, and the first one names the menu's smallest-id offender."""
+    for seed, (params, menus) in enumerate(_ordu_cases()):
+        handed, scored = [], []
+
+        def reference(members):
+            handed.append(members)
+            return params.order.top(members)
+
+        def score(ref, alt):
+            scored.append((ref, alt))
+            return params.utility(ref)[alt]
+
+        choose = reference_rule(reference, score)
+        menus = [frozenset(m) for m in menus]
+        assert [choose(m) for m in menus] == [evaluate_ordu_by_menu(params, m) for m in menus]
+        assert handed == [sorted(m) for m in menus]
+        assert sorted(scored) == sorted({(params.order.argmax(m), alt)
+                                         for m in menus for alt in m})
+        bad = set(random.Random(seed).sample(params.order.ranking, 2))
+
+        def failing(ref, alt):
+            if alt in bad:
+                raise UnknownAlternative(alt)
+            return params.utility(ref)[alt]
+
+        choose = reference_rule(params.order.top, failing)
+        for menu in menus:
+            expected = (UnknownAlternative, min(bad & menu)) if bad & menu \
+                else evaluate_ordu_by_menu(params, menu)
+            assert _outcome(lambda: choose(menu)) == expected
+
+
 def _with_offender(menus, offender, partner):
     """``menus`` with one more menu, {partner, offender}, in the middle."""
     menus = list(menus)
@@ -176,6 +214,16 @@ def test_an_alternative_the_order_misses_raises_as_before():
         got = _outcome(lambda: simulate_areu(params, menus))
         assert isinstance(got, tuple) and got == _outcome(lambda: simulate(
             LOTTERY, [], menus, lambda m: evaluate_areu_by_menu(params, m)))
+    # the order's top raises the class it is given, naming the sorted
+    # off-order ids, before any score is taken
+    order, scored = ReferenceOrder(("b", "a")), []
+    choose = reference_rule(lambda members: order.top(members, UnknownLottery),
+                            lambda ref, alt: scored.append((ref, alt)) or 0)
+    assert _outcome(lambda: choose({"z", "a", "y", "b"})) == (
+        UnknownLottery, "['y', 'z'] not covered by the order")
+    assert _outcome(lambda: order.top(["y", "a"])) == (
+        UnknownAlternative, "['y'] not covered by the order")
+    assert scored == [] and choose({"a", "b"}) == {"a", "b"} and order.top(["a", "b"]) == "b"
 
 
 def _pbdu_gaps(params, payloads):

@@ -703,7 +703,10 @@ def test_fit_without_alternatives_is_a_validation_error(model, tmp_path):
     data.write_text(json.dumps({**DOCUMENTS[model]["data"], "alternatives": [],
                                 "observations": []}))
     code, out = run_json(["fit", "--model", model, str(data)])
-    assert code == 2 and out["error"] == "validation", out
+    noun = {"pbdu": "payment", "fspu": "split"}[model]
+    assert code == 2 and out == {
+        "error": "validation",
+        "detail": f"fit_{model} needs at least one {noun}; the universe is empty"}, out
 
 
 _LEAVES = (st.none() | st.booleans() | st.integers(-2, 3)

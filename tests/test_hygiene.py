@@ -10,6 +10,8 @@ key passed to ``ChoiceDataset.cached`` starts with a string literal, and
 each literal appears at exactly one call site: the keys of all modules
 share one cache per dataset, so a repeated one would hand back another
 computation's value.  Every exception class is read in another module.
+Only ``choices.py`` reads ``maximizers`` or defines a ``choose``
+function, so the models' choice rules all come from its one builder.
 """
 
 import ast
@@ -157,3 +159,17 @@ def test_every_exception_class_is_used():
     unused = [name for name in defined if name not in read]
     assert not unused, f"exceptions.py defines but no other module reads {unused}"
     assert len(defined) >= 20
+
+
+def test_only_the_rule_builder_maximizes_or_defines_choose():
+    """The models hand a reference and a score to
+    ``choices.reference_rule``; none reads ``maximizers`` or builds its
+    own ``choose`` closure."""
+    found = {}
+    for path in MODULES:
+        _, tree, read = _parse(path)
+        defines = any(isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and node.name == "choose" for node in ast.walk(tree))
+        if defines or "maximizers" in read:
+            found[path.stem] = defines, "maximizers" in read
+    assert found == {"choices": (True, True)}, found

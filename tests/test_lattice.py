@@ -20,7 +20,7 @@ from refdep.choices import (
     sorted_menus,
     warp_over,
 )
-from refdep.engine import IDENTITY_PSI, _admits, candidate_set, psi_table
+from refdep.engine import IDENTITY_PSI, _admits, candidate_set
 from refdep.exceptions import UnobservedMenu
 from refdep.ordu import maximal_menus
 from refdep.risk import LEAST_RISKY_PSI, _mixture_correspondences
@@ -102,7 +102,6 @@ def test_lattice_agrees_with_the_all_pairs_scans(domain):
                 assert invariance_over(ds, family, "Invariance", corr) == \
                     invariance_by_scan(ds, family, "Invariance", corr)
         assert psi_heredity_by_scan(ds, psi) is None
-        assert psi_table(ds, psi) == {m: psi.of(ds, m) for m in menus}
 
 
 def test_warp_over_finds_violations_on_the_perturbed_data():
