@@ -1,8 +1,11 @@
 """JSON wire formats: datasets, menus files, fitted parameters.
 
-Rationals travel as strings, either "p/q" or decimal ("0.8"), and are
-parsed exactly.  All emitters sort keys so identical inputs always
-produce byte-identical output.
+Rationals travel as strings and are parsed exactly.  The shapes this
+module writes, "n", "-n", "n/d" and "-n/d" in ASCII digits, are read as
+integers directly; any other string goes to ``fractions.Fraction``
+(decimals such as "0.8", exponents, whitespace, underscores).  ``to_json``
+writes the bytes of ``json.dumps(obj, indent=2, sort_keys=True)`` plus a
+newline, so identical inputs always produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from json.encoder import INFINITY, encode_basestring_ascii as _quote
 
 from .choices import (
     Alternative,
@@ -28,6 +32,15 @@ from .exceptions import DuplicateMenu, ValidationError
 
 
 def parse_rational(text) -> Fraction:
+    if isinstance(text, str):
+        num, slash, den = text.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if digits.isdigit() and digits.isascii() and (
+                not slash or den.isdigit() and den.isascii()):
+            try:  # int() refuses more digits than the int digit limit
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValidationError(f"bad rational literal {text!r}") from exc
     if isinstance(text, Fraction):
         return text
     if isinstance(text, bool):
@@ -51,7 +64,9 @@ def parse_rational(text) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
+    """``str(Fraction(value))`` for a Fraction or an int."""
+    num, den = value.numerator, value.denominator
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _payload_from_json(kind, raw):
@@ -96,8 +111,9 @@ def _alternatives_from_json(kind, raw):
 
 
 def ids_from_json(raw, what):
-    """A menu, choice or order: an array of alternative ids, not a bare string."""
-    if isinstance(raw, str) or not all(isinstance(x, str) for x in raw):
+    """A menu, choice or order: an array of alternative ids, not a bare
+    string or an object."""
+    if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
         raise ValidationError(f"{what} {raw!r} is not an array of alternative ids")
     return raw
 
@@ -181,4 +197,72 @@ def menus_from_dict(doc):
 
 
 def to_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline, from one
+    list of parts: the ``indent`` argument puts ``json`` on its generator
+    encoder, this writer on plain recursion.  A document that holds itself
+    is a RecursionError here, where ``json`` raises ValueError."""
+    parts = []
+    _write(obj, parts.append, "\n")
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write(value, put, newline):
+    """Put the parts of ``value``, nested at the indent ``newline`` ends in."""
+    if isinstance(value, str):
+        put(_quote(value))
+    elif value is None:
+        put("null")
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    elif isinstance(value, int):
+        put(int.__repr__(value))
+    elif isinstance(value, float):
+        put(_float_text(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in value:
+            put(sep)
+            _write(item, put, inner)
+            sep = comma
+        put(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key, item in sorted(value.items()):
+            put(f"{sep}{_quote(_key_text(key))}: ")
+            _write(item, put, inner)
+            sep = comma
+        put(newline + "}")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _key_text(key) -> str:
+    """A dict key as ``json`` converts it to a string."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):  # bools are ints
+        scalar = []
+        _write(key, scalar.append, "")
+        return scalar[0]
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _float_text(value) -> str:
+    if value != value:
+        return "NaN"
+    if value == INFINITY:
+        return "Infinity"
+    if value == -INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)

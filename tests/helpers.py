@@ -5,7 +5,10 @@ orders are enumerated directly, rival models are replayed forward, and
 feasibility cross-checks use elimination instead of the simplex.
 """
 
+import json
+import math
 import random
+import sys
 from fractions import Fraction as F
 from functools import cache
 from itertools import accumulate, combinations, permutations, product
@@ -1750,6 +1753,30 @@ def evaluate_fspu_by_menu(params, splits):
     ref = min(gini(s) for s in splits.values())
     return maximizers(splits, lambda alt: splits[alt].own
                       + params.value(ref, splits[alt].other))
+
+
+# -- the JSON boundary by the standard library ----------------------------------
+
+def rational_by_fraction(text):
+    """``parse_rational`` of a string by ``Fraction(text)`` alone: the
+    same value, or the same ValidationError.  The int digit limit refuses
+    an exponent that passes it, whatever the value ("0e5000" too, since
+    the parser will not build the power of ten), and a value with more
+    digits than it, which ``str`` refuses to write."""
+    try:
+        value = F(text)
+        _, e, exponent = text.lower().partition("e")
+        if e and abs(int(exponent)) > (sys.get_int_max_str_digits() or math.inf):
+            raise ValueError(f"exponent {exponent} past the int digit limit")
+        str(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"bad rational literal {text!r}") from exc
+    return value
+
+
+def json_by_dumps(obj):
+    """``to_json`` by the ``json`` module's own indented, key-sorted encoder."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 # -- exact simplex oracle ----------------------------------------------------

@@ -623,6 +623,45 @@ def test_areu_params_with_a_bare_string_order_are_rejected(tmp_path):
     assert run_json(["export-triangle", "--resolution", "1", str(params_path)]) == (2, error)
 
 
+def _as_object(ids):
+    """The ids as the keys, in order, of a JSON object."""
+    return {alt: rank for rank, alt in enumerate(ids)}
+
+
+def _object_in_data(docs, field):
+    data = copy.deepcopy(docs["data"])
+    data["observations"][0][field] = _as_object(data["observations"][0][field])
+    return {**docs, "data": data}, field, data["observations"][0][field]
+
+
+def _object_in_menus(docs):
+    menus = copy.deepcopy(docs["menus"])
+    menus["menus"][0] = _as_object(menus["menus"][0])
+    return {**docs, "menus": menus}, "menu", menus["menus"][0]
+
+
+def _object_in_order(docs):
+    order = _as_object(docs["params"]["order"])
+    return {**docs, "params": {**docs["params"], "order": order}}, "order", order
+
+
+@pytest.mark.parametrize("model, edit, command", [
+    ("ordu", lambda docs: _object_in_data(docs, "menu"), ["validate", "data"]),
+    ("ordu", lambda docs: _object_in_data(docs, "choice"), ["validate", "data"]),
+    ("ordu", _object_in_menus, ["simulate", "--model", "ordu", "params", "menus"]),
+    ("ordu", _object_in_order, ["verify", "--model", "ordu", "params", "data"]),
+    ("areu", _object_in_order, ["verify", "--model", "areu", "params", "data"]),
+], ids=["dataset-menu", "dataset-choice", "menus-file-menu", "ordu-order", "areu-order"])
+def test_an_object_in_place_of_an_array_of_ids_is_rejected(tmp_path, model, edit, command):
+    # the object's keys were taken as the ids, and every command exited 0
+    docs, what, raw = edit(DOCUMENTS[model])
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    argv = [str(tmp_path / f"{arg}.json") if arg in docs else arg for arg in command]
+    assert run_json(argv) == (2, {"error": "validation",
+                                  "detail": f"{what} {raw!r} is not an array of alternative ids"})
+
+
 def test_simulate_keeps_the_floor_of_the_menus_file(tmp_path):
     menus = copy.deepcopy(DOCUMENTS["fspu"]["menus"])
     lowest = min(parse_rational(a["payload"][side]) for a in menus["alternatives"]

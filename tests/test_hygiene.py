@@ -12,6 +12,7 @@ share one cache per dataset, so a repeated one would hand back another
 computation's value.  Every exception class is read in another module.
 Only ``choices.py`` reads ``maximizers`` or defines a ``choose``
 function, so the models' choice rules all come from its one builder.
+Only ``serialize.py`` imports ``json``, so JSON text has one boundary.
 """
 
 import ast
@@ -173,3 +174,21 @@ def test_only_the_rule_builder_maximizes_or_defines_choose():
         if defines or "maximizers" in read:
             found[path.stem] = defines, "maximizers" in read
     assert found == {"choices": (True, True)}, found
+
+
+def test_only_serialize_imports_json():
+    """JSON text is read and written in ``serialize.py`` alone, and it
+    calls no ``json.dumps``: one emitter, whose bytes the tests pin
+    against ``json.dumps`` itself."""
+    importers, dumps = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        _, tree, _ = _parse(path)
+        for node in ast.walk(tree):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name == "json" or name.startswith("json.") for name in names):
+                importers.add(path.stem)
+            if isinstance(node, ast.Attribute) and node.attr == "dumps":
+                dumps.add(f"{path.name}:{node.lineno}")
+    assert importers == {"serialize"}, importers
+    assert not dumps, f"json.dumps called at {sorted(dumps)}"
