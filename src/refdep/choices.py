@@ -217,7 +217,7 @@ class ChoiceDataset:
         big, big in canonical order and then small."""
         lattice = self.lattice()
         return [(lattice.menus[j], big) for i, big in enumerate(lattice.menus)
-                for j in bits(lattice.inside[i] & ~(1 << i))]
+                for j in bits(lattice.within(big) & ~(1 << i))]
 
     def restrict(self, family) -> "ChoiceDataset":
         """Keep only the observations in ``family``; universe unchanged."""
@@ -260,9 +260,9 @@ class MenuLattice:
 
     Bit i stands for ``menus[i]``, the i-th observed menu in canonical
     order.  ``contain[a]`` and ``chosen[a]`` mask the menus that contain
-    and that choose alternative a; ``inside[i]`` masks the observed
-    sub-menus of menu i, itself included, and ``above(i)`` its observed
-    super-menus, built on first use.
+    and that choose alternative a, and are all the lattice keeps: a
+    menu's observed sub-menus (``within``) and super-menus
+    (``containing``) are derived from them where they are read.
     """
 
     def __init__(self, dataset: ChoiceDataset):
@@ -271,8 +271,6 @@ class MenuLattice:
         self.full = (1 << len(self.menus)) - 1
         self.contain = member_masks(self.menus)
         self.chosen = member_masks(dataset.observations[menu] for menu in self.menus)
-        self.inside = tuple(self.within(menu) for menu in self.menus)
-        self._above = [None] * len(self.menus)
 
     def within(self, pool) -> int:
         """The observed menus contained in ``pool``."""
@@ -284,12 +282,6 @@ class MenuLattice:
         for alt in members:
             out &= self.contain.get(alt, 0)
         return out
-
-    def above(self, pos: int) -> int:
-        """The observed menus containing menu ``pos``, itself included."""
-        if self._above[pos] is None:
-            self._above[pos] = self.containing(self.menus[pos])
-        return self._above[pos]
 
     def position(self, menu) -> int:
         """The position of ``menu``; UnobservedMenu when it was not observed."""
@@ -437,7 +429,8 @@ def _warp_smalls(lattice: "MenuLattice", pos: int, c_big) -> int:
             differs |= lattice.contain[alt] & ~lattice.chosen[alt]
         else:
             differs |= lattice.chosen.get(alt, 0)
-    return lattice.inside[pos] & meets & differs
+    smalls = meets & differs
+    return smalls and smalls & lattice.within(lattice.menus[pos])
 
 
 def _warp_blocking(dataset: ChoiceDataset) -> dict:
@@ -451,7 +444,7 @@ def _warp_blocking(dataset: ChoiceDataset) -> dict:
     for pos, big in enumerate(lattice.menus):
         smalls = _warp_smalls(lattice, pos, dataset.observations[big])
         if smalls:
-            pools = lattice.above(pos)
+            pools = lattice.containing(big)
             for x in big:
                 if smalls & lattice.contain[x]:
                     blocked[x] = blocked.get(x, 0) | pools
@@ -608,15 +601,16 @@ def expansion_over(dataset: ChoiceDataset, kind, sides, clashes) -> list:
     that of the menus whose choice shows its big side; ``clashes`` runs
     only on the nested pairs that one pattern flags on both sides."""
     lattice = dataset.lattice()
-    pairs = set()
+    menus = lattice.menus
+    bigs_of = {}  # small position -> the big sides of the patterns flagging it
     for smalls, bigs in sides:
         for pos in bits(smalls):
-            for big in bits(bigs & lattice.above(pos) & ~(1 << pos)):
-                pairs.add((pos, big))
-    menus = lattice.menus
-    return sort_witnesses({ViolationWitness(kind, (menus[small], menus[big]), narrative)
-                           for small, big in pairs
-                           for narrative in clashes(menus[small], menus[big])})
+            bigs_of[pos] = bigs_of.get(pos, 0) | bigs
+    return sort_witnesses({
+        ViolationWitness(kind, (menus[small], menus[big]), narrative)
+        for small, bigs in bigs_of.items()
+        for big in bits(bigs & lattice.containing(menus[small]) & ~(1 << small))
+        for narrative in clashes(menus[small], menus[big])})
 
 
 def shift_correspondences(dataset: ChoiceDataset, fixed, moved, allowed, label):

@@ -142,7 +142,8 @@ def _blocked(dataset: ChoiceDataset, prop: FiniteProperty) -> dict:
         for witness in witness_index(dataset, prop):
             pools = lattice.full
             for menu in witness.menus:
-                pools &= lattice.above(lattice.position(menu))
+                lattice.position(menu)  # UnobservedMenu for a menu not observed
+                pools &= lattice.containing(menu)
             for x in universe.intersection(*witness.menus):
                 blocked[x] = blocked.get(x, 0) | pools
         return blocked

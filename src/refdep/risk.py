@@ -27,7 +27,6 @@ from .choices import (
     FiniteProperty,
     LOTTERY,
     LotteryPayload,
-    Menu,
     ViolationWitness,
     WARP,
     conjoin,
@@ -472,11 +471,6 @@ def _rule(params: AreuParams):
     return reference_rule(
         lambda members: params.order.top(members, UnknownLottery),
         lambda ref, alt: sum(map(operator.mul, vectors[alt], utilities[ref])))
-
-
-def evaluate_areu(params: AreuParams, menu) -> Menu:
-    """All maximizers of the reference's expected utility over the menu."""
-    return _rule(params)(menu)
 
 
 def check_lotteries(params: AreuParams, alternatives) -> None:

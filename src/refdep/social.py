@@ -214,17 +214,16 @@ def _rule(params: FspuParams, splits: dict):
     return reference_rule(lambda members: min(members, key=level), score)
 
 
-def evaluate_fspu(params: FspuParams, splits: dict) -> frozenset:
-    """``splits`` maps ids to SplitPayload; returns the chosen ids."""
-    return _rule(params, splits)(splits)
-
-
 def simulate_fspu(params: FspuParams, alternatives, menus, floor=None) -> ChoiceDataset:
     """The dataset choosing from each of ``menus`` by one rule, with
-    income ``floor`` (by default the lowest income of ``alternatives``)."""
+    income ``floor`` (by default the lowest income of ``alternatives``).
+    The splits and the floor are checked before the rule scores any
+    split's Gini coefficient, undefined when the incomes sum to 0."""
     alts = {a.id: a for a in alternatives}
     if floor is None:
-        floor = min(min(a.payload.own, a.payload.other) for a in alts.values())
+        floor = min((min(a.payload.own, a.payload.other) for a in alts.values()),
+                    default=None)
+    ChoiceDataset(INCOME_SPLIT, alts, {}, floor=floor)
     return simulate(INCOME_SPLIT, alts.values(), menus,
                     _rule(params, {alt: a.payload for alt, a in alts.items()}), floor=floor)
 

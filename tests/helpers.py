@@ -916,7 +916,7 @@ def blocked_by_witnesses(dataset, prop):
     for witness in witness_index(dataset, prop):
         pools = lattice.full
         for menu in witness.menus:
-            pools &= lattice.above(lattice.index[menu])
+            pools &= lattice.containing(menu)
         for x in frozenset.intersection(*witness.menus):
             blocked[x] = blocked.get(x, 0) | pools
     return blocked

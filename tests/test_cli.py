@@ -677,6 +677,34 @@ def test_simulate_keeps_the_floor_of_the_menus_file(tmp_path):
     assert code == 0 and doc["floor"] == str(lowest)
 
 
+@pytest.mark.parametrize("payload, floor, detail", [
+    ({"own": "0", "other": "0"}, None, "income floor must be positive"),
+    ({"own": "-1", "other": "1"}, "1", "alternative {alt!r} pays below the floor 1"),
+], ids=["zero-split-no-floor", "negative-own-floor-1"])
+def test_simulate_checks_the_splits_before_it_scores_them(payload, floor, detail, tmp_path):
+    # a split whose incomes sum to 0 has no Gini coefficient, so the rule
+    # must not score one before the floor check refuses it
+    menus = copy.deepcopy(DOCUMENTS["fspu"]["menus"])
+    menus.pop("floor", None)
+    if floor is not None:
+        menus["floor"] = floor
+    alt = menus["alternatives"][0]["id"]
+    menus["alternatives"][0]["payload"] = payload
+    assert any(alt in menu for menu in menus["menus"])
+    assert _simulate(tmp_path, "fspu", menus) == (
+        2, {"error": "validation", "detail": detail.format(alt=alt)})
+
+
+def test_simulate_of_no_splits_and_no_floor_is_a_validation_error(tmp_path):
+    # the default floor, the lowest income, does not exist
+    menus = {"kind": "income_split", "alternatives": [], "menus": []}
+    error = {"error": "validation", "detail": "income floor must be positive"}
+    assert _simulate(tmp_path, "fspu", menus) == (2, error)
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps({**menus, "observations": []}))
+    assert run_json(["validate", str(data)]) == (2, error)
+
+
 @pytest.mark.parametrize("payload", [{"probs": {"0": "1"}}, {"probs": {"7": "1"}}])
 def test_areu_verify_and_simulate_reject_a_lottery_other_than_the_params(payload, tmp_path):
     """Another lottery on the grid, or one on a prize off it, under an id

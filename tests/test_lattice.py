@@ -7,6 +7,7 @@ of all four kinds, on thinned datasets and on random sub-families.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -22,7 +23,7 @@ from refdep.choices import (
 )
 from refdep.engine import IDENTITY_PSI, _admits, candidate_set
 from refdep.exceptions import UnobservedMenu
-from refdep.ordu import maximal_menus
+from refdep.ordu import battery, maximal_menus, simulate_ordu
 from refdep.risk import LEAST_RISKY_PSI, _mixture_correspondences
 from refdep.rivals import load_fixture
 from refdep.serialize import dataset_to_dict
@@ -30,6 +31,7 @@ from refdep.social import MOST_BALANCED_PSI
 from refdep.timepref import EARLIEST_PSI
 
 from helpers import (
+    all_menus,
     areu_data,
     candidate_witnesses_by_families,
     earliest_payments_by_maximizers,
@@ -45,6 +47,7 @@ from helpers import (
     pbdu_data,
     perturbed,
     psi_heredity_by_scan,
+    random_ordu_params,
     warp_by_scan,
 )
 
@@ -192,3 +195,31 @@ def test_mismatches_and_dataset_to_dict_build_no_lattice(domain):
         assert [o["menu"] for o in dataset_to_dict(ds)["observations"]] == \
             [sorted(m) for m in menus]
         assert "lattice" not in ds._cache
+
+
+def _clean_ordu_peak(n):
+    """(observed menus, tracemalloc peak bytes of the lattice build and the
+    ORDU battery) on clean ORDU data over n alternatives, size-2-3 menus."""
+    ids = [f"x{i:02d}" for i in range(n)]
+    ds = simulate_ordu(random_ordu_params(random.Random(5), ids), all_menus(ids, 2, 3))
+    tracemalloc.start()
+    try:
+        lattice = ds.lattice()
+        assert all(not witnesses for _, _, witnesses in battery(ds))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sorted(vars(lattice)) == ["chosen", "contain", "full", "index", "menus"]
+    return len(lattice.menus), peak
+
+
+def test_lattice_memory_grows_far_less_than_the_square_of_the_menus():
+    # The menus grow 8x and their square 64x.  One m-bit sub-menu mask
+    # kept per menu made the peak grow about 40x; the per-alternative
+    # masks alone grow it about 14x (their n * m bits grow 16x).  The
+    # first run warms what any first run allocates once.
+    _clean_ordu_peak(10)
+    small_menus, small = _clean_ordu_peak(20)
+    large_menus, large = _clean_ordu_peak(40)
+    assert (small_menus, large_menus) == (1_330, 10_660)
+    assert large / small < 24, (small, large)
