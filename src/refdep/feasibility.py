@@ -11,12 +11,13 @@ in integer rows, and the tableau is built straight from the sparse
 constraints.  The tableau is fraction-free: every entry is a Python
 ``int`` over one common denominator, updated by Bareiss's exact-division
 step, and only the returned vertex is turned back into ``Fraction``
-values.  Strict relations are handled with a shared gap variable g:
-each ``lhs > rhs`` becomes ``lhs >= rhs + g``, g is capped at 1 and then
-maximized; the system is feasible exactly when the optimum is positive.
-The gap column and its cap are scaled by D too, so a problem over D
-gives the tableau of the same problem over 1 times D, and Bland's rule
-takes the same pivots to the same vertex.
+values; every constraint is checked at it on its integer numerators over
+their common denominator.  Strict relations are handled with a shared
+gap variable g: each ``lhs > rhs`` becomes ``lhs >= rhs + g``, g is
+capped at 1 and then maximized; the system is feasible exactly when the
+optimum is positive.  The gap column and its cap are scaled by D too, so
+a problem over D gives the tableau of the same problem over 1 times D,
+and Bland's rule takes the same pivots to the same vertex.
 """
 
 from __future__ import annotations
@@ -153,11 +154,15 @@ def solve_linear_feasibility(problem: LinearFeasibilityProblem):
     if strict and objective_value <= 0:
         return Infeasible("strict inequalities only satisfiable with zero gap")
     assignment = {name: values[i] - values[i + 1] for name, i in column.items()}
-    result = Feasible(assignment)
-    for con in problem.constraints:  # exactness is cheap to guarantee
-        if not con.holds(assignment):
+    # exactness is cheap to guarantee: sum(c * X) (relation) rhs * L on the
+    # vertex's integer numerators X over their common denominator L
+    scale = math.lcm(*{x.denominator for x in assignment.values()})
+    scaled = {name: x.numerator * (scale // x.denominator) for name, x in assignment.items()}
+    for con in problem.constraints:
+        lhs = sum(c * scaled[v] for v, c in con.coeffs)
+        if not RELATIONS[con.relation][0](lhs, con.rhs * scale):
             raise RefdepError("internal error: simplex returned a bad vertex")
-    return result
+    return Feasible(assignment)
 
 
 def _simplex_maximize(rows, objective):

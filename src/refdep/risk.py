@@ -650,25 +650,29 @@ def _rho_monotone(prizes, chain, utilities) -> bool:
 # With u(0) = 0 and u(2) = 1 fixed, a utility is its one value u(1), which
 # is also its rho.  Every row of ``_menu_rows`` is then
 # a*u(1) + c (= or >) 0, a bound on u(1) or, with a = 0, a constant test,
-# so the utilities that rationalize a set of menus form an interval.  A
-# bound is one ordered key: (value, 1) an open lower bound, (value, -1) an
-# open upper bound, (value, 0) a closed one.  The tighter of two lower
-# bounds is then their max, of two upper bounds their min, and an interval
-# (lower, upper) is empty exactly when lower > upper.  Strict increase
-# keeps it inside the open (0, 1).
+# so the utilities that rationalize a set of menus form an interval.  The
+# rows are integers, and one scale L per dataset, a common multiple of
+# every |a|, puts each root -c/a at the integer -c * (L // a), so u(1) is
+# read as L * u(1) and (0, 1) becomes (0, L).  A bound is one ordered key:
+# (value, 1) an open lower bound, (value, -1) an open upper bound,
+# (value, 0) a closed one.  The tighter of two lower bounds is then their
+# max, of two upper bounds their min, and an interval (lower, upper) is
+# empty exactly when lower > upper.  Strict increase keeps it inside the
+# open (0, L).
 
 
-def _interval(rows):
-    """The u(1) interval of (a, c, relation) rows a*u(1) + c (relation) 0,
-    relation "=" or ">", inside the open (0, 1); one fixed empty pair when
-    a constant row fails."""
-    lower, upper = (0, 1), (1, -1)
+def _interval(rows, scale):
+    """The u(1) interval of integer (a, c, relation) rows a*u(1) + c
+    (relation) 0, relation "=" or ">", as keys scaled by ``scale``, a
+    positive multiple of every nonzero |a|, inside the open (0, scale);
+    one fixed empty pair when a constant row fails."""
+    lower, upper = (0, 1), (scale, -1)
     for a, c, relation in rows:
         if a == 0:
             if not (c > 0 if relation == ">" else c == 0):
-                return (1, 1), (0, -1)
+                return (scale, 1), (0, -1)
             continue
-        root = Fraction(-c, a)
+        root = -c * (scale // a)
         if relation == "=":
             lower, upper = max(lower, (root, 0)), min(upper, (root, 0))
         elif a > 0:
@@ -681,13 +685,16 @@ def _interval(rows):
 def _rho_interval(dataset, menus):
     """The u(1) interval of one utility over ``menus`` (3-prize grids), as
     ranks among the dataset's distinct bounds.  Each menu's own interval
-    comes from its integer rows, ranked once per dataset.  The menus hold
-    fewer than twice as many distinct bounds as there are menus, so a
-    class with no menus gets ranks outside all of them: the open (0, 1)."""
+    comes from its integer rows on the dataset's one scale, ranked once per
+    dataset.  The menus hold fewer than twice as many distinct bounds as
+    there are menus, so a class with no menus gets ranks outside all of
+    them: the open (0, 1)."""
     def ranked():
-        intervals = {menu: _interval((diff[1], diff[2], relation)
-                                     for relation, diff in _menu_rows(dataset, menu))
-                     for menu in dataset.menus()}
+        rows = {menu: [(diff[1], diff[2], relation)
+                       for relation, diff in _menu_rows(dataset, menu)]
+                for menu in dataset.menus()}
+        scale = math.lcm(*{abs(a) for menu_rows in rows.values() for a, _, _ in menu_rows if a})
+        intervals = {menu: _interval(menu_rows, scale) for menu, menu_rows in rows.items()}
         rank = {key: k for k, key in enumerate(sorted(
             {key for pair in intervals.values() for key in pair}))}
         return {menu: (rank[lower], rank[upper]) for menu, (lower, upper) in intervals.items()}

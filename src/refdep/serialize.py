@@ -164,11 +164,6 @@ def load_dataset(path) -> ChoiceDataset:
         return dataset_from_dict(read_json(fh))
 
 
-def dump_dataset(ds: ChoiceDataset, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(to_json(dataset_to_dict(ds)))
-
-
 def menus_from_dict(doc):
     """A menus file: a dataset document listing each menu once under "menus"."""
     try:

@@ -1181,6 +1181,34 @@ def interval_by_fractions(rows):
     return None
 
 
+def interval_keys_by_fractions(rows):
+    """``risk._interval``'s ordered bound keys with each root the
+    ``Fraction`` -c/a itself, inside the open (0, 1): (value, 1) an open
+    lower bound, (value, -1) an open upper bound, (value, 0) a closed one;
+    (1, 1), (0, -1) when a constant row fails."""
+    lower, upper = (F(0), 1), (F(1), -1)
+    for a, c, relation in rows:
+        if a == 0:
+            if not (c > 0 if relation == ">" else c == 0):
+                return (F(1), 1), (F(0), -1)
+            continue
+        root = F(-c) / a
+        if relation == "=":
+            lower, upper = max(lower, (root, 0)), min(upper, (root, 0))
+        elif a > 0:
+            lower = max(lower, (root, 1))
+        else:
+            upper = min(upper, (root, -1))
+    return lower, upper
+
+
+def ranks_of(intervals):
+    """Each (lower, upper) pair of ``intervals`` as the ranks of its keys
+    among the distinct keys of all of them."""
+    rank = {key: k for k, key in enumerate(sorted({key for pair in intervals for key in pair}))}
+    return [(rank[lower], rank[upper]) for lower, upper in intervals]
+
+
 def reference_assignments_unpruned(dataset, order):
     """``risk._reference_assignments`` with no interval cut: every
     complete assignment whose references the closed ``order`` can rank

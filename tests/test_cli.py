@@ -23,7 +23,7 @@ from refdep.cli import main
 from refdep.exceptions import AxiomFails, InfeasibleFit, ValidationError
 from refdep.ordu import simulate_ordu
 from refdep.risk import RISK_PROPERTY, fit_areu, simulate_areu
-from refdep.serialize import dataset_from_dict, dataset_to_dict, dump_dataset, parse_rational, to_json
+from refdep.serialize import dataset_from_dict, dataset_to_dict, parse_rational, to_json
 from refdep.social import simulate_fspu
 from refdep.timepref import simulate_pbdu
 
@@ -62,7 +62,7 @@ def run_json(argv):
 
 def write_dataset(tmp_path, ds, name="data.json"):
     path = tmp_path / name
-    dump_dataset(ds, path)
+    path.write_text(to_json(dataset_to_dict(ds)))
     return str(path)
 
 

@@ -309,3 +309,64 @@ def test_integer_rows_over_d_give_the_fraction_tableau_times_d_and_the_same_vert
         kinds["phase 1"] += any(bound < 0 for _, bound in base)
         kinds["D > 1"] += den > 1
     assert min(kinds.values()) >= 50, kinds
+
+
+# -- the vertex check --------------------------------------------------------
+
+
+def _patched_vertex(monkeypatch, problem, point):
+    """Make the simplex return ``point`` (name -> value) as its vertex for
+    ``problem``, with a positive gap when the problem has strict rows."""
+    strict = any(feasibility.RELATIONS[c.relation][2] for c in problem.constraints)
+    values = [part for name in problem.variables()
+              for part in (max(F(point[name]), F(0)), max(-F(point[name]), F(0)))]
+    gap = [F(1)] if strict else []
+    monkeypatch.setattr(feasibility, "_simplex_maximize",
+                        lambda rows, objective: (values + gap, F(1) if strict else F(0)))
+
+
+@pytest.mark.parametrize("row, bad, good", [
+    (({"x": 2}, "<=", 3), {"x": 2}, {"x": F(3, 2)}),
+    (({"x": F(1, 3)}, ">=", F(1, 2)), {"x": F(4, 3)}, {"x": F(3, 2)}),
+    (({"x": 1, "y": -1}, ">", 0), {"x": F(1, 2), "y": F(1, 2)}, {"x": F(1, 2), "y": F(1, 3)}),
+    (({"x": 3, "y": 1}, "=", 2), {"x": F(1, 3), "y": F(2, 3)}, {"x": F(1, 3), "y": 1}),
+    (({"x": F(-2, 3), "y": F(5, 2)}, "<", F(1, 6)), {"x": -1, "y": F(-1, 5)},
+     {"x": -1, "y": F(-1, 5) - F(1, 10)}),
+])
+def test_a_vertex_that_breaks_a_row_is_refused(monkeypatch, row, bad, good):
+    """The check that follows the simplex still bites: on integer and
+    ``Fraction`` rows, strict and ``=`` ones, a vertex off one row raises,
+    and the same row at a vertex on it is returned as it is."""
+    problem = LinearFeasibilityProblem()
+    problem.add(*row)
+    problem.add({"x": 1}, ">=", -5)
+    (con, _) = problem.constraints
+    assert not con.holds(bad) and con.holds(good)
+    _patched_vertex(monkeypatch, problem, bad)
+    with pytest.raises(RefdepError, match="internal error: simplex returned a bad vertex"):
+        solve_linear_feasibility(problem)
+    _patched_vertex(monkeypatch, problem, good)
+    assert solve_linear_feasibility(problem) == Feasible(good)
+
+
+def test_the_vertex_check_agrees_with_constraint_holds_on_random_vertices(monkeypatch):
+    rng = random.Random(32)
+    values = [F(x, d) for x in range(-4, 5) for d in (1, 2, 3)]
+    verdicts = Counter()
+    for _ in range(800):
+        problem = LinearFeasibilityProblem(denominator=rng.choice(_DENOMINATORS))
+        for row in _random_problem(rng):
+            if rng.random() < 0.5:  # integer rows, as the fitters hand in
+                coeffs, relation, rhs = row
+                row = ({v: c.numerator for v, c in coeffs.items()}, relation, rhs.numerator)
+            problem.add(*row)
+        point = {name: rng.choice(values) for name in problem.variables()}
+        holds = all(con.holds(point) for con in problem.constraints)
+        _patched_vertex(monkeypatch, problem, point)
+        try:
+            result = solve_linear_feasibility(problem)
+        except RefdepError:
+            result = None
+        assert (result == Feasible(point)) == holds
+        verdicts[holds] += 1
+    assert min(verdicts.values()) >= 60, verdicts

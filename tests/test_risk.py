@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -63,6 +64,7 @@ from helpers import (
     fspu_data,
     integer_areu_data,
     interval_by_fractions,
+    interval_keys_by_fractions,
     lot,
     lottery_dataset,
     menu_rows_by_fractions,
@@ -70,6 +72,7 @@ from helpers import (
     mixture_weight_by_loop,
     mps_by_loop,
     perturbed,
+    ranks_of,
     random_rho_monotone_areu,
     reference_assignments_unpruned,
     reverse_allais_dataset,
@@ -353,14 +356,38 @@ def _partition(keys):
     return {frozenset(items) for items in classes.values()}
 
 
-def _as_fraction_interval(interval):
-    """An interval of ordered bound keys in the form of
+def _as_fraction_interval(interval, scale):
+    """An interval of ordered bound keys on ``scale`` in the form of
     ``interval_by_fractions``: None when empty, else ((value, open),
-    (value, open))."""
+    (value, open)) with each value divided by the scale."""
     (lo, lo_side), (hi, hi_side) = interval
     if interval[0] > interval[1]:
         return None
-    return (lo, lo_side == 1), (hi, hi_side == -1)
+    return (F(lo, scale), lo_side == 1), (F(hi, scale), hi_side == -1)
+
+
+def _integer_rows(rows):
+    """(a, c, relation) rows, each times the lcm of its denominators: the
+    same bounds on u(1), in integers."""
+    out = []
+    for a, c, relation in rows:
+        k = math.lcm(F(a).denominator, F(c).denominator)
+        out.append((int(a * k), int(c * k), relation))
+    return out
+
+
+def _scale(classes):
+    """The least common multiple of every nonzero |a| of the integer rows
+    of ``classes``, the scale ``risk._rho_interval`` takes per dataset."""
+    return math.lcm(*{abs(a) for rows in classes for a, _, _ in rows if a})
+
+
+def _intervals(classes):
+    """``risk._interval`` of each class of (a, c, relation) rows, on the
+    rows' integer form and one scale common to all the classes."""
+    classes = [_integer_rows(rows) for rows in classes]
+    scale = _scale(classes)
+    return [risk._interval(rows, scale) for rows in classes]
 
 
 def test_forced_edges_reuse_the_cached_spreads(monkeypatch):
@@ -421,10 +448,13 @@ def test_integer_view_matches_the_fraction_forms_on_random_datasets():
             assert rows == [(relation, tuple(den * x for x in diff))
                             for relation, diff in expected]
             if n == 3:
-                interval = _as_fraction_interval(risk._interval(
-                    (diff[1], diff[2], relation) for relation, diff in rows))
-                assert interval == interval_by_fractions(
+                bounds = [(diff[1], diff[2], relation) for relation, diff in rows]
+                scale = _scale([bounds])
+                oracle = interval_by_fractions(
                     (diff[1], diff[2], relation) for relation, diff in expected)
+                interval = _as_fraction_interval(risk._interval(bounds, scale), scale)
+                assert interval == oracle
+                assert _as_fraction_interval(risk._interval(bounds, 3 * scale), 3 * scale) == oracle
                 seen["empty interval" if interval is None else "interval"] += 1
     assert min(seen.values()) >= 20, seen
 
@@ -451,9 +481,10 @@ def test_integer_view_diff_table_intervals_and_lp_rows_hold_no_float(monkeypatch
             assert all(type(x) is int for x in (*vec, *(key or ())))
         if n_prizes == 3:
             for menu in ds.menus():
-                bounds = risk._interval((diff[1], diff[2], relation)
-                                        for relation, diff in risk._menu_rows(ds, menu))
-                assert exact(value for value, _ in bounds)
+                rows = [(diff[1], diff[2], relation)
+                        for relation, diff in risk._menu_rows(ds, menu)]
+                bounds = risk._interval(rows, _scale([rows]))
+                assert all(type(value) is int for value, _ in bounds)
                 assert all(type(side) is int for _, side in bounds)
             risk._rho_interval(ds, ds.menus())
             ranks = ds.cached("menu-intervals", dict)
@@ -849,8 +880,7 @@ HALF, ABOVE_HALF, BELOW_HALF = (2, -1, "="), (2, -1, ">"), (-2, 1, ">")
     ([[(0, 1, ">"), BELOW_HALF]], True),
 ])
 def test_sweep_at_bounds_that_meet_at_one_point(classes, feasible):
-    intervals = [risk._interval(rows) for rows in classes]
-    assert _chain_admits(intervals) == feasible == bool(_chain_lp(classes))
+    assert _chain_admits(_intervals(classes)) == feasible == bool(_chain_lp(classes))
 
 
 def test_sweep_agrees_with_the_lp_on_random_three_prize_chains():
@@ -858,7 +888,7 @@ def test_sweep_agrees_with_the_lp_on_random_three_prize_chains():
     verdicts = []
     for _ in range(400):
         classes = _random_rows(rng, rng.randint(1, 4))
-        verdict = _chain_admits([risk._interval(rows) for rows in classes])
+        verdict = _chain_admits(_intervals(classes))
         assert verdict == bool(_chain_lp(classes))
         verdicts.append(verdict)
     assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
@@ -901,10 +931,27 @@ def test_ranked_class_intervals_agree_with_the_fraction_meet():
             seen["no menus" if not members else "empty" if oracle is None else "interval"] += 1
         for hi, lo in permutations(classes[1:4], 2):
             ranked = [risk._rho_interval(ds, members) for members in (hi, lo)]
-            unranked = [risk._interval(row for menu in members for row in rows[menu])
-                        for members in (hi, lo)]
+            unranked = _intervals([[row for menu in members for row in rows[menu]]
+                                   for members in (hi, lo)])
             assert _chain_admits(ranked) == _chain_admits(unranked)
+        fraction_keys = [interval_keys_by_fractions(rows[menu]) for menu in menus]
+        per_menu = ds.cached("menu-intervals", dict)
+        assert [per_menu[menu] for menu in menus] == ranks_of(fraction_keys)
     assert min(seen.values()) >= 20, seen
+
+    # constant rows, "=" rows and empty intervals, on one scale per input
+    edges = [[], [(0, 1, ">")], [(0, 0, "=")], [(0, -1, ">")], [(0, 0, ">")], [HALF],
+             [HALF, ABOVE_HALF], [BELOW_HALF, (1, 0, "=")], [(F(1, 2), F(-1, 3), "=")]]
+    inputs = [edges] + [_random_rows(rng, rng.randint(1, 5)) for _ in range(300)]
+    kinds = Counter()
+    for classes in inputs:
+        fraction_keys = [interval_keys_by_fractions(rows) for rows in classes]
+        assert ranks_of(_intervals(classes)) == ranks_of(fraction_keys)
+        for rows, (lower, upper) in zip(classes, fraction_keys):
+            kinds["empty" if lower > upper else "interval"] += 1
+            kinds.update("constant" if a == 0 else "=" for a, _, relation in rows
+                         if a == 0 or relation == "=")
+    assert min(kinds[k] for k in ("empty", "interval", "constant", "=")) >= 50, kinds
 
 
 def test_order_admits_exactly_when_some_chain_passes_the_sweep():
@@ -918,8 +965,7 @@ def test_order_admits_exactly_when_some_chain_passes_the_sweep():
         if order is None:
             continue
         refs = rng.sample(items, rng.randint(1, len(items)))
-        intervals = {ref: risk._interval(rows)
-                     for ref, rows in zip(refs, _random_rows(rng, len(refs)))}
+        intervals = dict(zip(refs, _intervals(_random_rows(rng, len(refs)))))
         some = any(_chain_admits([intervals[r] for r in chain])
                    for chain in risk._chains(refs, order))
         assert risk._order_admits(intervals, order) == some
