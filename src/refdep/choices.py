@@ -31,7 +31,6 @@ GENERIC = "generic"
 LOTTERY = "lottery"
 DATED_PAYMENT = "dated_payment"
 INCOME_SPLIT = "income_split"
-KINDS = (GENERIC, LOTTERY, DATED_PAYMENT, INCOME_SPLIT)
 
 
 @dataclass(frozen=True)
@@ -74,6 +73,11 @@ class SplitPayload:
 
     own: Fraction
     other: Fraction
+
+
+# each dataset kind -> the class of payload its alternatives carry
+KINDS = {GENERIC: type(None), LOTTERY: LotteryPayload,
+         DATED_PAYMENT: PaymentPayload, INCOME_SPLIT: SplitPayload}
 
 
 @dataclass(frozen=True)
@@ -207,18 +211,6 @@ class ChoiceDataset:
         """The dataset's menu lattice, built on first use."""
         return self.cached("lattice", lambda: MenuLattice(self))
 
-    def observed_subsets(self, menu: Menu):
-        """All observed menus contained in ``menu`` (including itself)."""
-        lattice = self.lattice()
-        return lattice.at(lattice.within(menu))
-
-    def nested_pairs(self):
-        """All observed (small, big) pairs with small a strict subset of
-        big, big in canonical order and then small."""
-        lattice = self.lattice()
-        return [(lattice.menus[j], big) for i, big in enumerate(lattice.menus)
-                for j in bits(lattice.within(big) & ~(1 << i))]
-
     def restrict(self, family) -> "ChoiceDataset":
         """Keep only the observations in ``family``; universe unchanged."""
         lattice = self.lattice()
@@ -304,15 +296,9 @@ class MenuLattice:
 
 
 def _check_invariants(ds: ChoiceDataset) -> None:
-    if ds.kind not in KINDS:
+    want = KINDS.get(ds.kind) if isinstance(ds.kind, str) else None
+    if want is None:
         raise ValidationError(f"unknown dataset kind {ds.kind!r}")
-    payload_types = {
-        GENERIC: type(None),
-        LOTTERY: LotteryPayload,
-        DATED_PAYMENT: PaymentPayload,
-        INCOME_SPLIT: SplitPayload,
-    }
-    want = payload_types[ds.kind]
     for alt in ds.alternatives.values():
         if not isinstance(alt.payload, want):
             raise MixedPayloadKinds(
@@ -373,6 +359,17 @@ def integer_payloads(dataset: ChoiceDataset) -> dict:
     return dataset.cached("integers", view)
 
 
+def alternatives_by_id(alternatives) -> dict:
+    """id -> alternative, in the given order; a ValidationError naming
+    the first id given twice."""
+    by_id = {}
+    for alt in alternatives:
+        if alt.id in by_id:
+            raise ValidationError(f"duplicate alternative id {alt.id!r}")
+        by_id[alt.id] = alt
+    return by_id
+
+
 def validate_dataset(kind, alternatives, observations, floor=None) -> ChoiceDataset:
     """Build a dataset from raw pieces, checking every invariant.
 
@@ -380,11 +377,7 @@ def validate_dataset(kind, alternatives, observations, floor=None) -> ChoiceData
     pairs; duplicate menus are rejected rather than merged (observing the
     same menu twice with different choices has no agreed semantics).
     """
-    alt_map = {}
-    for alt in alternatives:
-        if alt.id in alt_map:
-            raise ValidationError(f"duplicate alternative id {alt.id!r}")
-        alt_map[alt.id] = alt
+    alt_map = alternatives_by_id(alternatives)
     obs = {}
     if isinstance(observations, Mapping):
         observations = observations.items()

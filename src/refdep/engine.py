@@ -163,9 +163,6 @@ class ReferenceOrder:
             raise ValueError("ranking has duplicates")
         object.__setattr__(self, "ranks", ranks)
 
-    def rank_map(self) -> dict:
-        return dict(self.ranks)
-
     def argmax(self, menu) -> str:
         return min(menu, key=self.ranks.__getitem__)
 

@@ -143,16 +143,16 @@ def build_ordu(dataset: ChoiceDataset) -> OrduParams:
     pool = sorted(dataset.universe)
     ranking, utilities = [], {}
     while pool:
-        inside, conflicts = lattice.within(pool), []
+        inside, first = lattice.within(pool), None
         for x in pool:  # x would top its class: the menus in the pool holding it
             family = lattice.at(lattice.containing((x,)) & inside)
             above = _revealed_above(dataset, family)
             conflict = _incongruence(dataset, family, above)
             if conflict is None:
                 break
-            conflicts.append((x, *conflict))
+            first = first or (x, *conflict)
         else:
-            x, menu, z, y = conflicts[0]
+            x, menu, z, y = first
             raise InfeasibleFit(
                 f"no member of {pool} tops a congruent class: the menus with "
                 f"reference {x!r} reveal {z!r} weakly above {y!r}, "

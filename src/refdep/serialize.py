@@ -18,13 +18,13 @@ from json.encoder import INFINITY, encode_basestring_ascii as _quote
 from .choices import (
     Alternative,
     ChoiceDataset,
-    DATED_PAYMENT,
     GENERIC,
     INCOME_SPLIT,
-    LOTTERY,
+    KINDS,
     LotteryPayload,
     PaymentPayload,
     SplitPayload,
+    alternatives_by_id,
     sorted_menus,
     validate_dataset,
 )
@@ -70,35 +70,32 @@ def format_rational(value: Fraction) -> str:
 
 
 def _payload_from_json(kind, raw):
+    want = KINDS.get(kind) if isinstance(kind, str) else None
+    if want is None:
+        raise ValidationError(f"unknown dataset kind {kind!r}")
     if kind == GENERIC:
         if raw not in (None, {}):
             raise ValidationError("generic alternatives carry no payload")
         return None
     if raw is None:
         raise ValidationError(f"{kind} alternatives need a payload")
-    if kind == LOTTERY:
+    if want is LotteryPayload:
         return LotteryPayload(tuple((parse_rational(x), parse_rational(p))
                                     for x, p in raw["probs"].items()))
-    if kind == DATED_PAYMENT:
+    if want is PaymentPayload:
         return PaymentPayload(parse_rational(raw["amount"]), parse_rational(raw["time"]))
-    if kind == INCOME_SPLIT:
-        return SplitPayload(parse_rational(raw["own"]), parse_rational(raw["other"]))
-    raise ValidationError(f"unknown dataset kind {kind!r}")
+    return SplitPayload(parse_rational(raw["own"]), parse_rational(raw["other"]))
 
 
 def _payload_to_json(payload):
-    if payload is None:
-        return None
     if isinstance(payload, LotteryPayload):
         return {"probs": {format_rational(x): format_rational(p)
                           for x, p in payload.probs}}
     if isinstance(payload, PaymentPayload):
         return {"amount": format_rational(payload.amount),
                 "time": format_rational(payload.time)}
-    if isinstance(payload, SplitPayload):
-        return {"own": format_rational(payload.own),
-                "other": format_rational(payload.other)}
-    raise ValidationError(f"unknown payload {payload!r}")
+    return {"own": format_rational(payload.own),
+            "other": format_rational(payload.other)}
 
 
 def _alternatives_from_json(kind, raw):
@@ -172,11 +169,7 @@ def menus_from_dict(doc):
         menus = [frozenset(ids_from_json(m, "menu")) for m in doc["menus"]]
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValidationError(f"malformed menus document: {exc}") from exc
-    by_id = {}
-    for alt in alts:
-        if alt.id in by_id:
-            raise ValidationError(f"duplicate alternative id {alt.id!r}")
-        by_id[alt.id] = alt
+    by_id = alternatives_by_id(alts)
     for menu in menus:
         if not menu:
             raise ValidationError("empty menu in menus file")

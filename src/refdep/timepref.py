@@ -288,25 +288,6 @@ def verify_pbdu(params: PbduParams, dataset: ChoiceDataset) -> list:
         alt: a.payload for alt, a in dataset.alternatives.items()}))
 
 
-def standing_assumption(dataset: ChoiceDataset):
-    """True/False for the best-late-vs-worst-now doubleton when observed,
-    None when that menu never appears.  Several alternatives may share a
-    corner payment; their doubletons are tried in id order."""
-    ints = integer_payloads(dataset)
-    (_, amount), (_, time) = ints["amount"], ints["time"]
-    ids = sorted(dataset.universe)
-    lo_now = [alt for alt in ids
-              if amount[alt] == min(amount.values()) and time[alt] == min(time.values())]
-    hi_late = [alt for alt in ids
-               if amount[alt] == max(amount.values()) and time[alt] == max(time.values())]
-    for a in lo_now:
-        for b in hi_late:
-            menu = frozenset((a, b))
-            if menu in dataset.observations:
-                return b in dataset.observations[menu]
-    return None
-
-
 def fit_pbdu(dataset: ChoiceDataset) -> PbduParams:
     """One exact feasibility system for the whole dataset.
 

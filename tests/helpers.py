@@ -957,7 +957,7 @@ def dominance_by_menus(dataset, menus, beats, describe):
 
 def expansion_by_nested_pairs(dataset, kind, clashes):
     return sort_witnesses({ViolationWitness(kind, (small, big), narrative)
-                           for small, big in dataset.nested_pairs()
+                           for small, big in nested_pairs_by_scan(dataset)
                            for narrative in clashes(small, big)})
 
 
@@ -1319,7 +1319,7 @@ def synthesize_by_pruning(dataset, prop, psi):
             images[menu] = images[menu] - {drop}
         for menu, image in images.items():
             assert image, f"image of {sorted(menu)} emptied"
-            for sub in dataset.observed_subsets(menu):
+            for sub in lattice.at(lattice.within(menu)):
                 assert image & sub <= images[sub], "alpha property broken"
 
     wins = {x: 0 for x in universe}
@@ -1367,7 +1367,7 @@ def ordu_by_prediction_sets(dataset):
     if ranking is None:
         raise InfeasibleFit("no order admits one weak order per reference class")
     order = ReferenceOrder(ranking)
-    ranks = order.rank_map()
+    ranks = order.ranks
     utilities = {}
     for x in order.ranking:
         pset = [x] + [y for y in order.ranking if ranks[y] > ranks[x]
@@ -1522,27 +1522,9 @@ def present_bias_by_fractions(dataset):
     return sort_witnesses(set(witnesses))
 
 
-def standing_assumption_by_fractions(dataset):
-    ids = sorted(dataset.universe)
-    amounts = [dataset.payload(alt).amount for alt in ids]
-    times = [dataset.payload(alt).time for alt in ids]
-    lo_now = [alt for alt in ids
-              if dataset.payload(alt).amount == min(amounts)
-              and dataset.payload(alt).time == min(times)]
-    hi_late = [alt for alt in ids
-               if dataset.payload(alt).amount == max(amounts)
-               and dataset.payload(alt).time == max(times)]
-    for a in lo_now:
-        for b in hi_late:
-            menu = frozenset((a, b))
-            if menu in dataset.observations:
-                return b in dataset.observations[menu]
-    return None
-
-
 def fairness_by_fractions(dataset):
     witnesses = []
-    for small, big in dataset.nested_pairs():
+    for small, big in nested_pairs_by_scan(dataset):
         c_small = dataset.observations[small]
         c_big = dataset.observations[big]
         for generous in sorted(c_small):

@@ -748,6 +748,86 @@ def test_a_floor_on_a_lottery_menus_file_is_rejected(tmp_path):
         "error": "validation", "detail": "a floor applies only to income_split menus, not lottery"}
 
 
+def _with_params(model, **fields):
+    return {"params": {**DOCUMENTS[model]["params"], **fields}, "data": DOCUMENTS[model]["data"]}
+
+
+def _verify(model):
+    return ["verify", "--model", model, "params", "data"]
+
+
+_AREU = DOCUMENTS["areu"]["params"]
+_SIMULATE_ORDU = ["simulate", "--model", "ordu", "params", "menus"]
+_ORDU_PARAMS = DOCUMENTS["ordu"]["params"]
+_AB = {"kind": "generic", "alternatives": [{"id": "a"}, {"id": "b"}]}
+
+
+@pytest.mark.parametrize("command, files, error, detail", [
+    # an unknown kind is named before any payload check; with an alternative
+    # that carries no payload, the parent said "foo alternatives need a payload"
+    (["validate", "data"],
+     {"data": {"kind": "foo", "alternatives": [{"id": "a"}], "observations": []}},
+     "validation", "unknown dataset kind 'foo'"),
+    (_SIMULATE_ORDU, {"params": _ORDU_PARAMS,
+                      "menus": {"kind": "foo", "alternatives": [{"id": "a"}], "menus": [["a"]]}},
+     "validation", "unknown dataset kind 'foo'"),
+    (["validate", "data"], {"data": {"kind": ["foo"], "alternatives": [], "observations": []}},
+     "validation", "unknown dataset kind ['foo']"),
+    (["validate", "data"],
+     {"data": {"kind": "lottery", "alternatives": [{"id": "a"}], "observations": []}},
+     "validation", "lottery alternatives need a payload"),
+    (["validate", "data"],
+     {"data": {"kind": "generic", "observations": [],
+               "alternatives": [{"id": "a", "payload": {"probs": {"1": "1"}}}]}},
+     "validation", "generic alternatives carry no payload"),
+    (["validate", "data"], {"data": _generic_doc("ab", [], [])}, "validation", "empty menu"),
+    (["validate", "data"], {"data": _generic_doc("ab", ["a", "z"], ["a"])},
+     "validation", "menu ['a', 'z'] not contained in the universe"),
+    (_SIMULATE_ORDU, {"params": _ORDU_PARAMS, "menus": {**_AB, "menus": [[]]}},
+     "validation", "empty menu in menus file"),
+    (_SIMULATE_ORDU, {"params": _ORDU_PARAMS, "menus": {**_AB, "menus": [["a", "c"]]}},
+     "validation", "menu ['a', 'c'] uses undeclared ids"),
+    (["fixtures", "run"], {}, "validation", "fixtures run needs a fixture name"),
+    (_verify("areu"), _with_params("areu", lotteries={**_AREU["lotteries"],
+                                                      "p1": ["0", "1/2", "0"]}),
+     "validation", "bad probability vector"),
+    (_verify("areu"), _with_params("areu", utilities={**_AREU["utilities"],
+                                                      "p1": ["0", "9/10", "2"]}),
+     "validation", "utilities must be normalized to [0, 1]"),
+    (_verify("areu"), _with_params("areu", order=_AREU["order"][:-1]),
+     "validation", "order must cover exactly the named lotteries"),
+    (_verify("areu"), _with_params("areu", utilities={
+        alt: u for alt, u in _AREU["utilities"].items() if alt != _AREU["order"][-1]}),
+     "validation", "every lottery needs a reference utility"),
+    (_verify("pbdu"), _with_params("pbdu", log_discount={"0": "-3", "1": "0"}),
+     "validation", "log-discounts must be negative"),
+    (_verify("pbdu"), _with_params("pbdu", log_utility={"1": "-2", "1.0": "-1"}),
+     "validation", "amount grid must be strictly sorted"),
+    (_verify("fspu"), _with_params("fspu", tables={"0": {"2": "0", "4": "1"},
+                                                   "1/6": {"2": "0", "4": "2"}}),
+     "validation", "increments at Gini 0 must dominate those at 1/6"),
+    (_verify("fspu"), _with_params("fspu", tables={"0": {"2": "0", "4": "1"},
+                                                   "1/6": {"2": "0", "6": "1"}}),
+     "validation", "all references must share one income grid"),
+    (_verify("fspu"), _with_params("fspu", tables={"0": {"2": "1", "4": "0"}}),
+     "validation", "sharing utility must be strictly increasing"),
+    (["export-triangle", "params"],
+     {"params": {"prizes": ["0", "1", "2", "3"], "lotteries": {"a": ["0", "0", "0", "1"]},
+                 "order": ["a"], "utilities": {"a": ["0", "1/3", "2/3", "1"]}}},
+     "NotATriangle", "need exactly three prizes"),
+], ids=["unknown-kind", "menus-file-unknown-kind", "list-kind", "lottery-without-payload",
+        "generic-with-payload", "empty-menu", "menu-off-universe", "menus-file-empty-menu", "menus-file-undeclared-ids", "fixtures-run-no-name",
+        "areu-bad-vector", "areu-unnormalized-utility", "areu-order-short",
+        "areu-utility-missing", "pbdu-nonnegative-discount", "pbdu-repeated-amount",
+        "fspu-increments", "fspu-two-grids", "fspu-decreasing-utility", "triangle-four-prizes"])
+def test_each_input_error_exits_2_with_its_json_document(tmp_path, command, files, error,
+                                                         detail):
+    for name, doc in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    argv = [str(tmp_path / f"{arg}.json") if arg in files else arg for arg in command]
+    assert run_json(argv) == (2, {"error": error, "detail": detail})
+
+
 @pytest.mark.parametrize("model", sorted(DOCUMENTS))
 def test_fit_without_observations_certifies_the_empty_dataset(model, tmp_path):
     _assert_fit_certifies(model, {**DOCUMENTS[model]["data"], "observations": []}, tmp_path)

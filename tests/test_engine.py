@@ -92,9 +92,9 @@ def test_singleton_menus_are_their_own_candidates():
 
 def test_candidate_map_is_hereditary():
     ds = load_fixture("compliance_2_1")
-    cmap = candidate_references(ds, WARP, IDENTITY_PSI)
+    cmap, lattice = candidate_references(ds, WARP, IDENTITY_PSI), ds.lattice()
     for big, candidates in cmap.items():
-        for small in ds.observed_subsets(big):
+        for small in lattice.at(lattice.within(big)):
             assert candidates & small <= cmap[small]
 
 

@@ -13,6 +13,7 @@ computation's value.  Every exception class is read in another module.
 Only ``choices.py`` reads ``maximizers`` or defines a ``choose``
 function, so the models' choice rules all come from its one builder.
 Only ``serialize.py`` imports ``json``, so JSON text has one boundary.
+Every public module-level function has a reader outside the tests.
 """
 
 import ast
@@ -192,3 +193,40 @@ def test_only_serialize_imports_json():
                 dumps.add(f"{path.name}:{node.lineno}")
     assert importers == {"serialize"}, importers
     assert not dumps, f"json.dumps called at {sorted(dumps)}"
+
+
+ROOT = SRC.parents[1]
+
+
+def _names_read(node):
+    """The names and attribute names read anywhere in ``node``."""
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)}
+
+
+def test_every_public_function_has_a_reader_outside_the_tests():
+    """Each public module-level function of ``src/refdep`` is read by
+    another statement of ``src/refdep``, by ``demos/`` or by ``bench/``
+    (its ``test_*.py`` aside), or is exported by ``refdep/__init__.py``;
+    the ``cmd_<subcommand>`` handlers that ``main`` looks up for
+    ``build_parser()``'s subcommands count as read.  Code only the tests
+    call is dead."""
+    _, init, _ = _parse(SRC / "__init__.py")
+    exported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    _, cli, _ = _parse(SRC / "cli.py")
+    handlers = {"cmd_" + node.args[0].value.replace("-", "_") for node in ast.walk(cli)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_parser"}
+    assert len(handlers) == 8, handlers
+    outside = exported | handlers | set().union(*(
+        _names_read(ast.parse(path.read_text()))
+        for folder in ("demos", "bench") for path in sorted((ROOT / folder).glob("*.py"))
+        if not path.name.startswith("test_")))
+    statements = [(path.stem, node) for path in MODULES for node in _parse(path)[1].body]
+    inside = [(node, _names_read(node)) for _, node in statements]
+    unread = [f"{stem}.{node.name}" for stem, node in statements
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not node.name.startswith("_") and node.name not in outside
+              and not any(node.name in names for other, names in inside if other is not node)]
+    assert not unread, f"only the tests read {unread}"

@@ -42,7 +42,6 @@ from helpers import (
     invariance_by_scan,
     least_risky_by_loop,
     most_balanced_by_maximizers,
-    nested_pairs_by_scan,
     ordu_data,
     pbdu_data,
     perturbed,
@@ -87,13 +86,12 @@ def test_lattice_agrees_with_the_all_pairs_scans(domain):
     for ds in _datasets(make, rng):
         menus = ds.menus()
         assert isinstance(menus, tuple) and list(menus) == sorted_menus(ds.observations)
-        assert ds.nested_pairs() == nested_pairs_by_scan(ds)
         assert maximal_menus(ds) == [m for m in menus if not any(m < o for o in menus)]
-        universe = sorted(ds.universe)
+        universe, lattice = sorted(ds.universe), ds.lattice()
         pools = [*menus, *(frozenset(rng.sample(universe, rng.randint(1, len(universe))))
                            for _ in range(5))]
         for pool in pools:
-            assert ds.observed_subsets(pool) == [m for m in menus if m <= pool]
+            assert lattice.at(lattice.within(pool)) == [m for m in menus if m <= pool]
         assert warp_over(ds, menus) == warp_by_scan(ds, menus)
         shifts = correspondences(ds)
         for _ in range(5):

@@ -27,6 +27,7 @@ from refdep.rivals import load_fixture
 from helpers import (
     all_menus,
     generic_dataset,
+    nested_pairs_by_scan,
     ordu_bruteforce,
     ordu_by_prediction_sets,
     perturbed_ordu_data,
@@ -187,7 +188,7 @@ def test_reference_persistence_in_simulated_data():
     for _ in range(30):
         params = random_ordu_params(rng)
         ds = simulate_ordu(params, all_menus(params.order.ranking, 2, 5))
-        for small, big in ds.nested_pairs():
+        for small, big in nested_pairs_by_scan(ds):
             if params.order.argmax(big) in small:
                 kept = ds.observations[big] & small
                 if kept:
@@ -286,9 +287,7 @@ def test_from_json_rejects_ids_that_are_not_strings():
 def test_one_rank_map_serves_the_top_lookup_and_the_coverage_test():
     params = random_ordu_params(random.Random(0), ids=("a", "b", "c"))
     order = params.order
-    ranks = order.rank_map()
-    assert ranks == {alt: k for k, alt in enumerate(order.ranking)}
-    ranks[order.ranking[-1]] = -1  # a copy: the order's own map is unchanged
+    assert order.ranks == {alt: k for k, alt in enumerate(order.ranking)}
     assert order.argmax(set(order.ranking)) == order.ranking[0]
     same = ReferenceOrder(order.ranking)
     assert order == same and hash(order) == hash(same)

@@ -35,7 +35,6 @@ from helpers import (
     shift_correspondences_by_fractions,
     social_monotonicity_by_fractions,
     split,
-    standing_assumption_by_fractions,
 )
 
 # (amount or own-income denominator, time or other-income denominator)
@@ -213,15 +212,6 @@ def test_axiom_checks_match_the_fraction_oracles(model):
             fractional += any("/" in w.narrative for w in witnesses)
     assert fractional  # a narrative shows a non-integer amount or delay
     assert all(0 < count < len(cases) for count in failed.values()), failed
-
-
-def test_standing_assumption_matches_the_fraction_oracle():
-    verdicts = set()
-    for ds in _check_cases("pbdu"):
-        verdict = timepref.standing_assumption(ds)
-        assert verdict == standing_assumption_by_fractions(ds)
-        verdicts.add(verdict)
-    assert verdicts == {True, False, None}
 
 
 def test_present_bias_triple_clause_fires_on_fractional_rescalings():

@@ -23,7 +23,6 @@ from refdep.timepref import (
     linkage_report_time,
     simulate_pbdu,
     single_switching_check,
-    standing_assumption,
     stationarity_over,
     verify_pbdu,
 )
@@ -272,37 +271,6 @@ def test_decreasing_discounts_rejected_at_construction():
     with pytest.raises(ValidationError):
         PbduParams(((F(18), F(0)), (F(20), F(1))),
                    ((F(0), F(-1)), (F(3), F(-2))))
-
-
-def test_standing_assumption_reported():
-    payments = {"a": pay(15, 0), "b": pay(20, 4)}
-    yes = payment_dataset(payments, [(("a", "b"), ("b",))])
-    no = payment_dataset(payments, [(("a", "b"), ("a",))])
-    assert standing_assumption(yes) is True
-    assert standing_assumption(no) is False
-    assert standing_assumption(fixture_dataset()) is None
-
-
-STANDING_WITH_A_SHARED_CORNER = """
-from fractions import Fraction as F
-from refdep.choices import Alternative, DATED_PAYMENT, PaymentPayload, validate_dataset
-from refdep.timepref import standing_assumption
-alts = [Alternative(i, PaymentPayload(F(a), F(t)))
-        for i, a, t in (("a", 10, 0), ("a2", 10, 0), ("b", 20, 5))]
-print(standing_assumption(validate_dataset(
-    DATED_PAYMENT, alts, [({"a", "b"}, {"a"}), ({"a2", "b"}, {"b"})])))
-"""
-
-
-def test_standing_assumption_does_not_depend_on_the_hash_seed():
-    # a and a2 both pay the worst amount now and disagree against b; the
-    # doubleton of the first id, {a, b}, decides under every hash seed
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    for hash_seed in ("0", "5"):
-        proc = subprocess.run([sys.executable, "-c", STANDING_WITH_A_SHARED_CORNER],
-                              env={**env, "PYTHONHASHSEED": hash_seed},
-                              capture_output=True, text=True, check=True)
-        assert proc.stdout == "False\n", hash_seed
 
 
 @pytest.mark.parametrize("amount, time", [(-10, -3), (0, 1), (10, -3)])
