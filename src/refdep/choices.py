@@ -166,13 +166,21 @@ class ChoiceDataset:
     """Finite choice correspondence over a universe of alternatives.
 
     Instances are immutable by convention.  ``observations`` maps each
-    observed menu (frozenset of ids) to its nonempty chosen subset.
+    observed menu (frozenset of ids) to its nonempty chosen subset, in
+    the order the menus were first given.  The constructor takes them as
+    a mapping or as (menu, choice) pairs of id collections; a menu given
+    twice is a DuplicateMenu, not a merge (observing the same menu twice
+    with different choices has no agreed semantics).
     """
 
     def __init__(self, kind, alternatives, observations, floor=None):
         self.kind = kind
         self.alternatives = dict(alternatives)  # id -> Alternative
-        self.observations = {Menu(m): Menu(c) for m, c in observations.items()}
+        pairs = observations.items() if isinstance(observations, Mapping) else list(observations)
+        self.observations = {Menu(m): Menu(c) for m, c in pairs}
+        if len(self.observations) < len(pairs):
+            repeat = first_repeat(Menu(m) for m, _ in pairs)
+            raise DuplicateMenu(f"menu {sorted(repeat)} observed twice")
         self.floor = floor  # income floor, income_split datasets only
         self._cache = {}
         _check_invariants(self)
@@ -226,19 +234,9 @@ def bits(mask: int):
         mask ^= low
 
 
-def member_masks(sets) -> dict:
-    """Per alternative, the bitmask of the positions in ``sets`` of the
-    sets holding it."""
-    out = {}
-    for pos, members in enumerate(sets):
-        for alt in members:
-            out[alt] = out.get(alt, 0) | 1 << pos
-    return out
-
-
 def outside(masks: dict, pool) -> int:
-    """The union of the ``member_masks`` of the alternatives not in ``pool``:
-    the positions of the sets not contained in ``pool``."""
+    """The union of the per-alternative masks of the alternatives not in
+    ``pool``: the positions of the sets not contained in ``pool``."""
     out = 0
     for alt, mask in masks.items():
         if alt not in pool:
@@ -261,8 +259,14 @@ class MenuLattice:
         self.menus = tuple(sorted_menus(dataset.observations))
         self.index = {menu: pos for pos, menu in enumerate(self.menus)}
         self.full = (1 << len(self.menus)) - 1
-        self.contain = member_masks(self.menus)
-        self.chosen = member_masks(dataset.observations[menu] for menu in self.menus)
+        contain, chosen = {}, {}
+        for pos, menu in enumerate(self.menus):
+            bit = 1 << pos
+            for alt in menu:
+                contain[alt] = contain.get(alt, 0) | bit
+            for alt in dataset.observations[menu]:
+                chosen[alt] = chosen.get(alt, 0) | bit
+        self.contain, self.chosen = contain, chosen
 
     def within(self, pool) -> int:
         """The observed menus contained in ``pool``."""
@@ -295,26 +299,48 @@ class MenuLattice:
         return [self.menus[pos] for pos in bits(mask)]
 
 
-def _check_invariants(ds: ChoiceDataset) -> None:
-    want = KINDS.get(ds.kind) if isinstance(ds.kind, str) else None
+def first_repeat(menus):
+    """The first of ``menus`` equal to an earlier one, or None."""
+    seen = set()
+    for menu in menus:
+        if menu in seen:
+            return menu
+        seen.add(menu)
+
+
+def payload_class(kind) -> type:
+    """The class of payload the alternatives of ``kind`` carry; a
+    ValidationError for an unknown kind."""
+    want = KINDS.get(kind) if isinstance(kind, str) else None
     if want is None:
-        raise ValidationError(f"unknown dataset kind {ds.kind!r}")
+        raise ValidationError(f"unknown dataset kind {kind!r}")
+    return want
+
+
+def _check_invariants(ds: ChoiceDataset) -> None:
+    """The first fault of ``ds``: kind and payloads, then the observations
+    in order (each menu nonempty and in the universe, then its choice
+    nonempty and in the menu), then the floor.  Set tests over all the
+    observations decide whether any of them is at fault."""
+    want = payload_class(ds.kind)
     for alt in ds.alternatives.values():
         if not isinstance(alt.payload, want):
             raise MixedPayloadKinds(
                 f"alternative {alt.id!r} has payload {type(alt.payload).__name__}, "
                 f"dataset kind is {ds.kind!r}")
-    ids = ds.universe
-    for menu, choice in ds.observations.items():
-        if not menu:
-            raise ValidationError("empty menu")
-        if not menu <= ids:
-            raise ValidationError(f"menu {sorted(menu)} not contained in the universe")
-        if not choice:
-            raise EmptyChoice(f"menu {sorted(menu)} has an empty choice")
-        if not choice <= menu:
-            raise ChoiceOutsideMenu(
-                f"choice {sorted(choice)} not contained in menu {sorted(menu)}")
+    ids, menus, choices = ds.universe, ds.observations, ds.observations.values()
+    if Menu() in menus or not Menu().union(*menus) <= ids \
+            or not all(choices) or not all(map(Menu.issubset, choices, menus)):
+        for menu, choice in ds.observations.items():
+            if not menu:
+                raise ValidationError("empty menu")
+            if not menu <= ids:
+                raise ValidationError(f"menu {sorted(menu)} not contained in the universe")
+            if not choice:
+                raise EmptyChoice(f"menu {sorted(menu)} has an empty choice")
+            if not choice <= menu:
+                raise ChoiceOutsideMenu(
+                    f"choice {sorted(choice)} not contained in menu {sorted(menu)}")
     if ds.kind == INCOME_SPLIT:
         floor = ds.floor if ds.floor is not None else Fraction(0)
         if floor <= 0:
@@ -371,22 +397,9 @@ def alternatives_by_id(alternatives) -> dict:
 
 
 def validate_dataset(kind, alternatives, observations, floor=None) -> ChoiceDataset:
-    """Build a dataset from raw pieces, checking every invariant.
-
-    ``observations`` may be any iterable of (menu, choice) id-collection
-    pairs; duplicate menus are rejected rather than merged (observing the
-    same menu twice with different choices has no agreed semantics).
-    """
-    alt_map = alternatives_by_id(alternatives)
-    obs = {}
-    if isinstance(observations, Mapping):
-        observations = observations.items()
-    for menu, choice in observations:
-        key = Menu(menu)
-        if key in obs:
-            raise DuplicateMenu(f"menu {sorted(key)} observed twice")
-        obs[key] = Menu(choice)
-    return ChoiceDataset(kind, alt_map, obs, floor=floor)
+    """Build a dataset from a list of alternatives, checking every
+    invariant; ``observations`` as ``ChoiceDataset`` takes them."""
+    return ChoiceDataset(kind, alternatives_by_id(alternatives), observations, floor=floor)
 
 
 # -- WARP ----------------------------------------------------------------

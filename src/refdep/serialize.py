@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from itertools import chain, repeat
 from json.encoder import INFINITY, encode_basestring_ascii as _quote
 
 from .choices import (
@@ -20,11 +21,12 @@ from .choices import (
     ChoiceDataset,
     GENERIC,
     INCOME_SPLIT,
-    KINDS,
     LotteryPayload,
     PaymentPayload,
     SplitPayload,
     alternatives_by_id,
+    first_repeat,
+    payload_class,
     sorted_menus,
     validate_dataset,
 )
@@ -70,9 +72,7 @@ def format_rational(value: Fraction) -> str:
 
 
 def _payload_from_json(kind, raw):
-    want = KINDS.get(kind) if isinstance(kind, str) else None
-    if want is None:
-        raise ValidationError(f"unknown dataset kind {kind!r}")
+    want = payload_class(kind)
     if kind == GENERIC:
         if raw not in (None, {}):
             raise ValidationError("generic alternatives carry no payload")
@@ -110,18 +110,40 @@ def _alternatives_from_json(kind, raw):
 def ids_from_json(raw, what):
     """A menu, choice or order: an array of alternative ids, not a bare
     string or an object."""
-    if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
+    if not _all_ids([raw]):
         raise ValidationError(f"{what} {raw!r} is not an array of alternative ids")
     return raw
+
+
+def _all_ids(arrays: list) -> bool:
+    """Whether each of ``arrays`` is an array of alternative ids, in one
+    scan over them all; ``ids_from_json`` names the first that is not."""
+    return all(map(isinstance, arrays, repeat(list))) \
+        and all(map(isinstance, chain.from_iterable(arrays), repeat(str)))
+
+
+def _observations_from_json(raw) -> list:
+    """Each observation's (menu, choice), both arrays of alternative ids.
+    One scan checks them all.  Only when it or a key lookup fails does
+    the ordered walk run, to name the first fault: earlier observations
+    first, a menu before its choice, a bad array before a later missing
+    key."""
+    rows = list(raw)  # walked twice when a fault is met
+    try:
+        pairs = [(obs["menu"], obs["choice"]) for obs in rows]
+        if _all_ids(list(chain.from_iterable(pairs))):
+            return pairs
+    except (KeyError, TypeError, AttributeError):
+        pass
+    return [(ids_from_json(obs["menu"], "menu"), ids_from_json(obs["choice"], "choice"))
+            for obs in rows]
 
 
 def dataset_from_dict(doc) -> ChoiceDataset:
     try:
         kind = doc["kind"]
         alts = _alternatives_from_json(kind, doc["alternatives"])
-        observations = [(ids_from_json(obs["menu"], "menu"),
-                          ids_from_json(obs["choice"], "choice"))
-                         for obs in doc["observations"]]
+        observations = _observations_from_json(doc["observations"])
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValidationError(f"malformed dataset document: {exc}") from exc
     floor = parse_rational(doc["floor"]) if "floor" in doc else None
@@ -165,8 +187,12 @@ def menus_from_dict(doc):
     """A menus file: a dataset document listing each menu once under "menus"."""
     try:
         kind = doc["kind"]
+        payload_class(kind)
         alts = _alternatives_from_json(kind, doc["alternatives"])
-        menus = [frozenset(ids_from_json(m, "menu")) for m in doc["menus"]]
+        menus = doc["menus"]
+        if not (isinstance(menus, list) and _all_ids(menus)):
+            menus = [ids_from_json(m, "menu") for m in menus]
+        menus = list(map(frozenset, menus))
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValidationError(f"malformed menus document: {exc}") from exc
     by_id = alternatives_by_id(alts)
@@ -176,8 +202,7 @@ def menus_from_dict(doc):
         if not menu <= by_id.keys():
             raise ValidationError(f"menu {sorted(menu)} uses undeclared ids")
     if len(set(menus)) < len(menus):
-        repeat = next(menu for pos, menu in enumerate(menus) if menu in menus[:pos])
-        raise DuplicateMenu(f"menu {sorted(repeat)} listed twice")
+        raise DuplicateMenu(f"menu {sorted(first_repeat(menus))} listed twice")
     floor = parse_rational(doc["floor"]) if "floor" in doc else None
     if floor is not None and kind != INCOME_SPLIT:
         raise ValidationError(f"a floor applies only to {INCOME_SPLIT} menus, not {kind}")

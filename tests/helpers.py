@@ -19,6 +19,7 @@ from refdep.choices import (
     DATED_PAYMENT,
     GENERIC,
     INCOME_SPLIT,
+    KINDS,
     LOTTERY,
     LotteryPayload,
     PaymentPayload,
@@ -28,7 +29,6 @@ from refdep.choices import (
     bits,
     integer_payloads,
     maximizers,
-    member_masks,
     revealed_rows,
     sort_witnesses,
     sorted_menus,
@@ -45,7 +45,11 @@ from refdep.engine import (
 )
 from refdep.exceptions import (
     AxiomFails,
+    ChoiceOutsideMenu,
+    DuplicateMenu,
+    EmptyChoice,
     InfeasibleFit,
+    MixedPayloadKinds,
     RefdepError,
     SynthesisFailed,
     UnknownAlternative,
@@ -57,7 +61,7 @@ from refdep import risk
 from refdep.feasibility import LinearFeasibilityProblem
 from refdep.ordu import OrduParams, check_subset_closed, simulate_ordu, verify_ordu
 from refdep.risk import AreuParams, _below, _spreads, expected_utility, prize_grid, simulate_areu
-from refdep.serialize import format_rational
+from refdep.serialize import _alternatives_from_json, format_rational, parse_rational
 from refdep.social import FspuParams, _gini_levels, gini, simulate_fspu
 from refdep.timepref import TIME_PROPERTY, PbduParams, earliest_payments, simulate_pbdu
 
@@ -885,6 +889,23 @@ def earliest_payments_by_maximizers(dataset, menu):
 def most_balanced_by_maximizers(dataset, menu):
     level, _ = _gini_levels(dataset)
     return maximizers(menu, lambda x: -level[x])
+
+
+# -- member masks ----------------------------------------------------------------
+#
+# The per-alternative masks ``MenuLattice`` built with two walks, one over
+# the menus and one over their choices, before it filled both in one: the
+# reference for ``contain`` and ``chosen`` and for other per-set masks.
+
+
+def member_masks(sets) -> dict:
+    """Per alternative, the bitmask of the positions in ``sets`` of the
+    sets holding it."""
+    out = {}
+    for pos, members in enumerate(sets):
+        for alt in members:
+            out[alt] = out.get(alt, 0) | 1 << pos
+    return out
 
 
 # -- witness masks by frozensets ---------------------------------------------
@@ -1787,6 +1808,74 @@ def rational_by_fraction(text):
 def json_by_dumps(obj):
     """``to_json`` by the ``json`` module's own indented, key-sorted encoder."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+# -- a dataset document read one check at a time ---------------------------------
+#
+# ``dataset_from_dict`` as it read a document before its one id scan, one
+# conversion and one invariant pass: a call per array, the observations
+# converted twice, then every invariant tested per observation.  The
+# reference for each error, the order in which errors take precedence and
+# the order of the observations.
+
+
+def _ids_by_call(raw, what):
+    if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
+        raise ValidationError(f"{what} {raw!r} is not an array of alternative ids")
+    return raw
+
+
+def dataset_by_ordered_reads(doc):
+    """(id -> alternative, menu -> choice) of the dataset document ``doc``,
+    or the first error met reading it in order."""
+    try:
+        kind = doc["kind"]
+        alts = _alternatives_from_json(kind, doc["alternatives"])
+        observations = [(_ids_by_call(obs["menu"], "menu"), _ids_by_call(obs["choice"], "choice"))
+                        for obs in doc["observations"]]
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValidationError(f"malformed dataset document: {exc}") from exc
+    floor = parse_rational(doc["floor"]) if "floor" in doc else None
+    by_id = {}
+    for alt in alts:
+        if alt.id in by_id:
+            raise ValidationError(f"duplicate alternative id {alt.id!r}")
+        by_id[alt.id] = alt
+    obs = {}
+    for menu, choice in observations:
+        key = frozenset(menu)
+        if key in obs:
+            raise DuplicateMenu(f"menu {sorted(key)} observed twice")
+        obs[key] = frozenset(choice)
+    want = KINDS.get(kind) if isinstance(kind, str) else None
+    if want is None:
+        raise ValidationError(f"unknown dataset kind {kind!r}")
+    for alt in by_id.values():
+        if not isinstance(alt.payload, want):
+            raise MixedPayloadKinds(
+                f"alternative {alt.id!r} has payload {type(alt.payload).__name__}, "
+                f"dataset kind is {kind!r}")
+    ids = frozenset(by_id)
+    for menu, choice in obs.items():
+        if not menu:
+            raise ValidationError("empty menu")
+        if not menu <= ids:
+            raise ValidationError(f"menu {sorted(menu)} not contained in the universe")
+        if not choice:
+            raise EmptyChoice(f"menu {sorted(menu)} has an empty choice")
+        if not choice <= menu:
+            raise ChoiceOutsideMenu(
+                f"choice {sorted(choice)} not contained in menu {sorted(menu)}")
+    if kind == INCOME_SPLIT:
+        floor = floor if floor is not None else F(0)
+        if floor <= 0:
+            raise ValidationError("income floor must be positive")
+        for alt in by_id.values():
+            if alt.payload.own < floor or alt.payload.other < floor:
+                raise ValidationError(f"alternative {alt.id!r} pays below the floor {floor}")
+    elif floor is not None:
+        raise ValidationError(f"a floor applies only to {INCOME_SPLIT} data, not {kind}")
+    return by_id, obs
 
 
 # -- exact simplex oracle ----------------------------------------------------

@@ -1,3 +1,4 @@
+import copy
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
@@ -10,6 +11,7 @@ from refdep.choices import (
     GENERIC,
     LOTTERY,
     LotteryPayload,
+    sorted_menus,
     validate_dataset,
     warp_over,
 )
@@ -35,9 +37,11 @@ from refdep.timepref import stationarity_over
 
 from helpers import (
     areu_data,
+    dataset_by_ordered_reads,
     fspu_data,
     generic_dataset,
     lot,
+    member_masks,
     ordu_data,
     pbdu_data,
     perturbed,
@@ -240,3 +244,136 @@ def test_a_witness_is_frozen_whether_or_not_its_narrative_was_read():
             with pytest.raises(FrozenInstanceError):
                 delattr(witness, name)
         assert hash(witness) == key and witness == warp_over(ds, ds.menus())[0]
+
+
+# -- the one-walk reader against the ordered reads -----------------------------
+
+_NOT_ARRAYS = ({}, {"menu": ["a"]}, "ab", "", None, 0)
+_NOT_IDS = (1, None, ["a"], True, {"a": "a"}, 0.5)
+_FLOORS = ("0", "-1", "x", 0.5, "1/2", "1", "3", "6", "100", True, None)
+_KINDS = ("generic", "lottery", "dated_payment", "income_split", "foo", ["foo"], None)
+
+
+def _objects(doc, key):
+    """The entries of ``doc[key]`` that are still objects."""
+    entries = doc.get(key) if isinstance(doc, dict) else None
+    return [e for e in entries if isinstance(e, dict)] if isinstance(entries, list) else []
+
+
+def _plant(rng, doc, payloads):
+    """Plant one fault in ``doc``, in place; False when the one drawn has
+    no place left to go."""
+    observations, alternatives = _objects(doc, "observations"), _objects(doc, "alternatives")
+    obs = rng.choice(observations) if observations else None
+    key = rng.choice(["menu", "choice"])
+    array = obs.get(key) if obs is not None else None
+    fault = rng.randrange(14)
+    if fault == 0:  # a missing top-level key
+        return doc.pop(rng.choice(["kind", "alternatives", "observations", "floor"]), 0) != 0
+    if obs is None and fault < 9:
+        return False
+    if fault == 1:  # a missing observation key
+        return obs.pop(key, 0) != 0
+    if fault == 2:  # an object, string or null in place of an observation's array
+        obs[key] = rng.choice(_NOT_ARRAYS)
+    elif fault == 3:  # ... or of the observation itself
+        doc["observations"][doc["observations"].index(obs)] = rng.choice(_NOT_ARRAYS[1:])
+    elif fault == 4:  # a non-string id
+        if not isinstance(array, list):
+            return False
+        obs[key] = [*array, rng.choice(_NOT_IDS)]
+        rng.shuffle(obs[key])
+    elif fault == 5:  # an empty menu or choice
+        obs[key] = []
+    elif fault == 6:  # a menu observed twice, its ids in another order
+        menus = [o["menu"] for o in observations if isinstance(o.get("menu"), list)]
+        if not menus:
+            return False
+        menu = rng.choice(menus)
+        obs["menu"] = rng.sample(menu, len(menu))
+    elif fault == 7:  # an undeclared id, or an id repeated within the array
+        if not isinstance(array, list) or not array:
+            return False
+        obs[key] = [*array, rng.choice(["zz", array[0]])]
+    elif fault == 8:  # a chosen id outside the menu
+        menu = obs.get("menu")
+        ids = [a.get("id") for a in alternatives]
+        outside = [x for x in ids if isinstance(menu, list) and x not in menu]
+        obs["choice"] = [*(array if key == "choice" and isinstance(array, list) else []),
+                         rng.choice(outside or ["zz"])]
+    elif fault == 9:  # a payload of another kind, or none
+        if not alternatives:
+            return False
+        alt = rng.choice(alternatives)
+        alt["payload"] = rng.choice(payloads)
+    elif fault == 10:  # another kind
+        if not isinstance(doc, dict):
+            return False
+        doc["kind"] = rng.choice(_KINDS)
+    elif fault == 11:  # a bad floor
+        doc["floor"] = rng.choice(_FLOORS)
+    elif fault == 12:  # an id given twice, or not a string
+        if not alternatives:
+            return False
+        rng.choice(alternatives)["id"] = rng.choice(
+            [rng.choice(alternatives).get("id"), 7, None])
+    else:  # the observations in another order
+        if not isinstance(doc.get("observations"), list):
+            return False
+        rng.shuffle(doc["observations"])
+    return True
+
+
+def _by_one_walk(doc):
+    ds = dataset_from_dict(doc)
+    lattice = ds.lattice()
+    return (list(ds.alternatives.items()), list(ds.observations.items()), lattice.menus,
+            list(lattice.contain.items()), list(lattice.chosen.items()))
+
+
+def _by_ordered_reads(doc):
+    by_id, observations = dataset_by_ordered_reads(doc)
+    menus = tuple(sorted_menus(observations))
+    return (list(by_id.items()), list(observations.items()), menus,
+            list(member_masks(menus).items()),
+            list(member_masks(observations[m] for m in menus).items()))
+
+
+# a phrase of each error a document can meet, in the order they are met
+_FAULTS = ("malformed dataset document", "is not an array of alternative ids",
+           "bad rational literal", "duplicate alternative id", "observed twice",
+           "unknown dataset kind", "empty menu", "not contained in the universe",
+           "has an empty choice", "not contained in menu", "income floor must be positive",
+           "pays below the floor", "a floor applies only")
+
+
+def _outcome(read, doc):
+    try:
+        return read(doc)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_the_one_walk_reads_mutated_documents_as_the_ordered_reads_do():
+    """Each of 2,400 documents mutated from valid data of all four kinds
+    (one to three planted faults, or none) gives the same error, or the
+    same alternatives, observations in order and lattice masks in key
+    order, whichever reader reads it."""
+    rng = random.Random(83)
+    bases = [dataset_to_dict(perturbed(rng, make(rng)))
+             for make in (ordu_data, areu_data, pbdu_data, fspu_data) for _ in range(3)]
+    payloads = [None, {}, {"probs": {"0": "1"}}, {"amount": "5", "time": "1"},
+                {"own": "2", "other": "3"}, {"amount": "x"}, "p"]
+    seen = {}
+    for _ in range(2_400):
+        doc = copy.deepcopy(rng.choice(bases))
+        rng.shuffle(doc["observations"])
+        faults = rng.choice([0, 1, 1, 2, 2, 3])
+        while faults:
+            faults -= _plant(rng, doc, payloads)
+        outcome = _outcome(_by_ordered_reads, doc)
+        assert _outcome(_by_one_walk, doc) == outcome, doc
+        fault = next((f for f in _FAULTS if f in outcome[1]), outcome[1]) \
+            if isinstance(outcome[0], type) else "read"
+        seen[fault] = seen.get(fault, 0) + 1
+    assert min(seen.get(fault, 0) for fault in ("read", *_FAULTS)) >= 5, seen

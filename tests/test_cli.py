@@ -773,6 +773,14 @@ _AB = {"kind": "generic", "alternatives": [{"id": "a"}, {"id": "b"}]}
      "validation", "unknown dataset kind 'foo'"),
     (["validate", "data"], {"data": {"kind": ["foo"], "alternatives": [], "observations": []}},
      "validation", "unknown dataset kind ['foo']"),
+    # a menus file's kind is looked up before its alternatives, so one
+    # that lists none is no longer read as generic
+    (_SIMULATE_ORDU, {"params": _ORDU_PARAMS,
+                      "menus": {"kind": "foo", "alternatives": [], "menus": []}},
+     "validation", "unknown dataset kind 'foo'"),
+    (_SIMULATE_ORDU, {"params": _ORDU_PARAMS,
+                      "menus": {"kind": ["foo"], "alternatives": [], "menus": []}},
+     "validation", "unknown dataset kind ['foo']"),
     (["validate", "data"],
      {"data": {"kind": "lottery", "alternatives": [{"id": "a"}], "observations": []}},
      "validation", "lottery alternatives need a payload"),
@@ -815,7 +823,9 @@ _AB = {"kind": "generic", "alternatives": [{"id": "a"}, {"id": "b"}]}
      {"params": {"prizes": ["0", "1", "2", "3"], "lotteries": {"a": ["0", "0", "0", "1"]},
                  "order": ["a"], "utilities": {"a": ["0", "1/3", "2/3", "1"]}}},
      "NotATriangle", "need exactly three prizes"),
-], ids=["unknown-kind", "menus-file-unknown-kind", "list-kind", "lottery-without-payload",
+], ids=["unknown-kind", "menus-file-unknown-kind", "list-kind",
+        "menus-file-unknown-kind-no-alternatives", "menus-file-list-kind-no-alternatives",
+        "lottery-without-payload",
         "generic-with-payload", "empty-menu", "menu-off-universe", "menus-file-empty-menu", "menus-file-undeclared-ids", "fixtures-run-no-name",
         "areu-bad-vector", "areu-unnormalized-utility", "areu-order-short",
         "areu-utility-missing", "pbdu-nonnegative-discount", "pbdu-repeated-amount",

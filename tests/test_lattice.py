@@ -15,7 +15,6 @@ from refdep.choices import (
     WARP,
     ChoiceDataset,
     invariance_over,
-    member_masks,
     mismatches,
     shift_correspondences,
     sorted_menus,
@@ -41,6 +40,7 @@ from helpers import (
     integer_areu_data,
     invariance_by_scan,
     least_risky_by_loop,
+    member_masks,
     most_balanced_by_maximizers,
     ordu_data,
     pbdu_data,
@@ -103,6 +103,28 @@ def test_lattice_agrees_with_the_all_pairs_scans(domain):
                 assert invariance_over(ds, family, "Invariance", corr) == \
                     invariance_by_scan(ds, family, "Invariance", corr)
         assert psi_heredity_by_scan(ds, psi) is None
+
+
+@pytest.mark.parametrize("domain", sorted(DOMAINS))
+def test_the_member_masks_are_those_of_the_menus_and_their_choices(domain):
+    """``contain`` and ``chosen`` hold, in key order, the masks that one walk
+    over the menus and one over their choices give; an alternative that no
+    menu holds or no menu chooses has no key.  Each draw is also cut down
+    to its three smallest menus, which leaves alternatives out."""
+    make = DOMAINS[domain][0]
+    rng = random.Random(71)
+    unheld = unchosen = 0
+    for drawn in _datasets(make, rng):
+        for ds in (drawn, drawn.restrict(drawn.menus()[:3])):
+            lattice = ds.lattice()
+            choices = [ds.observations[m] for m in lattice.menus]
+            assert list(lattice.contain.items()) == list(member_masks(lattice.menus).items())
+            assert list(lattice.chosen.items()) == list(member_masks(choices).items())
+            assert lattice.contain.keys() == frozenset().union(*lattice.menus)
+            assert lattice.chosen.keys() == frozenset().union(*choices)
+            unheld += len(ds.universe) - len(lattice.contain)
+            unchosen += len(ds.universe) - len(lattice.chosen)
+    assert unheld > 0 and unchosen > unheld, (unheld, unchosen)
 
 
 def test_warp_over_finds_violations_on_the_perturbed_data():
