@@ -195,12 +195,6 @@ class ChoiceDataset:
         """The observed menus in canonical order."""
         return self.lattice().menus
 
-    def choice(self, menu: Menu) -> Menu:
-        try:
-            return self.observations[Menu(menu)]
-        except KeyError:
-            raise UnobservedMenu(f"menu {sorted(menu)} was not observed")
-
     def payload(self, alt_id: str):
         return self.alternatives[alt_id].payload
 
@@ -218,12 +212,6 @@ class ChoiceDataset:
     def lattice(self) -> "MenuLattice":
         """The dataset's menu lattice, built on first use."""
         return self.cached("lattice", lambda: MenuLattice(self))
-
-    def restrict(self, family) -> "ChoiceDataset":
-        """Keep only the observations in ``family``; universe unchanged."""
-        lattice = self.lattice()
-        kept = {m: self.observations[m] for m in lattice.at(lattice.mask(family))}
-        return ChoiceDataset(self.kind, self.alternatives, kept, floor=self.floor)
 
 
 def bits(mask: int):

@@ -113,10 +113,8 @@ def _render(doc, indent=0):
             else:
                 lines.append(f"{pad}{key}: {value if value != [] else '[]'}")
         return "\n".join(lines)
-    if isinstance(doc, list):
-        return "\n".join(_render(item, indent) if isinstance(item, (dict, list))
-                         else f"{pad}- {item}" for item in doc)
-    return f"{pad}{doc}"
+    return "\n".join(_render(item, indent) if isinstance(item, (dict, list))
+                     else f"{pad}- {item}" for item in doc)
 
 
 def cmd_validate(args):
@@ -327,7 +325,7 @@ def main(argv=None) -> int:
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)
-    except (ValidationError, FileNotFoundError) as exc:
+    except (ValidationError, OSError) as exc:
         return _fail(args, "validation", str(exc))
     except RefdepError as exc:
         return _fail(args, type(exc).__name__, str(exc))

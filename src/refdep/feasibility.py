@@ -51,10 +51,6 @@ class Constraint:
     relation: str
     rhs: int | Fraction
 
-    def holds(self, assignment: Mapping) -> bool:
-        lhs = sum((c * assignment[v] for v, c in self.coeffs), _ZERO)
-        return RELATIONS[self.relation][0](lhs, self.rhs)
-
 
 def _exact(x):
     """``x`` as an exact number: ints and ``Fraction``s as they are."""
@@ -75,12 +71,9 @@ class LinearFeasibilityProblem:
     problem's own units, capped at 1, whatever D is.  ``add`` drops a
     constraint equal to one already in the problem."""
 
-    constraints: list = field(default_factory=list)
+    constraints: list = field(init=False, default_factory=list)
     denominator: int = 1
-    _seen: set = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._seen = set(self.constraints)
+    _seen: set = field(init=False, default_factory=set, repr=False, compare=False)
 
     def add(self, coeffs: Mapping, relation: str, rhs) -> None:
         con = constraint(coeffs, relation, rhs)

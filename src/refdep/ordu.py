@@ -33,7 +33,6 @@ from .exceptions import (
     InfeasibleFit,
     NotSubsetClosed,
     UnionUnobserved,
-    UnknownAlternative,
     UnobservedMenu,
     ValidationError,
 )
@@ -57,12 +56,6 @@ class OrduParams:
             (ref, tuple(sorted((alt, Fraction(v)) for alt, v in table.items())))
             for ref, table in utilities.items()))
         return OrduParams(order, packed)
-
-    def utility(self, ref_id) -> dict:
-        for ref, table in self.utilities:
-            if ref == ref_id:
-                return dict(table)
-        raise UnknownAlternative(f"no utility indexed by {ref_id!r}")
 
     def to_json(self) -> dict:
         return {

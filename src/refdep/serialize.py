@@ -43,8 +43,6 @@ def parse_rational(text) -> Fraction:
                 return Fraction(int(num), int(den)) if slash else Fraction(int(num))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValidationError(f"bad rational literal {text!r}") from exc
-    if isinstance(text, Fraction):
-        return text
     if isinstance(text, bool):
         raise ValidationError(f"refusing boolean {text!r} as a rational")
     if isinstance(text, int):

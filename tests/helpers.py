@@ -58,7 +58,7 @@ from refdep.exceptions import (
     ValidationError,
 )
 from refdep import risk
-from refdep.feasibility import LinearFeasibilityProblem
+from refdep.feasibility import RELATIONS, LinearFeasibilityProblem
 from refdep.ordu import OrduParams, check_subset_closed, simulate_ordu, verify_ordu
 from refdep.risk import AreuParams, _below, _spreads, expected_utility, prize_grid, simulate_areu
 from refdep.serialize import _alternatives_from_json, format_rational, parse_rational
@@ -109,6 +109,13 @@ def split_dataset(splits, rows, floor=F(1)):
         INCOME_SPLIT, alts,
         [(frozenset(menu), frozenset(choice)) for menu, choice in rows],
         floor=floor)
+
+
+def restrict(ds, family):
+    """Keep only the observations of ``ds`` in ``family``; universe unchanged."""
+    lattice = ds.lattice()
+    kept = {m: ds.observations[m] for m in lattice.at(lattice.mask(family))}
+    return ChoiceDataset(ds.kind, ds.alternatives, kept, floor=ds.floor)
 
 
 def all_menus(ids, min_size=2, max_size=None):
@@ -1757,12 +1764,17 @@ def fspu_problems_by_fractions(dataset):
 # alternative) pair once on integers.
 
 
+def ordu_utility(params, ref):
+    """The utility table of ORDU ``params`` indexed by reference ``ref``."""
+    return dict(dict(params.utilities)[ref])
+
+
 def evaluate_ordu_by_menu(params, menu):
     menu = frozenset(menu)
     missing = menu.difference(params.order.ranks)
     if missing:
         raise UnknownAlternative(f"{sorted(missing)} not covered by the order")
-    return maximizers(menu, params.utility(params.order.argmax(menu)).__getitem__)
+    return maximizers(menu, ordu_utility(params, params.order.argmax(menu)).__getitem__)
 
 
 def evaluate_areu_by_menu(params, menu):
@@ -1879,6 +1891,15 @@ def dataset_by_ordered_reads(doc):
 
 
 # -- exact simplex oracle ----------------------------------------------------
+
+
+def holds(con, assignment):
+    """Whether the constraint ``con`` holds at ``assignment``, summed in
+    ``Fraction``s: the reference for the vertex check of
+    ``feasibility.solve_linear_feasibility``, which tests each row on
+    integer numerators over one common denominator."""
+    lhs = sum((c * assignment[v] for v, c in con.coeffs), F(0))
+    return RELATIONS[con.relation][0](lhs, con.rhs)
 
 
 def fraction_simplex_maximize(rows, objective):

@@ -43,6 +43,7 @@ from helpers import (
     integer_areu_data,
     integer_fspu_data,
     integer_pbdu_data,
+    ordu_utility,
     pay,
     pbdu_instance,
     perturbed,
@@ -174,7 +175,7 @@ def test_the_rule_builder_scores_each_pair_once_on_the_sorted_members():
 
         def score(ref, alt):
             scored.append((ref, alt))
-            return params.utility(ref)[alt]
+            return ordu_utility(params, ref)[alt]
 
         choose = reference_rule(reference, score)
         menus = [frozenset(m) for m in menus]
@@ -187,7 +188,7 @@ def test_the_rule_builder_scores_each_pair_once_on_the_sorted_members():
         def failing(ref, alt):
             if alt in bad:
                 raise UnknownAlternative(alt)
-            return params.utility(ref)[alt]
+            return ordu_utility(params, ref)[alt]
 
         choose = reference_rule(params.order.top, failing)
         for menu in menus:

@@ -45,6 +45,7 @@ from helpers import (
     ordu_data,
     pbdu_data,
     perturbed,
+    restrict,
 )
 
 
@@ -56,7 +57,7 @@ def test_compliance_table_is_valid_with_eleven_menus():
 
 def test_singleton_observation_is_valid():
     ds = generic_dataset([("a", "a")])
-    assert ds.choice(frozenset("a")) == frozenset("a")
+    assert ds.observations[frozenset("a")] == frozenset("a")
 
 
 def test_empty_choice_rejected():
@@ -187,15 +188,15 @@ def test_restrict_to_menus_containing_a_keeps_seven():
     ds = load_fixture("compliance_2_1")
     family = [m for m in ds.menus() if "a" in m]
     assert len(family) == 7
-    restricted = ds.restrict(family)
+    restricted = restrict(ds, family)
     assert len(restricted.observations) == 7
     assert restricted.universe == ds.universe
 
 
 def test_restrict_identity_and_empty():
     ds = load_fixture("compliance_2_1")
-    assert ds.restrict(ds.menus()).same_observations(ds)
-    assert ds.restrict([]).observations == {}
+    assert restrict(ds, ds.menus()).same_observations(ds)
+    assert restrict(ds, []).observations == {}
 
 
 LOCAL_PROPERTIES = {

@@ -760,6 +760,8 @@ _AREU = DOCUMENTS["areu"]["params"]
 _SIMULATE_ORDU = ["simulate", "--model", "ordu", "params", "menus"]
 _ORDU_PARAMS = DOCUMENTS["ordu"]["params"]
 _AB = {"kind": "generic", "alternatives": [{"id": "a"}, {"id": "b"}]}
+_ONE_PRIZE = {"kind": "lottery", "observations": [{"menu": ["a", "b"], "choice": ["a"]}],
+              "alternatives": [{"id": alt, "payload": {"probs": {"5": "1"}}} for alt in "ab"]}
 
 
 @pytest.mark.parametrize("command, files, error, detail", [
@@ -823,19 +825,60 @@ _AB = {"kind": "generic", "alternatives": [{"id": "a"}, {"id": "b"}]}
      {"params": {"prizes": ["0", "1", "2", "3"], "lotteries": {"a": ["0", "0", "0", "1"]},
                  "order": ["a"], "utilities": {"a": ["0", "1/3", "2/3", "1"]}}},
      "NotATriangle", "need exactly three prizes"),
+    # b is a spread of a, so the order is risk-consistent; a's u(1) is below b's
+    (_verify("areu"), _with_params("areu", prizes=["0", "1", "2"], order=["a", "b"],
+                                   lotteries={"a": ["0", "1", "0"], "b": ["1/2", "0", "1/2"]},
+                                   utilities={"a": ["0", "1/4", "1"], "b": ["0", "1/2", "1"]}),
+     "validation", "concavity must not increase down the order (a vs b)"),
+    (_verify("pbdu"), _with_params("pbdu", log_discount={"1": "-3", "1.0": "-3"}),
+     "validation", "time grid must be strictly sorted"),
+    (_verify("fspu"), _with_params("fspu", tables={"0": {"2": "0", "4": "1"},
+                                                   "0.0": {"2": "0", "4": "1"}}),
+     "validation", "reference grid must be strictly sorted"),
+    (_verify("fspu"), _with_params("fspu", tables={"0": {"1": "0", "1.0": "1"}}),
+     "validation", "income grid must be strictly sorted"),
+    (["check", "--model", "areu", "data"], {"data": _ONE_PRIZE},
+     "validation", "a lottery dataset needs at least two prizes"),
+    (["fit", "--model", "areu", "data"], {"data": _ONE_PRIZE},
+     "validation", "a lottery dataset needs at least two prizes"),
 ], ids=["unknown-kind", "menus-file-unknown-kind", "list-kind",
         "menus-file-unknown-kind-no-alternatives", "menus-file-list-kind-no-alternatives",
         "lottery-without-payload",
         "generic-with-payload", "empty-menu", "menu-off-universe", "menus-file-empty-menu", "menus-file-undeclared-ids", "fixtures-run-no-name",
         "areu-bad-vector", "areu-unnormalized-utility", "areu-order-short",
         "areu-utility-missing", "pbdu-nonnegative-discount", "pbdu-repeated-amount",
-        "fspu-increments", "fspu-two-grids", "fspu-decreasing-utility", "triangle-four-prizes"])
+        "fspu-increments", "fspu-two-grids", "fspu-decreasing-utility", "triangle-four-prizes",
+        "areu-concavity-up-the-order", "pbdu-repeated-time", "fspu-repeated-reference",
+        "fspu-repeated-income", "areu-check-one-prize", "areu-fit-one-prize"])
 def test_each_input_error_exits_2_with_its_json_document(tmp_path, command, files, error,
                                                          detail):
     for name, doc in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     argv = [str(tmp_path / f"{arg}.json") if arg in files else arg for arg in command]
     assert run_json(argv) == (2, {"error": error, "detail": detail})
+
+
+@pytest.mark.parametrize("command", [
+    ["validate", "DIR"],
+    ["check", "--model", "ordu", "DIR"],
+    ["verify", "--model", "ordu", "DIR", "data"],
+    ["simulate", "--model", "ordu", "params", "DIR"],
+    ["fit", "--model", "ordu", "data", "--out", "DIR"],
+    ["validate", "data/data.json"],
+], ids=["validate-dataset", "check-dataset", "verify-params", "simulate-menus", "fit-out",
+        "validate-under-a-file"])
+def test_a_path_that_cannot_be_opened_is_a_validation_error(tmp_path, capsys, command):
+    """A directory, or a path under a regular file, exits 2 with a
+    validation error that names the path, and prints no traceback."""
+    for name, doc in DOCUMENTS["ordu"].items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    (tmp_path / "DIR").mkdir()
+    paths = {name: str(tmp_path / name) for name in ("DIR", "data", "params", "data/data.json")}
+    code, doc = run_json([paths.get(arg, arg) for arg in command])
+    bad = paths["data/data.json" if "data/data.json" in command else "DIR"]
+    assert code == 2 and doc["error"] == "validation", doc
+    assert doc["detail"].startswith("[Errno ") and doc["detail"].endswith(f": {bad!r}"), doc
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("model", sorted(DOCUMENTS))

@@ -65,6 +65,7 @@ from helpers import (
     rationalizable_by_weak_order,
     reference_dependence_by_families,
     reference_dependence_by_menus,
+    restrict,
     synthesize_by_pruning,
     time_reference_dependence_by_pairs,
     witness_masks_by_sets,
@@ -327,7 +328,7 @@ def test_engine_agrees_with_evaluating_every_sub_family(domain):
     applicable = 0
     for _ in range(5):
         full = perturbed(rng, make(rng))
-        thinned = full.restrict([m for m in full.menus() if rng.random() < 0.7])
+        thinned = restrict(full, [m for m in full.menus() if rng.random() < 0.7])
         for ds in (full, thinned):
             for universal in (False, True):
                 failures = check_reference_dependence(ds, prop, psi, universal=universal)
@@ -360,7 +361,7 @@ def _clean_perturbed_and_thinned(rng, make, count):
         clean = make(rng)
         for ds in (clean, perturbed(rng, clean)):
             yield ds
-            yield ds.restrict([m for m in ds.menus() if rng.random() < 0.6])
+            yield restrict(ds, [m for m in ds.menus() if rng.random() < 0.6])
 
 
 @pytest.mark.parametrize("domain", sorted(ENGINE_DOMAINS))
@@ -404,7 +405,7 @@ def _mask_datasets(domain):
     rng = random.Random(61)
     for _ in range(3 if domain == "generic, large" else 6):
         clean = make(rng)
-        doubletons = clean.restrict([m for m in clean.menus() if len(m) == 2])
+        doubletons = restrict(clean, [m for m in clean.menus() if len(m) == 2])
         yield from (clean, perturbed(rng, clean), doubletons)
 
 

@@ -13,11 +13,10 @@ from refdep.feasibility import (
     Infeasible,
     LinearFeasibilityProblem,
     _simplex_maximize,
-    constraint,
     solve_linear_feasibility,
 )
 
-from helpers import fraction_simplex_maximize
+from helpers import fraction_simplex_maximize, holds
 
 
 def solve(rows):
@@ -87,16 +86,6 @@ def test_adding_one_row_twice_keeps_one_constraint():
     problem.add({"x": 1, "y": -1}, ">", 0)
     assert [(c.coeffs, c.relation) for c in problem.constraints] == [
         ((("x", 1), ("y", -1)), ">"), ((("x", 1), ("y", -1)), ">=")]
-    assert problem == LinearFeasibilityProblem(list(problem.constraints))
-
-
-def test_a_row_given_to_the_constructor_is_not_added_again():
-    row = constraint({"x": 1}, ">", 0)
-    problem = LinearFeasibilityProblem([row])
-    problem.add({"x": 1}, ">", 0)
-    assert problem.constraints == [row]
-    with pytest.raises(TypeError):
-        LinearFeasibilityProblem([], 1, {row})
 
 
 def test_determinism():
@@ -166,7 +155,7 @@ def test_two_variable_systems_match_elimination_oracle(rows):
     assert bool(result) == _eliminate_feasible(rows)
     if result:
         for con in problem.constraints:
-            assert con.holds(result.assignment)
+            assert holds(con, result.assignment)
 
 
 @settings(max_examples=100, deadline=None)
@@ -181,7 +170,7 @@ def test_any_returned_assignment_satisfies_every_constraint(rows):
     result = solve_linear_feasibility(problem)
     if result:
         for con in problem.constraints:
-            assert con.holds(result.assignment)
+            assert holds(con, result.assignment)
 
 
 # -- the integer tableau against the Fraction simplex --------------------
@@ -341,7 +330,7 @@ def test_a_vertex_that_breaks_a_row_is_refused(monkeypatch, row, bad, good):
     problem.add(*row)
     problem.add({"x": 1}, ">=", -5)
     (con, _) = problem.constraints
-    assert not con.holds(bad) and con.holds(good)
+    assert not holds(con, bad) and holds(con, good)
     _patched_vertex(monkeypatch, problem, bad)
     with pytest.raises(RefdepError, match="internal error: simplex returned a bad vertex"):
         solve_linear_feasibility(problem)
@@ -361,12 +350,12 @@ def test_the_vertex_check_agrees_with_constraint_holds_on_random_vertices(monkey
                 row = ({v: c.numerator for v, c in coeffs.items()}, relation, rhs.numerator)
             problem.add(*row)
         point = {name: rng.choice(values) for name in problem.variables()}
-        holds = all(con.holds(point) for con in problem.constraints)
+        on_every_row = all(holds(con, point) for con in problem.constraints)
         _patched_vertex(monkeypatch, problem, point)
         try:
             result = solve_linear_feasibility(problem)
         except RefdepError:
             result = None
-        assert (result == Feasible(point)) == holds
-        verdicts[holds] += 1
+        assert (result == Feasible(point)) == on_every_row
+        verdicts[on_every_row] += 1
     assert min(verdicts.values()) >= 60, verdicts

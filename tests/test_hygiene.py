@@ -13,7 +13,8 @@ computation's value.  Every exception class is read in another module.
 Only ``choices.py`` reads ``maximizers`` or defines a ``choose``
 function, so the models' choice rules all come from its one builder.
 Only ``serialize.py`` imports ``json``, so JSON text has one boundary.
-Every public module-level function has a reader outside the tests.
+Every public module-level function has a reader outside the tests, and
+so has every public method that overrides no base-class method.
 """
 
 import ast
@@ -204,6 +205,14 @@ def _names_read(node):
             if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)}
 
 
+@cache
+def _outside_trees():
+    """The parsed modules of ``demos/`` and ``bench/``, ``test_*.py`` aside."""
+    return tuple(ast.parse(path.read_text())
+                 for folder in ("demos", "bench") for path in sorted((ROOT / folder).glob("*.py"))
+                 if not path.name.startswith("test_"))
+
+
 def test_every_public_function_has_a_reader_outside_the_tests():
     """Each public module-level function of ``src/refdep`` is read by
     another statement of ``src/refdep``, by ``demos/`` or by ``bench/``
@@ -219,14 +228,35 @@ def test_every_public_function_has_a_reader_outside_the_tests():
                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "add_parser"}
     assert len(handlers) == 8, handlers
-    outside = exported | handlers | set().union(*(
-        _names_read(ast.parse(path.read_text()))
-        for folder in ("demos", "bench") for path in sorted((ROOT / folder).glob("*.py"))
-        if not path.name.startswith("test_")))
+    outside = exported | handlers | set().union(*map(_names_read, _outside_trees()))
     statements = [(path.stem, node) for path in MODULES for node in _parse(path)[1].body]
     inside = [(node, _names_read(node)) for _, node in statements]
     unread = [f"{stem}.{node.name}" for stem, node in statements
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
               and not node.name.startswith("_") and node.name not in outside
               and not any(node.name in names for other, names in inside if other is not node)]
+    assert not unread, f"only the tests read {unread}"
+
+
+def test_every_public_method_has_a_reader_outside_the_tests():
+    """Each public method of a class of ``src/refdep`` is read as an
+    attribute by ``src/refdep``, ``demos/`` or ``bench/`` (its ``test_*.py``
+    aside), unless it overrides a method of a base class, as
+    ``_Parser.error`` does for ``argparse``.  Like the function check it
+    goes by name: a method that shares its name with an attribute read
+    elsewhere passes."""
+    trees = {path: _parse(path)[1] for path in MODULES}
+    read = {node.attr for tree in (*trees.values(), *_outside_trees()) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path, tree in trees.items():
+        module = importlib.import_module(f"refdep.{path.stem}")
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases = getattr(module, node.name).__mro__[1:]
+            unread += [f"{path.stem}.{node.name}.{method.name}" for method in node.body
+                       if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                       and not method.name.startswith("_") and method.name not in read
+                       and not any(hasattr(base, method.name) for base in bases)]
     assert not unread, f"only the tests read {unread}"

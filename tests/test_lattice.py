@@ -47,6 +47,7 @@ from helpers import (
     perturbed,
     psi_heredity_by_scan,
     random_ordu_params,
+    restrict,
     warp_by_scan,
 )
 
@@ -70,7 +71,7 @@ def _datasets(make, rng, count=4):
     for _ in range(count):
         full = perturbed(rng, make(rng))
         yield full
-        yield full.restrict([m for m in full.menus() if rng.random() < 0.6])
+        yield restrict(full, [m for m in full.menus() if rng.random() < 0.6])
 
 
 def _random_family(rng, menus):
@@ -115,7 +116,7 @@ def test_the_member_masks_are_those_of_the_menus_and_their_choices(domain):
     rng = random.Random(71)
     unheld = unchosen = 0
     for drawn in _datasets(make, rng):
-        for ds in (drawn, drawn.restrict(drawn.menus()[:3])):
+        for ds in (drawn, restrict(drawn, drawn.menus()[:3])):
             lattice = ds.lattice()
             choices = [ds.observations[m] for m in lattice.menus]
             assert list(lattice.contain.items()) == list(member_masks(lattice.menus).items())
@@ -187,7 +188,7 @@ def test_psi_relations_match_the_per_menu_evaluators(domain):
         for _ in range(4):
             clean = draw(rng)
             full = perturbed(rng, clean)
-            thinned = full.restrict([m for m in full.menus() if rng.random() < 0.6])
+            thinned = restrict(full, [m for m in full.menus() if rng.random() < 0.6])
             for ds in (clean, full, thinned):
                 table = {m: oracle(ds, m) for m in ds.menus()}
                 assert {m: psi.of(ds, m) for m in ds.menus()} == table

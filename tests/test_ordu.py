@@ -30,9 +30,11 @@ from helpers import (
     nested_pairs_by_scan,
     ordu_bruteforce,
     ordu_by_prediction_sets,
+    ordu_utility,
     perturbed_ordu_data,
     random_ordu_params,
     rationalizable_by_weak_order,
+    restrict,
     weak_orders,
 )
 
@@ -61,7 +63,7 @@ def test_each_reference_scores_itself_above_the_sentinel():
     ds = load_fixture("compliance_2_1")
     params = build_ordu(ds)
     for x in ds.universe:
-        assert params.utility(x)[x] > 0
+        assert ordu_utility(params, x)[x] > 0
 
 
 def _fit_or_infeasible(fit, dataset):
@@ -171,7 +173,7 @@ def test_verify_flags_a_perturbed_choice():
 
 def test_verify_empty_dataset_passes():
     params = build_ordu(load_fixture("compliance_2_1"))
-    empty = load_fixture("compliance_2_1").restrict([])
+    empty = restrict(load_fixture("compliance_2_1"), [])
     assert verify_ordu(params, empty) == []
 
 

@@ -75,6 +75,7 @@ from helpers import (
     ranks_of,
     random_rho_monotone_areu,
     reference_assignments_unpruned,
+    restrict,
     reverse_allais_dataset,
     transitivity_by_loop,
     worst_dilution_by_fractions,
@@ -1234,7 +1235,7 @@ def test_expansion_and_triangle_checks_match_their_loops():
         ds = perturbed(rng, areu_data(rng))
         family = [m for m in ds.menus() if rng.random() < 0.6]
         cases = [(check_avoidable_risk, avoidable_risk_by_loop, (ds,)),
-                 (check_avoidable_risk, avoidable_risk_by_loop, (ds.restrict(family),))]
+                 (check_avoidable_risk, avoidable_risk_by_loop, (restrict(ds, family),))]
         for args in ((ds, ds.menus()), (ds, family)):
             cases += [(betweenness_over, betweenness_by_loop, args),
                       (transitivity_over, transitivity_by_loop, args)]
