@@ -26,8 +26,6 @@ from .engine import (
     ReferenceOrder,
     candidate_references,
     check_reference_dependence,
-    psi_consistency_check,
-    synthesize_reference_order,
 )
 from .feasibility import (
     Feasible,
@@ -38,20 +36,16 @@ from .feasibility import (
 from .ordu import (
     OrduParams,
     build_ordu,
-    evaluate_ordu,
     union_anchor_condition,
     simulate_ordu,
     verify_ordu,
 )
 from .risk import (
     AreuParams,
-    Concavity,
     Fanning,
     LEAST_RISKY_PSI,
-    betweenness_over,
     check_avoidable_risk,
     check_risk_reference_dependence,
-    concavity_compare,
     extreme_spread,
     fanning_classify,
     fit_areu,
@@ -62,7 +56,6 @@ from .risk import (
     mps,
     rho_vector,
     simulate_areu,
-    transitivity_over,
     triangle_rows,
     verify_areu,
 )

@@ -4,9 +4,7 @@ Everything here is parameterized by a finite property T and an
 admissible-reference map Psi.  A menu's candidate references are the
 admissible members whose preservation keeps T intact on the observed
 sub-menus; the generalized axiom asks every menu to have at least one
-(or, in universal mode, demands it of every admissible member).  A
-total reference order consistent with the data is synthesized by
-peeling candidate layers off the universe.
+(or, in universal mode, demands it of every admissible member).
 """
 
 from __future__ import annotations
@@ -15,16 +13,8 @@ from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 from typing import Callable
 
-from .choices import (
-    ChoiceDataset,
-    FiniteProperty,
-    Menu,
-    ViolationWitness,
-    bits,
-    outside,
-    sorted_menus,
-)
-from .exceptions import AxiomFails, EmptyPsi, SynthesisFailed, UnknownAlternative
+from .choices import ChoiceDataset, FiniteProperty, Menu, bits, outside
+from .exceptions import EmptyPsi, UnknownAlternative
 
 
 @dataclass(frozen=True)
@@ -188,19 +178,13 @@ def _blocking(dataset: ChoiceDataset, prop: FiniteProperty, psi: PsiMap, pool) -
     return [(x, shared.get(x, 0) & ~elsewhere) for x in sorted(admissible)]
 
 
-def candidate_set(dataset: ChoiceDataset, prop: FiniteProperty, psi: PsiMap,
-                  pool) -> frozenset:
-    """Candidate references of an arbitrary alternative set ``pool``: the
-    admissible members x for which the data restricted to observed menus
-    inside ``pool`` that contain x satisfies T."""
-    return frozenset(x for x, blocking in _blocking(dataset, prop, psi, frozenset(pool))
-                     if not blocking)
-
-
 def candidate_references(dataset: ChoiceDataset, prop: FiniteProperty,
                          psi: PsiMap) -> dict:
-    """Per observed menu, the candidate-reference set (a CandidateMap)."""
-    return {menu: candidate_set(dataset, prop, psi, menu)
+    """Per observed menu, the candidate-reference set (a CandidateMap):
+    the admissible members x for which the data restricted to observed
+    menus inside the menu that contain x satisfies T."""
+    return {menu: frozenset(x for x, blocking in _blocking(dataset, prop, psi, menu)
+                            if not blocking)
             for menu in dataset.menus()}
 
 
@@ -245,50 +229,3 @@ def check_reference_dependence(dataset: ChoiceDataset, prop: FiniteProperty,
             (x, tuple(index[k] for k in bits(blocking)))
             for x, blocking in _blocking(dataset, prop, psi, menu) if blocking)))
     return failures
-
-
-def synthesize_reference_order(dataset: ChoiceDataset, prop: FiniteProperty,
-                               psi: PsiMap) -> ReferenceOrder:
-    """Build a Psi-consistent total reference order explaining the data.
-
-    Candidate layering: the candidates of the universe rank first, in id
-    order, then those of what is left, and so on.  Each menu's top member
-    then lies in a layer whose pool holds the menu, so it is admissible
-    there and T holds on its reference class.  A pool with no candidate
-    raises AxiomFails with the axiom's witnesses when the axiom fails and
-    SynthesisFailed when it holds on these (partial) observations.
-    """
-    remaining = frozenset(dataset.universe)
-    ranking = []
-    while remaining:
-        layer = candidate_set(dataset, prop, psi, remaining)
-        if not layer:
-            failures = check_reference_dependence(dataset, prop, psi)
-            if failures:
-                raise AxiomFails(f"reference dependence ({prop.name} / {psi.name})", failures)
-            raise SynthesisFailed(
-                f"no member of {sorted(remaining)} is a candidate reference of that pool, "
-                "although every observed menu has one")
-        ranking.extend(sorted(layer))
-        remaining -= layer
-    return ReferenceOrder(tuple(ranking))
-
-
-def psi_consistency_check(order: ReferenceOrder, psi: PsiMap,
-                          dataset: ChoiceDataset, menus) -> list:
-    """Witnesses to Psi-inconsistency: a menu whose non-admissible member
-    outranks every admissible member."""
-    witnesses = []
-    ranks = order.ranks
-    for menu in sorted_menus(frozenset(m) for m in menus):
-        admissible = psi.of(dataset, menu)
-        best_admissible = min(ranks[x] for x in admissible)
-        for y in sorted(menu - admissible):
-            if ranks[y] < best_admissible:
-                witnesses.append(ViolationWitness(
-                    kind="psi-consistency",
-                    menus=(menu,),
-                    narrative=(f"{y} is not admissible in {{{','.join(sorted(menu))}}} "
-                               f"yet outranks every admissible member"),
-                ))
-    return witnesses

@@ -81,11 +81,6 @@ class MultiValuedChoice(RefdepError):
     pass
 
 
-class SynthesisFailed(RefdepError):
-    """Reference-order layering found a pool with no candidate although
-    the axiom holds on the (partial) observations."""
-
-
 class AxiomFails(RefdepError):
     """A fitter's precondition axiom battery found violations.
 

@@ -20,7 +20,6 @@ from .choices import (
     Alternative,
     ChoiceDataset,
     GENERIC,
-    Menu,
     WARP,
     mismatches,
     over_common_denominator,
@@ -80,11 +79,6 @@ def _rule(params: OrduParams):
     tables = {ref: dict(zip((alt for alt, _ in table), row))
               for (ref, table), row in zip(params.utilities, rows)}
     return reference_rule(params.order.top, lambda ref, alt: tables[ref][alt])
-
-
-def evaluate_ordu(params: OrduParams, menu) -> Menu:
-    """All maximizers of the reference's utility over the menu."""
-    return _rule(params)(menu)
 
 
 def simulate_ordu(params: OrduParams, menus) -> ChoiceDataset:

@@ -27,7 +27,6 @@ from .choices import (
     FiniteProperty,
     LOTTERY,
     LotteryPayload,
-    ViolationWitness,
     WARP,
     conjoin,
     dominance_over,
@@ -41,7 +40,6 @@ from .choices import (
     reference_rule,
     revealed_rows,
     simulate,
-    sort_witnesses,
     warp_over,  # noqa: F401  bench/tracing.py wraps it here
 )
 from .engine import PsiMap, ReferenceOrder, check_reference_dependence
@@ -342,13 +340,6 @@ def battery(dataset: ChoiceDataset):
 # -- concavity comparison --------------------------------------------------
 
 
-class Concavity(enum.Enum):
-    MORE_CONCAVE = "MoreConcave"
-    LESS_CONCAVE = "LessConcave"
-    EQUAL = "Equal"
-    INCOMPARABLE = "Incomparable"
-
-
 def rho_vector(prizes, u) -> tuple:
     """Interior gap ratios (u_i - u_{i-1}) / (u_{i+1} - u_{i-1})."""
     _check_same_grid(prizes, u)
@@ -361,14 +352,6 @@ def rho_vector(prizes, u) -> tuple:
 def _more_concave(r1, r2) -> bool:
     """Gap ratios ``r1`` are weakly more concave than ``r2``."""
     return all(a >= b for a, b in zip(r1, r2))
-
-
-def concavity_compare(prizes, u1, u2) -> Concavity:
-    r1, r2 = rho_vector(prizes, u1), rho_vector(prizes, u2)
-    more, less = _more_concave(r1, r2), _more_concave(r2, r1)
-    if more:
-        return Concavity.EQUAL if less else Concavity.MORE_CONCAVE
-    return Concavity.LESS_CONCAVE if less else Concavity.INCOMPARABLE
 
 
 # -- AREU parameters -------------------------------------------------------
@@ -819,64 +802,6 @@ def fit_areu(dataset: ChoiceDataset) -> AreuParams:
             vectors = {alt: [Fraction(x, den) for x in vec] for alt, vec in numerators.items()}
             return AreuParams.build(prizes, vectors, ReferenceOrder(ranking), utilities)
     raise InfeasibleFit("no reference assignment and utility system certifies the data")
-
-
-# -- betweenness and transitivity over doubleton families ------------------
-
-
-def _triangles(family) -> list:
-    """Each ordered triple (x, y, z) of distinct alternatives whose
-    doubletons {x, y}, {y, z} and {z, x} all lie in ``family``."""
-    near = {}
-    for menu in family:
-        if len(menu) == 2:
-            x, y = menu
-            near.setdefault(x, set()).add(y)
-            near.setdefault(y, set()).add(x)
-    return [(x, y, z) for x in sorted(near) for y in sorted(near[x])
-            for z in sorted(near[x] & near[y])]
-
-
-def betweenness_over(dataset: ChoiceDataset, family) -> list:
-    """A strict choice between a and b must stay strict against a
-    mixture of the two (a over mid over b), and a tie must stay a tie."""
-    _, _, vectors = _coords(dataset)
-    observed = dataset.observations
-    witnesses = []
-    for a, b, mid in _triangles(family):
-        if _mixture_weight(vectors[a], vectors[b], vectors[mid]) is None:
-            continue
-        pair, left, right = frozenset((a, b)), frozenset((a, mid)), frozenset((mid, b))
-        if observed[pair] == {a}:
-            expected = ({a}, {mid})
-            narrative = f"{a} strictly beats {b} but the mixture {mid} breaks the strict chain"
-        elif observed[pair] == pair:
-            expected = (left, right)
-            narrative = (f"{a} and {b} tie but the mixture {mid} "
-                         f"breaks the indifference chain")
-        else:
-            continue
-        if (observed[left], observed[right]) != expected:
-            witnesses.append(ViolationWitness("Betweenness", (pair, left, right), narrative))
-    return sort_witnesses(witnesses)
-
-
-def _mixture_weight(va, vb, vm):
-    """alpha in (0,1) with vm = alpha va + (1-alpha) vb, else None."""
-    alpha = _scale([z - y for y, z in zip(vb, vm)], [x - y for x, y in zip(va, vb)],
-                   range(len(va)))
-    return Fraction(*alpha) if alpha is not None and 0 < alpha[0] < alpha[1] else None
-
-
-def transitivity_over(dataset: ChoiceDataset, family) -> list:
-    observed = dataset.observations
-    witnesses = []
-    for p, q, s in _triangles(family):
-        pq, qs, sp = frozenset((p, q)), frozenset((q, s)), frozenset((s, p))
-        if p in observed[pq] and q in observed[qs] and p not in observed[sp]:
-            witnesses.append(ViolationWitness(
-                "Transitivity", (pq, qs, sp), f"{p} >= {q} >= {s} but {s} strictly beats {p}"))
-    return sort_witnesses(witnesses)
 
 
 # -- triangle diagnostics --------------------------------------------------

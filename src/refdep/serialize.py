@@ -168,11 +168,12 @@ def dataset_to_dict(ds: ChoiceDataset) -> dict:
 
 def read_json(fh):
     """The JSON document in the open file ``fh``.  Malformed JSON, text
-    the file's encoding cannot decode and a number past Python's limit on
-    the digits of an int (all ValueErrors) are a ValidationError."""
+    the file's encoding cannot decode, a number past Python's limit on
+    the digits of an int (all ValueErrors) and nesting deeper than the
+    decoder's recursion limit are a ValidationError."""
     try:
         return json.load(fh)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(str(exc)) from exc
 
 

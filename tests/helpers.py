@@ -11,7 +11,7 @@ import random
 import sys
 from fractions import Fraction as F
 from functools import cache
-from itertools import accumulate, combinations, permutations, product
+from itertools import accumulate, combinations, product
 
 from refdep.choices import (
     Alternative,
@@ -39,7 +39,6 @@ from refdep.engine import (
     ReferenceDependenceFailure,
     ReferenceOrder,
     _blocking,
-    candidate_references,
     check_reference_dependence,
     witness_index,
 )
@@ -51,7 +50,6 @@ from refdep.exceptions import (
     InfeasibleFit,
     MixedPayloadKinds,
     RefdepError,
-    SynthesisFailed,
     UnknownAlternative,
     UnknownLottery,
     UnobservedMenu,
@@ -1064,23 +1062,6 @@ def worst_dilution_by_loop(prizes, p, q):
     return p[0] == beta * q[0] + (1 - beta)
 
 
-def mixture_weight_by_loop(va, vb, vm):
-    alpha = None
-    for x, y, z in zip(va, vb, vm):
-        if x == y:
-            if z != x:
-                return None
-            continue
-        candidate = (z - y) / (x - y)
-        if alpha is None:
-            alpha = candidate
-        elif alpha != candidate:
-            return None
-    if alpha is None or not 0 < alpha < 1:
-        return None
-    return alpha
-
-
 # -- the lottery domain in Fractions ------------------------------------------
 #
 # The ``Fraction`` bodies ``risk`` had before its hot paths read the cached
@@ -1303,75 +1284,6 @@ def present_bias_delays_by_pairs(dataset):
     return sort_witnesses(set(witnesses))
 
 
-# -- the doubleton-pruning recursion: the reference for order synthesis ---------
-
-
-def synthesize_by_pruning(dataset, prop, psi):
-    """A Psi-consistent reference order by the finite doubleton-pruning
-    recursion, the reference for ``engine.synthesize_reference_order``.
-
-    Start each observed menu's image at its candidate set, walk the
-    doubletons of the universe in id order, and at each one delete (from
-    every observed superset) a member whose removal empties no image,
-    asserting after each step that no image is empty and that images keep
-    the alpha property.  Once all doubletons are visited the surviving
-    images are singletons and the kept-over relation is the order.
-    Raises AxiomFails when the axiom fails and SynthesisFailed when the
-    recursion gets stuck or its order fails the post-checks.
-    """
-    failures = check_reference_dependence(dataset, prop, psi)
-    if failures:
-        raise AxiomFails(f"reference dependence ({prop.name} / {psi.name})", failures)
-    images = dict(candidate_references(dataset, prop, psi))
-    universe = sorted(dataset.universe)
-    lattice = dataset.lattice()
-    beats = set()
-
-    def deletable(z, supersets):
-        return all(images[menu] - {z} for menu in supersets if z in images[menu])
-
-    for x, y in combinations(universe, 2):
-        supersets = lattice.at(lattice.containing((x, y)))
-        dx = deletable(x, supersets)
-        dy = deletable(y, supersets)
-        if dx and dy:
-            drop, keep = (y, x)  # free pair: keep the lexicographically smaller
-        elif dx:
-            drop, keep = x, y
-        elif dy:
-            drop, keep = y, x
-        else:
-            raise SynthesisFailed(f"neither of {{{x},{y}}} is deletable")
-        beats.add((keep, drop))
-        for menu in supersets:
-            images[menu] = images[menu] - {drop}
-        for menu, image in images.items():
-            assert image, f"image of {sorted(menu)} emptied"
-            for sub in lattice.at(lattice.within(menu)):
-                assert image & sub <= images[sub], "alpha property broken"
-
-    wins = {x: 0 for x in universe}
-    for keep, _ in beats:
-        wins[keep] += 1
-    ranking = sorted(universe, key=lambda z: (-wins[z], z))
-    if any((hi, lo) not in beats for hi, lo in combinations(ranking, 2)):
-        raise SynthesisFailed("kept-over relation is cyclic")
-    order = ReferenceOrder(tuple(ranking))
-    for menu, image in images.items():
-        if len(image) != 1 or order.argmax(menu) not in image:
-            raise SynthesisFailed(f"image of {sorted(menu)} did not collapse")
-    if order_breaks_a_reference_class(dataset, prop, order):
-        raise SynthesisFailed("a reference class violates the property")
-    return order
-
-
-def order_breaks_a_reference_class(dataset, prop, order):
-    """Whether a witness of ``prop`` lies inside one reference class of
-    ``order``: x tops the union of its menus and belongs to all of them."""
-    return any(order.argmax(frozenset().union(*w.menus)) in frozenset.intersection(*w.menus)
-               for w in witness_index(dataset, prop))
-
-
 # -- the prediction-set construction: the reference for the ORDU fit -------------
 
 
@@ -1572,12 +1484,11 @@ def fairness_by_fractions(dataset):
     return sort_witnesses(set(witnesses))
 
 
-# -- expansion clauses and doubleton triangles by their own loops --------------
+# -- expansion clauses by their own loops ---------------------------------------
 #
-# The loops ``risk.check_avoidable_risk``, ``risk.betweenness_over`` and
-# ``risk.transitivity_over`` ran before the expansion clause shared
-# ``choices.expansion_over`` and the triangles shared ``risk._triangles``,
-# on the ``Fraction`` vectors and the lattice-free nested pairs.
+# The loop ``risk.check_avoidable_risk`` ran before the expansion clause
+# shared ``choices.expansion_over``, on the ``Fraction`` vectors and the
+# lattice-free nested pairs.
 
 
 def avoidable_risk_by_loop(dataset):
@@ -1611,62 +1522,6 @@ def avoidable_risk_by_loop(dataset):
                                     f"{safe2}) wins strictly after expansion"),
                             ))
     return sort_witnesses(witnesses)
-
-
-def betweenness_by_loop(dataset, family):
-    fam = {frozenset(m) for m in family}
-    doubles = sorted_menus(m for m in fam if len(m) == 2)
-    vectors = fraction_vectors(dataset)
-    witnesses = []
-    ids = sorted(dataset.universe)
-    for pair in doubles:
-        p, q = sorted(pair)
-        for a, b in ((p, q), (q, p)):
-            for mid in ids:
-                if mid in (a, b):
-                    continue
-                alpha = mixture_weight_by_loop(vectors[a], vectors[b], vectors[mid])
-                if alpha is None or frozenset((a, mid)) not in fam \
-                        or frozenset((mid, b)) not in fam:
-                    continue
-                c_ab = dataset.observations[pair]
-                c_am = dataset.observations[frozenset((a, mid))]
-                c_mb = dataset.observations[frozenset((mid, b))]
-                if c_ab == {a}:
-                    if c_am != {a} or c_mb != {mid}:
-                        witnesses.append(ViolationWitness(
-                            kind="Betweenness",
-                            menus=(pair, frozenset((a, mid)), frozenset((mid, b))),
-                            narrative=(f"{a} strictly beats {b} but the mixture "
-                                       f"{mid} breaks the strict chain")))
-                elif c_ab == pair:
-                    if c_am != frozenset((a, mid)) or c_mb != frozenset((mid, b)):
-                        witnesses.append(ViolationWitness(
-                            kind="Betweenness",
-                            menus=(pair, frozenset((a, mid)), frozenset((mid, b))),
-                            narrative=(f"{a} and {b} tie but the mixture {mid} "
-                                       f"breaks the indifference chain")))
-    return sort_witnesses(set(witnesses))
-
-
-def transitivity_by_loop(dataset, family):
-    fam = {frozenset(m) for m in family}
-    doubles = sorted_menus(m for m in fam if len(m) == 2)
-    members = sorted({x for m in doubles for x in m})
-    witnesses = []
-    for trio in combinations(members, 3):
-        menus = [frozenset(pair) for pair in combinations(trio, 2)]
-        if not all(m in fam for m in menus):
-            continue
-        for p, q, s in permutations(trio):
-            pq, qs, sp = frozenset((p, q)), frozenset((q, s)), frozenset((s, p))
-            if p in dataset.observations[pq] and q in dataset.observations[qs] \
-                    and p not in dataset.observations[sp]:
-                witnesses.append(ViolationWitness(
-                    kind="Transitivity",
-                    menus=(pq, qs, sp),
-                    narrative=f"{p} >= {q} >= {s} but {s} strictly beats {p}"))
-    return sort_witnesses(set(witnesses))
 
 
 def social_monotonicity_by_fractions(dataset):

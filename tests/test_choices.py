@@ -24,11 +24,9 @@ from refdep.exceptions import (
     ValidationError,
 )
 from refdep.risk import (
-    betweenness_over,
     independence_over,
     least_risky,
     prize_grid,
-    transitivity_over,
 )
 from refdep.rivals import load_fixture
 from refdep.serialize import dataset_from_dict, dataset_to_dict, menus_from_dict
@@ -204,8 +202,6 @@ LOCAL_PROPERTIES = {
     "Independence": (independence_over, areu_data),
     "Stationarity": (stationarity_over, pbdu_data),
     "Quasi-linearity": (quasilinearity_over, fspu_data),
-    "Betweenness": (betweenness_over, areu_data),
-    "Transitivity": (transitivity_over, areu_data),
 }
 
 

@@ -881,6 +881,29 @@ def test_a_path_that_cannot_be_opened_is_a_validation_error(tmp_path, capsys, co
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["validate", "nest"],
+    ["verify", "--model", "ordu", "nest", "data"],
+    ["check", "--model", "ordu", "nested-menu"],
+    ["simulate", "--model", "ordu", "params", "nest"],
+], ids=["validate-dataset", "verify-params", "observation-menu", "simulate-menus"])
+def test_json_nested_past_the_recursion_limit_is_a_validation_error(tmp_path, capsys, command):
+    """Arrays nested 100,000 deep, as a whole file or as an observation's
+    menu, exit 2 with a validation error and print no traceback."""
+    nest = "[" * 100_000 + "]" * 100_000
+    docs = DOCUMENTS["ordu"]
+    nested_menu = copy.deepcopy(docs["data"])
+    nested_menu["observations"][0]["menu"] = "NEST"
+    texts = {"data": json.dumps(docs["data"]), "params": json.dumps(docs["params"]),
+             "nest": nest, "nested-menu": json.dumps(nested_menu).replace('"NEST"', nest)}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    code, doc = run_json([str(tmp_path / arg) if arg in texts else arg for arg in command])
+    assert code == 2 and doc["error"] == "validation", doc
+    assert "recursion" in doc["detail"], doc
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("model", sorted(DOCUMENTS))
 def test_fit_without_observations_certifies_the_empty_dataset(model, tmp_path):
     _assert_fit_certifies(model, {**DOCUMENTS[model]["data"], "observations": []}, tmp_path)

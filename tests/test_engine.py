@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from fractions import Fraction as F
 
 import pytest
 
@@ -16,18 +15,14 @@ from refdep.choices import (
 from refdep.engine import (
     IDENTITY_PSI,
     PsiMap,
-    ReferenceOrder,
     candidate_references,
-    candidate_set,
     check_reference_dependence,
-    psi_consistency_check,
-    synthesize_reference_order,
     witness_index,
     _blocked,
     _witness_masks,
 )
-from refdep.exceptions import AxiomFails, EmptyPsi, SynthesisFailed, UnobservedMenu
-from refdep.ordu import build_ordu, simulate_ordu
+from refdep.exceptions import EmptyPsi, UnobservedMenu
+from refdep.ordu import build_ordu
 from refdep.risk import LEAST_RISKY_PSI, RISK_PROPERTY
 from refdep.rivals import load_fixture
 from refdep.social import MOST_BALANCED_PSI, SOCIAL_PROPERTY
@@ -51,22 +46,13 @@ from helpers import (
     generic_dataset,
     integer_areu_data,
     large_ordu_data,
-    lot,
-    lottery_dataset,
-    order_breaks_a_reference_class,
     ordu_bruteforce,
     ordu_data,
-    pay,
-    payment_dataset,
     pbdu_data,
     perturbed,
-    perturbed_ordu_data,
-    random_ordu_params,
-    rationalizable_by_weak_order,
     reference_dependence_by_families,
     reference_dependence_by_menus,
     restrict,
-    synthesize_by_pruning,
     time_reference_dependence_by_pairs,
     witness_masks_by_sets,
 )
@@ -120,77 +106,13 @@ def test_doubletons_and_singletons_always_pass():
     assert check_reference_dependence(ds, WARP, IDENTITY_PSI) == []
 
 
-def test_synthesize_matches_the_layered_order_on_compliance():
-    ds = load_fixture("compliance_2_1")
-    order = synthesize_reference_order(ds, WARP, IDENTITY_PSI)
-    assert order.ranking == ("a", "d", "b", "c")
-    cmap = candidate_references(ds, WARP, IDENTITY_PSI)
-    for menu in ds.menus():
-        assert order.argmax(menu) in cmap[menu]
-
-
-def test_synthesize_on_two_alternatives_returns_some_order():
-    ds = generic_dataset([("ab", "a")])
-    order = synthesize_reference_order(ds, WARP, IDENTITY_PSI)
-    assert set(order.ranking) == {"a", "b"}
-
-
-def test_synthesized_order_explains_generated_data():
-    rng = random.Random(7)
-    for _ in range(20):
-        params = random_ordu_params(rng)
-        menus = all_menus(params.order.ranking, 2, 5)
-        ds = simulate_ordu(params, menus)
-        order = synthesize_reference_order(ds, WARP, IDENTITY_PSI)
-        cmap = candidate_references(ds, WARP, IDENTITY_PSI)
-        for menu in ds.menus():
-            assert order.argmax(menu) in cmap[menu]
-        classes = {}
-        for menu in ds.menus():
-            classes.setdefault(order.argmax(menu), []).append(menu)
-        for family in classes.values():
-            assert rationalizable_by_weak_order(ds, family)
-
-
-def test_psi_consistency_identity_is_vacuous():
-    ds = load_fixture("compliance_2_1")
-    order = ReferenceOrder(tuple(sorted(ds.universe)))
-    assert psi_consistency_check(order, IDENTITY_PSI, ds, ds.menus()) == []
-
-
-def test_psi_consistency_flags_a_spread_on_top():
-    # q is safe, s is a mean-preserving spread of q, n is unrelated noise
-    lots = {
-        "q": lot([(1, 1)]),
-        "s": lot([(0, F(1, 2)), (2, F(1, 2))]),
-        "n": lot([(0, F(1, 5)), (1, F(3, 5)), (2, F(1, 5))]),
-    }
-    menu = frozenset(lots)
-    ds = lottery_dataset(lots, [(menu, ["q"])])
-    bad = ReferenceOrder(("s", "q", "n"))
-    witnesses = psi_consistency_check(bad, LEAST_RISKY_PSI, ds, [menu])
-    assert witnesses and "s" in witnesses[0].narrative
-    good = ReferenceOrder(("q", "n", "s"))
-    assert psi_consistency_check(good, LEAST_RISKY_PSI, ds, [menu]) == []
-
-
-def test_psi_consistency_earliest_first_time_order_passes():
-    payments = {"e": pay(10, 0), "m": pay(12, 1), "l": pay(20, 3)}
-    menus = all_menus(payments, 2, 3)
-    ds = payment_dataset(payments, [(m, [sorted(m)[0]]) for m in menus])
-    by_time = sorted(payments, key=lambda k: (payments[k].time, payments[k].amount))
-    order = ReferenceOrder(tuple(by_time))
-    assert psi_consistency_check(order, EARLIEST_PSI, ds, menus) == []
-
-
 def test_a_cyclic_psi_relation_raises_empty_psi_naming_the_cycle():
     # c beats a beats b beats c; d, beaten by a, lies outside the cycle
     cyclic = PsiMap("cyclic", lambda dataset: {"a": ["c"], "b": ["a"], "c": ["b"], "d": ["a"]})
     ds = generic_dataset([("abcd", "a"), ("ab", "a"), ("cd", "c")])
     message = "cyclic: a beats b beats c beats a, so no member of ['a', 'b', 'c'] is admissible"
     for use in (lambda: cyclic.of(ds, frozenset("cd")),
-                lambda: check_reference_dependence(ds, WARP, cyclic),
-                lambda: synthesize_reference_order(ds, WARP, cyclic)):
+                lambda: check_reference_dependence(ds, WARP, cyclic)):
         with pytest.raises(EmptyPsi) as exc:
             use()
         assert str(exc.value) == message
@@ -280,34 +202,6 @@ def test_rd_matches_build_on_random_five_alternative_data():
         assert rd == built
 
 
-def test_a_stuck_synthesis_names_the_pool_and_blames_no_sparsity():
-    """Perturbed seed 19 passes the axiom yet admits no reference order;
-    synthesis says only that the pool it reached has no candidate."""
-    dataset = perturbed_ordu_data(19)
-    assert check_reference_dependence(dataset, WARP, IDENTITY_PSI) == []
-    with pytest.raises(SynthesisFailed) as exc:
-        synthesize_reference_order(dataset, WARP, IDENTITY_PSI)
-    assert str(exc.value) == ("no member of ['a', 'c', 'd', 'e'] is a candidate reference "
-                              "of that pool, although every observed menu has one")
-    assert candidate_set(dataset, WARP, IDENTITY_PSI, frozenset("acde")) == frozenset()
-    assert ordu_bruteforce(dataset) is None
-
-
-def test_synthesis_with_the_risk_property_is_psi_consistent():
-    from refdep.risk import LEAST_RISKY_PSI, RISK_PROPERTY, simulate_areu
-    from helpers import random_rho_monotone_areu
-    rng = random.Random(29)
-    for _ in range(8):
-        params = random_rho_monotone_areu(rng, n_lotteries=4)
-        names = [i for i, _ in params.lotteries]
-        ds = simulate_areu(params, all_menus(names, 2, 4))
-        order = synthesize_reference_order(ds, RISK_PROPERTY, LEAST_RISKY_PSI)
-        assert psi_consistency_check(order, LEAST_RISKY_PSI, ds, ds.menus()) == []
-        for x in order.ranking:
-            family = [m for m in ds.menus() if order.argmax(m) == x]
-            assert RISK_PROPERTY.check(ds, family) == []
-
-
 ENGINE_DOMAINS = {
     "generic": (ordu_data, WARP, IDENTITY_PSI),
     "lottery": (areu_data, RISK_PROPERTY, LEAST_RISKY_PSI),
@@ -336,12 +230,6 @@ def test_engine_agrees_with_evaluating_every_sub_family(domain):
                     reference_dependence_by_families(ds, prop, psi, universal)
             assert candidate_references(ds, prop, psi) == {
                 m: _candidates_by_families(ds, prop, psi, m) for m in ds.menus()}
-            universe = sorted(ds.universe)
-            for _ in range(4):
-                pool = frozenset(rng.sample(universe, rng.randint(2, len(universe))))
-                if pool not in ds.observations:
-                    assert candidate_set(ds, prop, psi, pool) == \
-                        _candidates_by_families(ds, prop, psi, pool)
             if domain != "dated_payment":
                 continue
             pairwise = tuple(time_reference_dependence_by_pairs(ds))
@@ -352,47 +240,6 @@ def test_engine_agrees_with_evaluating_every_sub_family(domain):
                 assert report.pairwise == pairwise
                 assert report.subset_form == tuple(anchored_subset_form_by_families(ds))
     assert applicable or domain != "dated_payment"
-
-
-def _clean_perturbed_and_thinned(rng, make, count):
-    """Per draw: the model's data, a perturbed copy, and each thinned to
-    about 60 % of its menus."""
-    for _ in range(count):
-        clean = make(rng)
-        for ds in (clean, perturbed(rng, clean)):
-            yield ds
-            yield restrict(ds, [m for m in ds.menus() if rng.random() < 0.6])
-
-
-@pytest.mark.parametrize("domain", sorted(ENGINE_DOMAINS))
-def test_synthesis_agrees_with_the_pruning_recursion(domain):
-    make, prop, psi = ENGINE_DOMAINS[domain]
-    rng = random.Random(53)
-    outcomes = Counter()
-    for ds in _clean_perturbed_and_thinned(rng, make, 12):
-        failures = check_reference_dependence(ds, prop, psi)
-        try:
-            oracle = synthesize_by_pruning(ds, prop, psi)
-        except (AxiomFails, SynthesisFailed):
-            oracle = None
-        try:
-            order = synthesize_reference_order(ds, prop, psi)
-        except AxiomFails as exc:
-            assert exc.axiom == f"reference dependence ({prop.name} / {psi.name})"
-            assert exc.witnesses == failures != []
-            outcomes["axiom fails"] += 1
-            continue
-        except SynthesisFailed:
-            assert failures == [] and oracle is None
-            outcomes["stuck"] += 1
-            continue
-        assert failures == []
-        candidates = candidate_references(ds, prop, psi)
-        assert all(order.argmax(menu) in candidates[menu] for menu in ds.menus())
-        assert not order_breaks_a_reference_class(ds, prop, order)
-        assert psi_consistency_check(order, psi, ds, ds.menus()) == []
-        outcomes["order" if oracle is not None else "order, oracle stuck"] += 1
-    assert outcomes["order"] and outcomes["axiom fails"], outcomes
 
 
 MASK_DOMAINS = {**ENGINE_DOMAINS,

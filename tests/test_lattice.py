@@ -12,7 +12,6 @@ import tracemalloc
 import pytest
 
 from refdep.choices import (
-    WARP,
     ChoiceDataset,
     invariance_over,
     mismatches,
@@ -20,7 +19,7 @@ from refdep.choices import (
     sorted_menus,
     warp_over,
 )
-from refdep.engine import IDENTITY_PSI, _admits, candidate_set
+from refdep.engine import IDENTITY_PSI, _admits
 from refdep.exceptions import UnobservedMenu
 from refdep.ordu import battery, maximal_menus, simulate_ordu
 from refdep.risk import LEAST_RISKY_PSI, _mixture_correspondences
@@ -32,7 +31,6 @@ from refdep.timepref import EARLIEST_PSI
 from helpers import (
     all_menus,
     areu_data,
-    candidate_witnesses_by_families,
     earliest_payments_by_maximizers,
     fspu_data,
     fractional_fspu_data,
@@ -141,24 +139,6 @@ def test_a_family_with_an_unobserved_menu_raises():
         warp_over(ds, family)
     with pytest.raises(UnobservedMenu, match=r"\['a', 'z'\]"):
         invariance_over(ds, family, "Invariance", [])
-
-
-def test_candidate_sets_of_the_layering_pools_match_the_families():
-    # the pools ordu's layered reference order passes: the universe, then
-    # what is left after each layer, mostly unobserved on thinned data
-    rng = random.Random(67)
-    for ds in _datasets(ordu_data, rng, 6):
-        remaining = set(ds.universe)
-        while remaining:
-            pool = frozenset(remaining)
-            layer = candidate_set(ds, WARP, IDENTITY_PSI, pool)
-            assert layer == frozenset(
-                x for x, witnesses in
-                candidate_witnesses_by_families(ds, WARP, IDENTITY_PSI, pool)
-                if not witnesses)
-            if not layer:
-                break
-            remaining -= layer
 
 
 def _identity(dataset, menu):

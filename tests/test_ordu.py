@@ -17,7 +17,6 @@ from refdep.ordu import (
     _rationalized_by_single_ranking,
     build_ordu,
     check_subset_closed,
-    evaluate_ordu,
     union_anchor_condition,
     simulate_ordu,
     verify_ordu,
@@ -121,12 +120,14 @@ def test_fits_exactly_when_the_search_over_orders_finds_one():
 
 def test_evaluate_singleton_returns_itself():
     params = build_ordu(load_fixture("compliance_2_1"))
-    assert evaluate_ordu(params, frozenset("c")) == frozenset("c")
+    menu = frozenset("c")
+    assert simulate_ordu(params, [menu]).observations[menu] == menu
 
 
 def test_evaluate_reproduces_the_bcd_tie():
     params = build_ordu(load_fixture("compliance_2_1"))
-    assert evaluate_ordu(params, frozenset("bcd")) == frozenset("bc")
+    menu = frozenset("bcd")
+    assert simulate_ordu(params, [menu]).observations[menu] == frozenset("bc")
 
 
 def test_two_reference_params_produce_a_warp_violation():
@@ -137,9 +138,9 @@ def test_two_reference_params_produce_a_warp_violation():
          "y": {"r": 0, "x": 1, "y": 2}})
     big = frozenset(("r", "x", "y"))
     small = frozenset(("x", "y"))
-    assert evaluate_ordu(params, big) == frozenset("x")
-    assert evaluate_ordu(params, small) == frozenset("y")
     ds = simulate_ordu(params, [big, small])
+    assert ds.observations[big] == frozenset("x")
+    assert ds.observations[small] == frozenset("y")
     assert warp_over(ds, ds.menus()) != []
 
 
@@ -294,6 +295,6 @@ def test_one_rank_map_serves_the_top_lookup_and_the_coverage_test():
     same = ReferenceOrder(order.ranking)
     assert order == same and hash(order) == hash(same)
     with pytest.raises(UnknownAlternative, match=r"\['y', 'z'\] not covered by the order"):
-        evaluate_ordu(params, {"a", "z", "y"})
+        simulate_ordu(params, [{"a", "z", "y"}])
     with pytest.raises(ValueError, match="ranking has duplicates"):
         ReferenceOrder(("a", "b", "a"))

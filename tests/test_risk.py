@@ -20,12 +20,10 @@ from refdep.exceptions import (
 from refdep.feasibility import LinearFeasibilityProblem, solve_linear_feasibility
 from refdep.risk import (
     AreuParams,
-    Concavity,
     Fanning,
     check_avoidable_risk,
     check_fosd_dominance,
     check_risk_reference_dependence,
-    concavity_compare,
     extreme_spread,
     fanning_classify,
     fit_areu,
@@ -38,8 +36,6 @@ from refdep.risk import (
     rho_vector,
     riskier_than,
     simulate_areu,
-    transitivity_over,
-    betweenness_over,
     triangle_rows,
     verify_areu,
     worst_dilution,
@@ -53,7 +49,6 @@ from helpers import (
     areu_data,
     areu_instance,
     avoidable_risk_by_loop,
-    betweenness_by_loop,
     diff_key_by_fractions,
     extreme_spread_by_fractions,
     extreme_spread_by_loop,
@@ -69,7 +64,6 @@ from helpers import (
     lottery_dataset,
     menu_rows_by_fractions,
     mixture_correspondences_by_fractions,
-    mixture_weight_by_loop,
     mps_by_loop,
     perturbed,
     ranks_of,
@@ -77,7 +71,6 @@ from helpers import (
     reference_assignments_unpruned,
     restrict,
     reverse_allais_dataset,
-    transitivity_by_loop,
     worst_dilution_by_fractions,
     worst_dilution_by_loop,
 )
@@ -276,23 +269,20 @@ def _related_pair(rng, prizes):
 
 def test_relations_match_their_explicit_loops_on_random_vectors():
     rng = random.Random(12)
-    holds = dict.fromkeys(("fosd", "mps", "extreme", "dilution", "mixture"), 0)
+    holds = dict.fromkeys(("fosd", "mps", "extreme", "dilution"), 0)
     for _ in range(50_000):
         prizes = tuple(F(x) for x in sorted(rng.sample(range(12), rng.randint(3, 5))))
         p, q = _related_pair(rng, prizes)
         if rng.random() < 0.5:
             p, q = q, p
-        mixed = (_mix(F(rng.randint(0, 6), 6), p, q) if rng.random() < 0.5
-                 else _probability_vector(rng, len(prizes)))
         results = {
             "fosd": (fosd(prizes, p, q), fosd_by_loop(prizes, p, q)),
             "mps": (mps(prizes, p, q), mps_by_loop(prizes, p, q)),
             "extreme": (extreme_spread(prizes, p, q), extreme_spread_by_loop(prizes, p, q)),
             "dilution": (worst_dilution(prizes, p, q), worst_dilution_by_loop(prizes, p, q)),
-            "mixture": (risk._mixture_weight(p, q, mixed), mixture_weight_by_loop(p, q, mixed)),
         }
         for name, (new, old) in results.items():
-            assert new == old, (name, prizes, p, q, mixed)
+            assert new == old, (name, prizes, p, q)
             holds[name] += new not in (False, None)
     assert min(holds.values()) > 3_000, holds
 
@@ -308,7 +298,7 @@ def _fractional_grid(rng, n):
 
 def test_relations_on_integer_coordinates_match_the_fraction_forms():
     rng = random.Random(13)
-    holds = dict.fromkeys(("fosd", "mps", "extreme", "dilution", "mixture"), 0)
+    holds = dict.fromkeys(("fosd", "mps", "extreme", "dilution"), 0)
     for _ in range(8_000):
         prizes = _fractional_grid(rng, rng.choice((3, 4)))
         p, q = _related_pair(rng, prizes)
@@ -324,7 +314,6 @@ def test_relations_on_integer_coordinates_match_the_fraction_forms():
             "mps": (mps(grid, ip, iq), mps_by_loop(prizes, p, q)),
             "extreme": (extreme_spread(grid, ip, iq), extreme_spread_by_fractions(prizes, p, q)),
             "dilution": (worst_dilution(grid, ip, iq), worst_dilution_by_fractions(prizes, p, q)),
-            "mixture": (risk._mixture_weight(ip, iq, im), mixture_weight_by_loop(p, q, mixed)),
         }
         for name, (new, old) in results.items():
             assert new == old, (name, prizes, p, q, mixed)
@@ -600,18 +589,19 @@ def test_rho_requires_increasing_utilities():
 
 
 def test_concavity_compare_examples():
-    u = (F(0), F(7, 10), F(1))
-    assert concavity_compare(PRIZES, u, u) is Concavity.EQUAL
-    hi = (F(0), F(9, 10), F(1))
-    assert concavity_compare(PRIZES, hi, u) is Concavity.MORE_CONCAVE
-    assert concavity_compare(PRIZES, u, hi) is Concavity.LESS_CONCAVE
+    r = rho_vector(PRIZES, (F(0), F(7, 10), F(1)))
+    hi = rho_vector(PRIZES, (F(0), F(9, 10), F(1)))
+    assert risk._more_concave(r, r)
+    assert risk._more_concave(hi, r)
+    assert not risk._more_concave(r, hi)
 
 
 def test_concavity_crossing_rhos_are_incomparable():
     prizes = (F(0), F(1), F(2), F(3))
-    u1 = (F(0), F(1, 2), F(3, 4), F(1))
-    u2 = (F(0), F(1, 4), F(9, 10), F(1))
-    assert concavity_compare(prizes, u1, u2) is Concavity.INCOMPARABLE
+    r1 = rho_vector(prizes, (F(0), F(1, 2), F(3, 4), F(1)))
+    r2 = rho_vector(prizes, (F(0), F(1, 4), F(9, 10), F(1)))
+    assert not risk._more_concave(r1, r2)
+    assert not risk._more_concave(r2, r1)
 
 
 def _piecewise_concave_transform_exists(prizes, u_target, u_base):
@@ -632,8 +622,7 @@ def test_rho_dominance_matches_interpolation_oracle():
             cuts2 = sorted(rng.randint(1, 39) for _ in range(3))
         u1 = (F(0),) + tuple(F(c, 40) for c in cuts1) + (F(1),)
         u2 = (F(0),) + tuple(F(c, 40) for c in cuts2) + (F(1),)
-        more = concavity_compare(prizes, u1, u2) in (
-            Concavity.MORE_CONCAVE, Concavity.EQUAL)
+        more = risk._more_concave(rho_vector(prizes, u1), rho_vector(prizes, u2))
         assert more == _piecewise_concave_transform_exists(prizes, u1, u2)
 
 
@@ -1181,76 +1170,29 @@ def test_constant_utility_simulation_is_independence_clean():
     assert warp_over(ds, ds.menus()) == []
 
 
-# -- betweenness / transitivity -----------------------------------------------
+# -- expansion clauses --------------------------------------------------------
 
 
-def test_betweenness_flags_the_common_ratio_footnote():
-    # 3000 sure over 80% of 4000; 80% of 4000 over the 50/40 mixture,
-    # where the mixture is the half-half blend of the two
-    sure = lot([(3000, 1)])
-    risky = lot([(0, F(1, 5)), (4000, F(4, 5))])
-    mixture = lot([(0, F(1, 10)), (3000, F(1, 2)), (4000, F(2, 5))])
-    lots = {"sure": sure, "risky": risky, "mix": mixture}
-    ds = lottery_dataset(lots, [
-        (frozenset(("sure", "risky")), ["sure"]),
-        (frozenset(("sure", "mix")), ["sure"]),
-        (frozenset(("mix", "risky")), ["risky"]),
-    ])
-    witnesses = betweenness_over(ds, ds.menus())
-    assert witnesses and witnesses[0].kind == "Betweenness"
-
-
-def test_betweenness_clean_on_eu_binary_data():
-    params = random_rho_monotone_areu(random.Random(12))
-    flat = {name: params.utility(params.order.ranking[0])
-            for name, _ in params.lotteries}
-    eu = AreuParams.build(params.prizes, dict(params.lotteries),
-                          params.order, flat)
-    names = [i for i, _ in eu.lotteries]
-    ds = simulate_areu(eu, all_menus(names, 2, 2))
-    assert betweenness_over(ds, ds.menus()) == []
-    assert transitivity_over(ds, ds.menus()) == []
-
-
-def test_transitivity_flags_a_cycle():
-    lots = {"a": lot([(3000, 1)]),
-            "b": lot([(0, F(1, 2)), (4000, F(1, 2))]),
-            "c": lot([(0, F(1, 10)), (3000, F(1, 2)), (4000, F(2, 5))])}
-    ds = lottery_dataset(lots, [
-        (frozenset(("a", "b")), ["a"]),
-        (frozenset(("b", "c")), ["b"]),
-        (frozenset(("a", "c")), ["c"]),
-    ])
-    assert transitivity_over(ds, ds.menus()) != []
-
-
-def test_expansion_and_triangle_checks_match_their_loops():
+def test_expansion_checks_match_their_loops():
     """On 300 perturbed lottery datasets and a random sub-family of each,
     and on 300 perturbed split datasets for fairness, the checks give
     the oracles' witness lists in their order; each reports on some
-    seed, and betweenness breaks both a strict and a tied chain."""
-    reported, chains = Counter(), set()
+    seed."""
+    reported = Counter()
     for seed in range(300):
         rng = random.Random(seed)
         ds = perturbed(rng, areu_data(rng))
         family = [m for m in ds.menus() if rng.random() < 0.6]
         cases = [(check_avoidable_risk, avoidable_risk_by_loop, (ds,)),
                  (check_avoidable_risk, avoidable_risk_by_loop, (restrict(ds, family),))]
-        for args in ((ds, ds.menus()), (ds, family)):
-            cases += [(betweenness_over, betweenness_by_loop, args),
-                      (transitivity_over, transitivity_by_loop, args)]
         splits = perturbed(rng, fspu_data(rng))
         cases.append((check_fairness, fairness_by_fractions, (splits,)))
         for check, oracle, args in cases:
             witnesses = check(*args)
             assert witnesses == oracle(*args), (check.__name__, seed)
             reported[check.__name__] += bool(witnesses)
-            chains.update(w.narrative.split()[-2] for w in witnesses
-                          if w.kind == "Betweenness")
-    assert set(reported) == {"check_avoidable_risk", "betweenness_over",
-                             "transitivity_over", "check_fairness"}
+    assert set(reported) == {"check_avoidable_risk", "check_fairness"}
     assert all(reported.values()), reported
-    assert chains == {"strict", "indifference"}
 
 
 # -- triangle ----------------------------------------------------------------
