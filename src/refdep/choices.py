@@ -276,7 +276,10 @@ class MenuLattice:
         return pos
 
     def mask(self, family) -> int:
-        """The menus of ``family``; UnobservedMenu for one not observed."""
+        """The menus of ``family``; UnobservedMenu for one not observed.
+        The lattice's own ``menus`` tuple is every menu, with no lookup."""
+        if family is self.menus:
+            return self.full
         out = 0
         for menu in family:
             out |= 1 << self.position(menu)
@@ -403,28 +406,44 @@ def warp_over(dataset: ChoiceDataset, family) -> list:
     lattice = dataset.lattice()
     fam = lattice.mask(family)
     witnesses = []
-    for pos in bits(fam):
+    positions = range(len(lattice.menus)) if fam == lattice.full else bits(fam)
+    for pos, smalls in _warp_scan(dataset, positions):
         big = lattice.menus[pos]
         c_big = dataset.observations[big]
-        for small in lattice.at(_warp_smalls(lattice, pos, c_big) & fam):
+        for small in lattice.at(smalls & fam):
             witnesses.append(ViolationWitness("WARP", (big, small), _warp_narrative(
                 big, c_big, small, dataset.observations[small])))
     return witnesses
 
 
-def _warp_smalls(lattice: "MenuLattice", pos: int, c_big) -> int:
-    """The observed sub-menus B of menu ``pos`` (A, chosen ``c_big``) on
-    which WARP fails: B meets c(A) and keeps a member of c(A) it does not
-    choose or chooses a member of A outside c(A)."""
-    meets = differs = 0
-    for alt in lattice.menus[pos]:
-        if alt in c_big:
-            meets |= lattice.contain[alt]
-            differs |= lattice.contain[alt] & ~lattice.chosen[alt]
-        else:
-            differs |= lattice.chosen.get(alt, 0)
-    smalls = meets & differs
-    return smalls and smalls & lattice.within(lattice.menus[pos])
+def _warp_scan(dataset: ChoiceDataset, positions):
+    """(position, smalls) for each menu A at ``positions`` (ascending)
+    with an observed sub-menu on which WARP fails: ``smalls`` masks the
+    sub-menus B that meet c(A) and keep a member of c(A) they do not
+    choose or choose a member of A outside c(A).  The one scan under
+    ``warp_over`` and ``_warp_blocking``."""
+    lattice = dataset.lattice()
+    menus, observations, within = lattice.menus, dataset.observations, lattice.within
+    contain, chosen = lattice.contain, lattice.chosen
+    unchosen = {alt: contain[alt] & ~mask for alt, mask in chosen.items()}
+    size = None
+    for pos in positions:  # ascending: each smaller menu sits below a size's first position
+        big = menus[pos]
+        if len(big) != size:
+            size, smaller = len(big), (1 << pos) - 1
+        c_big = observations[big]
+        meets = differs = 0
+        for alt in big:
+            if alt in c_big:
+                meets |= contain[alt]
+                differs |= unchosen[alt]
+            else:
+                differs |= chosen.get(alt, 0)
+        smalls = meets & differs & smaller
+        if smalls:
+            smalls &= within(big)
+            if smalls:
+                yield pos, smalls
 
 
 def _warp_blocking(dataset: ChoiceDataset) -> dict:
@@ -435,13 +454,12 @@ def _warp_blocking(dataset: ChoiceDataset) -> dict:
     are those of B."""
     lattice = dataset.lattice()
     blocked = {}
-    for pos, big in enumerate(lattice.menus):
-        smalls = _warp_smalls(lattice, pos, dataset.observations[big])
-        if smalls:
-            pools = lattice.containing(big)
-            for x in big:
-                if smalls & lattice.contain[x]:
-                    blocked[x] = blocked.get(x, 0) | pools
+    for pos, smalls in _warp_scan(dataset, range(len(lattice.menus))):
+        big = lattice.menus[pos]
+        pools = lattice.containing(big)
+        for x in big:
+            if smalls & lattice.contain[x]:
+                blocked[x] = blocked.get(x, 0) | pools
     return blocked
 
 

@@ -27,7 +27,7 @@ from .choices import (
     reference_rule,
     simulate,
 )
-from .engine import IDENTITY_PSI, ReferenceOrder, check_reference_dependence
+from .engine import IDENTITY_PSI, ReferenceOrder, _blocked, check_reference_dependence
 from .exceptions import (
     InfeasibleFit,
     NotSubsetClosed,
@@ -127,19 +127,23 @@ def build_ordu(dataset: ChoiceDataset) -> OrduParams:
     check_subset_closed(dataset)
     raise_first_failure(battery(dataset))
     lattice = dataset.lattice()
+    blocked = _blocked(dataset, WARP)  # cached by the battery
     pool = sorted(dataset.universe)
     ranking, utilities = [], {}
     while pool:
-        inside, first = lattice.within(pool), None
+        inside = lattice.within(pool)
         for x in pool:  # x would top its class: the menus in the pool holding it
-            family = lattice.at(lattice.containing((x,)) & inside)
+            held = lattice.contain.get(x, 0) & inside
+            if blocked.get(x, 0) & held:  # the class holds a WARP pair: not congruent
+                continue
+            family = lattice.at(held)
             above = _revealed_above(dataset, family)
-            conflict = _incongruence(dataset, family, above)
-            if conflict is None:
+            if _incongruence(dataset, family, above) is None:
                 break
-            first = first or (x, *conflict)
-        else:
-            x, menu, z, y = first
+        else:  # every class here is incongruent, a skipped one too: name the first
+            x = pool[0]
+            family = lattice.at(lattice.contain.get(x, 0) & inside)
+            menu, z, y = _incongruence(dataset, family, _revealed_above(dataset, family))
             raise InfeasibleFit(
                 f"no member of {pool} tops a congruent class: the menus with "
                 f"reference {x!r} reveal {z!r} weakly above {y!r}, "

@@ -120,28 +120,38 @@ def _all_ids(arrays: list) -> bool:
         and all(map(isinstance, chain.from_iterable(arrays), repeat(str)))
 
 
+def _array(doc, key, kind) -> list:
+    """``doc[key]``, which must be a JSON array: any other value (an empty
+    string or object included) is a ValidationError naming the key, after
+    the one naming an unknown ``kind``."""
+    raw = doc[key]
+    if not isinstance(raw, list):
+        payload_class(kind)
+        raise ValidationError(f"{key} {raw!r} is not an array")
+    return raw
+
+
 def _observations_from_json(raw) -> list:
     """Each observation's (menu, choice), both arrays of alternative ids.
     One scan checks them all.  Only when it or a key lookup fails does
     the ordered walk run, to name the first fault: earlier observations
     first, a menu before its choice, a bad array before a later missing
     key."""
-    rows = list(raw)  # walked twice when a fault is met
     try:
-        pairs = [(obs["menu"], obs["choice"]) for obs in rows]
+        pairs = [(obs["menu"], obs["choice"]) for obs in raw]
         if _all_ids(list(chain.from_iterable(pairs))):
             return pairs
     except (KeyError, TypeError, AttributeError):
         pass
     return [(ids_from_json(obs["menu"], "menu"), ids_from_json(obs["choice"], "choice"))
-            for obs in rows]
+            for obs in raw]
 
 
 def dataset_from_dict(doc) -> ChoiceDataset:
     try:
         kind = doc["kind"]
-        alts = _alternatives_from_json(kind, doc["alternatives"])
-        observations = _observations_from_json(doc["observations"])
+        alts = _alternatives_from_json(kind, _array(doc, "alternatives", kind))
+        observations = _observations_from_json(_array(doc, "observations", kind))
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValidationError(f"malformed dataset document: {exc}") from exc
     floor = parse_rational(doc["floor"]) if "floor" in doc else None
@@ -187,9 +197,9 @@ def menus_from_dict(doc):
     try:
         kind = doc["kind"]
         payload_class(kind)
-        alts = _alternatives_from_json(kind, doc["alternatives"])
-        menus = doc["menus"]
-        if not (isinstance(menus, list) and _all_ids(menus)):
+        alts = _alternatives_from_json(kind, _array(doc, "alternatives", kind))
+        menus = _array(doc, "menus", kind)
+        if not _all_ids(menus):
             menus = [ids_from_json(m, "menu") for m in menus]
         menus = list(map(frozenset, menus))
     except (KeyError, TypeError, AttributeError) as exc:

@@ -1103,3 +1103,32 @@ def test_witnesses_are_plain_values(model):
         assert type(narrative) is str and narrative == witness.narrative
         again = dataclasses.replace(witness, narrative=witness.narrative)
         assert again == witness and hash(again) == hash(witness)
+
+
+_NOT_AN_ARRAY = [("", "''"), ({}, "{}"), (0, "0")]
+
+
+@pytest.mark.parametrize("value, shown", _NOT_AN_ARRAY, ids=["string", "object", "zero"])
+@pytest.mark.parametrize("key", ["alternatives", "observations"])
+def test_a_dataset_key_that_is_not_an_array_is_rejected(tmp_path, key, value, shown):
+    # "" and {} were read as empty lists: validate said ok and check passed
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps({**DOCUMENTS["ordu"]["data"], key: value}))
+    error = (2, {"error": "validation", "detail": f"{key} {shown} is not an array"})
+    for command in (["validate"], ["check", "--model", "ordu"], ["fit", "--model", "ordu"]):
+        assert run_json([*command, str(path)]) == error
+    path.write_text(json.dumps({"kind": "foo", "alternatives": [], "observations": [],
+                                key: value}))
+    assert run_json(["validate", str(path)]) == (
+        2, {"error": "validation", "detail": "unknown dataset kind 'foo'"})
+
+
+@pytest.mark.parametrize("value, shown", _NOT_AN_ARRAY, ids=["string", "object", "zero"])
+@pytest.mark.parametrize("key", ["alternatives", "menus"])
+def test_a_menus_file_key_that_is_not_an_array_is_rejected(tmp_path, key, value, shown):
+    # "" and {} were read as empty lists, and simulate wrote an empty dataset
+    menus = {**DOCUMENTS["ordu"]["menus"], key: value}
+    assert _simulate(tmp_path, "ordu", menus) == (
+        2, {"error": "validation", "detail": f"{key} {shown} is not an array"})
+    assert _simulate(tmp_path, "ordu", {**menus, "kind": "foo"}) == (
+        2, {"error": "validation", "detail": "unknown dataset kind 'foo'"})

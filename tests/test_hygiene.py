@@ -15,7 +15,8 @@ function, so the models' choice rules all come from its one builder.
 Only ``serialize.py`` imports ``json``, so JSON text has one boundary.
 Every public module-level function and class has a reader outside the
 tests (being exported by ``__init__.py`` does not make one), and so has
-every public method that overrides no base-class method.
+every public method that overrides no base-class method.  The modules of
+``tests/`` and ``demos/`` read every name they import.
 """
 
 import ast
@@ -260,3 +261,15 @@ def test_every_public_method_has_a_reader_outside_the_tests():
                        and not method.name.startswith("_") and method.name not in read
                        and not any(hasattr(base, method.name) for base in bases)]
     assert not unread, f"only the tests read {unread}"
+
+
+@pytest.mark.parametrize("path", sorted([*(ROOT / "tests").glob("*.py"),
+                                          *(ROOT / "demos").glob("*.py")]),
+                         ids=lambda path: f"{path.parent.name}/{path.stem}")
+def test_every_name_a_test_or_demo_imports_is_read(path):
+    _, tree, read = _parse(path)
+    unused = [name for node in ast.walk(tree)
+              if isinstance(node, ast.Import)
+              or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+              for name in _bound(node) if name not in read]
+    assert not unused, f"{path.parent.name}/{path.name} imports but never reads {unused}"

@@ -13,6 +13,7 @@ import pytest
 
 from refdep.choices import (
     ChoiceDataset,
+    _warp_blocking,
     invariance_over,
     mismatches,
     shift_correspondences,
@@ -124,6 +125,35 @@ def test_the_member_masks_are_those_of_the_menus_and_their_choices(domain):
             unheld += len(ds.universe) - len(lattice.contain)
             unchosen += len(ds.universe) - len(lattice.chosen)
     assert unheld > 0 and unchosen > unheld, (unheld, unchosen)
+
+
+def _blocking_by_scan(ds):
+    """Per alternative x, the mask of the observed menus that contain every
+    menu of some ``warp_by_scan`` witness whose menus all hold x."""
+    menus, blocked = ds.menus(), {}
+    for witness in warp_by_scan(ds, menus):
+        pools = sum(1 << pos for pos, menu in enumerate(menus)
+                    if all(part <= menu for part in witness.menus))
+        for x in frozenset.intersection(*witness.menus):
+            blocked[x] = blocked.get(x, 0) | pools
+    return blocked
+
+
+@pytest.mark.parametrize("domain", sorted(DOMAINS))
+def test_one_warp_scan_gives_the_witnesses_and_the_blocking_rule(domain):
+    """The whole family, given as the lattice's own tuple or as a list,
+    masks every menu and lists the all-pairs witnesses; the blocking rule
+    gives the masks those witnesses imply."""
+    rng = random.Random(97)
+    blocking = 0
+    for ds in _datasets(DOMAINS[domain][0], rng):
+        menus, lattice = ds.menus(), ds.lattice()
+        assert menus is lattice.menus
+        assert lattice.mask(menus) == lattice.mask(list(menus)) == lattice.full
+        assert warp_over(ds, menus) == warp_over(ds, list(menus)) == warp_by_scan(ds, menus)
+        assert _warp_blocking(ds) == _blocking_by_scan(ds)
+        blocking += bool(_warp_blocking(ds))
+    assert blocking >= 2, blocking
 
 
 def test_warp_over_finds_violations_on_the_perturbed_data():

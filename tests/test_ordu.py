@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from refdep import ordu
 from refdep.choices import warp_over
 from refdep.engine import ReferenceOrder
 from refdep.exceptions import (
@@ -99,6 +100,33 @@ def test_a_stuck_pool_is_named_with_a_conflict():
         family = [menu for menu in dataset.observations if x in menu and menu <= pool]
         assert not _rationalized_by_single_ranking(dataset, family), x
     assert ordu_bruteforce(dataset) is None
+
+
+def test_the_peel_skips_the_members_whose_class_holds_a_warp_pair(monkeypatch):
+    """On clean data of size-2-3 menus each step of the peel makes at most
+    one congruence test beyond the member it places (it made up to 11 per
+    step here when it tested every member in id order), and the skip is
+    exact: without WARP's blocked masks the peel fits the same params."""
+    ids = [f"x{i:02d}" for i in range(16)]
+    dataset = simulate_ordu(random_ordu_params(random.Random(5), ids), all_menus(ids, 2, 3))
+    tests = [0]  # congruence tests per step; a step ends when its member is ranked
+    incongruence, layers = ordu._incongruence, ordu._layers
+
+    def counted(*args):
+        tests[-1] += 1
+        return incongruence(*args)
+
+    def placed(*args):
+        tests.append(0)
+        return layers(*args)
+
+    monkeypatch.setattr(ordu, "_incongruence", counted)
+    monkeypatch.setattr(ordu, "_layers", placed)
+    fitted = build_ordu(dataset)
+    steps = tests[:-1]
+    assert len(steps) == len(ids) and max(steps) <= 2 and sum(steps) > len(ids), steps
+    monkeypatch.setattr(ordu, "_blocked", lambda dataset, prop: {})
+    assert build_ordu(dataset) == fitted
 
 
 def test_fits_exactly_when_the_search_over_orders_finds_one():

@@ -1,10 +1,6 @@
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction as F
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 
