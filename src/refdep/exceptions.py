@@ -69,10 +69,6 @@ class EmptyPsi(RefdepError):
     """
 
 
-class NotSubsetClosed(RefdepError):
-    pass
-
-
 class UniverseTooLarge(RefdepError):
     pass
 

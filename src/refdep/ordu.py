@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .choices import (
     Alternative,
@@ -30,7 +29,6 @@ from .choices import (
 from .engine import IDENTITY_PSI, ReferenceOrder, _blocked, check_reference_dependence
 from .exceptions import (
     InfeasibleFit,
-    NotSubsetClosed,
     UnionUnobserved,
     UnobservedMenu,
     ValidationError,
@@ -92,23 +90,6 @@ def verify_ordu(params: OrduParams, dataset: ChoiceDataset) -> list:
     return mismatches(dataset, _rule(params))
 
 
-def maximal_menus(dataset: ChoiceDataset):
-    lattice = dataset.lattice()
-    return [m for pos, m in enumerate(lattice.menus) if lattice.containing(m) == 1 << pos]
-
-
-def check_subset_closed(dataset: ChoiceDataset) -> None:
-    """Every size->=2 subset of each maximal observed menu must be observed."""
-    observed = set(dataset.observations)
-    for maximal in maximal_menus(dataset):
-        members = sorted(maximal)
-        for size in range(2, len(members)):
-            for sub in combinations(members, size):
-                if frozenset(sub) not in observed:
-                    raise NotSubsetClosed(
-                        f"subset {list(sub)} of maximal menu {members} unobserved")
-
-
 def battery(dataset: ChoiceDataset):
     """The ORDU axiom as (check key, axiom name, witnesses)."""
     yield ("reference_dependence", "reference dependence (WARP / identity)",
@@ -119,12 +100,11 @@ def build_ordu(dataset: ChoiceDataset) -> OrduParams:
     """Fit an exact ordered-reference representation, or raise.
 
     The order is the smallest valid reference order in id order.  Raises
-    NotSubsetClosed on too sparse observations, AxiomFails with the
-    reference-dependence witnesses, and InfeasibleFit when no order
-    exists: no member of some pool of the peel has a congruent class
-    there, yet any order's first member of that pool tops its class.
+    AxiomFails with the reference-dependence witnesses, and InfeasibleFit
+    when no order exists: no member of some pool of the peel has a
+    congruent class there, yet any order's first member of that pool tops
+    its class.
     """
-    check_subset_closed(dataset)
     raise_first_failure(battery(dataset))
     lattice = dataset.lattice()
     blocked = _blocked(dataset, WARP)  # cached by the battery

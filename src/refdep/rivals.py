@@ -17,7 +17,6 @@ from .exceptions import (
     AxiomFails,
     InfeasibleFit,
     MultiValuedChoice,
-    NotSubsetClosed,
     UniverseTooLarge,
     UnknownFixture,
 )
@@ -242,7 +241,7 @@ def pe_rationalizable(dataset: ChoiceDataset):
 def ordu_admissible(dataset: ChoiceDataset) -> bool:
     try:
         build_ordu(dataset)
-    except (AxiomFails, InfeasibleFit, NotSubsetClosed):
+    except (AxiomFails, InfeasibleFit):
         return False
     return True
 

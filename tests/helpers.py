@@ -57,7 +57,7 @@ from refdep.exceptions import (
 )
 from refdep import risk
 from refdep.feasibility import RELATIONS, LinearFeasibilityProblem
-from refdep.ordu import OrduParams, check_subset_closed, simulate_ordu, verify_ordu
+from refdep.ordu import OrduParams, simulate_ordu, verify_ordu
 from refdep.risk import AreuParams, _below, _spreads, expected_utility, prize_grid, simulate_areu
 from refdep.serialize import _alternatives_from_json, format_rational, parse_rational
 from refdep.social import FspuParams, _gini_levels, gini, simulate_fspu
@@ -219,6 +219,16 @@ def ordu_bruteforce(dataset):
         return None
 
     return first(frozenset(dataset.universe))
+
+
+def subset_closed_by_maximal_menus(dataset):
+    """Every subset of two or more members of each maximal observed menu
+    is observed: an enumeration of those subsets, the reference for
+    ``timepref``'s one-member-fewer test."""
+    lattice = dataset.lattice()
+    maximal = [m for pos, m in enumerate(lattice.menus) if lattice.containing(m) == 1 << pos]
+    return all(frozenset(sub) in dataset.observations for menu in maximal
+               for size in range(2, len(menu)) for sub in combinations(sorted(menu), size))
 
 
 def directed_pair_relations(members):
@@ -556,6 +566,18 @@ def perturbed_ordu_data(seed):
     params = random_ordu_params(random.Random(seed))
     return perturbed(random.Random(10_000 + seed),
                      simulate_ordu(params, all_menus(params.order.ranking, 2, 3)))
+
+
+def sparse_ordu_data(seed):
+    """ORDU data on a random sample of up to 14 menus of size 2..n over
+    3-6 alternatives, with about a fifth of the choices re-drawn on odd
+    seeds: mostly not subset-closed."""
+    rng = random.Random(seed)
+    ids = tuple("abcdef"[:rng.randint(3, 6)])
+    menus = all_menus(ids)
+    dataset = simulate_ordu(random_ordu_params(rng, ids),
+                            rng.sample(menus, rng.randint(1, min(14, len(menus)))))
+    return perturbed(rng, dataset) if seed % 2 else dataset
 
 
 def large_ordu_data(rng):
@@ -1297,9 +1319,9 @@ def ordu_by_prediction_sets(dataset):
     tripletons {x, a, b}, tying pairs never observed together, and gives
     every other alternative 0.  Raises InfeasibleFit when no order exists,
     a prediction set is ranked intransitively or the params mispredict
-    the data.
+    the data.  The data must be subset-closed.
     """
-    check_subset_closed(dataset)
+    assert subset_closed_by_maximal_menus(dataset), "the construction needs subset-closed data"
     failures = check_reference_dependence(dataset, WARP, IDENTITY_PSI)
     if failures:
         raise AxiomFails("reference dependence (WARP / identity)", failures)

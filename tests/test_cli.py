@@ -364,15 +364,11 @@ def test_malformed_params_exit_2_with_a_validation_error(tmp_path, model, edit):
         assert code == 2 and doc["error"] == "validation", (argv, doc)
 
 
-def test_an_unobserved_subset_is_named_by_sorted_ids(tmp_path):
-    data = tmp_path / "data.json"
-    data.write_text(json.dumps({
+def test_data_with_an_unobserved_subset_fit_ordu_and_verify(tmp_path):
+    _assert_fit_certifies("ordu", {
         "kind": "generic", "alternatives": [{"id": x} for x in "abcd"],
         "observations": [{"menu": ["a", "b", "c", "d"], "choice": ["a"]},
-                         {"menu": ["a", "b"], "choice": ["a"]}]}))
-    assert run_json(["fit", "--model", "ordu", str(data)]) == (2, {
-        "error": "NotSubsetClosed",
-        "detail": "subset ['a', 'c'] of maximal menu ['a', 'b', 'c', 'd'] unobserved"})
+                         {"menu": ["a", "b"], "choice": ["a"]}]}, tmp_path)
 
 
 def test_an_ordu_fit_with_no_order_is_infeasible_not_an_error(tmp_path):

@@ -22,7 +22,7 @@ from refdep.choices import (
 )
 from refdep.engine import IDENTITY_PSI, _admits
 from refdep.exceptions import UnobservedMenu
-from refdep.ordu import battery, maximal_menus, simulate_ordu
+from refdep.ordu import battery, simulate_ordu
 from refdep.risk import LEAST_RISKY_PSI, _mixture_correspondences
 from refdep.rivals import load_fixture
 from refdep.serialize import dataset_to_dict
@@ -86,7 +86,6 @@ def test_lattice_agrees_with_the_all_pairs_scans(domain):
     for ds in _datasets(make, rng):
         menus = ds.menus()
         assert isinstance(menus, tuple) and list(menus) == sorted_menus(ds.observations)
-        assert maximal_menus(ds) == [m for m in menus if not any(m < o for o in menus)]
         universe, lattice = sorted(ds.universe), ds.lattice()
         pools = [*menus, *(frozenset(rng.sample(universe, rng.randint(1, len(universe))))
                            for _ in range(5))]

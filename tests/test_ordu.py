@@ -8,7 +8,6 @@ from refdep.engine import ReferenceOrder
 from refdep.exceptions import (
     AxiomFails,
     InfeasibleFit,
-    NotSubsetClosed,
     UnionUnobserved,
     UnknownAlternative,
     ValidationError,
@@ -17,7 +16,6 @@ from refdep.ordu import (
     OrduParams,
     _rationalized_by_single_ranking,
     build_ordu,
-    check_subset_closed,
     union_anchor_condition,
     simulate_ordu,
     verify_ordu,
@@ -35,6 +33,8 @@ from helpers import (
     random_ordu_params,
     rationalizable_by_weak_order,
     restrict,
+    sparse_ordu_data,
+    subset_closed_by_maximal_menus,
     weak_orders,
 )
 
@@ -146,6 +146,28 @@ def test_fits_exactly_when_the_search_over_orders_finds_one():
     assert min(outcomes.count(True), outcomes.count(False)) >= 10
 
 
+def test_fits_exactly_when_the_search_over_orders_finds_one_on_any_family():
+    """On sampled menu families, mostly not subset-closed, the fit's order
+    is the first valid order in id order and reproduces the data, and
+    AxiomFails or InfeasibleFit means there is none."""
+    outcomes = []
+    for seed in range(600):
+        dataset = sparse_ordu_data(seed)
+        try:
+            params = build_ordu(dataset)
+        except (AxiomFails, InfeasibleFit) as exc:
+            assert ordu_bruteforce(dataset) is None, seed
+            outcome = type(exc).__name__
+        else:
+            assert params.order.ranking == ordu_bruteforce(dataset), seed
+            assert verify_ordu(params, dataset) == [], seed
+            outcome = "fit"
+        if not subset_closed_by_maximal_menus(dataset):
+            outcomes.append(outcome)
+    assert len(outcomes) > 300
+    assert set(outcomes) == {"fit", "AxiomFails", "InfeasibleFit"}
+
+
 def test_evaluate_singleton_returns_itself():
     params = build_ordu(load_fixture("compliance_2_1"))
     menu = frozenset("c")
@@ -206,12 +228,10 @@ def test_verify_empty_dataset_passes():
     assert verify_ordu(params, empty) == []
 
 
-def test_subset_closure_is_required():
+def test_data_that_are_not_subset_closed_fit():
     ds = generic_dataset([("abc", "a"), ("ab", "a")])
-    with pytest.raises(NotSubsetClosed):
-        check_subset_closed(ds)
-    with pytest.raises(NotSubsetClosed):
-        build_ordu(ds)
+    assert not subset_closed_by_maximal_menus(ds)
+    assert verify_ordu(build_ordu(ds), ds) == []
 
 
 def test_reference_persistence_in_simulated_data():

@@ -20,6 +20,8 @@ from helpers import (
     perturbed_ordu_data,
     rsm_bruteforce,
     rsm_forward,
+    sparse_ordu_data,
+    subset_closed_by_maximal_menus,
 )
 
 
@@ -124,12 +126,17 @@ def test_cla_fixtures_are_classified_on_the_ordu_side_only():
     assert "attention" in report["ordu_not_cla"]["cla"]
 
 
-def test_ordu_admissible_is_the_search_over_orders_on_subset_closed_data():
+def test_ordu_admissible_is_the_search_over_orders():
     """InfeasibleFit, like AxiomFails, proves that no order represents
-    the data (perturbed seed 19 is such a case)."""
+    the data (perturbed seed 19 is such a case), on subset-closed data
+    and on sampled menu families that are mostly not."""
     verdicts = {}
     for seed in range(60):
         ds = perturbed_ordu_data(seed)
         verdicts[seed] = ordu_admissible(ds)
         assert verdicts[seed] == (ordu_bruteforce(ds) is not None), seed
     assert verdicts[19] is False and True in verdicts.values()
+    sparse = [sparse_ordu_data(seed) for seed in range(60)]
+    for seed, ds in enumerate(sparse):
+        assert ordu_admissible(ds) == (ordu_bruteforce(ds) is not None), seed
+    assert not all(map(subset_closed_by_maximal_menus, sparse))

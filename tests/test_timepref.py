@@ -32,6 +32,7 @@ from helpers import (
     pbdu_instance,
     perturbed,
     present_bias_delays_by_pairs,
+    subset_closed_by_maximal_menus,
 )
 
 
@@ -117,6 +118,35 @@ def test_equivalence_agrees_on_power_set_data():
 
 def test_equivalence_not_applicable_without_subset_closure():
     assert pairwise_anchored_equivalence(fixture_dataset()).status == "not_applicable"
+
+
+def _menu_family(rng, ids):
+    """Random menus over ``ids``; on about half the draws closed downward
+    first, and on half of those with one menu dropped again."""
+    menus = all_menus(ids, 1)
+    family = {m for m in menus if rng.random() < 0.3}
+    if rng.random() < 0.5:
+        family |= {m for m in menus if len(m) > 1 and any(m < big for big in family)}
+        if family and rng.random() < 0.5:
+            family.discard(rng.choice(sorted(family, key=sorted)))
+    return sorted(family, key=sorted)
+
+
+def test_equivalence_is_applicable_exactly_on_subset_closed_data():
+    """The one-member-fewer test agrees with the enumeration of every
+    subset of each maximal menu."""
+    rng = random.Random(5)
+    closed = 0
+    for _ in range(2000):
+        members = {f"m{i}": pay(rng.randint(5, 20), rng.randint(0, 6))
+                   for i in range(rng.randint(2, 5))}
+        rows = [(menu, rng.sample(sorted(menu), rng.randint(1, len(menu))))
+                for menu in _menu_family(rng, members)]
+        ds = payment_dataset(members, rows)
+        applicable = pairwise_anchored_equivalence(ds).status != "not_applicable"
+        assert applicable == subset_closed_by_maximal_menus(ds), rows
+        closed += applicable
+    assert 500 < closed < 1500
 
 
 def test_present_bias_flags_a_back_switch():
