@@ -18,6 +18,16 @@ capped at 1 and then maximized; the system is feasible exactly when the
 optimum is positive.  The gap column and its cap are scaled by D too, so
 a problem over D gives the tableau of the same problem over 1 times D,
 and Bland's rule takes the same pivots to the same vertex.
+
+The tableau is stored by column, one list per nonbasic column plus b,
+so a pivot rewrites only the columns its row touches, and each row is
+divided by the gcd g_i of its entries before the first pivot.  Phase
+1's auxiliary column then holds -L/g_i, L the lcm of the g_i, and its
+first pivot row is the one with the least unscaled bound g_i * b_i, the
+row the unreduced tableau picks.  A positive row scaling only rescales
+that row's slack, and the auxiliary scaling only that one variable, so
+Bland's rule reads the same signs and ratio orders and takes the same
+pivots to the same vertex.
 """
 
 from __future__ import annotations
@@ -164,18 +174,26 @@ def _simplex_maximize(rows, objective):
     Dictionary simplex with Bland's rule on a fraction-free integer
     tableau (Edmonds; Bareiss).  Entries are ``int`` or ``Fraction``.
     The rows and b are scaled once by the lcm of their denominators (1
-    when they are all ints) and the objective by its own; every entry
+    when they are all ints), each row is then divided by the gcd g_i of
+    its entries, and the objective is scaled by its own lcm; every entry
     is then a Python ``int`` over one common denominator ``d``, which is
     the determinant of the current basis, so each ``//`` below is exact.
-    Positive scaling of the rows and of the objective keeps the signs
-    and ratio orders that Bland's rule reads (the phase-1 variable's
-    column of -1 in the scaled rows only rescales that variable), so the
-    pivots and the vertex are those of the same simplex on ``Fraction``
-    entries.
+    The tableau is stored by column: one list per nonbasic column and
+    one for b, each holding the m row entries and then the objective's,
+    so a pivot rewrites only the columns its row touches and rescales the
+    rest.
 
-    Each row holds the nonbasic coefficients followed by b:
-    ``basic[i] = (row[-1] - sum_j row[j] * nonbasic_j) / d``.  The
-    objective is kept in the same form, ``z = (z[-1] - sum_j z[j] *
+    A positive scaling of a row only rescales that row's slack, and of
+    the objective only its value, so Bland's rule reads the same signs
+    and ratio orders.  Phase 1's auxiliary variable x0, -1 in every row
+    before the division, enters as x0 / L, L the lcm of the g_i, so its
+    column is the integer -L/g_i; its first pivot row is the one with the
+    least unscaled bound g_i * b_i.  The pivots and the vertex are
+    therefore those of the same simplex on ``Fraction`` entries.
+
+    Column j holds the coefficients of nonbasic_j:
+    ``basic[i] = (b[i] - sum_j col_j[i] * nonbasic_j) / d``, and at index
+    m the objective in the same form, ``z = (b[m] - sum_j col_j[m] *
     nonbasic_j) / (d * obj_scale)``.  Returns (values, optimum) or None
     when infeasible.  Raises on an unbounded objective (callers cap
     their objectives, so this indicates a bug).
@@ -183,98 +201,94 @@ def _simplex_maximize(rows, objective):
     n = len(objective)
     m = len(rows)
     row_scale = math.lcm(*{x.denominator for vec, bound in rows for x in (*vec, bound)})
-    t = [[x.numerator * (row_scale // x.denominator) for x in (*vec, bound)]
-         for vec, bound in rows]
+    t, gcds = [], []
+    for vec, bound in rows:
+        row = [x.numerator * (row_scale // x.denominator) for x in (*vec, bound)]
+        g = math.gcd(*row) or 1
+        t.append([x // g for x in row])
+        gcds.append(g)
     obj_scale = math.lcm(*{x.denominator for x in objective})
     weight = [x.numerator * (obj_scale // x.denominator) for x in objective]
-    z = [-w for w in weight] + [0]
+    cols = [list(col) for col in zip(*t, [-w for w in weight] + [0])]
     d = 1
     nonbasic = list(range(n))
     basic = list(range(n, n + m))
 
     def pivot(li, ei):
-        # basic[li] leaves, nonbasic[ei] enters; row li keeps its numerators
-        nonlocal d, z
-        prow = t[li]
-        p = prow[ei]
-
-        def eliminate(row):
-            f = row[ei]
-            if f:
-                row = [(x * p - f * y) // d for x, y in zip(row, prow)]
+        # basic[li] leaves, nonbasic[ei] enters; row li keeps its numerators,
+        # and a negative pivot flips every sign so that d stays positive
+        nonlocal d
+        pcol = cols[ei]
+        sign, p = (1, pcol[li]) if pcol[li] > 0 else (-1, -pcol[li])
+        for j, col in enumerate(cols):
+            if j == ei:
+                continue
+            r = sign * col[li]
+            if r:
+                col = cols[j] = [(x * p - f * r) // d for x, f in zip(col, pcol)]
+                col[li] = r
             elif p != d:
-                row = [x * p // d for x in row]
-            row[ei] = -f
-            return row
-
-        for i in range(m):
-            if i != li:
-                t[i] = eliminate(t[i])
-        z = eliminate(z)
-        prow[ei] = d
+                cols[j] = [x * p // d for x in col]
+        cols[ei] = [-sign * f for f in pcol]
+        cols[ei][li] = sign * d
         d = p
-        if d < 0:
-            for i in range(m):
-                t[i] = [-x for x in t[i]]
-            z = [-x for x in z]
-            d = -d
         basic[li], nonbasic[ei] = nonbasic[ei], basic[li]
 
     def run():
         while True:
-            entering = [j for j in range(n) if z[j] < 0]
+            entering = [j for j in range(n) if cols[j][m] < 0]
             if not entering:
                 return
             ei = min(entering, key=nonbasic.__getitem__)
+            col, b = cols[ei], cols[-1]
             li = None
-            for i, row in enumerate(t):
-                a = row[ei]
+            for i in range(m):
+                a = col[i]
                 if a > 0:
                     if li is None:
                         li = i
                         continue
-                    lhs, rhs = row[-1] * t[li][ei], t[li][-1] * a
+                    lhs, rhs = b[i] * col[li], b[li] * a
                     if lhs < rhs or (lhs == rhs and basic[i] < basic[li]):
                         li = i
             if li is None:
                 raise RefdepError("unbounded objective in simplex")
             pivot(li, ei)
 
-    if any(row[-1] < 0 for row in t):
+    if min(cols[-1]) < 0:
         # Phase 1 with an auxiliary variable (id beyond slacks).
         aux = n + m
-        for row in t:
-            row.insert(n, -1)
-        z = [0] * n + [1, 0]  # maximize -x0
+        b = cols[-1]
+        for col in cols[:n]:
+            col[m] = 0  # maximize -x0: no weight on the real columns
+        big = math.lcm(*gcds)
+        cols.insert(n, [-(big // g) for g in gcds] + [1])
         nonbasic.append(aux)
         n, n_real = n + 1, n
-        li = min(range(m), key=lambda i: (t[i][-1], basic[i]))
+        li = min(range(m), key=lambda i: (gcds[i] * b[i], basic[i]))
         pivot(li, n - 1)
         run()
-        if z[-1] != 0:
+        if cols[-1][m] != 0:
             return None
         if aux in basic:
             li = basic.index(aux)
             # Degenerate: pivot x0 out on any eligible column.
-            ei = next(j for j in range(n) if t[li][j] != 0)
+            ei = next(j for j in range(n) if cols[j][li] != 0)
             pivot(li, ei)
         drop = nonbasic.index(aux)
-        for row in t:
-            del row[drop]
-        del nonbasic[drop]
+        del cols[drop], nonbasic[drop]
         n = n_real
         # Restore the real objective in terms of the current nonbasics.
-        z = [0] * (n + 1)
-        for i, var in enumerate(basic):
-            if var < n_real and weight[var]:
-                z = [x + weight[var] * y for x, y in zip(z, t[i])]
-        for pos, var in enumerate(nonbasic):
-            if var < n_real:
-                z[pos] -= weight[var] * d
+        terms = [(i, weight[var]) for i, var in enumerate(basic) if var < n_real and weight[var]]
+        for j, col in enumerate(cols):
+            col[m] = sum(w * col[i] for i, w in terms)
+            if j < n and nonbasic[j] < n_real:
+                col[m] -= weight[nonbasic[j]] * d
     run()
 
+    b = cols[-1]
     values = [_ZERO] * len(objective)
     for i, var in enumerate(basic):
         if var < len(objective):
-            values[var] = Fraction(t[i][-1], d)
-    return values, Fraction(z[-1], d * obj_scale)
+            values[var] = Fraction(b[i], d)
+    return values, Fraction(b[m], d * obj_scale)

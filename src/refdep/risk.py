@@ -531,6 +531,12 @@ def _reference_assignments(dataset: ChoiceDataset, order):
     ({menu: reference}, order) pairs, the closed ``order`` extended by
     each reference above the rest of its menu.
 
+    A menu whose member the order already ranks above all the others is
+    forced: that member is its only reference (any other would close a
+    cycle), taken without ``_close`` when it is a candidate, since its
+    edges are in the order already; with no such candidate the branch
+    ends.
+
     On 3-prize grids each node carries its classes' u(1) intervals as
     ranks (see ``_rho_interval``) and drops a child as soon as
     ``_order_admits`` rejects them under the child's order.  Completing a
@@ -549,14 +555,17 @@ def _reference_assignments(dataset: ChoiceDataset, order):
             yield dict(assigned), order
             return
         menu = menus[pos]
-        for ref in candidates[menu]:
+        refs = candidates[menu]
+        top = next((x for x in menu if len(menu & order[x]) == len(menu) - 1), None)
+        if top is not None:
+            refs = [top] if top in refs else []
+        for ref in refs:
             child = intervals
             if ranks is not None:
                 (lower, upper), held = ranks[menu], intervals.get(ref, ranks[menu])
                 child = {**intervals, ref: (max(lower, held[0]), min(upper, held[1]))}
-            # a bigger menu's reference is already above the rest of that
-            # menu, so where it lies in this one any other choice is a cycle
-            extended = _close(order, ((ref, y) for y in menu if y != ref))
+            extended = order if top is not None else _close(
+                order, ((ref, y) for y in menu if y != ref))
             if extended is not None and (ranks is None or _order_admits(child, extended)):
                 assigned[menu] = ref
                 yield from rec(pos + 1, assigned, extended, child)
@@ -596,7 +605,9 @@ def _menu_rows(dataset, menu):
 def _utility_problem(dataset, groups):
     """The utility LP of ``groups``, (label, menus) pairs: per label a
     normalized, strictly increasing utility and the EU-rationalization
-    rows of its menus.  Every row is over the probabilities' common
+    rows of its menus, each distinct (relation, diff) row once, in
+    first-seen order: menus that share a row would only hand ``add`` a
+    constraint it drops.  Every row is over the probabilities' common
     denominator D, so the EU rows are integer."""
     n = len(prize_grid(dataset))
     _, den, _ = _coords(dataset)
@@ -609,10 +620,10 @@ def _utility_problem(dataset, groups):
             last = name
         if last is not None:
             problem.add({last: den}, "<", den)
-        for menu in menus:
-            for relation, diff in _menu_rows(dataset, menu):
-                coeffs, const = _eu_row(label, enumerate(diff), n)
-                problem.add(coeffs, relation, -const)
+        rows = dict.fromkeys(row for menu in menus for row in _menu_rows(dataset, menu))
+        for relation, diff in rows:
+            coeffs, const = _eu_row(label, enumerate(diff), n)
+            problem.add(coeffs, relation, -const)
     return problem
 
 

@@ -233,6 +233,54 @@ def test_integer_tableau_matches_the_fraction_simplex_on_random_systems():
     assert min(kinds[k] for k in ("unbounded", "infeasible", "phase 1", "feasible")) >= 100, kinds
 
 
+_COEFFS = (0, 0, 1, -1, 2, -2, 3, -4, 6, F(1, 2), F(-3, 2))
+
+
+def _lp_shaped_system(rng):
+    """Random ``(rows, objective)`` as ``solve_linear_feasibility`` builds
+    them: each free variable a negated column pair, mostly with the gap
+    column over a denominator D and its cap (dropped now and then, so the
+    gap can run away), rows repeated at x2, x3 and x1/2 or negated, and
+    negative bounds; weak systems maximize over the free pairs."""
+    k = rng.randint(1, 4)
+    strict = rng.random() < 0.7
+    den = rng.choice((1, 1, 2, 6))
+    n = 2 * k + strict
+    rows = []
+    for _ in range(rng.randint(0, 7)):
+        coeffs = [F(rng.choice(_COEFFS)) for _ in range(k)]
+        vec = [part for c in coeffs for part in (c, -c)]
+        if strict:
+            vec.append(F(den * rng.choice((0, 1, 1))))
+        bound = F(rng.randint(-3, 3) * rng.choice((1, den)))
+        rows.append((vec, bound))
+        if rng.random() < 0.4:
+            factor = F(rng.choice((2, 3, F(1, 2), -1)))
+            rows.append(([factor * x for x in vec], factor * bound))
+    rng.shuffle(rows)
+    if not strict:
+        weights = [F(rng.choice((0, 0, 1, -1, 2))) for _ in range(k)]
+        return rows, [part for c in weights for part in (c, -c)]
+    if rng.random() < 0.85:
+        rows.append(([F(0)] * (n - 1) + [F(den)], F(den)))
+    return rows, [F(0)] * (n - 1) + [F(1)]
+
+
+def test_gcd_reduced_tableau_matches_the_fraction_simplex_on_lp_shaped_systems():
+    # the row gcds, the auxiliary column of -L/g_i and the first phase-1
+    # row read on the unscaled bound must leave every pivot as it was
+    rng = random.Random(20261021)
+    kinds = Counter()
+    for _ in range(3000):
+        rows, objective = _lp_shaped_system(rng)
+        expected = _outcome(fraction_simplex_maximize, rows, objective)
+        assert _outcome(_simplex_maximize, rows, objective) == expected, (rows, objective)
+        kinds["phase 1"] += any(bound < 0 for _, bound in rows)
+        kinds["unbounded" if isinstance(expected, str) else
+              "infeasible" if expected is None else "feasible"] += 1
+    assert min(kinds[k] for k in ("unbounded", "infeasible", "phase 1", "feasible")) >= 100, kinds
+
+
 # -- one denominator per problem ---------------------------------------------
 
 _NONZERO = (-4, -3, -2, -1, 1, 2, 3, 4)

@@ -904,6 +904,50 @@ def test_menu_intervals_agree_with_the_utility_lp():
     assert any(verdicts) and not all(verdicts)
 
 
+def _utility_problem_by_menus(dataset, groups):
+    """``_utility_problem`` with every menu's rows handed to ``add``, which
+    drops each row an earlier menu of the class already gave."""
+    n = len(prize_grid(dataset))
+    _, den, _ = risk._coords(dataset)
+    problem = LinearFeasibilityProblem(denominator=den)
+    for label, menus in groups:
+        last = None
+        for i in range(1, n - 1):
+            name = risk._uvar(label, i, n)
+            problem.add({name: den, last: -den} if last else {name: den}, ">", 0)
+            last = name
+        if last is not None:
+            problem.add({last: den}, "<", den)
+        for menu in menus:
+            for relation, diff in risk._menu_rows(dataset, menu):
+                coeffs, const = risk._eu_row(label, enumerate(diff), n)
+                problem.add(coeffs, relation, -const)
+    return problem
+
+
+def test_utility_lp_takes_each_class_row_once_in_first_seen_order():
+    rng = random.Random(39)
+    shared = Counter()
+    for k in range(120):
+        if k % 2:
+            ds = integer_areu_data(rng, 4)
+        else:
+            params = random_rho_monotone_areu(rng, n_lotteries=rng.choice([4, 5, 6]))
+            ds = simulate_areu(params, all_menus([i for i, _ in params.lotteries], 2, 3))
+        menus = list(ds.menus())
+        rng.shuffle(menus)
+        labels = rng.sample("abcd", rng.randint(1, 3))
+        groups = {label: [] for label in labels}
+        for menu in menus:
+            groups[rng.choice(labels)].append(menu)
+        problem = risk._utility_problem(ds, groups.items())
+        assert problem.constraints == _utility_problem_by_menus(ds, groups.items()).constraints
+        for class_menus in groups.values():
+            rows = [row for menu in class_menus for row in risk._menu_rows(ds, menu)]
+            shared[len(prize_grid(ds))] += len(rows) > len(set(rows))
+    assert shared[3] >= 20 and shared[4] >= 20, shared
+
+
 def test_ranked_class_intervals_agree_with_the_fraction_meet():
     rng = random.Random(23)
     seen = {"empty": 0, "interval": 0, "no menus": 0}
@@ -1015,7 +1059,7 @@ def test_pruned_search_yields_the_admitted_leaves_of_the_unpruned_one(monkeypatc
 
 def test_twelve_lottery_fit_yields_one_assignment(monkeypatch):
     # the unpruned search reached 2,125 complete assignments here, over
-    # 963,976 ``_close`` calls
+    # 963,976 ``_close`` calls; menus the order already tops call none
     params = random_rho_monotone_areu(random.Random(12002), n_lotteries=12)
     ds = simulate_areu(params, all_menus([i for i, _ in params.lotteries], 2, 3))
     assert len(ds.menus()) == 286 and len(prize_grid(ds)) == 3
@@ -1031,7 +1075,7 @@ def test_twelve_lottery_fit_yields_one_assignment(monkeypatch):
     monkeypatch.setattr(risk, "_close", lambda *args: closes.append(1) or close(*args))
     fitted = fit_areu(ds)
     assert verify_areu(fitted, ds) == []
-    assert len(tried) == 1 and len(closes) < 30_000
+    assert len(tried) == 1 and len(closes) < 3_000
 
 
 def test_reference_dependent_three_prize_fit_solves_one_lp(monkeypatch):
