@@ -7,27 +7,19 @@ so this module implements a small two-phase dictionary simplex with
 Bland's rule in exact arithmetic.  Coefficients are ``int`` or
 ``Fraction``, and ints stay ints: a problem records the denominator D
 its rows are over, so a caller whose data share one denominator hands
-in integer rows, and the tableau is built straight from the sparse
-constraints.  The tableau is fraction-free: every entry is a Python
-``int`` over one common denominator, updated by Bareiss's exact-division
-step, and only the returned vertex is turned back into ``Fraction``
-values; every constraint is checked at it on its integer numerators over
-their common denominator.  Strict relations are handled with a shared
-gap variable g: each ``lhs > rhs`` becomes ``lhs >= rhs + g``, g is
-capped at 1 and then maximized; the system is feasible exactly when the
-optimum is positive.  The gap column and its cap are scaled by D too, so
-a problem over D gives the tableau of the same problem over 1 times D,
-and Bland's rule takes the same pivots to the same vertex.
-
-The tableau is stored by column, one list per nonbasic column plus b,
-so a pivot rewrites only the columns its row touches, and each row is
-divided by the gcd g_i of its entries before the first pivot.  Phase
-1's auxiliary column then holds -L/g_i, L the lcm of the g_i, and its
-first pivot row is the one with the least unscaled bound g_i * b_i, the
-row the unreduced tableau picks.  A positive row scaling only rescales
-that row's slack, and the auxiliary scaling only that one variable, so
-Bland's rule reads the same signs and ratio orders and takes the same
-pivots to the same vertex.
+in integer rows, which go from the sparse constraints to the tableau
+with no ``Fraction`` step.  The tableau is fraction-free: every entry is
+a Python ``int`` over one common denominator, updated by Bareiss's
+exact-division step, and only the returned vertex is turned back into
+``Fraction`` values; every constraint is checked at it on its integer
+numerators over their common denominator.  Strict relations are handled
+with a shared gap variable g: each ``lhs > rhs`` becomes ``lhs >= rhs +
+g``, g is capped at 1 and then maximized; the system is feasible exactly
+when the optimum is positive.  The gap column and its cap are scaled by
+D too, so a problem over D gives the tableau of the same problem over 1
+times D, and Bland's rule takes the same pivots to the same vertex.  The
+tableau is stored by column and each row reduced by its gcd first (see
+``_simplex_maximize``), which leaves the pivots as they were.
 """
 
 from __future__ import annotations
@@ -36,7 +28,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .exceptions import RefdepError
 
@@ -53,11 +45,10 @@ RELATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """``sum(coeffs[v] * v) relation rhs`` with exact rational data."""
 
-    coeffs: tuple  # tuple[(str, int | Fraction), ...] sorted by variable name
+    coeffs: tuple  # tuple[(str, int | Fraction), ...] sorted by variable name, no zero
     relation: str
     rhs: int | Fraction
 
@@ -68,10 +59,14 @@ def _exact(x):
 
 
 def constraint(coeffs: Mapping, relation: str, rhs) -> Constraint:
+    """The row with its zero coefficients dropped and the rest sorted by
+    name; an all-``int`` row is kept as it is given."""
     if relation not in RELATIONS:
         raise ValueError(f"unknown relation {relation!r}")
-    items = sorted((v, _exact(c)) for v, c in coeffs.items())
-    return Constraint(tuple(item for item in items if item[1] != 0), relation, _exact(rhs))
+    items = sorted(item for item in coeffs.items() if item[1])
+    if type(rhs) is not int or any(type(c) is not int for _, c in items):
+        items, rhs = [(v, _exact(c)) for v, c in items], _exact(rhs)
+    return Constraint(tuple(items), relation, rhs)
 
 
 @dataclass
@@ -130,17 +125,16 @@ def solve_linear_feasibility(problem: LinearFeasibilityProblem):
     den = problem.denominator
 
     rows = []  # (coeff vector, bound) meaning  coeffs . x <= bound
-    for con in problem.constraints:
-        _, signs, gapped = RELATIONS[con.relation]
+    for coeffs, relation, rhs in problem.constraints:
+        _, signs, gapped = RELATIONS[relation]
         for sign in signs:
             row = [0] * nvars
-            for v, c in con.coeffs:
-                c = c if sign == 1 else -c
-                row[column[v]] = c
-                row[column[v] + 1] = -c
+            for v, c in coeffs:
+                i = column[v]
+                row[i], row[i + 1] = (c, -c) if sign == 1 else (-c, c)
             if gapped:
                 row[gap] = den
-            rows.append((row, con.rhs if sign == 1 else -con.rhs))
+            rows.append((row, rhs if sign == 1 else -rhs))
     if strict:
         cap = [0] * nvars
         cap[gap] = den
@@ -173,9 +167,9 @@ def _simplex_maximize(rows, objective):
 
     Dictionary simplex with Bland's rule on a fraction-free integer
     tableau (Edmonds; Bareiss).  Entries are ``int`` or ``Fraction``.
-    The rows and b are scaled once by the lcm of their denominators (1
-    when they are all ints), each row is then divided by the gcd g_i of
-    its entries, and the objective is scaled by its own lcm; every entry
+    The rows and b are scaled once by the lcm of their denominators (not
+    at all when they are all ints), each row is then divided by the gcd
+    g_i of its entries, and the objective is scaled by its own lcm; every entry
     is then a Python ``int`` over one common denominator ``d``, which is
     the determinant of the current basis, so each ``//`` below is exact.
     The tableau is stored by column: one list per nonbasic column and
@@ -200,13 +194,14 @@ def _simplex_maximize(rows, objective):
     """
     n = len(objective)
     m = len(rows)
-    row_scale = math.lcm(*{x.denominator for vec, bound in rows for x in (*vec, bound)})
-    t, gcds = [], []
-    for vec, bound in rows:
-        row = [x.numerator * (row_scale // x.denominator) for x in (*vec, bound)]
-        g = math.gcd(*row) or 1
-        t.append([x // g for x in row])
-        gcds.append(g)
+    t = [[*vec, bound] for vec, bound in rows]
+    try:
+        gcds = [math.gcd(*row) or 1 for row in t]
+    except TypeError:  # math.gcd takes only ints: a Fraction entry scales every row
+        row_scale = math.lcm(*{x.denominator for row in t for x in row})
+        t = [[x.numerator * (row_scale // x.denominator) for x in row] for row in t]
+        gcds = [math.gcd(*row) or 1 for row in t]
+    t = [row if g == 1 else [x // g for x in row] for row, g in zip(t, gcds)]
     obj_scale = math.lcm(*{x.denominator for x in objective})
     weight = [x.numerator * (obj_scale // x.denominator) for x in objective]
     cols = [list(col) for col in zip(*t, [-w for w in weight] + [0])]

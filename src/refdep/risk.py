@@ -19,6 +19,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, combinations
 
 from .choices import (
@@ -79,21 +80,16 @@ def prize_grid(dataset: ChoiceDataset):
     return dataset.cached("prizes", grid)
 
 
-def _integer_coords(prizes, vectors: dict) -> tuple:
-    """``prizes`` and the probability ``vectors`` (id -> tuple) as
-    integers: (the prizes over their common denominator, the
-    probabilities' common denominator D, id -> numerators over D)."""
-    _, (scaled,) = over_common_denominator([prizes])
-    den, rows = over_common_denominator(vectors.values())
-    return scaled, den, dict(zip(vectors, rows))
-
-
 def _coords(dataset: ChoiceDataset) -> tuple:
-    """The dataset's lotteries on its prize grid as ``_integer_coords``."""
+    """The dataset's lotteries on its prize grid as integers: (the prizes
+    over their common denominator, the probabilities' common denominator
+    D, id -> numerators over D)."""
     def view():
         prizes = prize_grid(dataset)
-        return _integer_coords(prizes, {alt_id: tuple(alt.payload.prob(x) for x in prizes)
-                                        for alt_id, alt in dataset.alternatives.items()})
+        _, (scaled,) = over_common_denominator([prizes])
+        den, rows = over_common_denominator(tuple(alt.payload.prob(x) for x in prizes)
+                                            for alt in dataset.alternatives.values())
+        return scaled, den, dict(zip(dataset.alternatives, rows))
     return dataset.cached("coords", view)
 
 
@@ -340,21 +336,34 @@ def battery(dataset: ChoiceDataset):
 # -- concavity comparison --------------------------------------------------
 
 
+def _check_increasing(u):
+    if any(a >= b for a, b in zip(u, u[1:])):
+        raise NotIncreasing("utility vector must be strictly increasing")
+
+
 def rho_vector(prizes, u) -> tuple:
     """Interior gap ratios (u_i - u_{i-1}) / (u_{i+1} - u_{i-1})."""
     _check_same_grid(prizes, u)
-    if any(u[i] >= u[i + 1] for i in range(len(u) - 1)):
-        raise NotIncreasing("utility vector must be strictly increasing")
-    return tuple((u[i] - u[i - 1]) / (u[i + 1] - u[i - 1])
-                 for i in range(1, len(u) - 1))
+    _check_increasing(u)
+    return tuple(a / b for a, b in _gap_ratios(u))
+
+
+def _gap_ratios(u) -> list:
+    """The gap ratios of the strictly increasing ``u``, at any scale, as
+    (numerator, positive denominator) pairs."""
+    return [(u[i] - u[i - 1], u[i + 1] - u[i - 1]) for i in range(1, len(u) - 1)]
 
 
 def _more_concave(r1, r2) -> bool:
-    """Gap ratios ``r1`` are weakly more concave than ``r2``."""
-    return all(a >= b for a, b in zip(r1, r2))
+    """``_gap_ratios`` ``r1`` are weakly more concave than ``r2``."""
+    return all(a * d >= b * c for (a, c), (b, d) in zip(r1, r2))
 
 
 # -- AREU parameters -------------------------------------------------------
+
+
+def _fraction(x) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -373,14 +382,23 @@ class AreuParams:
 
     @staticmethod
     def build(prizes, lotteries, order, utilities) -> "AreuParams":
-        prizes = tuple(Fraction(x) for x in prizes)
-        lot = tuple(sorted((i, tuple(Fraction(x) for x in v))
-                           for i, v in dict(lotteries).items()))
-        uts = tuple(sorted((i, tuple(Fraction(x) for x in v))
-                           for i, v in dict(utilities).items()))
+        prizes = tuple(map(_fraction, prizes))
+        lot = tuple(sorted((i, tuple(map(_fraction, v))) for i, v in dict(lotteries).items()))
+        uts = tuple(sorted((i, tuple(map(_fraction, v))) for i, v in dict(utilities).items()))
         params = AreuParams(prizes, lot, order, uts)
         params.validate()
         return params
+
+    @cached_property
+    def ints(self) -> tuple:
+        """The fields as integers, read once by validation and the choice
+        rule: (prizes, D, id -> lottery numerators over D, U, id -> utility
+        numerators over U), D and U the common denominators."""
+        _, (prizes,) = over_common_denominator([self.prizes])
+        den, lotteries = over_common_denominator(v for _, v in self.lotteries)
+        u_den, utilities = over_common_denominator(u for _, u in self.utilities)
+        return (prizes, den, dict(zip((i for i, _ in self.lotteries), lotteries)),
+                u_den, dict(zip((i for i, _ in self.utilities), utilities)))
 
     def vector(self, alt_id):
         for i, v in self.lotteries:
@@ -402,17 +420,18 @@ class AreuParams:
             raise ValidationError("order must cover exactly the named lotteries")
         if {i for i, _ in self.utilities} != ids:
             raise ValidationError("every lottery needs a reference utility")
-        for _, vec in self.lotteries:
+        prizes, den, vectors, u_den, utilities = self.ints
+        for i, vec in self.lotteries:
             _check_same_grid(self.prizes, vec)
-            if sum(vec, _ZERO) != 1 or any(x < 0 for x in vec):
+            if sum(vectors[i]) != den or any(x < 0 for x in vectors[i]):
                 raise ValidationError("bad probability vector")
         rhos = {}
         for i, u in self.utilities:
             _check_same_grid(self.prizes, u)
-            if u[0] != 0 or u[-1] != 1:
+            if utilities[i][0] != 0 or utilities[i][-1] != u_den:
                 raise ValidationError("utilities must be normalized to [0, 1]")
-            rhos[i] = rho_vector(self.prizes, u)
-        prizes, _, vectors = _integer_coords(self.prizes, dict(self.lotteries))
+            _check_increasing(utilities[i])
+            rhos[i] = _gap_ratios(utilities[i])
         for hi, lo in combinations(self.order.ranking, 2):
             if _below(prizes, vectors[hi], vectors[lo]):
                 raise ValidationError(f"order is not risk-consistent: {hi} is a "
@@ -447,10 +466,8 @@ def expected_utility(vec, u) -> Fraction:
 
 def _rule(params: AreuParams):
     """``choose(menu)``: the maximizers of the expected utility under the
-    menu's top member's utility, on integer vectors read once."""
-    _, _, vectors = _integer_coords(params.prizes, dict(params.lotteries))
-    _, rows = over_common_denominator(u for _, u in params.utilities)
-    utilities = dict(zip((ref for ref, _ in params.utilities), rows))
+    menu's top member's utility, on the params' integer view."""
+    _, _, vectors, _, utilities = params.ints
     return reference_rule(
         lambda members: params.order.top(members, UnknownLottery),
         lambda ref, alt: sum(map(operator.mul, vectors[alt], utilities[ref])))
@@ -460,11 +477,12 @@ def check_lotteries(params: AreuParams, alternatives) -> None:
     """A ValidationError when an alternative the params name carries
     another lottery than the params' or a prize off their grid (its
     probabilities sum to 1, so either shows as a different vector on the
-    grid).  Ids the params do not name are left to the choice rule."""
-    named = dict(params.lotteries)
+    grid), compared in the payload's form.  Ids the params do not name are
+    left to the choice rule."""
+    named = {i: tuple((x, p) for x, p in zip(params.prizes, v) if p)
+             for i, v in params.lotteries}
     for alt in alternatives:
-        if alt.id in named and tuple(
-                alt.payload.prob(x) for x in params.prizes) != named[alt.id]:
+        if alt.id in named and alt.payload.probs != named[alt.id]:
             raise ValidationError(
                 f"lottery {alt.id!r} differs from the params' lottery of that id")
 
@@ -574,68 +592,54 @@ def _reference_assignments(dataset: ChoiceDataset, order):
     yield from rec(0, {}, order, {})
 
 
-def _uvar(label, i, n):
-    """LP variable of utility ``label`` at prize ``i`` of ``n``; None at
-    the endpoints, which are normalized to 0 and 1."""
-    return None if i == 0 or i == n - 1 else f"u[{label}][{i}]"
+def _uvars(label, n):
+    """The LP variables of utility ``label`` at the interior prizes of an
+    ``n``-prize grid; the endpoints are normalized to 0 and 1."""
+    return [f"u[{label}][{i}]" for i in range(1, n - 1)]
 
 
-def _eu_row(label, weights, n):
-    """sum of w * u[label][i] over (i, w) in ``weights``, as LP
-    coefficients plus the constant the normalized endpoints contribute."""
-    coeffs, const = {}, 0
-    for i, w in weights:
-        name = _uvar(label, i, n)
-        if name is None:
-            if i == n - 1:
-                const += w
-        elif w != 0:
-            coeffs[name] = w
-    return coeffs, const
-
-
-def _menu_rows(dataset, menu):
-    """One menu's EU-rationalization rows as (relation, head - other)
-    pairs over its ``revealed_rows``, the differences in integers over D."""
-    diffs = _diff_table(dataset)
-    for relation, head, other in revealed_rows(dataset, menu):
-        yield relation, diffs[(head, other)][0]
+def _menu_rows(dataset) -> dict:
+    """Per observed menu, its EU-rationalization rows as (relation, head -
+    other) pairs over its ``revealed_rows``, the differences in integers
+    over D, built once per dataset."""
+    def rows():
+        diffs = _diff_table(dataset)
+        return {menu: [(relation, diffs[(head, other)][0])
+                       for relation, head, other in revealed_rows(dataset, menu)]
+                for menu in dataset.menus()}
+    return dataset.cached("menu-rows", rows)
 
 
 def _utility_problem(dataset, groups):
     """The utility LP of ``groups``, (label, menus) pairs: per label a
     normalized, strictly increasing utility and the EU-rationalization
-    rows of its menus, each distinct (relation, diff) row once, in
-    first-seen order: menus that share a row would only hand ``add`` a
-    constraint it drops.  Every row is over the probabilities' common
-    denominator D, so the EU rows are integer."""
-    n = len(prize_grid(dataset))
+    rows of its menus, each distinct row once, in first-seen order.
+    Every row is over the probabilities' common denominator D, so the
+    EU rows are integer."""
     _, den, _ = _coords(dataset)
+    menu_rows, n = _menu_rows(dataset), len(prize_grid(dataset))
     problem = LinearFeasibilityProblem(denominator=den)
     for label, menus in groups:
-        last = None
-        for i in range(1, n - 1):
-            name = _uvar(label, i, n)
-            problem.add({name: den, last: -den} if last else {name: den}, ">", 0)
-            last = name
-        if last is not None:
-            problem.add({last: den}, "<", den)
-        rows = dict.fromkeys(row for menu in menus for row in _menu_rows(dataset, menu))
-        for relation, diff in rows:
-            coeffs, const = _eu_row(label, enumerate(diff), n)
-            problem.add(coeffs, relation, -const)
+        names = _uvars(label, n)
+        for k, name in enumerate(names):
+            problem.add({name: den, names[k - 1]: -den} if k else {name: den}, ">", 0)
+        if names:
+            problem.add({names[-1]: den}, "<", den)
+        for relation, diff in dict.fromkeys(row for menu in menus for row in menu_rows[menu]):
+            # u is 0 at the worst prize and 1 at the best
+            problem.add(dict(zip(names, diff[1:])), relation, -diff[-1])
     return problem
 
 
 def _utilities(result, labels, n):
     """Each label's solved utility vector, endpoints included."""
-    return {label: (_ZERO, *(result.assignment[_uvar(label, i, n)]
-                             for i in range(1, n - 1)), _ONE)
+    return {label: (_ZERO, *map(result.assignment.__getitem__, _uvars(label, n)), _ONE)
             for label in labels}
 
 
-def _rho_monotone(prizes, chain, utilities) -> bool:
-    rhos = [rho_vector(prizes, utilities[r]) for r in chain]
+def _rho_monotone(chain, utilities) -> bool:
+    _, rows = over_common_denominator(utilities[r] for r in chain)
+    rhos = [_gap_ratios(u) for u in rows]
     return all(map(_more_concave, rhos, rhos[1:]))
 
 
@@ -684,9 +688,8 @@ def _rho_interval(dataset, menus):
     there are menus, so a class with no menus gets ranks outside all of
     them: the open (0, 1)."""
     def ranked():
-        rows = {menu: [(diff[1], diff[2], relation)
-                       for relation, diff in _menu_rows(dataset, menu)]
-                for menu in dataset.menus()}
+        rows = {menu: [(diff[1], diff[2], relation) for relation, diff in menu_rows]
+                for menu, menu_rows in _menu_rows(dataset).items()}
         scale = math.lcm(*{abs(a) for menu_rows in rows.values() for a, _, _ in menu_rows if a})
         intervals = {menu: _interval(menu_rows, scale) for menu, menu_rows in rows.items()}
         rank = {key: k for k, key in enumerate(sorted(
@@ -730,12 +733,12 @@ def _solve_chain(dataset, classes, chain):
     problem = _utility_problem(dataset, groups)
     if n == 3:
         for hi, lo in zip(chain, chain[1:]):
-            problem.add({_uvar(hi, 1, n): den, _uvar(lo, 1, n): -den}, ">=", 0)
+            problem.add({_uvars(hi, n)[0]: den, _uvars(lo, n)[0]: -den}, ">=", 0)
     result = solve_linear_feasibility(problem)
     if not result:
         return None
     solution = _utilities(result, chain, n)
-    if _rho_monotone(prizes, chain, solution):
+    if _rho_monotone(chain, solution):
         return solution
     rhos = [rho_vector(prizes, solution[r]) for r in chain]
     for denom in (64, 512):
@@ -745,15 +748,17 @@ def _solve_chain(dataset, classes, chain):
             for i in range(1, n - 1):
                 mid = (rhos[k][i - 1] + rhos[k + 1][i - 1]) / 2
                 tau = Fraction(round(mid * denom), denom)
-                # rho_i >= tau  <=>  u_i - u_{i-1} >= tau (u_{i+1} - u_{i-1})
+                # rho_i >= tau  <=>  u_i - u_{i-1} >= tau (u_{i+1} - u_{i-1}),
+                # with u = 0 at the worst prize and 1 at the best
+                weights = {i - 1: (tau - 1) * den, i: den, i + 1: -tau * den}
                 for ref, relation in ((hi, ">="), (lo, "<=")):
-                    coeffs, const = _eu_row(
-                        ref, ((i, den), (i - 1, (tau - 1) * den), (i + 1, -tau * den)), n)
-                    problem.add(coeffs, relation, -const)
+                    names = dict(enumerate(_uvars(ref, n), 1))
+                    problem.add({names[j]: w for j, w in weights.items() if j in names},
+                                relation, -weights.get(n - 1, 0))
         result = solve_linear_feasibility(problem)
         if result:
             out = _utilities(result, chain, n)
-            if _rho_monotone(prizes, chain, out):
+            if _rho_monotone(chain, out):
                 return out
     return None
 

@@ -9,6 +9,7 @@ import json
 import math
 import random
 import sys
+from dataclasses import dataclass
 from fractions import Fraction as F
 from functools import cache
 from itertools import accumulate, combinations, product
@@ -49,6 +50,8 @@ from refdep.exceptions import (
     EmptyChoice,
     InfeasibleFit,
     MixedPayloadKinds,
+    NotIncreasing,
+    PrizeSetMismatch,
     RefdepError,
     UnknownAlternative,
     UnknownLottery,
@@ -56,9 +59,17 @@ from refdep.exceptions import (
     ValidationError,
 )
 from refdep import risk
-from refdep.feasibility import RELATIONS, LinearFeasibilityProblem
+from refdep.feasibility import RELATIONS, LinearFeasibilityProblem, _simplex_maximize
 from refdep.ordu import OrduParams, simulate_ordu, verify_ordu
-from refdep.risk import AreuParams, _below, _spreads, expected_utility, prize_grid, simulate_areu
+from refdep.risk import (
+    AreuParams,
+    _below,
+    _spreads,
+    expected_utility,
+    prize_grid,
+    rho_vector,
+    simulate_areu,
+)
 from refdep.serialize import _alternatives_from_json, format_rational, parse_rational
 from refdep.social import FspuParams, _gini_levels, gini, simulate_fspu
 from refdep.timepref import TIME_PROPERTY, PbduParams, earliest_payments, simulate_pbdu
@@ -776,6 +787,40 @@ def integer_areu_data(rng, n_prizes):
         utilities = {name: shared for name in ranking}
     params = AreuParams.build(prizes, vectors, ReferenceOrder(tuple(ranking)), utilities)
     return simulate_areu(params, all_menus(names, 2, 3))
+
+
+def two_utility_four_prize_params(rng):
+    """Five lotteries in thirds or quarters on a 4-prize grid, a random
+    order respecting the risk relations, and two utilities in 24ths, the
+    upper references' weakly more concave."""
+    prizes = tuple(F(x) for x in sorted(rng.sample(range(10), 4)))
+    den = rng.choice((3, 4))
+    grid = [vec for vec in product(range(den + 1), repeat=4) if sum(vec) == den]
+    vectors = {f"l{i}": tuple(F(x, den) for x in vec)
+               for i, vec in enumerate(rng.sample(grid, 5))}
+    names = sorted(vectors)
+    blocked = {p: {q for q in names if q != p and _below(prizes, vectors[p], vectors[q])}
+               for p in names}
+    ranking, remaining = [], set(names)
+    while remaining:
+        head = rng.choice(sorted(n for n in remaining if not blocked[n] & remaining))
+        ranking.append(head)
+        remaining.discard(head)
+    while True:
+        u_hi, u_lo = ((F(0), *(F(x, 24) for x in sorted(rng.sample(range(1, 24), 2))), F(1))
+                      for _ in range(2))
+        if all(a >= b for a, b in zip(rho_vector(prizes, u_hi), rho_vector(prizes, u_lo))):
+            break
+    top = rng.randint(1, 4)
+    return AreuParams.build(prizes, vectors, ReferenceOrder(tuple(ranking)),
+                            {name: u_hi if k < top else u_lo for k, name in enumerate(ranking)})
+
+
+def two_utility_four_prize_data(rng):
+    """``two_utility_four_prize_params`` over all menus of size 2-3.  About
+    one draw in ten makes the fitter pin gap ratios to a grid."""
+    params = two_utility_four_prize_params(rng)
+    return simulate_areu(params, all_menus(params.order.ranking, 2, 3))
 
 
 # -- the reference axioms by their sub-family definitions ------------------------
@@ -1895,3 +1940,200 @@ def fraction_simplex_maximize(rows, objective):
         if var < len(objective):
             values[var] = b[i]
     return values, v
+
+
+# -- the LP builder with one frozen row object per constraint ------------------
+#
+# ``feasibility.constraint``, ``LinearFeasibilityProblem.add`` and the dense
+# rows of ``solve_linear_feasibility`` as they were before all-int rows
+# skipped the ``Fraction`` steps: every entry through ``Fraction`` handling,
+# a sorted frozen dataclass per row, and ``risk._utility_problem`` walking
+# each menu's revealed rows anew.  They are the references for the
+# arguments ``feasibility._simplex_maximize`` receives from the fitters.
+
+
+@dataclass(frozen=True)
+class ConstraintByDataclass:
+    coeffs: tuple
+    relation: str
+    rhs: object
+
+
+def _exact(x):
+    return x if type(x) is int or type(x) is F else F(x)
+
+
+def constraint_by_dataclass(coeffs, relation, rhs):
+    if relation not in RELATIONS:
+        raise ValueError(f"unknown relation {relation!r}")
+    items = sorted((v, _exact(c)) for v, c in coeffs.items())
+    return ConstraintByDataclass(tuple(item for item in items if item[1] != 0), relation,
+                                 _exact(rhs))
+
+
+class ProblemByDataclass:
+    """``LinearFeasibilityProblem`` keeping each distinct
+    ``ConstraintByDataclass`` once, in first-added order."""
+
+    def __init__(self, denominator=1):
+        self.denominator, self.constraints, self.seen = denominator, [], set()
+
+    def add(self, coeffs, relation, rhs):
+        con = constraint_by_dataclass(coeffs, relation, rhs)
+        if con not in self.seen:
+            self.seen.add(con)
+            self.constraints.append(con)
+
+
+def simplex_arguments_by_constraints(problem):
+    """The (rows, objective) ``solve_linear_feasibility`` hands
+    ``_simplex_maximize`` for ``problem``, built entry by entry."""
+    names = sorted({v for con in problem.constraints for v, _ in con.coeffs})
+    strict = any(RELATIONS[con.relation][2] for con in problem.constraints)
+    column = {name: 2 * i for i, name in enumerate(names)}
+    gap = 2 * len(names)
+    nvars = gap + 1 if strict else gap
+    rows = []
+    for con in problem.constraints:
+        _, signs, gapped = RELATIONS[con.relation]
+        for sign in signs:
+            row = [0] * nvars
+            for v, c in con.coeffs:
+                c = c if sign == 1 else -c
+                row[column[v]] = c
+                row[column[v] + 1] = -c
+            if gapped:
+                row[gap] = problem.denominator
+            rows.append((row, con.rhs if sign == 1 else -con.rhs))
+    objective = [0] * nvars
+    if strict:
+        cap = [0] * nvars
+        cap[gap] = problem.denominator
+        rows.append((cap, problem.denominator))
+        objective[gap] = 1
+    return rows, objective
+
+
+def utility_problem_by_menus(dataset, groups):
+    """``risk._utility_problem`` walking every menu's revealed rows and
+    handing each row to ``add``, which drops a row an earlier menu of the
+    class already gave."""
+    n = len(prize_grid(dataset))
+    _, den, _ = risk._coords(dataset)
+    diffs = risk._diff_table(dataset)
+    problem = ProblemByDataclass(denominator=den)
+    for label, menus in groups:
+        last = None
+        for i in range(1, n - 1):
+            name = f"u[{label}][{i}]"
+            problem.add({name: den, last: -den} if last else {name: den}, ">", 0)
+            last = name
+        if last is not None:
+            problem.add({last: den}, "<", den)
+        for menu in menus:
+            for relation, head, other in revealed_rows(dataset, menu):
+                diff = diffs[(head, other)][0]
+                problem.add({f"u[{label}][{i}]": w for i, w in enumerate(diff)
+                             if 0 < i < n - 1 and w != 0}, relation, -diff[-1])
+    return problem
+
+
+def chain_lps_by_constraints(dataset, classes, chain):
+    """The (rows, objective) of each LP ``risk._solve_chain`` solves once
+    a 3-prize chain has passed its interval test, built as before: the
+    menus' rows through ``utility_problem_by_menus``, each pinned
+    gap-ratio row summed prize by prize with the endpoints folded into
+    the constant, every vertex read back in ``Fraction``s."""
+    prizes, n = prize_grid(dataset), len(prize_grid(dataset))
+    _, den, _ = risk._coords(dataset)
+    uvar = {(ref, i): f"u[{ref}][{i}]" for ref in chain for i in range(1, n - 1)}
+    lps = []
+
+    def solve(problem):
+        rows, objective = simplex_arguments_by_constraints(problem)
+        lps.append((rows, objective))
+        solution = _simplex_maximize(rows, objective)
+        if solution is None or (any(objective) and solution[1] <= 0):
+            return None
+        names = sorted({v for con in problem.constraints for v, _ in con.coeffs})
+        value = {name: solution[0][2 * k] - solution[0][2 * k + 1] for k, name in enumerate(names)}
+        return {ref: (F(0), *(value[uvar[ref, i]] for i in range(1, n - 1)), F(1))
+                for ref in chain}
+
+    def rhos(utilities):
+        return [[(u[i] - u[i - 1]) / (u[i + 1] - u[i - 1]) for i in range(1, n - 1)]
+                for u in (utilities[ref] for ref in chain)]
+
+    def monotone(utilities):
+        ratios = rhos(utilities)
+        return all(a >= b for hi, lo in zip(ratios, ratios[1:]) for a, b in zip(hi, lo))
+
+    groups = [(ref, classes[ref]) for ref in chain]
+    problem = utility_problem_by_menus(dataset, groups)
+    if n == 3:
+        for hi, lo in zip(chain, chain[1:]):
+            problem.add({uvar[hi, 1]: den, uvar[lo, 1]: -den}, ">=", 0)
+    solution = solve(problem)
+    if solution is None or monotone(solution):
+        return lps
+    ratios = rhos(solution)
+    for denom in (64, 512):
+        problem = utility_problem_by_menus(dataset, groups)
+        for k, (hi, lo) in enumerate(zip(chain, chain[1:])):
+            for i in range(1, n - 1):
+                mid = (ratios[k][i - 1] + ratios[k + 1][i - 1]) / 2
+                tau = F(round(mid * denom), denom)
+                for ref, relation in ((hi, ">="), (lo, "<=")):
+                    coeffs, const = {}, 0
+                    for j, w in ((i, den), (i - 1, (tau - 1) * den), (i + 1, -tau * den)):
+                        if 0 < j < n - 1 and w != 0:
+                            coeffs[uvar[ref, j]] = w
+                        elif j == n - 1:
+                            const += w
+                    problem.add(coeffs, relation, -const)
+        out = solve(problem)
+        if out is not None and monotone(out):
+            return lps
+    return lps
+
+
+# -- AREU params validated in Fractions ------------------------------------------
+
+
+def validate_areu_by_fractions(params):
+    """``AreuParams.validate`` as it was on the ``Fraction`` fields: sums
+    to 1, gap ratios as quotients, and the risk relations by their
+    ``Fraction`` bodies; the same exceptions in the same order."""
+    if any(a >= b for a, b in zip(params.prizes, params.prizes[1:])):
+        raise ValidationError("prizes must be strictly increasing")
+    ids = {i for i, _ in params.lotteries}
+    if set(params.order.ranking) != ids:
+        raise ValidationError("order must cover exactly the named lotteries")
+    if {i for i, _ in params.utilities} != ids:
+        raise ValidationError("every lottery needs a reference utility")
+    for _, vec in params.lotteries:
+        if len(vec) != len(params.prizes):
+            raise PrizeSetMismatch(
+                f"vector of length {len(vec)} on a {len(params.prizes)}-prize grid")
+        if sum(vec, F(0)) != 1 or any(x < 0 for x in vec):
+            raise ValidationError("bad probability vector")
+    rhos = {}
+    for i, u in params.utilities:
+        if len(u) != len(params.prizes):
+            raise PrizeSetMismatch(
+                f"vector of length {len(u)} on a {len(params.prizes)}-prize grid")
+        if u[0] != 0 or u[-1] != 1:
+            raise ValidationError("utilities must be normalized to [0, 1]")
+        if any(a >= b for a, b in zip(u, u[1:])):
+            raise NotIncreasing("utility vector must be strictly increasing")
+        rhos[i] = [(u[k] - u[k - 1]) / (u[k + 1] - u[k - 1]) for k in range(1, len(u) - 1)]
+    vectors = dict(params.lotteries)
+    for hi, lo in combinations(params.order.ranking, 2):
+        p, q = vectors[hi], vectors[lo]
+        if (mps_by_loop(params.prizes, p, q) or extreme_spread_by_fractions(params.prizes, p, q)
+                or worst_dilution_by_fractions(params.prizes, p, q)):
+            raise ValidationError(f"order is not risk-consistent: {hi} is a "
+                                  f"spread or a worst-prize dilution of {lo}")
+        if not all(a >= b for a, b in zip(rhos[hi], rhos[lo])):
+            raise ValidationError(
+                f"concavity must not increase down the order ({hi} vs {lo})")

@@ -13,6 +13,8 @@ computation's value.  Every exception class is read in another module.
 Only ``choices.py`` reads ``maximizers`` or defines a ``choose``
 function, so the models' choice rules all come from its one builder.
 Only ``serialize.py`` imports ``json``, so JSON text has one boundary.
+Only ``feasibility.py`` names ``_simplex_maximize`` or builds a
+``Constraint``, so every LP takes one builder path.
 Every public module-level function and class has a reader outside the
 tests (being exported by ``__init__.py`` does not make one), and so has
 every public method that overrides no base-class method.  The modules of
@@ -178,6 +180,22 @@ def test_only_the_rule_builder_maximizes_or_defines_choose():
         if defines or "maximizers" in read:
             found[path.stem] = defines, "maximizers" in read
     assert found == {"choices": (True, True)}, found
+
+
+def test_only_feasibility_reaches_the_simplex_or_builds_constraints():
+    """Every LP goes through one builder: no module but ``feasibility.py``
+    names ``_simplex_maximize``, ``Constraint`` or ``constraint``, so the
+    fitters hand rows to ``LinearFeasibilityProblem.add`` and the problem
+    to ``solve_linear_feasibility``."""
+    found = {}
+    for path in MODULES:
+        _, tree, _ = _parse(path)
+        names = {sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(tree)
+                 if isinstance(sub, (ast.Name, ast.Attribute))}
+        hits = names & {"_simplex_maximize", "Constraint", "constraint"}
+        if hits:
+            found[path.stem] = sorted(hits)
+    assert found == {"feasibility": ["Constraint", "_simplex_maximize", "constraint"]}, found
 
 
 def test_only_serialize_imports_json():

@@ -1,12 +1,21 @@
+import importlib
+import json
 import math
 import random
 from collections import Counter
 from fractions import Fraction as F
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
-from refdep.choices import ChoiceDataset, warp_over
+from refdep.choices import (
+    Alternative,
+    ChoiceDataset,
+    LotteryPayload,
+    over_common_denominator,
+    warp_over,
+)
 from refdep.engine import ReferenceOrder
 from refdep import feasibility, risk
 from refdep.exceptions import (
@@ -40,6 +49,7 @@ from refdep.risk import (
     verify_areu,
     worst_dilution,
 )
+from refdep.serialize import dataset_from_dict
 from refdep.social import check_fairness
 
 from helpers import (
@@ -68,9 +78,13 @@ from helpers import (
     perturbed,
     ranks_of,
     random_rho_monotone_areu,
+    random_valid_areu,
     reference_assignments_unpruned,
     restrict,
     reverse_allais_dataset,
+    two_utility_four_prize_params,
+    utility_problem_by_menus,
+    validate_areu_by_fractions,
     worst_dilution_by_fractions,
     worst_dilution_by_loop,
 )
@@ -306,8 +320,8 @@ def test_relations_on_integer_coordinates_match_the_fraction_forms():
             p, q = q, p
         mixed = (_mix(F(rng.randint(0, 6), 6), p, q) if rng.random() < 0.5
                  else _probability_vector(rng, len(prizes)))
-        grid, _, vectors = risk._integer_coords(prizes, {"p": p, "q": q, "m": mixed})
-        ip, iq, im = (vectors[k] for k in "pqm")
+        _, (grid,) = over_common_denominator([prizes])
+        _, (ip, iq, im) = over_common_denominator([p, q, mixed])
         assert all(type(x) is int for x in (*grid, *ip, *iq, *im))
         results = {
             "fosd": (fosd(grid, ip, iq), fosd_by_loop(prizes, p, q)),
@@ -432,8 +446,10 @@ def test_integer_view_matches_the_fraction_forms_on_random_datasets():
         assert correspondences == mixture_correspondences_by_fractions(ds)
         seen["correspondences"] += bool(correspondences)
 
+        menu_rows = risk._menu_rows(ds)
+        assert list(menu_rows) == list(ds.menus())
         for menu in ds.menus():
-            rows = list(risk._menu_rows(ds, menu))
+            rows = menu_rows[menu]
             expected = menu_rows_by_fractions(ds, menu)
             assert rows == [(relation, tuple(den * x for x in diff))
                             for relation, diff in expected]
@@ -470,9 +486,8 @@ def test_integer_view_diff_table_intervals_and_lp_rows_hold_no_float(monkeypatch
         for vec, key in risk._diff_table(ds).values():
             assert all(type(x) is int for x in (*vec, *(key or ())))
         if n_prizes == 3:
-            for menu in ds.menus():
-                rows = [(diff[1], diff[2], relation)
-                        for relation, diff in risk._menu_rows(ds, menu)]
+            for menu_rows in risk._menu_rows(ds).values():
+                rows = [(diff[1], diff[2], relation) for relation, diff in menu_rows]
                 bounds = risk._interval(rows, _scale([rows]))
                 assert all(type(value) is int for value, _ in bounds)
                 assert all(type(side) is int for _, side in bounds)
@@ -588,18 +603,41 @@ def test_rho_requires_increasing_utilities():
         rho_vector(PRIZES, (F(0), F(1), F(1)))
 
 
+def _gap_ratios(u):
+    """``risk._gap_ratios`` of a ``Fraction`` utility, on its numerators
+    over their common denominator."""
+    den = math.lcm(*(x.denominator for x in u))
+    return risk._gap_ratios([x.numerator * (den // x.denominator) for x in u])
+
+
+def test_gap_ratio_pairs_are_the_rho_quotients_at_any_scale():
+    rng = random.Random(5)
+    seen = 0
+    for _ in range(200):
+        cuts = sorted(rng.sample(range(1, 40), 3))
+        u = (F(0), *(F(c, rng.choice((40, 60))) for c in cuts), F(1))
+        if any(a >= b for a, b in zip(u, u[1:])):
+            continue
+        pairs = _gap_ratios(u)
+        assert all(den > 0 for _, den in pairs)
+        quotients = [(u[i] - u[i - 1]) / (u[i + 1] - u[i - 1]) for i in range(1, 4)]
+        assert [F(num, den) for num, den in pairs] == quotients
+        assert list(rho_vector((0, 1, 2, 3, 4), u)) == quotients
+        seen += 1
+    assert seen >= 100
+
+
 def test_concavity_compare_examples():
-    r = rho_vector(PRIZES, (F(0), F(7, 10), F(1)))
-    hi = rho_vector(PRIZES, (F(0), F(9, 10), F(1)))
+    r = _gap_ratios((F(0), F(7, 10), F(1)))
+    hi = _gap_ratios((F(0), F(9, 10), F(1)))
     assert risk._more_concave(r, r)
     assert risk._more_concave(hi, r)
     assert not risk._more_concave(r, hi)
 
 
 def test_concavity_crossing_rhos_are_incomparable():
-    prizes = (F(0), F(1), F(2), F(3))
-    r1 = rho_vector(prizes, (F(0), F(1, 2), F(3, 4), F(1)))
-    r2 = rho_vector(prizes, (F(0), F(1, 4), F(9, 10), F(1)))
+    r1 = _gap_ratios((F(0), F(1, 2), F(3, 4), F(1)))
+    r2 = _gap_ratios((F(0), F(1, 4), F(9, 10), F(1)))
     assert not risk._more_concave(r1, r2)
     assert not risk._more_concave(r2, r1)
 
@@ -622,7 +660,7 @@ def test_rho_dominance_matches_interpolation_oracle():
             cuts2 = sorted(rng.randint(1, 39) for _ in range(3))
         u1 = (F(0),) + tuple(F(c, 40) for c in cuts1) + (F(1),)
         u2 = (F(0),) + tuple(F(c, 40) for c in cuts2) + (F(1),)
-        more = risk._more_concave(rho_vector(prizes, u1), rho_vector(prizes, u2))
+        more = risk._more_concave(_gap_ratios(u1), _gap_ratios(u2))
         assert more == _piecewise_concave_transform_exists(prizes, u1, u2)
 
 
@@ -653,6 +691,106 @@ def test_validate_ranks_a_worst_prize_dilution_below_its_source():
     AreuParams.build(PRIZES, vectors, ReferenceOrder(("a", "b")), utilities)
     with pytest.raises(ValidationError, match="b is a spread or a worst-prize dilution of a"):
         AreuParams.build(PRIZES, vectors, ReferenceOrder(("b", "a")), utilities)
+
+
+def _mutated(rng, doc):
+    """A copy of the params document ``doc`` with one or two of: two order
+    entries swapped, a utility off 0 or 1 at an end, a utility flat or
+    falling somewhere, two lotteries' utilities swapped, probability mass
+    moved or removed, a vector one entry longer or shorter."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(rng.choice((1, 1, 2))):
+        ids = sorted(doc["lotteries"])
+        a, b = rng.sample(ids, 2)
+        u, vec = doc["utilities"][a], doc["lotteries"][a]
+        kind = rng.choice(("order", "end", "flat", "swap", "mass", "length"))
+        if kind == "order":
+            order = doc["order"]
+            i, j = order.index(a), order.index(b)
+            order[i], order[j] = order[j], order[i]
+        elif kind == "end":
+            u[rng.choice((0, -1))] = rng.choice(("1/7", "9/10", "-1/3"))
+        elif kind == "flat":
+            k = rng.randint(1, len(u) - 1)
+            u[k] = u[k - 1] if rng.random() < 0.5 else "1/100"
+        elif kind == "swap":
+            doc["utilities"][a], doc["utilities"][b] = doc["utilities"][b], u
+        elif kind == "mass":
+            i, j = rng.sample(range(len(vec)), 2)
+            step = F(rng.choice((1, 2)), rng.choice((4, 6)))
+            vec[i] = str(F(vec[i]) - step)
+            vec[j] = str(F(vec[j]) + step * rng.choice((1, 1, 0)))
+        else:
+            target = rng.choice((vec, u))
+            target.append("0") if rng.random() < 0.5 else target.pop()
+    return doc
+
+
+def _unvalidated(doc):
+    """``AreuParams.from_json(doc)`` without its ``validate``."""
+    def vectors(key):
+        return tuple(sorted((i, tuple(F(x) for x in v)) for i, v in doc[key].items()))
+    return AreuParams(tuple(F(x) for x in doc["prizes"]), vectors("lotteries"),
+                      ReferenceOrder(tuple(doc["order"])), vectors("utilities"))
+
+
+def _raised(call):
+    try:
+        call()
+    except Exception as error:  # noqa: BLE001  the class and message are compared
+        return type(error), str(error)
+    return None
+
+
+def test_integer_validate_matches_the_fraction_validate_on_mutated_params():
+    rng = random.Random(40)
+    bases = []
+    while len(bases) < 60:
+        params = rng.choice((random_valid_areu, random_rho_monotone_areu,
+                             two_utility_four_prize_params))(rng)
+        if params is not None:
+            bases.append(params.to_json())
+    verdicts = Counter()
+    for k in range(1200):
+        doc = bases[k % len(bases)] if k % 10 == 0 else _mutated(rng, bases[k % len(bases)])
+        got = _raised(lambda: AreuParams.from_json(doc))
+        assert got == _raised(lambda: validate_areu_by_fractions(_unvalidated(doc))), doc
+        verdicts["accepted" if got is None else " ".join(got[1].split()[:2])] += 1
+    assert len(verdicts) == 7 and min(verdicts.values()) >= 30, verdicts
+
+
+def test_check_lotteries_matches_the_grid_vector_comparison():
+    """A named lottery passes exactly when its probabilities on the params'
+    grid are the params' vector: moved mass, mass off the grid and zero
+    mass on an extra prize all checked."""
+    rng = random.Random(41)
+    verdicts = Counter()
+    for _ in range(300):
+        params = random_rho_monotone_areu(rng)
+        named = dict(params.lotteries)
+        changed = rng.choice(sorted(named))
+        alts = []
+        for alt_id, vec in params.lotteries:
+            pairs = list(zip(params.prizes, vec))
+            change = rng.random() if alt_id == changed else 1
+            if change < 0.25:  # mass moved on the grid
+                (x, p), (y, q) = rng.sample(pairs, 2)
+                pairs = [(x, (p + q) / 2), (y, (p + q) / 2)] + [
+                    pair for pair in pairs if pair[0] not in (x, y)]
+            elif change < 0.5:  # mass moved off the grid
+                x, p = rng.choice(pairs)
+                pairs = [(z, q) for z, q in pairs if z != x] + [(x + F(1, 3), p)]
+            elif change < 0.75:  # no mass on an extra prize
+                pairs.append((params.prizes[-1] + 1, F(0)))
+            alts.append(Alternative(alt_id, LotteryPayload(tuple(pairs))))
+        rng.shuffle(alts)
+        offenders = [alt.id for alt in alts if tuple(
+            alt.payload.prob(x) for x in params.prizes) != named[alt.id]]
+        got = _raised(lambda: risk.check_lotteries(params, alts))
+        assert got == (None if not offenders else (ValidationError, (
+            f"lottery {offenders[0]!r} differs from the params' lottery of that id")))
+        verdicts[bool(offenders)] += 1
+    assert min(verdicts.values()) >= 50, verdicts
 
 
 def test_fit_allais_pins_the_footnote_values():
@@ -904,27 +1042,6 @@ def test_menu_intervals_agree_with_the_utility_lp():
     assert any(verdicts) and not all(verdicts)
 
 
-def _utility_problem_by_menus(dataset, groups):
-    """``_utility_problem`` with every menu's rows handed to ``add``, which
-    drops each row an earlier menu of the class already gave."""
-    n = len(prize_grid(dataset))
-    _, den, _ = risk._coords(dataset)
-    problem = LinearFeasibilityProblem(denominator=den)
-    for label, menus in groups:
-        last = None
-        for i in range(1, n - 1):
-            name = risk._uvar(label, i, n)
-            problem.add({name: den, last: -den} if last else {name: den}, ">", 0)
-            last = name
-        if last is not None:
-            problem.add({last: den}, "<", den)
-        for menu in menus:
-            for relation, diff in risk._menu_rows(dataset, menu):
-                coeffs, const = risk._eu_row(label, enumerate(diff), n)
-                problem.add(coeffs, relation, -const)
-    return problem
-
-
 def test_utility_lp_takes_each_class_row_once_in_first_seen_order():
     rng = random.Random(39)
     shared = Counter()
@@ -941,9 +1058,11 @@ def test_utility_lp_takes_each_class_row_once_in_first_seen_order():
         for menu in menus:
             groups[rng.choice(labels)].append(menu)
         problem = risk._utility_problem(ds, groups.items())
-        assert problem.constraints == _utility_problem_by_menus(ds, groups.items()).constraints
+        assert [tuple(c) for c in problem.constraints] == [
+            (c.coeffs, c.relation, c.rhs)
+            for c in utility_problem_by_menus(ds, groups.items()).constraints]
         for class_menus in groups.values():
-            rows = [row for menu in class_menus for row in risk._menu_rows(ds, menu)]
+            rows = [row for menu in class_menus for row in risk._menu_rows(ds)[menu]]
             shared[len(prize_grid(ds))] += len(rows) > len(set(rows))
     assert shared[3] >= 20 and shared[4] >= 20, shared
 
@@ -1136,6 +1255,37 @@ def test_sweep_rejects_the_first_chain_of_two_unordered_classes(monkeypatch):
 
 def vec4(w, a, b, c):
     return (F(w), F(a), F(b), F(c))
+
+
+def test_a_three_prize_fit_walks_each_menu_s_revealed_rows_once(monkeypatch):
+    """On the benchmark's seed-4 ``fit_lottery`` datasets (five lotteries,
+    all 25 menus of size 2-4) each fit walks each menu's revealed rows
+    once, 25 walks and 45 rows, which the u(1) intervals and every LP
+    then share; walking them per reader took 50 walks and 90 rows."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    gen = importlib.import_module("gen")
+    walks, rows, solves = [], [], []
+    revealed, solve = risk.revealed_rows, risk.solve_linear_feasibility
+
+    def counted(dataset, menu):
+        walks.append(menu)
+        for row in revealed(dataset, menu):
+            rows.append(row)
+            yield row
+
+    monkeypatch.setattr(risk, "revealed_rows", counted)
+    monkeypatch.setattr(risk, "solve_linear_feasibility",
+                        lambda problem: solves.append(problem) or solve(problem))
+    rng = random.Random(4)
+    for _ in range(32):
+        ds = dataset_from_dict(gen.areu_probe(rng, True).dataset)
+        walks.clear()
+        rows.clear()
+        fit_areu(ds)
+        assert len(prize_grid(ds)) == 3
+        assert sorted(walks, key=sorted) == sorted(ds.menus(), key=sorted)
+        assert (len(walks), len(rows)) == (25, 45)
+    assert len(solves) == 32
 
 
 def test_fit_rejects_dominated_choices():
