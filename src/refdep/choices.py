@@ -41,11 +41,13 @@ class LotteryPayload:
     probs: tuple  # tuple[(Fraction prize, Fraction prob), ...]
 
     def __post_init__(self):
-        if sum((p for _, p in self.probs), Fraction(0)) != 1 \
-                or any(p < 0 for _, p in self.probs):
+        # the sum and the signs on the numerators over the probabilities' lcm
+        den, (nums,) = over_common_denominator([[p for _, p in self.probs]])
+        if sum(nums) != den or any(n < 0 for n in nums):
             raise ValidationError("lottery probabilities must be >= 0 and sum to 1")
-        object.__setattr__(self, "probs", tuple(sorted((x, p) for x, p in self.probs if p)))
-        if len({x for x, _ in self.probs}) != len(self.probs):
+        probs = tuple(sorted((x, p) for x, p in self.probs if p))
+        object.__setattr__(self, "probs", probs)
+        if any(x == y for (x, _), (y, _) in zip(probs, probs[1:])):
             raise ValidationError("a lottery must list each prize once")
 
     def prob(self, prize) -> Fraction:
@@ -107,13 +109,17 @@ class ViolationWitness:
     menus: tuple  # tuple[Menu, ...]
     narrative: str
 
-    def sort_key(self):
-        """Menus in canonical order, kind, then narrative."""
-        return (tuple(menu_key(m) for m in self.menus), self.kind, self.narrative)
+    def sort_key(self, key=menu_key):
+        """Menus in canonical order (``key`` gives a menu's), kind, then narrative."""
+        return (tuple(map(key, self.menus)), self.kind, self.narrative)
 
 
 def sort_witnesses(witnesses):
-    return sorted(witnesses, key=ViolationWitness.sort_key)
+    """``witnesses`` in ``ViolationWitness.sort_key`` order, each distinct
+    menu keyed once."""
+    witnesses = list(witnesses)
+    keys = {menu: menu_key(menu) for menu in {m for w in witnesses for m in w.menus}}
+    return sorted(witnesses, key=lambda witness: witness.sort_key(keys.__getitem__))
 
 
 @dataclass(frozen=True)

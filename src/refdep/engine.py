@@ -128,12 +128,14 @@ def _blocked(dataset: ChoiceDataset, prop: FiniteProperty) -> dict:
             return prop.blocking(dataset)
         lattice = dataset.lattice()
         universe = dataset.universe
-        blocked = {}
+        blocked, above = {}, {}  # above: menu -> the observed menus containing it
         for witness in witness_index(dataset, prop):
             pools = lattice.full
             for menu in witness.menus:
-                lattice.position(menu)  # UnobservedMenu for a menu not observed
-                pools &= lattice.containing(menu)
+                if menu not in above:
+                    lattice.position(menu)  # UnobservedMenu for a menu not observed
+                    above[menu] = lattice.containing(menu)
+                pools &= above[menu]
             for x in universe.intersection(*witness.menus):
                 blocked[x] = blocked.get(x, 0) | pools
         return blocked

@@ -34,7 +34,6 @@ from .choices import (
     expansion_over,
     invariance_over,
     linkage_report,
-    menu_key,
     mismatches,
     over_common_denominator,
     raise_first_failure,
@@ -112,10 +111,15 @@ def _scale(p, q, coords):
     """The beta with p[i] = beta * q[i] at every index in ``coords``, as
     a (numerator, denominator) pair with a positive denominator: (0, 1)
     when q vanishes on all of them, None when no single beta fits."""
-    num, den = next(((p[i], q[i]) for i in coords if q[i] != 0), (0, 1))
-    if den < 0:
-        num, den = -num, -den
-    return (num, den) if all(p[i] * den == num * q[i] for i in coords) else None
+    num, den = 0, 1
+    for i in coords:
+        if q[i]:
+            num, den = (p[i], q[i]) if q[i] > 0 else (-p[i], -q[i])
+            break
+    for i in coords:
+        if p[i] * den != num * q[i]:
+            return None
+    return num, den
 
 
 def fosd(prizes, p, q) -> bool:
@@ -125,12 +129,41 @@ def fosd(prizes, p, q) -> bool:
 
 
 def mps(prizes, p, q) -> bool:
-    """p is a mean-preserving spread of q.
-
-    Equal means plus second-order dominance of q over p: the gap-weighted
-    partial sums of the CDF difference stay nonnegative at every prize.
-    """
+    """p is a mean-preserving spread of q (see ``_mps``)."""
     _check_same_grid(prizes, p, q)
+    return _mps(prizes, p, q)
+
+
+def extreme_spread(prizes, p, q) -> bool:
+    """p mixes q with a best/worst bet (see ``_extreme_spread``)."""
+    _check_same_grid(prizes, p, q)
+    return _extreme_spread(prizes, p, q)
+
+
+def worst_dilution(prizes, p, q) -> bool:
+    """p dilutes q with the worst prize (see ``_worst_dilution``)."""
+    _check_same_grid(prizes, p, q)
+    return _worst_dilution(prizes, p, q)
+
+
+def riskier_than(prizes, p, q) -> bool:
+    return mps(prizes, p, q) or extreme_spread(prizes, p, q)
+
+
+def _below(prizes, p, q) -> bool:
+    """p is a spread or a worst-prize dilution of q, so ranks below it.
+    ``validate`` tests it on the caller's vectors, so through the checked
+    relations."""
+    return riskier_than(prizes, p, q) or worst_dilution(prizes, p, q)
+
+
+# The unchecked relation bodies, for vectors already on the grid: the
+# dataset's own coordinates (``_spreads`` and ``_forced_edges``).
+
+
+def _mps(prizes, p, q) -> bool:
+    """Equal means plus second-order dominance of q over p: the gap-weighted
+    partial sums of the CDF difference stay nonnegative at every prize."""
     if p == q or sum(x * (a - b) for x, a, b in zip(prizes, p, q)) != 0:
         return False
     steps = (hi - lo for lo, hi in zip(prizes, prizes[1:]))
@@ -138,11 +171,10 @@ def mps(prizes, p, q) -> bool:
         gap * step for gap, step in zip(_cdf_gaps(p, q), steps)))
 
 
-def extreme_spread(prizes, p, q) -> bool:
+def _extreme_spread(prizes, p, q) -> bool:
     """p mixes q with a best/worst bet whose best-prize weight falls
     strictly inside (q(best), 1 - q(worst)).  Scale-free: the total mass
     is read as sum(q), and the mixture weights are cross-multiplied."""
-    _check_same_grid(prizes, p, q)
     beta = _scale(p, q, range(1, len(prizes) - 1))
     if beta is None or not 0 <= beta[0] < beta[1]:
         return False
@@ -153,14 +185,13 @@ def extreme_spread(prizes, p, q) -> bool:
             and den * p[0] == num * q[0] + rest * mass - alpha)
 
 
-def worst_dilution(prizes, p, q) -> bool:
+def _worst_dilution(prizes, p, q) -> bool:
     """p = beta*q + (1-beta)*(worst prize for sure), beta in [0,1), p != q.
 
     Not part of the least-risky map, but ranked below q as a spread is
     (``_below``): with the spread edges alone the reverse Allais data
     fits, ranking the diluted sure thing above the sure thing.
     """
-    _check_same_grid(prizes, p, q)
     if p == q:
         return False
     beta = _scale(p, q, range(1, len(prizes)))
@@ -170,13 +201,8 @@ def worst_dilution(prizes, p, q) -> bool:
     return 0 <= num < den and den * p[0] == num * q[0] + (den - num) * sum(q)
 
 
-def riskier_than(prizes, p, q) -> bool:
-    return mps(prizes, p, q) or extreme_spread(prizes, p, q)
-
-
-def _below(prizes, p, q) -> bool:
-    """p is a spread or a worst-prize dilution of q, so ranks below it."""
-    return riskier_than(prizes, p, q) or worst_dilution(prizes, p, q)
+def _riskier(prizes, p, q) -> bool:
+    return _mps(prizes, p, q) or _extreme_spread(prizes, p, q)
 
 
 def _spreads(dataset: ChoiceDataset) -> frozenset:
@@ -184,7 +210,7 @@ def _spreads(dataset: ChoiceDataset) -> frozenset:
     def pairs():
         prizes, _, vectors = _coords(dataset)
         return frozenset((p, q) for p in vectors for q in vectors
-                         if p != q and riskier_than(prizes, vectors[p], vectors[q]))
+                         if p != q and _riskier(prizes, vectors[p], vectors[q]))
     return dataset.cached("spreads", pairs)
 
 
@@ -236,7 +262,7 @@ def _mixture_correspondences(dataset: ChoiceDataset):
         for pair, (_, key) in diffs.items():
             if key is not None:
                 groups.setdefault(key, []).append(pair)
-        corr = []
+        corr, shown = [], {}  # shown: (num, den) -> alpha as printed
         for pairs in groups.values():
             for p, q in pairs:
                 # the group's diffs are positive multiples of one another,
@@ -249,7 +275,9 @@ def _mixture_correspondences(dataset: ChoiceDataset):
                     # the mixer (p2 - alpha p) / (1 - alpha) is a lottery
                     if num < den and all(den * x2 >= num * x
                                          for x2, x in zip(vectors[p2], vectors[p])):
-                        a = format_rational(Fraction(num, den))
+                        if (num, den) not in shown:
+                            shown[num, den] = format_rational(Fraction(num, den))
+                        a = shown[num, den]
                         corr.append((p, q, p2, q2, f"clause 1: {p} chosen over {q} "
                                      f"but the {a}-mixture {p2} loses to {q2}"))
                         corr.append((p2, q2, p, q, f"clause 2: {p2} chosen over {q2} "
@@ -510,7 +538,7 @@ def _forced_edges(dataset: ChoiceDataset) -> set:
     prizes, _, vectors = _coords(dataset)
     return {(q, p) for p, q in _spreads(dataset)} | {
         (q, p) for p in vectors for q in vectors
-        if p != q and worst_dilution(prizes, vectors[p], vectors[q])}
+        if p != q and _worst_dilution(prizes, vectors[p], vectors[q])}
 
 
 def _close(order, edges):
@@ -556,40 +584,57 @@ def _reference_assignments(dataset: ChoiceDataset, order):
     ends.
 
     On 3-prize grids each node carries its classes' u(1) intervals as
-    ranks (see ``_rho_interval``) and drops a child as soon as
+    ranks (see ``_menu_ranks``) and drops a child as soon as
     ``_order_admits`` rejects them under the child's order.  Completing a
     node only narrows its classes' intervals and adds edges, so a dropped
     child has no admitted completion, and every assignment yielded is
-    admitted."""
-    menus = sorted(dataset.menus(), key=lambda m: (-len(m), menu_key(m)))
+    admitted.  The search keeps one stack of open nodes, and each menu's
+    members, candidates and ranks are read once, by position."""
+    menus = sorted(dataset.menus(), key=len, reverse=True)  # stable: canonical within a size
+    if not menus:
+        yield {}, order
+        return
     _, _, vectors = _coords(dataset)
-    candidates = {m: sorted(LEAST_RISKY_PSI.of(dataset, m), key=lambda i: (vectors[i], i))
-                  for m in menus}
-    ranks = ({m: _rho_interval(dataset, [m]) for m in menus}
+    others = [{x: menu - {x} for x in menu} for menu in menus]
+    candidates = [sorted(LEAST_RISKY_PSI.of(dataset, m), key=lambda i: (vectors[i], i))
+                  for m in menus]
+    ranks = (list(map(_menu_ranks(dataset).__getitem__, menus))
              if len(prize_grid(dataset)) == 3 else None)
 
-    def rec(pos, assigned, order, intervals):
-        if pos == len(menus):
-            yield dict(assigned), order
-            return
-        menu = menus[pos]
-        refs = candidates[menu]
-        top = next((x for x in menu if len(menu & order[x]) == len(menu) - 1), None)
+    def children(pos, order, intervals):
+        """The admitted (reference, order, intervals) children of a node
+        at menu ``pos``, in search order."""
+        refs, rest = candidates[pos], others[pos]
+        top = next((x for x, below in rest.items() if order[x] >= below), None)
         if top is not None:
             refs = [top] if top in refs else []
         for ref in refs:
             child = intervals
             if ranks is not None:
-                (lower, upper), held = ranks[menu], intervals.get(ref, ranks[menu])
-                child = {**intervals, ref: (max(lower, held[0]), min(upper, held[1]))}
+                (lower, upper), held = ranks[pos], intervals.get(ref, ranks[pos])
+                narrowed = (max(lower, held[0]), min(upper, held[1]))
+                if narrowed != intervals.get(ref):
+                    child = {**intervals, ref: narrowed}
             extended = order if top is not None else _close(
-                order, ((ref, y) for y in menu if y != ref))
-            if extended is not None and (ranks is None or _order_admits(child, extended)):
-                assigned[menu] = ref
-                yield from rec(pos + 1, assigned, extended, child)
-                del assigned[menu]
+                order, ((ref, y) for y in rest[ref]))
+            # a child with its parent's intervals and order is admitted, as the parent was
+            if extended is not None and (child is intervals and extended is order
+                                         or _order_admits(child, extended)):
+                yield ref, extended, child
 
-    yield from rec(0, {}, order, {})
+    assigned = [None] * len(menus)
+    stack = [children(0, order, {})]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+            continue
+        depth = len(stack)  # the menus assigned, this child's included
+        assigned[depth - 1], extended, intervals = child
+        if depth < len(menus):
+            stack.append(children(depth, extended, intervals))
+        else:
+            yield dict(zip(menus, assigned)), extended
 
 
 def _uvars(label, n):
@@ -680,13 +725,10 @@ def _interval(rows, scale):
     return lower, upper
 
 
-def _rho_interval(dataset, menus):
-    """The u(1) interval of one utility over ``menus`` (3-prize grids), as
-    ranks among the dataset's distinct bounds.  Each menu's own interval
-    comes from its integer rows on the dataset's one scale, ranked once per
-    dataset.  The menus hold fewer than twice as many distinct bounds as
-    there are menus, so a class with no menus gets ranks outside all of
-    them: the open (0, 1)."""
+def _menu_ranks(dataset) -> dict:
+    """Per observed menu, its own u(1) interval (3-prize grids) as ranks
+    among the dataset's distinct bounds: the interval of its integer rows
+    on the dataset's one scale, ranked once per dataset."""
     def ranked():
         rows = {menu: [(diff[1], diff[2], relation) for relation, diff in menu_rows]
                 for menu, menu_rows in _menu_rows(dataset).items()}
@@ -695,7 +737,15 @@ def _rho_interval(dataset, menus):
         rank = {key: k for k, key in enumerate(sorted(
             {key for pair in intervals.values() for key in pair}))}
         return {menu: (rank[lower], rank[upper]) for menu, (lower, upper) in intervals.items()}
-    per_menu = dataset.cached("menu-intervals", ranked)
+    return dataset.cached("menu-intervals", ranked)
+
+
+def _rho_interval(dataset, menus):
+    """The u(1) interval of one utility over ``menus`` (3-prize grids), as
+    ranks: the tightest of the menus' ``_menu_ranks``.  The menus hold
+    fewer than twice as many distinct bounds as there are menus, so a
+    class with no menus gets ranks outside all of them: the open (0, 1)."""
+    per_menu = _menu_ranks(dataset)
     return (max((per_menu[menu][0] for menu in menus), default=-1),
             min((per_menu[menu][1] for menu in menus), default=2 * len(per_menu)))
 
@@ -708,8 +758,13 @@ def _order_admits(intervals, order):
     upper bound.  (Sorting the classes by raised lower bound, ties by the
     order, gives such a chain.)  When ``order`` is itself a chain, it
     decides that one."""
-    return all(max([lower] + [intervals[x][0] for x in order[ref] if x in intervals]) <= upper
-               for ref, (lower, upper) in intervals.items())
+    for ref, (lower, upper) in intervals.items():
+        for x in order[ref]:
+            if x in intervals and intervals[x][0] > lower:
+                lower = intervals[x][0]
+        if lower > upper:
+            return False
+    return True
 
 
 def _solve_chain(dataset, classes, chain):
@@ -793,7 +848,7 @@ def fit_areu(dataset: ChoiceDataset) -> AreuParams:
         for menu, ref in assignment.items():
             classes.setdefault(ref, []).append(menu)
         for menus in classes.values():
-            menus.sort(key=menu_key)
+            menus.sort(key=dataset.lattice().index.__getitem__)  # canonical order
         if count == 0:
             # one utility for every class has the same rows under every
             # assignment; solved once, in the first assignment's row order

@@ -11,6 +11,8 @@ from refdep.choices import (
     GENERIC,
     LOTTERY,
     LotteryPayload,
+    ViolationWitness,
+    sort_witnesses,
     sorted_menus,
     validate_dataset,
     warp_over,
@@ -27,6 +29,7 @@ from refdep.risk import (
     independence_over,
     least_risky,
     prize_grid,
+    simulate_areu,
 )
 from refdep.rivals import load_fixture
 from refdep.serialize import dataset_from_dict, dataset_to_dict, menus_from_dict
@@ -35,6 +38,7 @@ from refdep.timepref import stationarity_over
 
 from helpers import (
     areu_data,
+    areu_instance,
     dataset_by_ordered_reads,
     fspu_data,
     generic_dataset,
@@ -226,6 +230,20 @@ def test_witness_ordering_is_deterministic():
     assert first == second
     keys = [w.sort_key() for w in first]
     assert keys == sorted(keys)
+    # the reference-dependent probe's WARP and Independence witnesses share
+    # menus, each keyed once per call; shuffled, they sort as by ``sort_key``
+    repeats = 0
+    for seed in range(20):
+        rng = random.Random(seed)
+        params, menus = areu_instance(rng, True)
+        ds = simulate_areu(params, menus)
+        witnesses = warp_over(ds, ds.menus()) + independence_over(ds, ds.menus())
+        named = [menu for w in witnesses for menu in w.menus]
+        repeats += len(named) > len(set(named))
+        rng.shuffle(witnesses)
+        assert sort_witnesses(witnesses) == sorted(witnesses, key=ViolationWitness.sort_key)
+        assert sort_witnesses(iter(witnesses)) == sort_witnesses(witnesses)
+    assert repeats >= 15
 
 
 def test_a_witness_is_frozen_whether_or_not_its_narrative_was_read():

@@ -13,6 +13,7 @@ from refdep.choices import (
     Alternative,
     ChoiceDataset,
     LotteryPayload,
+    menu_key,
     over_common_denominator,
     warp_over,
 )
@@ -301,6 +302,15 @@ def test_relations_match_their_explicit_loops_on_random_vectors():
     assert min(holds.values()) > 3_000, holds
 
 
+@pytest.mark.parametrize("relation", [fosd, mps, extreme_spread, worst_dilution, riskier_than])
+def test_public_relations_reject_a_vector_off_the_grid(relation):
+    # the dataset's own coordinates skip this check; a caller's vectors do not
+    on, short, long = vec(1, 0, 0), (F(1, 2), F(1, 2)), (F(1, 4),) * 4
+    for p, q in ((short, on), (on, short), (long, on), (on, long)):
+        with pytest.raises(PrizeSetMismatch):
+            relation(PRIZES, p, q)
+
+
 # -- the integer view against the Fraction forms -------------------------------
 
 
@@ -401,13 +411,13 @@ def test_forced_edges_reuse_the_cached_spreads(monkeypatch):
     datasets = [areu_data(random.Random(seed)) for seed in range(6)]
     datasets += [integer_areu_data(random.Random(seed), n) for seed in range(4) for n in (3, 4)]
     datasets += [perturbed(random.Random(seed), ds) for seed, ds in enumerate(datasets)]
-    riskier, calls = risk.riskier_than, []
+    riskier, calls = risk._riskier, []
     for ds in datasets:
         prizes, _, vectors = risk._coords(ds)
         below = {(q, p) for p in vectors for q in vectors
                  if p != q and risk._below(prizes, vectors[p], vectors[q])}
         risk._spreads(ds)
-        monkeypatch.setattr(risk, "riskier_than", lambda *a: calls.append(a) or riskier(*a))
+        monkeypatch.setattr(risk, "_riskier", lambda *a: calls.append(a) or riskier(*a))
         assert risk._forced_edges(ds) == below
         monkeypatch.undo()
     assert calls == []
@@ -1194,7 +1204,39 @@ def test_twelve_lottery_fit_yields_one_assignment(monkeypatch):
     monkeypatch.setattr(risk, "_close", lambda *args: closes.append(1) or close(*args))
     fitted = fit_areu(ds)
     assert verify_areu(fitted, ds) == []
-    assert len(tried) == 1 and len(closes) < 3_000
+    assert len(tried) == 1 and len(closes) == 2_017
+
+
+def test_areu_battery_guards_the_reference_search(monkeypatch):
+    # one re-drawn pair choice, {l4, l11} choosing the FOSD-dominated l4,
+    # fails FOSD alone: with no battery ahead of it the search on these 286
+    # menus ran past 10 s, so the fit must stop before its first ``_close``
+    rng = random.Random(12019)
+    params = random_rho_monotone_areu(rng, 12)
+    clean = simulate_areu(params, all_menus([i for i, _ in params.lotteries], 2, 3))
+    observations = dict(clean.observations)
+    for menu in rng.sample(sorted(observations, key=menu_key), rng.randint(1, 4)):
+        members = sorted(menu)
+        observations[menu] = frozenset(rng.sample(members, rng.randint(1, len(members))))
+    ds = ChoiceDataset(clean.kind, clean.alternatives, observations)
+    assert len(ds.menus()) == 286 and len(prize_grid(ds)) == 3
+    assert [m for m in ds.menus() if observations[m] != clean.observations[m]] == [
+        frozenset({"l4", "l11"})]
+    assert [(key, bool(witnesses)) for key, _, witnesses in risk.battery(ds)] == [
+        ("fosd", True), ("risk_reference_dependence", False), ("avoidable_risk", False)]
+    closes = []
+
+    def counted_close(*args):
+        # fail at once rather than run the search out
+        closes.append(1)
+        raise AssertionError("the search started before the battery rejected the data")
+
+    monkeypatch.setattr(risk, "_close", counted_close)
+    with pytest.raises(AxiomFails) as caught:
+        fit_areu(ds)
+    assert caught.value.axiom == "FOSD"
+    assert [w.menus for w in caught.value.witnesses] == [(frozenset({"l4", "l11"}),)]
+    assert closes == []
 
 
 def test_reference_dependent_three_prize_fit_solves_one_lp(monkeypatch):
